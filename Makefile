@@ -69,7 +69,7 @@ chaos-failover:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveSmallLP$$' -fuzztime=$(FUZZTIME) ./internal/lp
-	$(GO) test -run='^$$' -fuzz='^FuzzPruner$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzCGMatchesDense$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadNetwork$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadSimulation$$' -fuzztime=$(FUZZTIME) ./internal/scenario

@@ -173,13 +173,14 @@ func BenchmarkFigure4Solve(b *testing.B) {
 }
 
 // BenchmarkScalabilitySolve measures the scalable dispatch past
-// Figure 4's sizes: pruned dense enumeration and column generation on
-// combination spaces up to 2.8M (paths=40/trans=4), which dense
-// enumeration cannot reasonably materialize. One fixed random instance
-// per size, solved with a reusable solver.
+// Figure 4's sizes: column generation on combination spaces from 4,096
+// (paths=15/trans=3, just past the dense threshold) up to 2.8M
+// (paths=40/trans=4), which dense enumeration cannot reasonably
+// materialize. One fixed random instance per size, solved with a
+// reusable solver.
 func BenchmarkScalabilitySolve(b *testing.B) {
 	for _, size := range []struct{ paths, trans int }{
-		{15, 3}, // 4096 combos: dominance-pruned dense
+		{15, 3}, // 4096 combos: column generation
 		{10, 4}, // 14641: column generation
 		{20, 4}, // 194481: column generation
 		{40, 4}, // 2.8M: column generation
@@ -216,14 +217,14 @@ func warmResolveRing(paths, trans, n int) (*dmc.Network, []*dmc.Network) {
 
 // BenchmarkWarmResolve measures the incremental re-solve engine on a
 // drift trajectory against cold solves of the identical instances, per
-// dispatch regime: dense (10×3), dominance-pruned (15×3), and column
-// generation (40×4, the 2.8M-combination ROADMAP target). The warm/cold
-// per-op ratio at each size is the PR's headline artifact; both sides
-// are gated as critical in scripts/benchcmp.
+// dispatch regime: dense (10×3), and column generation just past the
+// dense threshold (15×3) and at the 2.8M-combination ROADMAP target
+// (40×4). The warm/cold per-op ratio at each size is the headline
+// artifact; both sides are gated as critical in scripts/benchcmp.
 func BenchmarkWarmResolve(b *testing.B) {
 	for _, size := range []struct{ paths, trans int }{
 		{10, 3}, // 1331 combos: dense warm re-solve
-		{15, 3}, // 4096: dominance-pruned warm re-solve
+		{15, 3}, // 4096: column generation just past the dense threshold
 		{40, 4}, // 2.8M: column generation with persistent pool
 	} {
 		base, ring := warmResolveRing(size.paths, size.trans, 32)

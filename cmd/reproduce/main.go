@@ -37,8 +37,8 @@ func run(args []string) error {
 		exp2     = fs.Bool("exp2", false, "Experiment 2: random delays, optimized timeouts")
 		fig3     = fs.Bool("fig3", false, "Figure 3: sensitivity to estimation errors")
 		fig4     = fs.Bool("fig4", false, "Figure 4: LP solve times vs problem size")
-		scale    = fs.Bool("scalability", false, "scalability sweep: pruning/column-generation dispatch, paths 10–40, m 3–5")
-		mincost  = fs.Bool("mincost", false, "min-cost scalability sweep: §VI-A cost minimization at a 0.5 quality floor through the same dense/pruned/CG dispatch, paths 10–40, m 3–5")
+		scale    = fs.Bool("scalability", false, "scalability sweep: dense/column-generation dispatch, paths 10–40, m 3–5")
+		mincost  = fs.Bool("mincost", false, "min-cost scalability sweep: §VI-A cost minimization at a 0.5 quality floor through the same dense/CG dispatch, paths 10–40, m 3–5")
 		resolve  = fs.Bool("resolve", false, "incremental re-solve drift sweep: warm vs cold solve times on a 40-path × 4-transmission trajectory")
 		ablation = fs.Bool("ablation", false, "scheduler / solver / ack-scheme ablations")
 		messages = fs.Int("messages", experiments.FullMessageCount, "messages per simulation run")
@@ -160,7 +160,7 @@ func run(args []string) error {
 	}
 
 	if *scale {
-		done := section("Scalability: dense / pruned / column-generation dispatch beyond Figure 4's sizes")
+		done := section("Scalability: dense / column-generation dispatch beyond Figure 4's sizes")
 		pts, err := experiments.Scalability(experiments.ScalabilityConfig{Seed: *seed, VerifyDense: true})
 		if err != nil {
 			return err

@@ -25,17 +25,19 @@
 // Solving: SolveQuality (maximize delivered-in-time fraction, Eq. 10),
 // SolveMinCost (§VI-A cost minimization under a quality floor), and
 // SolveQualityRandom + OptimalTimeouts (§VI-B random delays, Eq. 26–34,
-// with NewTimeoutCache memoizing tables across λ/µ/loss drift) all
-// auto-dispatch between dense enumeration, dominance pruning, and
-// column generation by problem size (SolveQualityCG, SolveMinCostCG,
-// SolveQualityRandomCG are the CG cores, for combination spaces dense
-// enumeration cannot materialize). Solver.Resolve, Solver.ResolveMinCost,
-// and Solver.ResolveQualityRandom re-solve incrementally for drifting
-// estimates: column tables rebuilt in place, CG pool retained and
-// repriced, LP basis reused with newly priced columns appended onto the
-// hot tableau; NewWarmPool shares that warm state across SolveMany
-// workers for fleet-wide re-solve storms. SolveQualityExact solves with
-// exact rational arithmetic, as the paper's CGAL setup.
+// with NewTimeoutCache memoizing tables across λ/µ/loss drift) run on
+// one solve engine that dispatches by combination count: dense
+// enumeration up to Solver.DenseThreshold (2,048 by default), column
+// generation above it — including spaces dense enumeration could never
+// materialize. A Solver with DenseThreshold = -1 forces column
+// generation at every size. Solver.Resolve, Solver.ResolveMinCost, and
+// Solver.ResolveQualityRandom re-solve incrementally on the same engine
+// for drifting estimates: column tables rebuilt in place, CG pool
+// retained and repriced, LP basis reused with newly priced columns
+// appended onto the hot tableau; NewWarmPool shares that warm state
+// across SolveMany workers and session keys for fleet-wide re-solve
+// storms. SolveQualityExact solves with exact rational arithmetic, as
+// the paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
 // solved split to per-packet decisions.
@@ -100,13 +102,17 @@ type (
 	// Solver is a reusable solve context: it owns the simplex tableau and
 	// combination-enumeration workspaces, so repeated solves of
 	// same-shaped networks allocate almost nothing after warmup. Its
-	// Resolve method solves incrementally: when only λ/µ/loss/delay
-	// drift between calls (the §VIII-A adaptive regime), column tables
-	// are rebuilt in place, the column-generation pool is retained and
-	// repriced, and the previous LP basis warm-starts the simplex —
-	// typically ≥5× faster than a cold solve at CG scale, with identical
-	// optima. Not safe for concurrent use; use one per goroutine, or
-	// SolveMany.
+	// DenseThreshold field is the one dispatch option: the combination
+	// count above which every objective solves by column generation
+	// (0 = the 2,048 default, negative = always). Its one-shot methods
+	// (SolveQuality, SolveMinCost, SolveQualityRandom) return Solutions
+	// that own their storage. Its Resolve methods solve incrementally:
+	// when only λ/µ/loss/delay drift between calls (the §VIII-A adaptive
+	// regime), column tables are rebuilt in place, the column-generation
+	// pool is retained and repriced, and the previous LP basis
+	// warm-starts the simplex — typically ≥5× faster than a cold solve at
+	// CG scale, with identical optima. Not safe for concurrent use; use
+	// one per goroutine, or SolveMany.
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
@@ -115,12 +121,13 @@ type (
 	TimeoutCache = core.TimeoutCache
 	// WarmPool shares incremental re-solve state (column tables, CG
 	// pools, LP bases) across fleet re-solves: a striped, shape-keyed
-	// pool of warm Solvers with positional (SolveMany, SolveManyMinCost,
-	// SolveManyRandom) and session-keyed (SolveSession, DropSession)
-	// entry points. Safe for concurrent use; see NewWarmPool.
+	// pool of warm Solvers with positional (SolveMany) and session-keyed
+	// (SolveSession, SolveSessionMinCost, SolveSessionRandom,
+	// DropSession) entry points. Safe for concurrent use; see
+	// NewWarmPool.
 	WarmPool = core.WarmPool
-	// SolveStats records which solve core ran (dense enumeration,
-	// dominance-pruned dense, or column generation) and what it cost.
+	// SolveStats records which solve core ran (dense enumeration or
+	// column generation) and what it cost.
 	SolveStats = core.SolveStats
 	// Dispatch names a solve core in SolveStats.
 	Dispatch = core.Dispatch
@@ -130,8 +137,6 @@ type (
 const (
 	// DispatchDense is plain dense enumeration of every combination.
 	DispatchDense = core.DispatchDense
-	// DispatchPruned is dense enumeration after dominance pruning.
-	DispatchPruned = core.DispatchPruned
 	// DispatchCG is column generation over a restricted master problem.
 	DispatchCG = core.DispatchCG
 )
@@ -250,18 +255,12 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 
 // SolveQuality maximizes the communication quality Q (Eq. 10) with a
 // pooled reusable solver. Dispatch scales automatically with the
-// combination count (n+1)^m: dense enumeration for small spaces,
-// dominance-pruned enumeration for mid-size ones, and column generation
-// (SolveQualityCG) beyond that — 40 paths at 4 transmissions solves in
-// tens of milliseconds. Solution.Stats reports which core ran.
+// combination count (n+1)^m: dense enumeration up to 2,048
+// combinations, column generation beyond — pricing columns from the
+// simplex duals without materializing the space, so 40 paths at 4
+// transmissions solves in tens of milliseconds. Both reach the same
+// optimum; Solution.Stats reports which core ran.
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
-
-// SolveQualityCG solves the quality maximization by column generation
-// over a restricted master problem, pricing columns from the simplex
-// duals without materializing the (n+1)^m combination space. It reaches
-// the same optimum as dense enumeration; most callers want SolveQuality,
-// which dispatches here automatically for large instances.
-func SolveQualityCG(n *Network) (*Solution, error) { return core.SolveQualityCG(n) }
 
 // NewSolver returns a reusable Solver for hot loops that solve many
 // same-shaped networks (adaptive re-solves, sweeps): tableau, basis, and
@@ -284,10 +283,10 @@ func NewTimeoutCache() *TimeoutCache { return core.NewTimeoutCache() }
 func SolveMany(nets []*Network) ([]*Solution, error) { return core.SolveMany(nets) }
 
 // NewWarmPool returns an empty shared warm-solver pool with two kinds
-// of entry point. The positional batch methods (SolveMany,
-// SolveManyMinCost, SolveManyRandom) are the incremental counterparts
-// of the package-level SolveMany: batch slot i re-solves on the solver
-// that served slot i last time, so stable fleet orderings stay warm.
+// of entry point. The positional batch method SolveMany is the
+// incremental counterpart of the package-level SolveMany: batch slot i
+// re-solves on the solver that served slot i last time, so stable fleet
+// orderings stay warm.
 // The session-keyed methods (SolveSession, SolveSessionMinCost,
 // SolveSessionRandom, DropSession) pin a caller-supplied key to its own
 // warm solver, keeping basis and column-pool affinity as the fleet
@@ -297,37 +296,21 @@ func SolveMany(nets []*Network) ([]*Solution, error) { return core.SolveMany(net
 // slot, or same session key).
 func NewWarmPool() *WarmPool { return core.NewWarmPool() }
 
-// SolveMinCost minimizes cost subject to a quality floor (§VI-A),
-// auto-dispatching between dense enumeration, dominance pruning, and
-// column generation by problem size.
+// SolveMinCost minimizes cost subject to a quality floor (§VI-A) with
+// the same dispatch as SolveQuality. Past the dense threshold, column
+// generation first grows its pool until the floor is provably reachable
+// (or certifies ErrInfeasible at the true quality optimum), then prices
+// by cost-reduced duals to the certified minimum.
 func SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
 	return core.SolveMinCost(n, minQuality)
 }
 
-// SolveMinCostCG solves the §VI-A cost minimization by column
-// generation: a feasibility stage grows the column pool until the
-// quality floor is provably reachable (or certifies ErrInfeasible at
-// the true quality optimum), then cost-reduced pricing runs to the
-// certified minimum. Most callers want SolveMinCost, which dispatches
-// here automatically for large instances.
-func SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	return core.SolveMinCostCG(n, minQuality)
-}
-
 // SolveQualityRandom solves the random-delay model (§VI-B) with the given
-// retransmission timeouts, auto-dispatching between dense enumeration
-// and column generation by pair count.
+// retransmission timeouts and the same dispatch as SolveQuality, by pair
+// count (n+1)². Both dispatches read the same once-per-solve Eq. 27–30
+// pair tables; column generation prices pairs by an exact scan of them.
 func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 	return core.SolveQualityRandom(n, to)
-}
-
-// SolveQualityRandomCG solves the §VI-B random-delay model by column
-// generation over the (n+1)² pair space, pricing pairs by an exact scan
-// of once-per-solve Eq. 27–30 tables. Most callers want
-// SolveQualityRandom, which dispatches here automatically for large
-// path counts.
-func SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	return core.SolveQualityRandomCG(n, to)
 }
 
 // SolveQualityExact solves with exact rational arithmetic.

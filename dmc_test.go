@@ -179,12 +179,14 @@ func TestFacadeScalableSolve(t *testing.T) {
 	if sol.Quality <= 0 || sol.Quality > 1 {
 		t.Errorf("quality = %v", sol.Quality)
 	}
-	direct, err := dmc.SolveQualityCG(network)
+	forced := dmc.NewSolver()
+	forced.DenseThreshold = -1
+	direct, err := forced.SolveQuality(network)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.Quality != sol.Quality {
-		t.Errorf("SolveQualityCG quality %v != dispatched %v", direct.Quality, sol.Quality)
+		t.Errorf("forced-CG quality %v != dispatched %v", direct.Quality, sol.Quality)
 	}
 }
 

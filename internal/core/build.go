@@ -14,8 +14,8 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := m.computeColumns(make([]int, m.m))
-	return m.assembleProblem(lp.Maximize, cols.delivery, cols, nil, true), nil
+	cols := m.computeColumns(make([]int, m.m), m)
+	return m.assembleProblemInto(nil, lp.Maximize, cols.delivery, cols, nil, true), nil
 }
 
 // SolveQuality solves the deterministic-delay quality maximization

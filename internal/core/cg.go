@@ -25,10 +25,9 @@ const (
 	// 1e-6 warm/cold agreement contract while letting the oracle's
 	// branch-and-bound prune the near-degenerate boundary (hundreds of
 	// combinations within 1e-8 of zero) two orders of magnitude earlier
-	// than the cold path's 1e-9. runCG supports a separate aggressive
-	// intermediate floor, but measurements showed single-floor pricing
-	// strictly faster here (smaller floors add more columns per round
-	// and converge in fewer, cheaper rounds).
+	// than the cold path's 1e-9. A separate, more aggressive floor for
+	// intermediate rounds measured strictly slower: smaller floors add
+	// more columns per round and converge in fewer, cheaper rounds.
 	cgCertTolWarm = 1e-7
 )
 
@@ -39,15 +38,6 @@ const (
 // and either grows the pool or certifies ErrInfeasible.
 var errMasterInfeasible = errors.New("core: restricted master infeasible over the current column pool")
 
-// SolveQualityCG solves the quality maximization by column generation
-// with a pooled reusable Solver; see Solver.SolveQualityCG.
-func SolveQualityCG(n *Network) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQualityCG(n)
-	solverPool.Put(s)
-	return sol, err
-}
-
 // cgObjective abstracts the objective-specific pieces of the
 // column-generation engine — what the restricted master optimizes, how a
 // combination's LP column is evaluated, and how new columns are priced
@@ -55,13 +45,11 @@ func SolveQualityCG(n *Network) (*Solution, error) {
 // maximization (Eq. 10), §VI-A cost minimization under a quality floor,
 // and the §VI-B random-delay columns alike.
 type cgObjective interface {
-	// assembleInto builds the restricted master over the pooled columns
-	// (into the reusable arena when sc is non-nil).
-	assembleInto(sc *asmScratch, cs *colSet) *lp.Problem
-	// evalColumn computes one combination's LP column — delivery
-	// probability, expected cost, per-path send shares — into share
-	// (zeroed, length base).
-	evalColumn(combo []int, share []float64) (delivery, cost float64)
+	// assembleInto builds the master over the given columns (into the
+	// reusable arena when sc is non-nil).
+	assembleInto(sc *asmScratch, cols *columns) *lp.Problem
+	// columnEvaluator evaluates one combination's LP column.
+	columnEvaluator
 	// reprice loads the master's dual vector (in its row order) into the
 	// pricing oracle.
 	reprice(duals []float64)
@@ -98,7 +86,7 @@ func (cs *colSet) add(m *model, obj cgObjective, combo []int) bool {
 	}
 	cs.pos[key] = cs.cols.len()
 	cs.keys = append(cs.keys, key)
-	cs.cols.appendColumn(m.base, obj.evalColumn, combo)
+	cs.cols.appendColumn(m.base, obj, combo)
 	return true
 }
 
@@ -128,12 +116,12 @@ type qualityObjective struct {
 	costRow bool
 }
 
-func (o *qualityObjective) assembleInto(sc *asmScratch, cs *colSet) *lp.Problem {
-	return o.m.assembleProblemInto(sc, lp.Maximize, cs.cols.delivery, &cs.cols, nil, o.costRow)
+func (o *qualityObjective) assembleInto(sc *asmScratch, cols *columns) *lp.Problem {
+	return o.m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, o.costRow)
 }
 
 func (o *qualityObjective) evalColumn(combo []int, share []float64) (float64, float64) {
-	return o.m.columnOf(combo, share)
+	return o.m.evalColumn(combo, share)
 }
 
 // reprice unpacks the master duals. Dual layout follows
@@ -153,43 +141,11 @@ func (o *qualityObjective) price(floor float64) [][]int { return o.pr.price(floo
 
 func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs, o, scratch) }
 
-// SolveQualityCG solves the deterministic-delay quality maximization
-// (Eq. 10) without materializing the (n+1)^m combination space: a
-// restricted master problem over a generated column pool is solved with
-// the reusable simplex, and new columns are priced from its duals by an
-// exact branch-and-bound oracle over the odometer space. Terminates at
-// the true LP optimum — the oracle proves no combination has positive
-// reduced cost — so the result matches dense enumeration to solver
-// tolerance wherever both are tractable, while scaling to path counts
-// dense enumeration cannot touch (40 paths × 4 transmissions is a
-// 2.8M-combination space; the master typically sees a few hundred).
-//
-// Most callers want SolveQuality, which dispatches here automatically
-// above the dense threshold.
-func (s *Solver) SolveQualityCG(n *Network) (*Solution, error) {
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, err
-	}
-	obj := &qualityObjective{m: m, pr: newPricer(m), costRow: true}
-	cs := newColSet()
-	obj.seed(cs, s.scratch(m.m))
-	prob, lpSol, iters, _, err := s.runCG(nil, m, cs, obj, nil, cgPriceTol, cgPriceTol, nil)
-	if err != nil {
-		return nil, err
-	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-	sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters}
-	return sol, nil
-}
-
 // runCG alternates restricted-master LP solves over the column set with
 // exact pricing until no combination prices above certTol (which bounds
 // the optimality gap), returning the final master problem and LP
 // solution plus the iteration count and whether the first master solve
-// warm-started. Intermediate rounds price with priceFloor ≥ certTol —
-// when a round at the aggressive floor comes back empty, one
-// certification round at certTol settles termination.
+// warm-started.
 //
 // The first master solves through SolveWith — warm-started from basis
 // when non-nil (the incremental re-solve path). Every later iteration
@@ -207,12 +163,12 @@ func (s *Solver) SolveQualityCG(n *Network) (*Solution, error) {
 //
 // A master that comes back infeasible returns errMasterInfeasible
 // (possible only for the min-cost objective's first master).
-func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, priceFloor, certTol float64, stop func(*lp.Solution) bool) (*lp.Problem, *lp.Solution, int, bool, error) {
+func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, stop func(*lp.Solution) bool) (*lp.Problem, *lp.Solution, int, bool, error) {
 	chain := basis != nil
 	// The persistent-resolve paths (marked by their assembly scratch)
 	// need the final basis captured to warm-start the next re-solve;
-	// the one-shot CG path needs it only for the append-failure
-	// fallback, which re-covers via a plain cold solve.
+	// one-shot solves need it only for the append-failure fallback,
+	// which re-covers via a plain cold solve.
 	capture := sc != nil
 
 	var prob *lp.Problem
@@ -226,7 +182,7 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 		if iters > cgMaxIterations {
 			return nil, nil, 0, false, fmt.Errorf("core: column generation did not converge within %d iterations", cgMaxIterations)
 		}
-		prob = obj.assembleInto(sc, cs)
+		prob = obj.assembleInto(sc, &cs.cols)
 		n := cs.cols.len()
 		opts := lp.Options{AssumeValid: true, CaptureBasis: capture || chain}
 		solved := false
@@ -265,20 +221,10 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 
 		obj.reprice(lpSol.Dual)
 		added, priced := 0, 0
-		for _, cand := range obj.price(priceFloor) {
+		for _, cand := range obj.price(certTol) {
 			priced++
 			if cs.add(m, obj, cand) {
 				added++
-			}
-		}
-		if added == 0 && priceFloor > certTol {
-			// Nothing above the aggressive floor: certify at the tight
-			// tolerance before declaring optimality.
-			for _, cand := range obj.price(certTol) {
-				priced++
-				if cs.add(m, obj, cand) {
-					added++
-				}
 			}
 		}
 		if added == 0 {

@@ -15,12 +15,11 @@ func forceCG() *Solver {
 	return s
 }
 
-// forceDense returns a Solver that never prunes and never dispatches to
-// CG below the dense hard limit — the pre-PR dense behavior.
+// forceDense returns a Solver that never dispatches to CG below the
+// dense hard limit.
 func forceDense() *Solver {
 	s := NewSolver()
 	s.DenseThreshold = DenseLimit
-	s.PruneThreshold = -1
 	return s
 }
 
@@ -201,12 +200,13 @@ func TestDispatchThresholds(t *testing.T) {
 		paths, m int
 		want     Dispatch
 	}{
-		{4, 2, DispatchDense},   // 125 combos: below the prune threshold
-		{10, 3, DispatchDense},  // 1331
-		{15, 3, DispatchPruned}, // 4096: pruned dense
-		{19, 3, DispatchPruned}, // 8000
-		{10, 4, DispatchCG},     // 14641: above the dense threshold
-		{40, 4, DispatchCG},     // 2.8M
+		{4, 2, DispatchDense},  // 125 combos
+		{10, 3, DispatchDense}, // 1331
+		{44, 2, DispatchDense}, // 2025: the largest dense shape at m = 2
+		{15, 3, DispatchCG},    // 4096: above the dense threshold
+		{19, 3, DispatchCG},    // 8000
+		{10, 4, DispatchCG},    // 14641
+		{40, 4, DispatchCG},    // 2.8M
 	}
 	for _, tc := range cases {
 		n := diffRandomNetwork(rng, tc.paths, tc.m)

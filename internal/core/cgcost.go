@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dmc/internal/lp"
 )
@@ -15,15 +14,6 @@ import (
 // matching the dense path's feasibility verdict.
 const minCostFeasSlack = 1e-9
 
-// SolveMinCostCG solves the §VI-A cost minimization by column
-// generation with a pooled reusable Solver; see Solver.SolveMinCostCG.
-func SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveMinCostCG(n, minQuality)
-	solverPool.Put(s)
-	return sol, err
-}
-
 // minCostObjective is the §VI-A master: minimize the expected total
 // cost per second (Eq. 21) over the bandwidth rows, the quality floor
 // p·x ≥ minQuality (Eq. 22's constraint), and the conservation row. No
@@ -32,23 +22,23 @@ type minCostObjective struct {
 	m          *model
 	pr         *pricer
 	minQuality float64
-	obj        []float64 // λ·costₗ per pooled column, rebuilt per assembly
+	obj        []float64 // λ·costₗ per column, rebuilt per assembly
 	extra      lp.Constraint
 }
 
-func (o *minCostObjective) assembleInto(sc *asmScratch, cs *colSet) *lp.Problem {
-	n := cs.cols.len()
+func (o *minCostObjective) assembleInto(sc *asmScratch, cols *columns) *lp.Problem {
+	n := cols.len()
 	o.obj = grow(o.obj, n)
 	λ := o.m.net.Rate
-	for l, c := range cs.cols.costs[:n] {
+	for l, c := range cols.costs[:n] {
 		o.obj[l] = λ * c // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
 	}
-	o.extra = lp.Constraint{Name: "quality", Coeffs: cs.cols.delivery[:n:n], Rel: lp.GE, RHS: o.minQuality}
-	return o.m.assembleProblemInto(sc, lp.Minimize, o.obj, &cs.cols, &o.extra, false)
+	o.extra = lp.Constraint{Name: "quality", Coeffs: cols.delivery[:n:n], Rel: lp.GE, RHS: o.minQuality}
+	return o.m.assembleProblemInto(sc, lp.Minimize, o.obj, cols, &o.extra, false)
 }
 
 func (o *minCostObjective) evalColumn(combo []int, share []float64) (float64, float64) {
-	return o.m.columnOf(combo, share)
+	return o.m.evalColumn(combo, share)
 }
 
 // reprice unpacks the min-cost master duals: bandwidth rows first, then
@@ -71,37 +61,12 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// SolveMinCostCG solves the §VI-A cost minimization without
-// materializing the (n+1)^m combination space. It runs in two stages
-// over one shared column pool: a feasibility stage grows the pool with
-// quality-maximization pricing rounds just until the restricted master
-// can reach the quality floor (or certifies, at the true quality
-// optimum, that no sending strategy can — ErrInfeasible), then the
-// min-cost stage prices columns by cost-reduced duals until the master
-// cost is certified minimal. Both stages share the incremental simplex:
-// freshly priced columns are appended onto the hot tableau instead of
-// re-solving each master from scratch.
-//
-// Most callers want SolveMinCost, which dispatches here automatically
-// above the dense threshold.
-func (s *Solver) SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
-		return nil, fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
-	}
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, err
-	}
-	pr := newPricer(m)
-	mo := &minCostObjective{m: m, pr: pr, minQuality: minQuality}
-	cs := newColSet()
-	mo.seed(cs, s.scratch(m.m))
-	sol, _, err := s.solveMinCostCG(nil, m, cs, mo, nil, cgPriceTol, false)
-	return sol, err
-}
-
-// solveMinCostCG is the two-stage min-cost column-generation core
-// shared by the one-shot and incremental-resolve entry points. When
+// solveMinCostCG is the two-stage min-cost column-generation core. A
+// feasibility stage grows the pool with quality-maximization pricing
+// rounds just until the restricted master can reach the quality floor
+// (or certifies, at the true quality optimum, that no sending strategy
+// can — ErrInfeasible); then the min-cost stage prices columns by
+// cost-reduced duals until the master cost is certified minimal. When
 // skipFeasStage is set (a warm re-solve whose retained pool supported
 // the floor last time), the feasibility stage is tried only if the
 // min-cost master actually comes back infeasible under the drifted
@@ -116,7 +81,7 @@ func (s *Solver) solveMinCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCos
 			return nil, nil, err
 		}
 	}
-	prob, lpSol, iters, firstWarm, err := s.runCG(sc, m, cs, mo, basis, certTol, certTol, nil)
+	prob, lpSol, iters, firstWarm, err := s.runCG(sc, m, cs, mo, basis, certTol, nil)
 	if errors.Is(err, errMasterInfeasible) && skipFeasStage {
 		// The drift pushed the floor beyond the retained pool: grow it
 		// and retry once (cold master — the basis belongs to the old,
@@ -125,7 +90,7 @@ func (s *Solver) solveMinCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCos
 		if err != nil {
 			return nil, nil, err
 		}
-		prob, lpSol, iters, firstWarm, err = s.runCG(sc, m, cs, mo, nil, certTol, certTol, nil)
+		prob, lpSol, iters, firstWarm, err = s.runCG(sc, m, cs, mo, nil, certTol, nil)
 	}
 	if errors.Is(err, errMasterInfeasible) {
 		// The pool provably reaches the floor's neighborhood, yet the
@@ -137,19 +102,22 @@ func (s *Solver) solveMinCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCos
 		return nil, nil, err
 	}
 
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, 0, cs.pos)
+	sol := m.newSolution(prob, &cs.cols, lpSol.X, achievedQuality(lpSol.X, cs.cols.delivery), cs.pos)
 	sol.Stats = SolveStats{
 		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: feasIters + iters,
 		PhaseISkipped: firstWarm,
 	}
-	// The LP objective is cost; recompute the achieved quality from the
-	// solution, exactly as the dense path does.
-	var q float64
-	for l, x := range lpSol.X {
-		q += x * cs.cols.delivery[l]
-	}
-	sol.Quality = clamp01(q)
 	return sol, lpSol, nil
+}
+
+// achievedQuality is p·x, the quality a min-cost master's solution
+// delivers: its LP objective is cost, not quality.
+func achievedQuality(x, delivery []float64) float64 {
+	var q float64
+	for l, v := range x {
+		q += v * delivery[l]
+	}
+	return q
 }
 
 // growPoolToQualityFloor runs quality-maximization pricing rounds until
@@ -163,7 +131,7 @@ func (s *Solver) growPoolToQualityFloor(sc *asmScratch, m *model, cs *colSet, mo
 	minQ := mo.minQuality
 	qo := &qualityObjective{m: m, pr: mo.pr, costRow: false}
 	stop := func(sol *lp.Solution) bool { return sol.Objective >= minQ }
-	_, qSol, iters, _, err := s.runCG(sc, m, cs, qo, nil, certTol, certTol, stop)
+	_, qSol, iters, _, err := s.runCG(sc, m, cs, qo, nil, certTol, stop)
 	if err != nil {
 		return iters, fmt.Errorf("core: min-cost feasibility stage: %w", err)
 	}

@@ -9,27 +9,20 @@ import (
 	"time"
 )
 
-// minCostSolvers returns one solver per min-cost solve path: automatic
-// dispatch (dense at test sizes), forced dominance pruning, and forced
-// column generation.
-func minCostSolvers() (dense, pruned, cg *Solver) {
-	dense = NewSolver()
-	pruned = NewSolver()
-	pruned.PruneThreshold = 1
-	pruned.DenseThreshold = DenseLimit
-	cg = NewSolver()
-	cg.DenseThreshold = -1
-	return
+// minCostSolvers returns one solver per min-cost dispatch: automatic
+// (dense at test sizes) and forced column generation.
+func minCostSolvers() (dense, cg *Solver) {
+	return NewSolver(), forceCG()
 }
 
 // TestMinCostCGMatchesExact is the §VI-A differential property test: on
 // ≥100 randomized networks — including cost-free, lossless, and m = 1
-// edges — the dense, pruned, and column-generation min-cost solves must
+// edges — the dense and column-generation min-cost solves must
 // agree with the exact rational simplex on the optimal cost to 1e-6
 // relative, and their solutions must meet the quality floor.
 func TestMinCostCGMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc057, 0x1))
-	dense, pruned, cg := minCostSolvers()
+	dense, cg := minCostSolvers()
 	for trial := 0; trial < 120; trial++ {
 		paths := 2 + rng.IntN(3)         // 2–4 paths
 		transmissions := 1 + rng.IntN(3) // 1–3 transmissions (m = 1 edge included)
@@ -67,7 +60,7 @@ func TestMinCostCGMatchesExact(t *testing.T) {
 			}
 			exactCost, _ := esol.Cost.Float64()
 
-			for name, s := range map[string]*Solver{"dense": dense, "pruned": pruned, "cg": cg} {
+			for name, s := range map[string]*Solver{"dense": dense, "cg": cg} {
 				sol, err := s.SolveMinCost(net, floor)
 				if err != nil {
 					t.Fatalf("trial %d floor %v: %s min-cost: %v", trial, floor, name, err)
@@ -107,7 +100,7 @@ func TestMinCostCGMatchesExact(t *testing.T) {
 // like the quality path does.
 func TestMinCostCGStats(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xc057, 0x2))
-	_, _, cg := minCostSolvers()
+	_, cg := minCostSolvers()
 	net := diffRandomNetwork(rng, 4, 2)
 	sol, err := cg.SolveMinCost(net, 0.4)
 	if err != nil {
@@ -183,7 +176,7 @@ func TestMinCostOverflowDispatchesToCG(t *testing.T) {
 
 // TestMinCostCGArgErrors mirrors the dense path's argument validation.
 func TestMinCostCGArgErrors(t *testing.T) {
-	_, _, cg := minCostSolvers()
+	_, cg := minCostSolvers()
 	n := costedNetwork()
 	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := cg.SolveMinCost(n, q); err == nil {
@@ -201,7 +194,7 @@ func TestMinCostCGArgErrors(t *testing.T) {
 // two-path network whose exact answer is known in closed form (cost 4λ
 // via cheap→pricey); the CG path must find it like the dense path does.
 func TestMinCostCGQualityOne(t *testing.T) {
-	_, _, cg := minCostSolvers()
+	_, cg := minCostSolvers()
 	n := costedNetwork()
 	s, err := cg.SolveMinCost(n, 1)
 	if err != nil {
@@ -222,7 +215,7 @@ func TestMinCostCGQualityOne(t *testing.T) {
 // reach quality 1 must certify infeasibility through the CG feasibility
 // stage, not loop or mis-certify.
 func TestMinCostCGImpossibleFloorOnLossyNetwork(t *testing.T) {
-	_, _, cg := minCostSolvers()
+	_, cg := minCostSolvers()
 	n := NewNetwork(10*Mbps, 800*time.Millisecond,
 		Path{Bandwidth: 50 * Mbps, Delay: 200 * time.Millisecond, Loss: 0.3, Cost: 1},
 	)

@@ -8,19 +8,11 @@ import (
 	"time"
 )
 
-// pruneSolve solves with the pruner forced on for every size.
-func pruneSolve(n *Network) (*Solution, error) {
-	s := NewSolver()
-	s.PruneThreshold = 1
-	s.DenseThreshold = DenseLimit
-	return s.SolveQuality(n)
-}
-
-// TestPrunedMatchesDense: dominance pruning must never change the
-// optimum, on random networks and on adversarial path sets designed to
-// maximize dominance ties (identical paths, zero-loss, zero-cost,
-// lifetime shorter than any delay chain).
-func TestPrunedMatchesDense(t *testing.T) {
+// TestCGMatchesDenseAdversarial: column generation must reach the dense
+// optimum — quality and min-cost — on path sets built to make its
+// pricing degenerate (identical paths, zero-loss, zero-cost, lifetime
+// shorter than any delay chain) and on random networks.
+func TestCGMatchesDenseAdversarial(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9e, 0x51))
 
 	adversarial := []*Network{
@@ -59,67 +51,63 @@ func TestPrunedMatchesDense(t *testing.T) {
 		}(),
 	}
 	for i, n := range adversarial {
-		checkPrunedMatchesDense(t, n, i, "adversarial")
+		checkCGMatchesDense(t, n, i, "adversarial")
 	}
 	for trial := 0; trial < 100; trial++ {
 		n := diffRandomNetwork(rng, 2+rng.IntN(5), 1+rng.IntN(3))
-		checkPrunedMatchesDense(t, n, trial, "random")
+		checkCGMatchesDense(t, n, trial, "random")
 	}
 }
 
-func checkPrunedMatchesDense(t *testing.T, n *Network, id int, kind string) {
+func checkCGMatchesDense(t *testing.T, n *Network, id int, kind string) {
 	t.Helper()
 	dsol, err := forceDense().SolveQuality(n)
 	if err != nil {
 		t.Fatalf("%s %d: dense: %v", kind, id, err)
 	}
-	psol, err := pruneSolve(n)
+	csol, err := forceCG().SolveQuality(n)
 	if err != nil {
-		t.Fatalf("%s %d: pruned: %v", kind, id, err)
+		t.Fatalf("%s %d: cg: %v", kind, id, err)
 	}
-	if diff := math.Abs(dsol.Quality - psol.Quality); diff > 1e-9 {
-		t.Errorf("%s %d: pruned quality %v vs dense %v (diff %v, kept %d of %d)",
-			kind, id, psol.Quality, dsol.Quality, diff, psol.Stats.Columns, psol.Stats.PrunedFrom)
+	if diff := math.Abs(dsol.Quality - csol.Quality); diff > 1e-7 {
+		t.Errorf("%s %d: cg quality %v vs dense %v (diff %v, %d columns)",
+			kind, id, csol.Quality, dsol.Quality, diff, csol.Stats.Columns)
 	}
-	// Pruning must also preserve the min-cost optimum (same dominance
-	// criterion, different objective).
 	target := dsol.Quality * 0.9
 	dcost, derr := forceDense().SolveMinCost(n, target)
-	pcost, perr := func() (*Solution, error) {
-		s := NewSolver()
-		s.PruneThreshold = 1
-		return s.SolveMinCost(n, target)
-	}()
-	if (derr == nil) != (perr == nil) {
-		t.Fatalf("%s %d: min-cost feasibility disagrees: dense %v, pruned %v", kind, id, derr, perr)
+	ccost, cerr := forceCG().SolveMinCost(n, target)
+	if (derr == nil) != (cerr == nil) {
+		t.Fatalf("%s %d: min-cost feasibility disagrees: dense %v, cg %v", kind, id, derr, cerr)
 	}
 	if derr == nil {
-		dc, pc := dcost.Cost(), pcost.Cost()
-		if math.Abs(dc-pc) > 1e-6*(1+math.Abs(dc)) {
-			t.Errorf("%s %d: pruned min-cost %v vs dense %v", kind, id, pc, dc)
+		dc, cc := dcost.Cost(), ccost.Cost()
+		if math.Abs(dc-cc) > 1e-6*(1+math.Abs(dc)) {
+			t.Errorf("%s %d: cg min-cost %v vs dense %v", kind, id, cc, dc)
 		}
 	}
 }
 
 // TestSparseSolutionRiskReport: RiskReport (and the risk-adjusted solve
-// built on it) must work on pruned and column-generated solutions,
-// whose column tables are a subset of the dense space — regression test
-// for an index-out-of-range panic when it sized buffers by the dense
+// built on it) must work on column-generated solutions, whose column
+// tables are a subset of the dense space — regression test for an
+// index-out-of-range panic when it sized buffers by the dense
 // combination count.
 func TestSparseSolutionRiskReport(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 37))
-	n := diffRandomNetwork(rng, 7, 4) // 8^4 = 4096 combos: auto-dispatches to pruned dense
+	n := diffRandomNetwork(rng, 7, 4) // 8^4 = 4096 combos: auto-dispatches to CG
 	for name, solver := range map[string]*Solver{
-		"pruned": func() *Solver { s := NewSolver(); s.PruneThreshold = 1; return s }(),
-		"cg":     forceCG(),
-		"auto":   NewSolver(),
+		"cg":   forceCG(),
+		"auto": NewSolver(),
 	} {
 		sol, err := solver.SolveQuality(n)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sol.Stats.Dispatch == DispatchDense {
-			t.Fatalf("%s: expected a sparse dispatch, got dense", name)
+		if sol.Stats.Dispatch != DispatchCG {
+			t.Fatalf("%s: dispatch %v, want cg", name, sol.Stats.Dispatch)
+		}
+		if sol.Stats.Columns >= 4096 {
+			t.Fatalf("%s: %d columns, want a subset of the 4096-combination space", name, sol.Stats.Columns)
 		}
 		rep, err := sol.RiskReport(1024)
 		if err != nil {
@@ -138,44 +126,10 @@ func TestSparseSolutionRiskReport(t *testing.T) {
 	}
 }
 
-// TestPrunerDropsStructuralColumns: non-canonical paddings and
-// late-attempt columns must actually be pruned (the pruner does
-// something, not just pass columns through).
-func TestPrunerDropsStructuralColumns(t *testing.T) {
-	n := NewNetwork(5*Mbps, 300*time.Millisecond,
-		Path{Bandwidth: 10 * Mbps, Delay: 100 * time.Millisecond, Loss: 0.2},
-		Path{Bandwidth: 10 * Mbps, Delay: 250 * time.Millisecond, Loss: 0.1},
-	)
-	n.Transmissions = 3
-	m, err := newModel(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := m.computeColumns(make([]int, m.m))
-	pruned, kept := m.pruneColumns(cols)
-	if len(kept) >= m.nVars {
-		t.Fatalf("pruner kept all %d columns", m.nVars)
-	}
-	if pruned.len() != len(kept) {
-		t.Fatalf("pruned table %d columns, kept list %d", pruned.len(), len(kept))
-	}
-	for _, l := range kept {
-		if !m.canonicalInTime(cols.combos[l]) {
-			t.Errorf("kept non-canonical combo %v", cols.combos[l])
-		}
-	}
-	// (1, 0, 2) is a non-canonical padding of (1, 0, 0): must be gone.
-	bad := m.index(Combo{1, 0, 2})
-	for _, l := range kept {
-		if l == bad {
-			t.Errorf("non-canonical combo %v survived", cols.combos[bad])
-		}
-	}
-}
-
-// FuzzPruner feeds adversarial path sets to the pruner and checks the
-// invariant that matters: pruning never changes the quality optimum.
-func FuzzPruner(f *testing.F) {
+// FuzzCGMatchesDense feeds adversarial path sets to both dispatches and
+// checks the invariant that matters: column generation — cold, and one
+// warm re-solve of a drifted copy — reaches the dense quality optimum.
+func FuzzCGMatchesDense(f *testing.F) {
 	// Seeds: equal paths, dominance chains, boundary losses, tiny and
 	// huge lifetimes, zero costs.
 	seed := func(vals ...uint64) []byte {
@@ -221,13 +175,31 @@ func FuzzPruner(f *testing.F) {
 		if err != nil {
 			t.Skip() // size guard etc.
 		}
-		psol, err := pruneSolve(n)
+		warm := forceCG()
+		csol, err := warm.Resolve(n)
 		if err != nil {
-			t.Fatalf("pruned solve failed where dense succeeded: %v", err)
+			t.Fatalf("cg solve failed where dense succeeded: %v", err)
 		}
-		if diff := math.Abs(dsol.Quality - psol.Quality); diff > 1e-7 {
-			t.Fatalf("pruning changed the optimum: dense %v vs pruned %v (network %+v)",
-				dsol.Quality, psol.Quality, n)
+		if diff := math.Abs(dsol.Quality - csol.Quality); diff > 1e-6 {
+			t.Fatalf("cg changed the optimum: dense %v vs cg %v (network %+v)",
+				dsol.Quality, csol.Quality, n)
+		}
+
+		drifted := driftNetwork(rand.New(rand.NewPCG(u64(0), uint64(len(data)))), n, 0.1)
+		dsol, err = forceDense().SolveQuality(drifted)
+		if err != nil {
+			t.Fatalf("dense solve of the drifted copy: %v", err)
+		}
+		wsol, err := warm.Resolve(drifted)
+		if err != nil {
+			t.Fatalf("warm cg re-solve failed where dense succeeded: %v", err)
+		}
+		if !wsol.Stats.Warm {
+			t.Fatalf("re-solve of a same-shaped drift did not run warm: %+v", wsol.Stats)
+		}
+		if diff := math.Abs(dsol.Quality - wsol.Quality); diff > 1e-6 {
+			t.Fatalf("warm cg re-solve changed the optimum: dense %v vs cg %v (network %+v)",
+				dsol.Quality, wsol.Quality, drifted)
 		}
 	})
 }

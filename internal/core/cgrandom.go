@@ -8,26 +8,17 @@ import (
 	"dmc/internal/lp"
 )
 
-// SolveQualityRandomCG solves the §VI-B random-delay model by column
-// generation with a pooled reusable Solver; see
-// Solver.SolveQualityRandomCG.
-func SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQualityRandomCG(n, to)
-	solverPool.Put(s)
-	return sol, err
-}
-
 // randomObjective is the §VI-B random-delay quality maximization over
 // m = 2 columns. The Eqs. 27–30 coefficients of a pair (i, j) depend on
 // the delay distributions and the timeout table but not on the duals,
 // so they are tabulated once per solve — P(retransᵢⱼ) and the
-// retransmission's in-time delivery per ordered real pair — and both
-// column evaluation and pricing read the tables in O(1) per pair. The
-// pricing oracle is a plain exact scan of the (n+1)² pair space: no
-// branch-and-bound is needed at m = 2, and the scan materializes
-// nothing, which is the point — the dense path's nVars×base share
-// matrix is what stops fitting past the cap.
+// retransmission's in-time delivery per ordered real pair — and column
+// evaluation (dense enumeration and column generation alike) and
+// pricing read the tables in O(1) per pair. The pricing oracle is a
+// plain exact scan of the (n+1)² pair space: no branch-and-bound is
+// needed at m = 2, and the scan materializes nothing, which is the
+// point — the dense path's nVars×base share matrix is what stops
+// fitting past the cap.
 type randomObjective struct {
 	m *model
 
@@ -54,7 +45,7 @@ type randomObjective struct {
 // newRandomObjective tabulates the Eqs. 27–30 pair coefficients,
 // reusing prev's storage when the shape matches (the warm-resolve
 // path; the tables are still re-evaluated — delays and timeouts may
-// have drifted).
+// have drifted). It takes the dense and the sparse model alike.
 func newRandomObjective(m *model, to *Timeouts, prev *randomObjective) *randomObjective {
 	o := prev
 	if o == nil {
@@ -105,8 +96,10 @@ func newRandomObjective(m *model, to *Timeouts, prev *randomObjective) *randomOb
 	return o
 }
 
-// evalColumn reproduces randomColumns' per-pair arithmetic from the
-// tables, so CG columns agree bit-for-bit with the dense enumeration.
+// evalColumn evaluates a pair's Eqs. 27–30 column (formulas on
+// SolveQualityRandom) from the tables. It is the only evaluation of
+// those columns: dense enumeration runs it over every pair, column
+// generation over the pool.
 func (o *randomObjective) evalColumn(combo []int, share []float64) (float64, float64) {
 	i, j := combo[0], combo[1]
 	if o.m.isBlackhole(i) {
@@ -131,8 +124,8 @@ func (o *randomObjective) evalColumn(combo []int, share []float64) (float64, flo
 	return clamp01(delivery + pR*o.pDeliver[at]), cost
 }
 
-func (o *randomObjective) assembleInto(sc *asmScratch, cs *colSet) *lp.Problem {
-	return o.m.assembleProblemInto(sc, lp.Maximize, cs.cols.delivery, &cs.cols, nil, true)
+func (o *randomObjective) assembleInto(sc *asmScratch, cols *columns) *lp.Problem {
+	return o.m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
 }
 
 // reprice stores the master duals (bandwidth rows, the cost row when
@@ -241,43 +234,4 @@ func (o *randomObjective) seed(cs *colSet, _ []int) {
 			cs.add(m, o, []int{i, bestJ})
 		}
 	}
-}
-
-// SolveQualityRandomCG solves the §VI-B random-delay model without
-// materializing the (n+1)² pair space: the Eqs. 27–30 coefficients are
-// tabulated per ordered pair, a restricted master grows by
-// exact-scan pricing, and freshly priced pairs are appended onto the
-// hot simplex tableau. Reaches the same optimum as the dense
-// enumeration; most callers want SolveQualityRandom, which dispatches
-// here automatically above the dense threshold.
-func (s *Solver) SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	m, ro, err := s.randomModel(n, to, nil)
-	if err != nil {
-		return nil, err
-	}
-	cs := newColSet()
-	ro.seed(cs, s.scratch(m.m))
-	prob, lpSol, iters, _, err := s.runCG(nil, m, cs, ro, nil, cgPriceTol, cgPriceTol, nil)
-	if err != nil {
-		return nil, err
-	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-	sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters}
-	return sol, nil
-}
-
-// randomModel validates the random-delay inputs and builds the sparse
-// model plus the tabulated pair objective (reusing prev's storage).
-func (s *Solver) randomModel(n *Network, to *Timeouts, prev *randomObjective) (*model, *randomObjective, error) {
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	if m.m != 2 {
-		return nil, nil, ErrRandomNeedsTwoTransmissions
-	}
-	if err := validateTimeouts(n, to); err != nil {
-		return nil, nil, err
-	}
-	return m, newRandomObjective(m, to, prev), nil
 }

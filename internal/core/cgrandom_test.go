@@ -70,7 +70,7 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := m.randomColumns(to)
+	cols := m.computeColumns(make([]int, m.m), newRandomObjective(m, to, nil))
 	nVars, base := cols.len(), m.base
 	λ := new(big.Rat).SetFloat64(n.Rate)
 

@@ -38,11 +38,19 @@ func newColumns(nVars, base, trans int) *columns {
 	return cols
 }
 
-// columnOf evaluates one combination's LP column — delivery probability,
-// expected cost, and per-path send shares — in a single fused pass over
-// its attempts. share must be a zeroed slice of length base; it is
-// filled in place.
-func (m *model) columnOf(combo []int, share []float64) (delivery, cost float64) {
+// columnEvaluator computes one combination's LP column — delivery
+// probability, expected cost, and per-path send shares — into share (a
+// zeroed slice of length base). The deterministic model evaluates its
+// attempt schedule; the random-delay objective reads its Eq. 27–30 pair
+// tables. Dense enumeration and column generation share it, so both
+// build bit-identical columns.
+type columnEvaluator interface {
+	evalColumn(combo []int, share []float64) (delivery, cost float64)
+}
+
+// evalColumn evaluates one combination's deterministic-delay LP column
+// in a single fused pass over its attempts.
+func (m *model) evalColumn(combo []int, share []float64) (delivery, cost float64) {
 	δ := m.net.Lifetime
 	surv := 1.0
 	var t time.Duration
@@ -74,22 +82,22 @@ func (m *model) columnOf(combo []int, share []float64) (delivery, cost float64) 
 
 // computeColumns enumerates every combination once with an odometer over
 // the little-endian path digits (Eq. 13) and evaluates each column via
-// columnOf — the allocation-light dense enumeration. digits is
-// caller-provided scratch of length ≥ m.
-func (m *model) computeColumns(digits []int) *columns {
+// ev — the allocation-light dense enumeration. digits is caller-provided
+// scratch of length ≥ m.
+func (m *model) computeColumns(digits []int, ev columnEvaluator) *columns {
 	cols := newColumns(m.nVars, m.base, m.m)
-	m.computeColumnsInto(cols, digits)
+	m.computeColumnsInto(cols, digits, ev)
 	return cols
 }
 
 // computeColumnsInto re-evaluates the dense column tables in place for a
-// model whose coefficients (λ, µ, loss, delay) drifted but whose shape
-// (path count, transmissions) did not: cols must have been built by
-// computeColumns for the same (nVars, base, trans). Every entry is
-// overwritten, so no allocation survives a re-solve — the heart of the
-// incremental warm path. Callers holding a Solution that shares cols see
-// it change underneath them; Solver.Resolve documents that contract.
-func (m *model) computeColumnsInto(cols *columns, digits []int) {
+// model whose coefficients (λ, µ, loss, delay, timeouts) drifted but
+// whose shape (path count, transmissions) did not: cols must have been
+// built by computeColumns for the same (nVars, base, trans). Every entry
+// is overwritten, so no allocation survives a re-solve — the heart of
+// the incremental warm path. Callers holding a Solution that shares cols
+// see it change underneath them; Solver.Resolve documents that contract.
+func (m *model) computeColumnsInto(cols *columns, digits []int, ev columnEvaluator) {
 	base, trans, nVars := m.base, m.m, m.nVars
 	clear(cols.shares)
 	digits = digits[:trans]
@@ -99,7 +107,7 @@ func (m *model) computeColumnsInto(cols *columns, digits []int) {
 	for l := 0; l < nVars; l++ {
 		combo := cols.combos[l]
 		copy(combo, digits)
-		cols.delivery[l], cols.costs[l] = m.columnOf(combo, cols.shares[l*base:(l+1)*base])
+		cols.delivery[l], cols.costs[l] = ev.evalColumn(combo, cols.shares[l*base:(l+1)*base])
 
 		// Odometer increment of the little-endian digits.
 		for k := 0; k < trans; k++ {
@@ -112,23 +120,20 @@ func (m *model) computeColumnsInto(cols *columns, digits []int) {
 	}
 }
 
-// appendColumn evaluates combo's column via eval (the objective-specific
-// column evaluation: deterministic columnOf, or the random-delay pair
-// tables) and appends it, copying the digits. Used by the dynamically
-// grown column sets of the pruned-dense and column-generation solve
-// paths.
-func (c *columns) appendColumn(base int, eval func([]int, []float64) (float64, float64), combo []int) {
+// appendColumn evaluates combo's column via ev and appends it, copying
+// the digits — the dynamically grown column pool of column generation.
+func (c *columns) appendColumn(base int, ev columnEvaluator, combo []int) {
 	start := len(c.shares)
 	c.shares = append(c.shares, make([]float64, base)...)
-	delivery, cost := eval(combo, c.shares[start:start+base])
+	delivery, cost := ev.evalColumn(combo, c.shares[start:start+base])
 	c.delivery = append(c.delivery, delivery)
 	c.costs = append(c.costs, cost)
 	c.combos = append(c.combos, append(Combo(nil), combo...))
 }
 
 // appendFrom copies column l of src, including the combination digits —
-// sharing the Combo header would keep src's full dense backing array
-// (all nVars × m digits) reachable for the pruned Solution's lifetime.
+// sharing the Combo header would keep src's backing array reachable for
+// the copy's lifetime.
 func (c *columns) appendFrom(src *columns, l, base int) {
 	c.delivery = append(c.delivery, src.delivery[l])
 	c.costs = append(c.costs, src.costs[l])

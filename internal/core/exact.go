@@ -325,7 +325,7 @@ func SolveQualityExact(n *ExactNetwork) (*ExactSolution, error) {
 // rational arithmetic: minimize the expected total cost per second
 // subject to the bandwidth rows, the conservation row, and the quality
 // floor p·x ≥ minQuality. The differential reference for the float
-// min-cost solve paths (dense, pruned, and column generation). Returns
+// min-cost solve paths (dense and column generation). Returns
 // ErrInfeasible wrapped in an error when the floor is unattainable.
 func SolveMinCostExact(n *ExactNetwork, minQuality *big.Rat) (*ExactSolution, error) {
 	if minQuality == nil || minQuality.Sign() < 0 || minQuality.Cmp(big.NewRat(1, 1)) > 0 {

@@ -251,8 +251,7 @@ func blackholePath() Path {
 // combination count (n+1)^m exceeds it. Every solve entry point —
 // SolveQuality, SolveMinCost, SolveQualityRandom — dispatches to column
 // generation above its dense threshold instead of failing, so the cap
-// is unreachable from them; see SolveQualityCG, SolveMinCostCG, and
-// SolveQualityRandomCG.
+// is unreachable from them.
 const DenseLimit = 1 << 22
 
 // combinationCount returns base^m when it is at most limit. The product

@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"dmc/internal/dist"
-	"dmc/internal/lp"
 )
 
 // ErrRandomNeedsTwoTransmissions is returned by SolveQualityRandom for
@@ -35,37 +32,10 @@ func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 // and are never retransmitted; combinations with an undefined timeout
 // cannot retransmit in time (their delivery reduces to the first attempt).
 //
-// Dispatch scales with the pair count (n+1)²: small spaces enumerate
-// densely, larger ones — including path counts whose pair space exceeds
-// DenseLimit — solve by column generation (SolveQualityRandomCG). Both
-// reach the same LP optimum; Solution.Stats reports which core ran.
+// Dispatch and storage ownership follow SolveQuality; both dispatches
+// evaluate the same tabulated Eq. 27–30 pair columns.
 func (s *Solver) SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	if !s.denseDispatchOK(n) {
-		return s.SolveQualityRandomCG(n, to)
-	}
-	m, err := newModel(n)
-	if err != nil {
-		return nil, err
-	}
-	if m.m != 2 {
-		return nil, ErrRandomNeedsTwoTransmissions
-	}
-	if err := validateTimeouts(n, to); err != nil {
-		return nil, err
-	}
-
-	cols := m.randomColumns(to)
-	prob := m.assembleProblem(lp.Maximize, cols.delivery, cols, nil, true)
-	sol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: solving random-delay LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: random-delay LP unexpectedly %v", sol.Status)
-	}
-	out := m.newSolution(prob, cols, sol.X, sol.Objective)
-	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len()}
-	return out, nil
+	return s.solve(n, resolveReq{obj: objRandom, to: to}, nil, false)
 }
 
 // validateTimeouts checks the timeout table matches the network's path
@@ -79,79 +49,4 @@ func validateTimeouts(n *Network, to *Timeouts) error {
 		return fmt.Errorf("core: timeout table size %d, want %d", toSize, len(n.Paths))
 	}
 	return nil
-}
-
-// randomColumns evaluates Eqs. 27–30 for every combination (m = 2) into
-// flat column tables.
-func (m *model) randomColumns(to *Timeouts) *columns {
-	cols := newColumns(m.nVars, m.base, 2)
-	m.randomColumnsInto(cols, to)
-	return cols
-}
-
-// randomColumnsInto re-evaluates the dense random-delay column tables in
-// place for a model whose coefficients (delays, losses, costs, timeouts)
-// drifted but whose shape did not: cols must have been built for the
-// same (nVars, base, 2). Every entry is overwritten — the random-delay
-// analogue of computeColumnsInto on the incremental warm path.
-func (m *model) randomColumnsInto(cols *columns, to *Timeouts) {
-	n := m.net
-	δ := n.Lifetime
-	ack := n.Paths[n.AckPathIndex()].delayDist()
-
-	// rtt[i] is the distribution of dᵢ + d_min for real path i (1-based
-	// model index i corresponds to Paths[i-1]).
-	rtt := make([]*dist.Sum, m.base)
-	for i := 1; i < m.base; i++ {
-		rtt[i] = dist.NewSum(n.Paths[i-1].delayDist(), ack)
-	}
-
-	base, nVars := m.base, m.nVars
-	clear(cols.shares)
-	clear(cols.delivery)
-	clear(cols.costs)
-	for l := 0; l < nVars; l++ {
-		i, j := l%base, l/base
-		cols.combos[l][0], cols.combos[l][1] = i, j
-		share := cols.shares[l*base : (l+1)*base]
-
-		if m.isBlackhole(i) {
-			// Dropped on arrival at the sender: nothing delivered,
-			// nothing retransmitted, no cost.
-			share[0] = 1
-			continue
-		}
-
-		pi := n.Paths[i-1]
-		di := pi.delayDist()
-		firstInTime := di.CDF(δ)
-		delivery := firstInTime * (1 - pi.Loss)
-		share[i] += 1
-		cost := pi.Cost
-
-		// Retransmission leg.
-		var pRetrans, pRetransDeliver float64
-		if m.isBlackhole(j) {
-			// Drop after first failure; charge the blackhole nominally.
-			pRetrans = 1 - rtt[i].CDF(δ)*(1-pi.Loss)
-			share[0] += pRetrans
-		} else {
-			pj := n.Paths[j-1]
-			t, ok := to.Get(i-1, j-1)
-			if ok {
-				pRetrans = 1 - rtt[i].CDF(t)*(1-pi.Loss)
-				pRetransDeliver = pj.delayDist().CDF(δ-t) * (1 - pj.Loss)
-			} else {
-				// No timeout makes the retransmission useful; a sender
-				// assigned this combination would wait until the deadline
-				// and the retransmission never delivers in time. The
-				// column is dominated by (i, blackhole).
-				pRetrans = 1 - rtt[i].CDF(δ)*(1-pi.Loss)
-			}
-			share[j] += pRetrans
-			cost += pRetrans * pj.Cost
-		}
-		cols.delivery[l] = clamp01(delivery + pRetrans*pRetransDeliver)
-		cols.costs[l] = cost
-	}
 }

@@ -63,33 +63,80 @@ type resolveState struct {
 	dispatch  Dispatch
 	objective solveObjective
 
-	// Dense and pruned dispatch: the full dense column table, rebuilt in
-	// place each re-solve.
+	// Dense dispatch: the full dense column table, rebuilt in place each
+	// re-solve.
 	dense *columns
-	// Pruned dispatch: packed combination keys of the previous master's
-	// columns, in column order, for remapping the LP basis onto the next
-	// solve's (possibly different) surviving subset.
-	keptKeys []uint64
 
 	// CG dispatch: the persistent column pool and pricing oracle.
 	pool   *colSet
 	pricer *pricer
-	// rnd holds the random-delay pair tables (objRandom); its buffers
-	// are reused across re-solves, the values re-tabulated each time.
+	// rnd holds the random-delay pair tables (objRandom, either
+	// dispatch); its buffers are reused across re-solves, the values
+	// re-tabulated each time.
 	rnd *randomObjective
 	// mcObj is the min-cost master objective buffer (objMinCost).
 	mcObj []float64
 
-	// Optimal LP basis of the previous solve and the structural column
-	// count it was captured against.
+	// basis is the previous solve's optimal LP basis, captured over the
+	// whole dense table or the whole CG pool.
 	basis *lp.Basis
-	lastN int
 	// duals is the previous master's dual vector (CG dispatch), used to
 	// score pooled columns for trimming.
 	duals []float64
+
+	// asm is the LP-assembly arena the Resolve paths rewrite in place
+	// (their returned Solutions are documented as invalidated by the
+	// next Resolve). It holds nothing shape-dependent, so reset keeps it.
+	asm asmScratch
 }
 
-// resolveReq carries one Resolve call's objective and its parameters.
+// reset invalidates the warm state, keeping only the assembly arena.
+func (rs *resolveState) reset() { *rs = resolveState{asm: rs.asm} }
+
+// The storage policy of the solve engine lives in the four helpers
+// below. A Resolve passes its warm state and gets its reused buffers; a
+// one-shot solve passes a nil state and gets fresh ones, which its
+// Solution then owns.
+
+// arena returns the assembly arena, or nil for fresh storage.
+func (rs *resolveState) arena() *asmScratch {
+	if rs == nil {
+		return nil
+	}
+	return &rs.asm
+}
+
+// pricerFor returns the branch-and-bound oracle bound to m.
+func (rs *resolveState) pricerFor(m *model) *pricer {
+	if rs == nil {
+		return newPricer(m)
+	}
+	if rs.pricer == nil {
+		rs.pricer = newPricer(m)
+	} else {
+		rs.pricer.bind(m)
+	}
+	return rs.pricer
+}
+
+// randomTables tabulates the Eqs. 27–30 pair tables for m.
+func (rs *resolveState) randomTables(m *model, to *Timeouts) *randomObjective {
+	if rs == nil {
+		return newRandomObjective(m, to, nil)
+	}
+	rs.rnd = newRandomObjective(m, to, rs.rnd)
+	return rs.rnd
+}
+
+// minCostBuf returns the min-cost master objective buffer to grow.
+func (rs *resolveState) minCostBuf() []float64 {
+	if rs == nil {
+		return nil
+	}
+	return rs.mcObj
+}
+
+// resolveReq carries one solve's objective and its parameters.
 type resolveReq struct {
 	obj        solveObjective
 	minQuality float64   // objMinCost
@@ -103,30 +150,7 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 		rs.nPaths == len(n.Paths) &&
 		rs.trans == n.transmissions() &&
 		rs.hasCost == !math.IsInf(n.CostBound, 1) &&
-		rs.dispatch == s.plannedDispatch(n, obj)
-}
-
-// plannedDispatch computes which solve core the Resolve family will use
-// for the network's shape under the solver's current thresholds. The
-// random-delay objective never dispatches to the dominance pruner (its
-// structural canonicalization assumes the deterministic schedule), so
-// its dense window reports DispatchDense throughout.
-func (s *Solver) plannedDispatch(n *Network, obj solveObjective) Dispatch {
-	if !s.denseDispatchOK(n) {
-		return DispatchCG
-	}
-	if obj == objRandom {
-		return DispatchDense
-	}
-	nVars, _ := combinationCount(len(n.Paths)+1, n.transmissions(), DenseLimit)
-	th := s.PruneThreshold
-	if th == 0 {
-		th = DefaultPruneThreshold
-	}
-	if th >= 0 && nVars > th {
-		return DispatchPruned
-	}
-	return DispatchDense
+		rs.dispatch == s.dispatchFor(n)
 }
 
 // Resolve solves the deterministic-delay quality maximization (Eq. 10)
@@ -169,8 +193,8 @@ func (s *Solver) Resolve(n *Network) (*Solution, error) {
 // ErrInfeasible (the verdict is always certified cold) and re-primes
 // the state on the next call.
 func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, error) {
-	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
-		return nil, fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
+	if err := checkFloor(minQuality); err != nil {
+		return nil, err
 	}
 	return s.resolve(n, resolveReq{obj: objMinCost, minQuality: minQuality})
 }
@@ -180,8 +204,8 @@ func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, erro
 // delays, losses, and timeout tables, with the same warm-state reuse,
 // result-invalidation contract, and cold fallback as Resolve. The pair
 // tables are re-tabulated every call (they depend on the drifting
-// delays); what warms is the column pool, the LP basis, and all
-// storage.
+// delays); what warms is the column table or pool, the LP basis, and
+// all storage.
 func (s *Solver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 	return s.resolve(n, resolveReq{obj: objRandom, to: to})
 }
@@ -192,66 +216,140 @@ func (s *Solver) resolve(n *Network, req resolveReq) (*Solution, error) {
 		if err == nil {
 			return sol, nil
 		}
+		// Either way the warm state is dropped: the next call re-primes.
+		s.rs.reset()
 		// An infeasible quality floor is a genuine, cold-certified
-		// verdict — not a warm-state failure. Report it; the state was
-		// already reset so the next call re-primes.
+		// verdict — not a warm-state failure. Report it.
 		if errors.Is(err, ErrInfeasible) {
-			s.rs = resolveState{}
 			return nil, err
 		}
 		// The warm state proved unusable (diverged column generation,
-		// stale pool past its cap, …): drop it and solve cold. A stale
-		// cache must never fail a solve that a cold path can do.
-		s.rs = resolveState{}
+		// stale pool past its cap, …): solve cold. A stale cache must
+		// never fail a solve that a cold path can do.
 	}
 	return s.resolveCold(n, req)
 }
 
+// resolveWarm re-solves from the warm state; any error other than an
+// infeasible quality floor sends resolve down the cold path.
+func (s *Solver) resolveWarm(n *Network, req resolveReq) (*Solution, error) {
+	if err := fpResolveWarm.Hit(); err != nil {
+		return nil, err
+	}
+	return s.solve(n, req, &s.rs, true)
+}
+
 // resolveCold primes the warm state with a cold solve.
 func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
-	s.rs = resolveState{}
-	dispatch := s.plannedDispatch(n, req.obj)
-	var (
-		sol *Solution
-		err error
-	)
-	if dispatch == DispatchCG {
-		sol, err = s.resolveColdCG(n, req)
-	} else {
-		sol, err = s.resolveColdDense(n, req)
-	}
+	s.rs.reset()
+	sol, err := s.solve(n, req, &s.rs, false)
 	if err != nil {
-		s.rs = resolveState{}
+		s.rs.reset()
 		return nil, err
 	}
 	s.rs.valid = true
 	s.rs.nPaths = len(n.Paths)
 	s.rs.trans = n.transmissions()
 	s.rs.hasCost = !math.IsInf(n.CostBound, 1)
-	s.rs.dispatch = dispatch
+	s.rs.dispatch = sol.Stats.Dispatch
 	s.rs.objective = req.obj
 	return sol, nil
 }
 
-// denseMaster assembles and solves the dense master for the request's
-// objective over the given columns, returning the LP solution (the
-// caller builds the public Solution). Used by both the cold and warm
-// dense resolve paths; opts carries the warm basis when one applies.
-func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, opts lp.Options) (*lp.Problem, *lp.Solution, error) {
-	var prob *lp.Problem
-	switch req.obj {
-	case objMinCost:
-		s.rs.mcObj = grow(s.rs.mcObj, cols.len())
-		λ := m.net.Rate
-		for l, c := range cols.costs {
-			s.rs.mcObj[l] = λ * c
-		}
-		quality := lp.Constraint{Name: "quality", Coeffs: cols.delivery, Rel: lp.GE, RHS: req.minQuality}
-		prob = m.assembleProblemInto(&s.asm, lp.Minimize, s.rs.mcObj, cols, &quality, false)
-	default: // objQuality, objRandom share the Eq. 10 master shape
-		prob = m.assembleProblemInto(&s.asm, lp.Maximize, cols.delivery, cols, nil, true)
+// solve is the one solve engine behind every entry point, for all three
+// objectives: dense enumeration up to the dense threshold, column
+// generation above it. rs is the warm state a Resolve primes (warm
+// false) or re-solves from (warm true): the run reuses its buffers and
+// leaves in it what the next re-solve needs. A one-shot solve passes a
+// nil rs: every buffer is fresh and owned by the returned Solution, and
+// no basis is captured.
+func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	if s.dispatchFor(n) == DispatchDense {
+		return s.solveDense(n, req, rs, warm)
 	}
-	lpSol, err := s.lps.SolveWith(prob, opts)
+	return s.solveCG(n, req, rs, warm)
+}
+
+// newRequestModel builds the request's model — dense (the combination space
+// enumerated) or sparse (addressed by packed keys, for column
+// generation) — checking the random objective's preconditions (m = 2
+// and a timeout table per path).
+func newRequestModel(n *Network, req resolveReq, dense bool) (*model, error) {
+	build := newSparseModel
+	if dense {
+		build = newModel
+	}
+	m, err := build(n)
+	if err != nil {
+		return nil, err
+	}
+	if req.obj == objRandom {
+		if m.m != 2 {
+			return nil, ErrRandomNeedsTwoTransmissions
+		}
+		if err := validateTimeouts(n, req.to); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// solveDense evaluates the request's dense column table — freshly, or
+// in place over the warm state's table — and solves the master, warm
+// from the previous optimal basis on a re-solve.
+func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	m, err := newRequestModel(n, req, true)
+	if err != nil {
+		return nil, err
+	}
+	var ev columnEvaluator = m
+	if req.obj == objRandom {
+		ev = rs.randomTables(m, req.to)
+	}
+	var basis *lp.Basis
+	var cols *columns
+	if warm {
+		cols, basis = rs.dense, rs.basis
+		if cols == nil || cols.len() != m.nVars {
+			return nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
+		}
+		m.computeColumnsInto(cols, s.scratch(m.m), ev)
+	} else {
+		cols = m.computeColumns(s.scratch(m.m), ev)
+	}
+
+	prob, lpSol, err := s.denseMaster(m, cols, req, rs, basis)
+	if err != nil {
+		return nil, err
+	}
+	quality := lpSol.Objective
+	if req.obj == objMinCost {
+		quality = achievedQuality(lpSol.X, cols.delivery)
+	}
+	out := m.newSolution(prob, cols, lpSol.X, quality, nil)
+	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), Warm: warm, PhaseISkipped: lpSol.PhaseISkipped}
+	if rs != nil {
+		rs.dense, rs.basis = cols, lpSol.Basis
+	}
+	return out, nil
+}
+
+// denseMaster assembles the request's master over the dense columns and
+// solves it, warm from basis when non-nil. Only a Resolve (non-nil rs)
+// assembles into the reused arena and captures the optimal basis.
+func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolveState, basis *lp.Basis) (*lp.Problem, *lp.Solution, error) {
+	sc := rs.arena()
+	var prob *lp.Problem
+	if req.obj == objMinCost {
+		mo := minCostObjective{m: m, minQuality: req.minQuality, obj: rs.minCostBuf()}
+		prob = mo.assembleInto(sc, cols)
+		if rs != nil {
+			rs.mcObj = mo.obj
+		}
+	} else { // objQuality and objRandom share the Eq. 10 master shape
+		prob = m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
+	}
+	lpSol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true, CaptureBasis: rs != nil, WarmBasis: basis})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
 	}
@@ -268,255 +366,80 @@ func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, opts lp.Op
 	return prob, lpSol, nil
 }
 
-// denseColumns evaluates the request's dense column tables, into cols
-// when non-nil (the warm in-place rebuild) or freshly.
-func (s *Solver) denseColumns(m *model, req resolveReq, cols *columns) *columns {
-	if req.obj == objRandom {
-		if cols == nil {
-			return m.randomColumns(req.to)
-		}
-		m.randomColumnsInto(cols, req.to)
-		return cols
-	}
-	if cols == nil {
-		return m.computeColumns(s.scratch(m.m))
-	}
-	m.computeColumnsInto(cols, s.scratch(m.m))
-	return cols
-}
-
-// finishSolution attaches the objective-appropriate quality to a solved
-// master: the LP objective for the quality objectives, the recomputed
-// p·x for min-cost (whose LP objective is cost).
-func finishSolution(m *model, prob *lp.Problem, cols *columns, lpSol *lp.Solution, req resolveReq, index map[uint64]int) *Solution {
-	quality := lpSol.Objective
-	if req.obj == objMinCost {
-		quality = 0
-		for l, x := range lpSol.X {
-			quality += x * cols.delivery[l]
-		}
-		quality = clamp01(quality)
-	}
-	return m.newSolutionIndexed(prob, cols, lpSol.X, quality, index)
-}
-
-// newDenseModel builds the dense model for a resolve request, checking
-// the request's structural preconditions (m = 2 and the timeout table
-// for the random objective).
-func (s *Solver) newDenseModel(n *Network, req resolveReq) (*model, error) {
-	m, err := newModel(n)
+// solveCG runs the request's column generation: from the objective's
+// seed columns, or — on a re-solve — over the warm pool, repriced in
+// place (every pooled column a pricing-oracle call saved) and continued
+// from the previous optimal basis, with newly priced columns appended
+// onto the hot tableau.
+func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	m, err := newRequestModel(n, req, false)
 	if err != nil {
 		return nil, err
 	}
-	if req.obj == objRandom {
-		if m.m != 2 {
-			return nil, ErrRandomNeedsTwoTransmissions
+	var obj cgObjective
+	switch req.obj {
+	case objRandom:
+		obj = rs.randomTables(m, req.to)
+	case objMinCost:
+		obj = &minCostObjective{m: m, pr: rs.pricerFor(m), minQuality: req.minQuality, obj: rs.minCostBuf()}
+	default:
+		obj = &qualityObjective{m: m, pr: rs.pricerFor(m), costRow: true}
+	}
+
+	var cs *colSet
+	var basis *lp.Basis
+	certTol, hits := cgPriceTol, 0
+	if warm {
+		cs = rs.pool
+		if cs.cols.len() > cgMaxPoolColumns {
+			return nil, fmt.Errorf("core: warm column pool exceeded %d columns", cgMaxPoolColumns)
 		}
-		if err := validateTimeouts(n, req.to); err != nil {
+		if err := fpCGReprice.Hit(); err != nil {
 			return nil, err
 		}
-	}
-	return m, nil
-}
-
-// resolveColdDense is the dense/pruned cold solve with state capture.
-func (s *Solver) resolveColdDense(n *Network, req resolveReq) (*Solution, error) {
-	m, err := s.newDenseModel(n, req)
-	if err != nil {
-		return nil, err
-	}
-	full := s.denseColumns(m, req, nil)
-	cols, index := full, map[uint64]int(nil)
-	if req.obj != objRandom {
-		// The dominance pruner's structural canonicalization assumes the
-		// deterministic schedule; random-delay tables solve unpruned.
-		cols, index = s.pruneIfWorthwhile(m, full)
-	}
-	prob, lpSol, err := s.denseMaster(m, cols, req, lp.Options{AssumeValid: true, CaptureBasis: true})
-	if err != nil {
-		return nil, err
-	}
-	out := finishSolution(m, prob, cols, lpSol, req, index)
-	out.Stats = denseStats(m, cols, index)
-
-	s.rs.dense = full
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = cols.len()
-	s.rs.keptKeys = packedKeys(m, cols, nil)
-	return out, nil
-}
-
-// resolveWarmDense re-solves the dense and pruned dispatches: the dense
-// column table is re-evaluated in place and solved whole, with the
-// previous basis remapped onto it via packed combination keys. The
-// dominance pruner is deliberately NOT re-run on the warm path — its
-// full sweep (sort + pairwise checks + column copies) costs more than
-// warm-starting the simplex over the unpruned table, which the basis
-// lands within a few pivots of optimal anyway. (The cold prime still
-// prunes; only re-solves skip it.)
-func (s *Solver) resolveWarmDense(n *Network, req resolveReq) (*Solution, error) {
-	m, err := s.newDenseModel(n, req)
-	if err != nil {
-		return nil, err
-	}
-	full := s.rs.dense
-	if full == nil {
-		return nil, fmt.Errorf("core: warm state has no cached columns")
-	}
-	if full.len() != m.nVars {
-		return nil, fmt.Errorf("core: warm state shape mismatch (%d cached columns, %d needed)", full.len(), m.nVars)
-	}
-	s.denseColumns(m, req, full)
-
-	opts := lp.Options{AssumeValid: true, CaptureBasis: true}
-	if s.rs.basis != nil {
-		opts.WarmBasis = s.rs.basis.Remap(full.len(), s.basisPerm())
-	}
-	prob, lpSol, err := s.denseMaster(m, full, req, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := finishSolution(m, prob, full, lpSol, req, nil)
-	// Report the shape's planned dispatch (dense or pruned) so warm and
-	// cold solves of the same network label their rows consistently,
-	// even though the warm path solves the full table either way.
-	out.Stats = SolveStats{Dispatch: s.rs.dispatch, Columns: full.len()}
-	out.Stats.Warm = true
-	out.Stats.PhaseISkipped = lpSol.PhaseISkipped
-
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = full.len()
-	s.rs.keptKeys = nil // full-table solve: identity keys from here on
-	return out, nil
-}
-
-// cgSetup builds the request's sparse model and CG objective, reusing
-// the persistent pricer and buffers from the warm state when they
-// exist.
-func (s *Solver) cgSetup(n *Network, req resolveReq) (*model, cgObjective, error) {
-	if req.obj == objRandom {
-		m, ro, err := s.randomModel(n, req.to, s.rs.rnd)
-		if err != nil {
-			return nil, nil, err
+		cs.reevaluate(m, obj)
+		basis = rs.basis
+		if cs.cols.len() > cgTrimTrigger {
+			cs, basis = s.trimPool(m, basis, req)
 		}
-		s.rs.rnd = ro
-		return m, ro, nil
-	}
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr := s.rs.pricer
-	if pr == nil {
-		pr = newPricer(m)
-		s.rs.pricer = pr
+		certTol, hits = cgCertTolWarm, cs.cols.len()
 	} else {
-		pr.bind(m)
+		cs = newColSet()
+		obj.seed(cs, s.scratch(m.m))
 	}
-	if req.obj == objMinCost {
-		mo := &minCostObjective{m: m, pr: pr, minQuality: req.minQuality, obj: s.rs.mcObj}
-		return m, mo, nil
-	}
-	return m, &qualityObjective{m: m, pr: pr, costRow: true}, nil
-}
 
-// resolveColdCG is the column-generation cold solve with pool capture.
-func (s *Solver) resolveColdCG(n *Network, req resolveReq) (*Solution, error) {
-	m, obj, err := s.cgSetup(n, req)
+	var (
+		sol   *Solution
+		lpSol *lp.Solution
+	)
+	if mo, ok := obj.(*minCostObjective); ok {
+		sol, lpSol, err = s.solveMinCostCG(rs.arena(), m, cs, mo, basis, certTol, warm)
+		if rs != nil {
+			rs.mcObj = mo.obj
+		}
+	} else {
+		var (
+			prob      *lp.Problem
+			iters     int
+			firstWarm bool
+		)
+		prob, lpSol, iters, firstWarm, err = s.runCG(rs.arena(), m, cs, obj, basis, certTol, nil)
+		if err == nil {
+			sol = m.newSolution(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
+			sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters, PhaseISkipped: firstWarm}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	cs := newColSet()
-	obj.seed(cs, s.scratch(m.m))
-	sol, lpSol, err := s.runObjectiveCG(m, cs, obj, nil, cgPriceTol, false)
-	if err != nil {
-		return nil, err
+	if rs == nil {
+		return sol, nil // a one-shot has no pool to report on or keep
 	}
-	sol.Stats.PoolAdded = cs.cols.len()
-
-	s.rs.pool = cs
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = cs.cols.len()
-	s.rs.duals = append(s.rs.duals[:0], lpSol.Dual...)
-	return sol, nil
-}
-
-// runObjectiveCG runs the objective's column-generation driver over the
-// pool — the two-stage min-cost engine, or a plain runCG for the
-// quality objectives — and assembles the Solution with its CG stats.
-// Shared by the cold and warm CG resolve paths; basis and
-// skipFeasStage carry the warm state (nil/false on cold primes).
-func (s *Solver) runObjectiveCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, skipFeasStage bool) (*Solution, *lp.Solution, error) {
-	if o, ok := obj.(*minCostObjective); ok {
-		sol, lpSol, err := s.solveMinCostCG(&s.asm, m, cs, o, basis, certTol, skipFeasStage)
-		s.rs.mcObj = o.obj
-		return sol, lpSol, err
-	}
-	prob, lpSol, iters, firstWarm, err := s.runCG(&s.asm, m, cs, obj, basis, certTol, certTol, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-	sol.Stats = SolveStats{
-		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters,
-		PhaseISkipped: firstWarm,
-	}
-	return sol, lpSol, nil
-}
-
-// resolveWarm dispatches the warm re-solve; any error other than an
-// infeasible quality floor sends resolve down the cold path.
-func (s *Solver) resolveWarm(n *Network, req resolveReq) (*Solution, error) {
-	if err := fpResolveWarm.Hit(); err != nil {
-		return nil, err
-	}
-	switch s.rs.dispatch {
-	case DispatchCG:
-		return s.resolveWarmCG(n, req)
-	default:
-		return s.resolveWarmDense(n, req)
-	}
-}
-
-// resolveWarmCG re-solves the column-generation dispatch: the pooled
-// columns are repriced in place (every one a pricing-oracle call saved),
-// and the CG loop continues from the previous optimal basis, appending
-// newly priced columns onto the hot tableau.
-func (s *Solver) resolveWarmCG(n *Network, req resolveReq) (*Solution, error) {
-	m, obj, err := s.cgSetup(n, req)
-	if err != nil {
-		return nil, err
-	}
-	cs := s.rs.pool
-	if cs.cols.len() > cgMaxPoolColumns {
-		return nil, fmt.Errorf("core: warm column pool exceeded %d columns", cgMaxPoolColumns)
-	}
-	if err := fpCGReprice.Hit(); err != nil {
-		return nil, err
-	}
-	cs.reevaluate(m, obj)
-
-	var basis *lp.Basis
-	if s.rs.lastN == cs.cols.len() {
-		basis = s.rs.basis
-	}
-	if cs.cols.len() > cgTrimTrigger {
-		cs, basis = s.trimPool(m, basis, req)
-	}
-	poolHits := cs.cols.len()
-
-	sol, lpSol, err := s.runObjectiveCG(m, cs, obj, basis, cgCertTolWarm, true)
-	if err != nil {
-		return nil, err
-	}
-	sol.Stats.Warm = true
-	sol.Stats.PoolHits = poolHits
-	sol.Stats.PoolAdded = cs.cols.len() - poolHits
-
-	s.rs.pool = cs
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = cs.cols.len()
-	s.rs.duals = append(s.rs.duals[:0], lpSol.Dual...)
+	sol.Stats.Warm = warm
+	sol.Stats.PoolHits = hits
+	sol.Stats.PoolAdded = cs.cols.len() - hits
+	rs.pool, rs.basis = cs, lpSol.Basis
+	rs.duals = append(rs.duals[:0], lpSol.Dual...)
 	return sol, nil
 }
 
@@ -641,37 +564,4 @@ func (s *Solver) poolScore(m *model, duals []float64, req resolveReq) func(j int
 		}
 		return v
 	}
-}
-
-// basisPerm builds the structural-column permutation mapping the
-// previous solve's column positions onto the full dense table: old
-// position j held the combination with key keptKeys[j], and for an
-// unpruned dense table the packed key IS the enumeration index (Eq. 13).
-// A nil keptKeys means the previous solve already used the full table —
-// the identity (nil perm) applies.
-func (s *Solver) basisPerm() []int {
-	old := s.rs.keptKeys
-	if old == nil {
-		return nil
-	}
-	perm := make([]int, len(old))
-	for j, key := range old {
-		perm[j] = int(key)
-	}
-	return perm
-}
-
-// packedKeys returns the packed combination key of every column, reusing
-// buf when it has capacity. For an unpruned dense table the keys equal
-// the enumeration order, but storing them uniformly keeps the basis
-// remap independent of which shape the previous solve took.
-func packedKeys(m *model, cols *columns, buf []uint64) []uint64 {
-	if cap(buf) < cols.len() {
-		buf = make([]uint64, cols.len())
-	}
-	buf = buf[:cols.len()]
-	for l, combo := range cols.combos {
-		buf[l] = m.packKey(combo)
-	}
-	return buf
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"dmc/internal/lp"
 )
 
 // minCostTrajectory replays one drift trajectory through ResolveMinCost
@@ -14,7 +17,6 @@ func minCostTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network
 	t.Helper()
 	cold := NewSolver()
 	cold.DenseThreshold = warm.DenseThreshold
-	cold.PruneThreshold = warm.PruneThreshold
 
 	first, err := warm.ResolveMinCost(base, floor)
 	if err != nil {
@@ -315,5 +317,116 @@ func TestResolveMinCostCGScale(t *testing.T) {
 		if wsol.Stats.PoolHits == 0 {
 			t.Fatalf("step %d: pool never hit", step)
 		}
+	}
+}
+
+// oneShotBetweenResolves runs resolve(a), a one-shot solve of b (a
+// different shape), then resolve(drift(a)) on one Solver. The one-shot
+// must leave the warm state alone — the last re-solve still runs warm —
+// and its own answer must not move when that re-solve rewrites the
+// Solver's buffers: a one-shot Solution owns its storage.
+func oneShotBetweenResolves(t *testing.T, rng *rand.Rand, a, b *Network, want Dispatch,
+	resolve, oneShot func(*Network) (*Solution, error)) {
+	t.Helper()
+	if _, err := resolve(a); err != nil {
+		t.Fatalf("prime: %v", err)
+	}
+	one, err := oneShot(b)
+	if err != nil {
+		t.Fatalf("one-shot: %v", err)
+	}
+	if one.Stats.Dispatch != want {
+		t.Fatalf("one-shot dispatch %v, want %v", one.Stats.Dispatch, want)
+	}
+	x, q := append([]float64(nil), one.X...), one.Quality
+	combos := make([]Combo, len(one.Combos()))
+	for l, c := range one.Combos() {
+		combos[l] = append(Combo(nil), c...)
+	}
+	lpRows := problemValues(one.Problem())
+
+	sol, err := resolve(driftNetwork(rng, a, 0.05))
+	if err != nil {
+		t.Fatalf("re-solve: %v", err)
+	}
+	if !sol.Stats.Warm || sol.Stats.Dispatch != want {
+		t.Fatalf("re-solve after a one-shot: stats %+v, want warm %v", sol.Stats, want)
+	}
+	if one.Quality != q || len(one.X) != len(x) || len(one.Combos()) != len(combos) {
+		t.Fatalf("one-shot answer changed under a later re-solve: quality %v → %v, %d → %d columns",
+			q, one.Quality, len(x), len(one.X))
+	}
+	for l := range x {
+		if one.X[l] != x[l] || !one.Combos()[l].Equal(combos[l]) {
+			t.Fatalf("one-shot column %d changed under a later re-solve: %v=%v → %v=%v",
+				l, combos[l], x[l], one.Combos()[l], one.X[l])
+		}
+	}
+	if !slices.Equal(problemValues(one.Problem()), lpRows) {
+		t.Fatal("one-shot LP changed under a later re-solve")
+	}
+}
+
+// problemValues flattens an LP's objective, coefficients and right-hand
+// sides into one fresh slice.
+func problemValues(p *lp.Problem) []float64 {
+	out := append([]float64(nil), p.Objective...)
+	for _, c := range p.Constraints {
+		out = append(out, c.Coeffs...)
+		out = append(out, c.RHS)
+	}
+	return out
+}
+
+// TestOneShotBetweenResolvesQuality pins the engine's storage contract
+// for the quality objective on both dispatches.
+func TestOneShotBetweenResolvesQuality(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x3c05, 7))
+	for _, tc := range []struct {
+		paths, trans int
+		want         Dispatch
+	}{{4, 3, DispatchDense}, {12, 3, DispatchCG}} {
+		s := NewSolver()
+		a := diffRandomNetwork(rng, tc.paths, tc.trans)
+		b := diffRandomNetwork(rng, tc.paths+1, tc.trans)
+		oneShotBetweenResolves(t, rng, a, b, tc.want, s.Resolve, s.SolveQuality)
+	}
+}
+
+// TestOneShotBetweenResolvesMinCost pins the engine's storage contract
+// for the §VI-A objective on both dispatches.
+func TestOneShotBetweenResolvesMinCost(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x3c05, 8))
+	for _, tc := range []struct {
+		paths, trans int
+		want         Dispatch
+	}{{4, 3, DispatchDense}, {12, 3, DispatchCG}} {
+		s := NewSolver()
+		a := diffRandomNetwork(rng, tc.paths, tc.trans)
+		b := diffRandomNetwork(rng, tc.paths+1, tc.trans)
+		resolve := func(n *Network) (*Solution, error) { return s.ResolveMinCost(n, 0.25) }
+		oneShot := func(n *Network) (*Solution, error) { return s.SolveMinCost(n, 0.25) }
+		oneShotBetweenResolves(t, rng, a, b, tc.want, resolve, oneShot)
+	}
+}
+
+// TestOneShotBetweenResolvesRandom pins the engine's storage contract
+// for the §VI-B objective on both dispatches.
+func TestOneShotBetweenResolvesRandom(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x3c05, 9))
+	for _, tc := range []struct {
+		paths int
+		want  Dispatch
+	}{{4, DispatchDense}, {46, DispatchCG}} {
+		s := NewSolver()
+		a := diffRandomNetwork(rng, tc.paths, 2)
+		b := diffRandomNetwork(rng, tc.paths+1, 2)
+		resolve := func(n *Network) (*Solution, error) {
+			return s.ResolveQualityRandom(n, randomResolveTimeouts(t, n))
+		}
+		oneShot := func(n *Network) (*Solution, error) {
+			return s.SolveQualityRandom(n, randomResolveTimeouts(t, n))
+		}
+		oneShotBetweenResolves(t, rng, a, b, tc.want, resolve, oneShot)
 	}
 }

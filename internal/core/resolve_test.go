@@ -40,7 +40,6 @@ func resolveTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network
 	t.Helper()
 	cold := NewSolver()
 	cold.DenseThreshold = warm.DenseThreshold
-	cold.PruneThreshold = warm.PruneThreshold
 
 	first, err := warm.Resolve(base)
 	if err != nil {
@@ -100,24 +99,6 @@ func TestResolveDifferentialDense(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no dense re-solve ever skipped Phase I; the warm basis path is dead")
-	}
-}
-
-// TestResolveDifferentialPruned forces the dominance-pruned dispatch
-// (tiny thresholds) and replays drift trajectories through it, covering
-// the basis remap across changing pruned column subsets.
-func TestResolveDifferentialPruned(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0x0e50, 2))
-	skipped := 0
-	for traj := 0; traj < 40; traj++ {
-		warm := NewSolver()
-		warm.PruneThreshold = 4 // prune everything bigger than 4 combos
-		base := diffRandomNetwork(rng, 3+rng.IntN(3), 2+rng.IntN(2))
-		s, _ := resolveTrajectory(t, rng, warm, base, 6, 0.08, DispatchPruned)
-		skipped += s
-	}
-	if skipped == 0 {
-		t.Fatal("no pruned re-solve ever skipped Phase I; the basis remap path is dead")
 	}
 }
 

@@ -106,7 +106,7 @@ func (s *Solution) RiskReport(packetBytes int) (*RiskReport, error) {
 		return nil, fmt.Errorf("core: rate %v yields under one packet/s for %d-byte packets", s.Network.Rate, packetBytes)
 	}
 
-	// Size by the solution's own column tables, not m.nVars: pruned and
+	// Size by the solution's own column tables, not m.nVars:
 	// column-generated solutions carry a subset of the dense space (and
 	// sparse models have no dense count at all).
 	probs := make([][]float64, len(s.combos))

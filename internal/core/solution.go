@@ -15,8 +15,6 @@ type Dispatch string
 const (
 	// DispatchDense is plain dense enumeration of every combination.
 	DispatchDense Dispatch = "dense"
-	// DispatchPruned is dense enumeration after dominance pruning.
-	DispatchPruned Dispatch = "dense-pruned"
 	// DispatchCG is column generation over a restricted master problem.
 	DispatchCG Dispatch = "cg"
 )
@@ -26,12 +24,9 @@ type SolveStats struct {
 	// Dispatch is the solve core that produced the solution.
 	Dispatch Dispatch
 	// Columns is how many LP columns the (final) master problem held:
-	// the full combination count for dense, the surviving subset after
-	// pruning, or the generated pool for column generation.
+	// the full combination count for dense, or the generated pool for
+	// column generation.
 	Columns int
-	// PrunedFrom is the dense combination count before dominance
-	// pruning (0 when no pruning ran).
-	PrunedFrom int
 	// CGIterations counts restricted-master solves (0 unless column
 	// generation ran).
 	CGIterations int
@@ -61,8 +56,8 @@ type Solution struct {
 	// X is the optimal traffic split x′ over path combinations, parallel
 	// to Combos(). For a plain dense solve it is indexed by the Eq. 13
 	// combination index (little-endian path digits, blackhole = digit 0);
-	// pruned and column-generated solves carry only the combinations
-	// their master problem held. It sums to 1 either way.
+	// column-generated solves carry only the combinations their master
+	// problem held. It sums to 1 either way.
 	X []float64
 	// Quality is Q = G/λ ∈ [0, 1] (Eq. 6): the fraction of application
 	// data expected to arrive before its deadline.
@@ -95,8 +90,8 @@ type ComboShare struct {
 
 // Fraction returns the traffic share of a specific combination, given in
 // model indexing (0 = blackhole, k = Paths[k-1]). Combinations the
-// solve's master problem never carried (pruned or not generated) hold
-// zero traffic by construction.
+// solve's master problem never carried (not generated) hold zero
+// traffic by construction.
 func (s *Solution) Fraction(c Combo) float64 {
 	if len(c) != s.m.m {
 		return 0

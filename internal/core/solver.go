@@ -8,16 +8,13 @@ import (
 	"dmc/internal/lp"
 )
 
-// Dispatch thresholds for SolveQuality's automatic scaling. Combination
-// counts up to DefaultPruneThreshold solve by plain dense enumeration
-// (the pruner would cost more than it saves); counts up to
-// DefaultDenseThreshold solve densely after dominance pruning; larger
-// spaces — which dense enumeration could not even materialize past
-// DenseLimit — go to column generation.
-const (
-	DefaultPruneThreshold = 2048
-	DefaultDenseThreshold = 1 << 13
-)
+// DefaultDenseThreshold is the combination count (n+1)^m up to which
+// every objective solves by dense enumeration. Larger spaces — which
+// dense enumeration could not even materialize past DenseLimit — solve
+// by column generation. Dense still wins cold on the smallest shapes;
+// past 2,048 combinations column generation won every warm measurement
+// and every cold one but wide m = 2 spaces (README, "Scaling").
+const DefaultDenseThreshold = 2048
 
 // Solver is a reusable solve context: it owns an lp.Solver (tableau,
 // basis, and pivot workspaces) plus the combination-enumeration scratch,
@@ -32,66 +29,36 @@ type Solver struct {
 	// rs is the persistent incremental re-solve state behind Resolve;
 	// SolveQuality and the other one-shot entry points never touch it.
 	rs resolveState
-	// asm is the LP-assembly arena the Resolve paths rewrite in place
-	// (their returned Solutions are documented as invalidated by the
-	// next Resolve; the one-shot entry points assemble fresh storage).
-	asm asmScratch
 
-	// DenseThreshold overrides the combination count above which
-	// SolveQuality dispatches to column generation instead of dense
+	// DenseThreshold overrides the combination count above which every
+	// objective dispatches to column generation instead of dense
 	// enumeration. Zero selects DefaultDenseThreshold; negative forces
 	// column generation for every size; values above DenseLimit are
 	// capped there (dense tables beyond it are never materialized).
 	DenseThreshold int
-	// PruneThreshold overrides the combination count above which dense
-	// solves run the dominance pruner before assembling the LP. Zero
-	// selects DefaultPruneThreshold; negative disables pruning.
-	PruneThreshold int
 }
 
 // NewSolver returns a reusable Solver.
 func NewSolver() *Solver { return &Solver{} }
 
-// denseDispatchOK reports whether the network's combination space fits
-// the dense-enumeration side of the dispatch threshold.
-func (s *Solver) denseDispatchOK(n *Network) bool {
+// dispatchFor names the solve core the network's combination count
+// selects under the dense threshold — the same rule for every
+// objective. It only reads sizes, so it is safe on unvalidated input.
+func (s *Solver) dispatchFor(n *Network) Dispatch {
 	th := s.DenseThreshold
 	if th == 0 {
 		th = DefaultDenseThreshold
 	}
 	if th < 0 {
-		return false
+		return DispatchCG
 	}
 	if th > DenseLimit {
 		th = DenseLimit
 	}
-	_, ok := combinationCount(len(n.Paths)+1, n.transmissions(), th)
-	return ok
-}
-
-// pruneIfWorthwhile runs the dominance pruner when the combination
-// count exceeds the prune threshold, returning the (possibly pruned)
-// columns and a key index for the surviving subset (nil when nothing
-// was pruned).
-func (s *Solver) pruneIfWorthwhile(m *model, cols *columns) (*columns, map[uint64]int) {
-	th := s.PruneThreshold
-	if th == 0 {
-		th = DefaultPruneThreshold
+	if _, ok := combinationCount(len(n.Paths)+1, n.transmissions(), th); !ok {
+		return DispatchCG
 	}
-	if th < 0 || m.nVars <= th {
-		return cols, nil
-	}
-	pruned, kept := m.pruneColumns(cols)
-	if len(kept) == m.nVars {
-		return cols, nil
-	}
-	// Key by packKey — the same function Fraction looks columns up with —
-	// rather than the dense index, so the two can never drift apart.
-	index := make(map[uint64]int, len(kept))
-	for pos := range kept {
-		index[m.packKey(pruned.combos[pos])] = pos
-	}
-	return pruned, index
+	return DispatchDense
 }
 
 // solverPool backs the package-level SolveQuality/SolveMinCost/
@@ -111,44 +78,15 @@ func (s *Solver) scratch(m int) []int {
 // always feasible — the blackhole path absorbs any excess traffic — so a
 // non-optimal status indicates an internal error.
 //
-// Dispatch scales with the combination count (n+1)^m: small spaces are
-// enumerated densely, mid-size spaces are dominance-pruned first, and
-// anything above the dense threshold — including counts that would
-// overflow dense enumeration entirely — solves by column generation
-// (SolveQualityCG). All three paths reach the same LP optimum.
+// Dispatch scales with the combination count (n+1)^m: spaces up to the
+// dense threshold are enumerated densely, anything larger — including
+// counts that would overflow dense enumeration entirely — solves by
+// column generation. Both reach the same LP optimum; Solution.Stats
+// reports which core ran. This is the cold engine Resolve primes with,
+// but the returned Solution owns all of its storage: no later solve on
+// the Solver touches it.
 func (s *Solver) SolveQuality(n *Network) (*Solution, error) {
-	// Validation happens inside newModel/newSparseModel on both
-	// branches; denseDispatchOK only reads sizes, safe on raw input.
-	if !s.denseDispatchOK(n) {
-		return s.SolveQualityCG(n)
-	}
-	m, err := newModel(n)
-	if err != nil {
-		return nil, err
-	}
-	full := m.computeColumns(s.scratch(m.m))
-	cols, index := s.pruneIfWorthwhile(m, full)
-	prob := m.assembleProblem(lp.Maximize, cols.delivery, cols, nil, true)
-	sol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: solving quality LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: quality LP unexpectedly %v", sol.Status)
-	}
-	out := m.newSolutionIndexed(prob, cols, sol.X, sol.Objective, index)
-	out.Stats = denseStats(m, cols, index)
-	return out, nil
-}
-
-// denseStats summarizes a dense solve's dispatch for Solution.Stats.
-func denseStats(m *model, cols *columns, index map[uint64]int) SolveStats {
-	st := SolveStats{Dispatch: DispatchDense, Columns: cols.len()}
-	if index != nil {
-		st.Dispatch = DispatchPruned
-		st.PrunedFrom = m.nVars
-	}
-	return st
+	return s.solve(n, resolveReq{obj: objQuality}, nil, false)
 }
 
 // SolveMinCost solves the §VI-A variant: minimize the expected total cost
@@ -160,56 +98,24 @@ func denseStats(m *model, cols *columns, index map[uint64]int) SolveStats {
 // Returns ErrInfeasible wrapped in an error when the requested quality
 // is unattainable on the given network.
 //
-// Dispatch scales with the combination count (n+1)^m exactly like
-// SolveQuality: small spaces enumerate densely (dominance-pruned past
-// the prune threshold), anything above the dense threshold — including
-// counts that would overflow dense enumeration entirely — solves by
-// column generation (SolveMinCostCG). All paths reach the same LP
-// optimum; Solution.Stats reports which core ran.
+// Dispatch and storage ownership follow SolveQuality. Column generation
+// runs in two stages over one pool: quality pricing grows it until the
+// floor is provably reachable (or certifies ErrInfeasible at the true
+// quality optimum), then cost-reduced pricing runs to the certified
+// minimum.
 func (s *Solver) SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
-	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
-		return nil, fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
-	}
-	if !s.denseDispatchOK(n) {
-		return s.SolveMinCostCG(n, minQuality)
-	}
-	m, err := newModel(n)
-	if err != nil {
+	if err := checkFloor(minQuality); err != nil {
 		return nil, err
 	}
-	full := m.computeColumns(s.scratch(m.m))
-	cols, index := s.pruneIfWorthwhile(m, full)
-	obj := make([]float64, cols.len())
-	for l, c := range cols.costs {
-		obj[l] = n.Rate * c // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
-	}
-	quality := lp.Constraint{Name: "quality", Coeffs: cols.delivery, Rel: lp.GE, RHS: minQuality}
-	// No cost row: cost is the objective here, not a constraint (the
-	// §VI-A formulation replaces the budget µ with the quality floor).
-	prob := m.assembleProblem(lp.Minimize, obj, cols, &quality, false)
+	return s.solve(n, resolveReq{obj: objMinCost, minQuality: minQuality}, nil, false)
+}
 
-	sol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: solving min-cost LP: %w", err)
+// checkFloor rejects a min-cost quality floor outside [0,1].
+func checkFloor(minQuality float64) error {
+	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
+		return fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
 	}
-	switch sol.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, fmt.Errorf("core: quality %v unattainable on this network: %w", minQuality, ErrInfeasible)
-	default:
-		return nil, fmt.Errorf("core: min-cost LP unexpectedly %v", sol.Status)
-	}
-
-	out := m.newSolutionIndexed(prob, cols, sol.X, 0, index)
-	out.Stats = denseStats(m, cols, index)
-	// Recompute achieved quality from the solution (the LP objective here
-	// is cost, not quality).
-	var q float64
-	for l, x := range sol.X {
-		q += x * cols.delivery[l]
-	}
-	out.Quality = clamp01(q)
-	return out, nil
+	return nil
 }
 
 // asmScratch is a reusable LP-assembly arena: the constraint headers,
@@ -224,20 +130,16 @@ type asmScratch struct {
 	backing []float64
 }
 
-// assembleProblem builds the common LP skeleton around the given
+// assembleProblemInto builds the common LP skeleton around the given
 // objective: bandwidth rows (Eqs. 14–15/29), an optional extra row (the
 // §VI-A quality floor), the cost row (Eq. 16/30) when costRow is set and
 // the budget is finite, and the conservation row Bx′ = 1 (Eq. 18). All
 // constraint coefficient rows are carved from one flat backing array;
 // slices from cols are referenced, never copied, so the Problem shares
-// storage with the Solution's own column tables.
-func (m *model) assembleProblem(sense lp.Sense, obj []float64, cols *columns, extra *lp.Constraint, costRow bool) *lp.Problem {
-	return m.assembleProblemInto(nil, sense, obj, cols, extra, costRow)
-}
-
-// assembleProblemInto is assembleProblem writing into a reusable
-// scratch arena; a nil scratch allocates fresh storage (the one-shot
-// solve paths, whose returned Solutions must stay immutable).
+// storage with the Solution's own column tables. A non-nil scratch
+// arena is rewritten in place (the Resolve paths); nil allocates fresh
+// storage (one-shot solves, whose returned Solutions must stay
+// immutable).
 func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float64, cols *columns, extra *lp.Constraint, costRow bool) *lp.Problem {
 	λ := m.net.Rate
 	base, nVars := m.base, cols.len()
@@ -304,18 +206,11 @@ func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float6
 	return &lp.Problem{Sense: sense, Objective: obj, Constraints: cons}
 }
 
-// newSolution assembles the public Solution from a solved x′ vector
-// over the full dense combination space, sharing the column tables with
-// the LP that produced it.
-func (m *model) newSolution(prob *lp.Problem, cols *columns, x []float64, quality float64) *Solution {
-	return m.newSolutionIndexed(prob, cols, x, quality, nil)
-}
-
-// newSolutionIndexed is newSolution for a column subset: colIndex maps
-// a combination's packed key to its position in the column tables. A
-// nil colIndex means the columns cover the dense space in enumeration
-// order.
-func (m *model) newSolutionIndexed(prob *lp.Problem, cols *columns, x []float64, quality float64, colIndex map[uint64]int) *Solution {
+// newSolution assembles the public Solution from a solved x′ vector,
+// sharing the column tables with the LP that produced it. colIndex maps
+// a combination's packed key to its position in the column tables; nil
+// means the columns cover the dense space in enumeration order.
+func (m *model) newSolution(prob *lp.Problem, cols *columns, x []float64, quality float64, colIndex map[uint64]int) *Solution {
 	return &Solution{
 		Network:  m.net,
 		X:        x,

@@ -150,7 +150,7 @@ func TestValidationUniformAcrossEntryPoints(t *testing.T) {
 	}
 	entries := map[string]func(*Network) error{
 		"SolveQuality":    func(n *Network) error { _, err := SolveQuality(n); return err },
-		"SolveQualityCG":  func(n *Network) error { _, err := SolveQualityCG(n); return err },
+		"forced-CG":       func(n *Network) error { _, err := forceCG().SolveQuality(n); return err },
 		"SolveMinCost":    func(n *Network) error { _, err := SolveMinCost(n, 0.5); return err },
 		"BuildLP":         func(n *Network) error { _, err := BuildLP(n); return err },
 		"QualityUpperBnd": func(n *Network) error { _, err := QualityUpperBound(n); return err },

@@ -13,10 +13,6 @@ import (
 // serialize its check-outs on one lock.
 const warmPoolStripes = 16
 
-// nObjectives sizes the per-objective positional sets (quality,
-// min-cost, random — the solveObjective enum).
-const nObjectives = 3
-
 // warmKey identifies the network shape a pooled warm solver was primed
 // on. A solver whose last Resolve saw the same shape re-solves warm; a
 // mismatched one transparently re-primes cold (Resolve's own guard), so
@@ -73,16 +69,15 @@ type sessionSlot struct {
 // fleet is a churning set of identified sessions, not a fixed slice.
 // Distinct keys solve concurrently; calls on the same key serialize.
 //
-// Positional (SolveMany, SolveManyMinCost, SolveManyRandom): when a
-// batch has the same size as the pool's previous batch for the same
-// objective, network i gets the solver that solved index i last time —
-// the fleet-sweep idiom keeps each drifting network at a stable index,
-// and a warm state is only genuinely warm for the network whose drift
-// trajectory primed it. Solvers that cannot be matched by position
-// (first batch, changed batch size, a concurrent batch already claimed
-// the positional set) fall back to the shape-keyed stripes, where any
-// same-shaped warm solver still saves the structural work; a full
-// mismatch just re-primes cold inside Resolve.
+// Positional (SolveMany): when a batch has the same size as the pool's
+// previous batch, network i gets the solver that solved index i last
+// time — the fleet-sweep idiom keeps each drifting network at a stable
+// index, and a warm state is only genuinely warm for the network whose
+// drift trajectory primed it. Solvers that cannot be matched by
+// position (first batch, changed batch size, a concurrent batch already
+// claimed the positional set) fall back to the shape-keyed stripes,
+// where any same-shaped warm solver still saves the structural work; a
+// full mismatch just re-primes cold inside Resolve.
 //
 // Within one batch each pooled solver serves at most one network
 // (checked-out solvers return to the pool only after the whole batch
@@ -100,11 +95,8 @@ type sessionSlot struct {
 // check out disjoint solvers.
 type WarmPool struct {
 	mu sync.Mutex
-	// byIdx holds the previous batch's solvers by network index, one
-	// positional set per objective (reusing a quality-warm solver for a
-	// min-cost batch would always re-prime cold: the resolve state is
-	// objective-keyed).
-	byIdx [nObjectives][]*Solver
+	// byIdx holds the previous batch's solvers by network index.
+	byIdx []*Solver
 
 	stripes [warmPoolStripes]warmStripe
 
@@ -152,45 +144,11 @@ func (p *WarmPool) release(k warmKey, s *Solver) {
 // nil. See the WarmPool type comment for the result-invalidation
 // contract.
 func (p *WarmPool) SolveMany(nets []*Network) ([]*Solution, error) {
-	return p.solveMany(objQuality, nets, func(sv *Solver, i int) (*Solution, error) {
-		return sv.Resolve(nets[i])
-	})
-}
-
-// SolveManyMinCost is SolveMany for the §VI-A cost minimization: every
-// network solves to its own quality floor (minQuality[i], one entry per
-// network) on a pooled warm solver's incremental path
-// (Solver.ResolveMinCost). An unattainable floor fails that entry with
-// ErrInfeasible like the one-shot solve would.
-func (p *WarmPool) SolveManyMinCost(nets []*Network, minQuality []float64) ([]*Solution, error) {
-	if len(minQuality) != len(nets) {
-		return nil, fmt.Errorf("core: %d quality floors for %d networks", len(minQuality), len(nets))
-	}
-	return p.solveMany(objMinCost, nets, func(sv *Solver, i int) (*Solution, error) {
-		return sv.ResolveMinCost(nets[i], minQuality[i])
-	})
-}
-
-// SolveManyRandom is SolveMany for the §VI-B random-delay model: every
-// network solves with its own timeout table (to[i], one entry per
-// network) on a pooled warm solver's incremental path
-// (Solver.ResolveQualityRandom).
-func (p *WarmPool) SolveManyRandom(nets []*Network, to []*Timeouts) ([]*Solution, error) {
-	if len(to) != len(nets) {
-		return nil, fmt.Errorf("core: %d timeout tables for %d networks", len(to), len(nets))
-	}
-	return p.solveMany(objRandom, nets, func(sv *Solver, i int) (*Solution, error) {
-		return sv.ResolveQualityRandom(nets[i], to[i])
-	})
-}
-
-func (p *WarmPool) solveMany(obj solveObjective, nets []*Network, run func(sv *Solver, i int) (*Solution, error)) ([]*Solution, error) {
-	// Claim the objective's positional solver set when the batch shape
-	// allows it.
+	// Claim the positional solver set when the batch shape allows it.
 	p.mu.Lock()
 	var byIdx []*Solver
-	if len(p.byIdx[obj]) == len(nets) {
-		byIdx, p.byIdx[obj] = p.byIdx[obj], nil
+	if len(p.byIdx) == len(nets) {
+		byIdx, p.byIdx = p.byIdx, nil
 	}
 	p.mu.Unlock()
 
@@ -205,7 +163,7 @@ func (p *WarmPool) solveMany(obj solveObjective, nets []*Network, run func(sv *S
 			sv = p.acquire(keyOf(nets[i]))
 		}
 		solvers[i] = sv
-		sol, err := run(sv, i)
+		sol, err := sv.Resolve(nets[i])
 		if err != nil {
 			return fmt.Errorf("core: warm batch solve %d: %w", i, err)
 		}
@@ -227,8 +185,8 @@ func (p *WarmPool) solveMany(obj solveObjective, nets []*Network, run func(sv *S
 		}
 	}
 	p.mu.Lock()
-	if p.byIdx[obj] == nil {
-		p.byIdx[obj] = solvers
+	if p.byIdx == nil {
+		p.byIdx = solvers
 		p.mu.Unlock()
 	} else {
 		p.mu.Unlock()

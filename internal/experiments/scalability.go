@@ -18,7 +18,7 @@ type ScalPoint struct {
 	// Combinations is the full (n+1)^m space the dense solver would
 	// have to materialize (-1 when it exceeds core.DenseLimit).
 	Combinations int
-	// Dispatch is which solve core ran (dense, dense-pruned, cg).
+	// Dispatch is which solve core ran (dense, cg).
 	Dispatch core.Dispatch
 	// Columns is how many columns the master problem actually held.
 	Columns int
@@ -42,7 +42,7 @@ type ScalabilityConfig struct {
 	// Runs per point; 0 means 10.
 	Runs int
 	Seed uint64
-	// VerifyDense cross-checks the scalable solve against unpruned dense
+	// VerifyDense cross-checks the scalable solve against forced dense
 	// enumeration wherever the space fits core.DenseLimit.
 	VerifyDense bool
 	// Parallel fans grid points across GOMAXPROCS workers (off by
@@ -87,7 +87,7 @@ func (c ScalabilityConfig) runs() int {
 }
 
 // Scalability measures mean solve times across the configured grid with
-// the automatic dense/pruned/CG dispatch, optionally verifying the
+// the automatic dense/CG dispatch, optionally verifying the
 // scalable result against dense enumeration where that is tractable.
 func Scalability(cfg ScalabilityConfig) ([]ScalPoint, error) {
 	paths, trans := cfg.paths(), cfg.transmissions()
@@ -163,12 +163,12 @@ func denseSpace(paths, m int) int {
 }
 
 // verifyDenseLimit caps the combination spaces the sweep cross-checks
-// against unpruned dense enumeration: beyond it a dense verification
+// against forced dense enumeration: beyond it a dense verification
 // solve costs orders of magnitude more than the measurement itself (the
 // core differential tests cover agreement exhaustively at small sizes).
 const verifyDenseLimit = 1 << 16
 
-// verifyAgainstDense re-solves with unpruned dense enumeration and
+// verifyAgainstDense re-solves with forced dense enumeration and
 // returns the gap to the scalable solve — quality gap for the quality
 // sweep, relative cost gap for the min-cost sweep; ok = false when the
 // space is too large to check. A dense-solve failure is an error, not a
@@ -180,7 +180,6 @@ func verifyAgainstDense(cfg ScalabilityConfig, net *core.Network, sol *core.Solu
 	}
 	dense := core.NewSolver()
 	dense.DenseThreshold = core.DenseLimit
-	dense.PruneThreshold = -1
 	var gap float64
 	if cfg.MinCost {
 		dsol, err := dense.SolveMinCost(net, cfg.minQuality())

@@ -155,31 +155,58 @@ func (s *Solver) SolveWith(p *Problem, opts Options) (*Solution, error) {
 	}
 	s.load(p, opts)
 	if opts.WarmBasis != nil && s.basisCompatible(opts.WarmBasis) {
-		var sol *Solution
-		switch s.installBasis(opts.WarmBasis) {
-		case installFeasible:
-			sol, _ = s.run(p, warmFeasible)
-		case installDual:
-			sol, _ = s.run(p, warmDual)
-		case installRepaired:
-			sol, _ = s.run(p, warmRepaired)
-		case installFailed:
-			sol = nil
-		}
-		if sol != nil && sol.Status == Optimal {
+		if sol := s.solveWarm(p, opts.WarmBasis); sol != nil {
 			return sol, nil
 		}
 		// A warm start must never change the outcome: a non-Optimal
-		// status — or an error such as the iteration limit — off a
-		// re-installed basis is either a genuine property of the problem
-		// (the cold path will reproduce it) or numerical corruption from
-		// a marginal refactorization. Either way — including a failed
-		// install, which leaves the tableau dirty — rebuild and solve
-		// cold. A reload is one O(rows·cols) copy pass, far cheaper than
-		// the Phase I it precedes.
+		// status, an error such as the pivot budget, or an answer the
+		// raw problem rejects off a re-installed basis is either a
+		// genuine property of the problem (the cold path will reproduce
+		// it) or numerical corruption from a marginal refactorization.
+		// Either way — including a failed install, which leaves the
+		// tableau dirty — rebuild and solve cold. A reload is one
+		// O(rows·cols) copy pass, far cheaper than the Phase I it
+		// precedes.
 		s.load(p, opts)
 	}
 	return s.run(p, coldStart)
+}
+
+// warmPivotsPerRow bounds a warm attempt at this many pivots per kept
+// row (plus one), counting the basis install, dual-simplex repair and
+// both phases. The most a successful warm attempt was measured to take
+// is about 9 per row (428 pivots at 46 rows on a 2,025-column
+// random-delay master; 239 at 42 rows across five seeds of 40×4
+// column-generation fleet replays), so 32 leaves over 3× headroom. An
+// attempt past it has stalled — one drifted random-delay master spent
+// the whole 200·(rows+cols+1) cold budget, 414,400 pivots, before a
+// 2.6 ms cold solve — and the cold path takes over.
+const warmPivotsPerRow = 32
+
+// solveWarm re-installs the basis on the loaded tableau and solves from
+// it within the warm pivot budget. It returns nil — the caller reloads
+// and solves cold — when the install fails, the budget runs out, the
+// outcome is not Optimal, or the answer fails a feasibility audit
+// against p's raw data (as AppendSolve's does: a re-installed basis can
+// claim optimality for a point the raw problem rejects).
+func (s *Solver) solveWarm(p *Problem, b *Basis) *Solution {
+	limit := s.opts.MaxIter
+	s.opts.MaxIter = min(limit, warmPivotsPerRow*(s.m+1))
+	var sol *Solution
+	switch s.installBasis(b) {
+	case installFeasible:
+		sol, _ = s.run(p, warmFeasible)
+	case installDual:
+		sol, _ = s.run(p, warmDual)
+	case installRepaired:
+		sol, _ = s.run(p, warmRepaired)
+	}
+	// Later AppendSolve calls continue under the options' full limit.
+	s.opts.MaxIter = limit
+	if sol == nil || sol.Status != Optimal || !Feasible(p, sol.X, 1e2*s.opts.Tol) {
+		return nil
+	}
+	return sol
 }
 
 // start describes how run begins: cold (all-slack basis, full Phase I),

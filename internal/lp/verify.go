@@ -36,14 +36,6 @@ func Verify(p *Problem, x []float64, tol float64) []Violation {
 		for j, a := range c.Coeffs {
 			lhs += a * x[j]
 		}
-		// Scale tolerance by row magnitude so large-coefficient rows
-		// (e.g. bandwidth in bits/s) are not spuriously flagged.
-		scale := 1 + math.Abs(c.RHS)
-		for _, a := range c.Coeffs {
-			if abs := math.Abs(a); abs > scale {
-				scale = abs
-			}
-		}
 		var amt float64
 		switch c.Rel {
 		case LE:
@@ -52,6 +44,19 @@ func Verify(p *Problem, x []float64, tol float64) []Violation {
 			amt = c.RHS - lhs
 		case EQ:
 			amt = math.Abs(lhs - c.RHS)
+		}
+		// Scale tolerance by row magnitude so large-coefficient rows
+		// (e.g. bandwidth in bits/s) are not spuriously flagged. The
+		// scale is at least 1+|RHS|, so a row within that bound passes
+		// without the second pass over its coefficients.
+		scale := 1 + math.Abs(c.RHS)
+		if amt <= tol*scale {
+			continue
+		}
+		for _, a := range c.Coeffs {
+			if abs := math.Abs(a); abs > scale {
+				scale = abs
+			}
 		}
 		if amt > tol*scale {
 			name := c.Name

@@ -243,7 +243,7 @@ type SolveResult struct {
 	// TimeoutsMs is the t_{i,j} table used by the random objective
 	// (negative = undefined pair); nil for the deterministic objectives.
 	TimeoutsMs [][]float64 `json:"timeouts_ms,omitempty"`
-	// Dispatch names the solve core that ran (dense, dense-pruned, cg).
+	// Dispatch names the solve core that ran (dense, cg).
 	Dispatch string `json:"dispatch,omitempty"`
 	// Warm reports the solve ran incrementally from session warm state.
 	Warm bool `json:"warm,omitempty"`
