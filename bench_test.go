@@ -669,7 +669,7 @@ func serveSweep(url string, bodies [][]byte) error {
 // sweeps on the library's WarmPool directly, in two regimes. sessions=64
 // is CG-scale (20 paths × 4 transmissions per session): per-solve work
 // dominates, and the daemon/library per-op ratio is the serving tax —
-// HTTP, wave coalescing, and session registry on top of identical keyed
+// HTTP, admission queueing, and session registry on top of identical keyed
 // warm solves; within 2× is the acceptance bar. sessions=10240 is the
 // admission sweep (tiny dense solves, transport-bound): its artifact is
 // that backpressure never drops a session — any 429 fails the

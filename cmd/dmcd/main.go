@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dmcd -addr :7117
-//	dmcd -addr :7117 -shards 4 -batch-window 500us -queue 2048
+//	dmcd -addr :7117 -shards 4 -queue 2048
 //	dmcd -addr :7117 -state-dir /var/lib/dmcd -repl-ack sync
 //	dmcd -addr :7118 -state-dir /var/lib/dmcd-standby -follow http://primary:7117
 //
@@ -26,8 +26,11 @@
 // A session_id pins requests to a session-keyed warm solver (LP basis
 // and column-pool affinity across re-solves); "estimator": true attaches
 // a §VIII-A estimator feed that /v1/observe measurements drive, warm
-// re-solving only when the estimates drift. A full shard queue answers
-// 429 with a Retry-After hint. SIGINT/SIGTERM shut down gracefully:
+// re-solving only when the estimates drift. Sessions hash onto -shards
+// shards; each shard runs GOMAXPROCS workers, and a free worker takes
+// the next admitted request at once, so a quick solve never waits for
+// another session's slow one. A full shard queue (-queue) answers 429
+// with a Retry-After hint. SIGINT/SIGTERM shut down gracefully:
 // admitted solves drain before the process exits.
 //
 // -state-dir makes sessions durable: acknowledged session state (the
@@ -101,8 +104,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		addr        = fs.String("addr", ":7117", "listen address")
 		shards      = fs.Int("shards", 0, "warm-pool shards (0 = GOMAXPROCS)")
-		batchWindow = fs.Duration("batch-window", 0, "wave coalescing window (0 = 500µs, negative = none)")
-		maxBatch    = fs.Int("max-batch", 0, "max solves per wave (0 = 256)")
 		queue       = fs.Int("queue", 0, "admitted-task queue bound per shard (0 = 1024)")
 		estTol      = fs.Float64("est-tol", 0, "estimator re-solve drift tolerance (0 = adaptor default)")
 		maxBudget   = fs.Duration("max-budget", 0, "deadline-budget cap and default (0 = 30s, negative = no default)")
@@ -133,8 +134,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	cfg := serve.Config{
 		Shards:           *shards,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
 		MaxQueue:         *queue,
 		EstimatorRelTol:  *estTol,
 		MaxBudget:        *maxBudget,
@@ -270,7 +269,7 @@ func serveHTTP(ctx context.Context, addr string, handler http.Handler, stdout io
 	}
 
 	// Stop accepting, let in-flight HTTP requests finish, then drain the
-	// solver waves.
+	// shard queues.
 	fmt.Fprintln(stdout, "dmcd: shutting down")
 	if quiesce != nil {
 		quiesce()

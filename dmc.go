@@ -52,8 +52,9 @@
 //
 // Serving: NewServer runs the online solver service behind cmd/dmcd —
 // sharded WarmPools answering session-keyed HTTP/JSON solve requests,
-// with request coalescing into batched solve waves, per-session
-// estimator feeds, admission control, and per-shard metrics.
+// each shard drained by GOMAXPROCS workers that take requests as they
+// arrive, with per-session estimator feeds, admission control, and
+// per-shard metrics.
 //
 // The underlying implementations live in internal/ packages; this package
 // re-exports the supported surface via type aliases, so the types here
@@ -99,12 +100,13 @@ type (
 	Timeouts = core.Timeouts
 	// TimeoutOptions tunes OptimalTimeouts' search.
 	TimeoutOptions = core.TimeoutOptions
-	// Solver is a reusable solve context: it owns the simplex tableau and
-	// combination-enumeration workspaces, so repeated solves of
-	// same-shaped networks allocate almost nothing after warmup. Its
-	// DenseThreshold field is the one dispatch option: the combination
-	// count above which every objective solves by column generation
-	// (0 = the 2,048 default, negative = always). Its one-shot methods
+	// Solver is a reusable solve context: it owns the
+	// combination-enumeration workspaces and borrows a pooled simplex
+	// tableau for each solve, so repeated solves of same-shaped networks
+	// allocate almost nothing after warmup. Its DenseThreshold field is
+	// the one dispatch option: the combination count above which every
+	// objective solves by column generation (0 = the 2,048 default,
+	// negative = always). Its one-shot methods
 	// (SolveQuality, SolveMinCost, SolveQualityRandom) return Solutions
 	// that own their storage. Its Resolve methods solve incrementally:
 	// when only λ/µ/loss/delay drift between calls (the §VIII-A adaptive
@@ -216,10 +218,11 @@ type (
 
 // Serving (the cmd/dmcd online solver service).
 type (
-	// ServeConfig tunes a served solver fleet: shard count, wave
-	// coalescing window and batch cap, admission queue bound, and the
-	// estimator feeds' drift tolerance. The zero value selects
-	// production defaults.
+	// ServeConfig tunes a served solver fleet: shard count, admission
+	// queue bound, deadline budgets, circuit breakers, durability and
+	// replication, and the estimator feeds' drift tolerance. Each shard
+	// runs GOMAXPROCS workers. The zero value selects production
+	// defaults.
 	ServeConfig = serve.Config
 	// Server is the online solver service: sharded WarmPools answering
 	// session-keyed solve/observe requests over HTTP/JSON, with
@@ -228,8 +231,9 @@ type (
 	// ServeMetrics is the /metrics document: uptime, live sessions, and
 	// per-shard counters.
 	ServeMetrics = serve.Metrics
-	// ShardMetrics is one shard's /metrics entry: solves, waves, warm
-	// hit rate, rejections, solves/sec, and p50/p99 latency.
+	// ShardMetrics is one shard's /metrics entry: solves, busy periods
+	// (Waves), warm hit rate, rejections, solves/sec, and p50/p99
+	// latency.
 	ShardMetrics = serve.ShardMetrics
 )
 
@@ -263,9 +267,10 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 
 // NewSolver returns a reusable Solver for hot loops that solve many
-// same-shaped networks (adaptive re-solves, sweeps): tableau, basis, and
-// enumeration buffers are kept across calls. For repeated solves of ONE
-// network shape under drifting estimates, use the Solver's Resolve
+// same-shaped networks (adaptive re-solves, sweeps): basis and
+// enumeration buffers are kept across calls, and the simplex tableau
+// comes from a process-wide pool for each solve. For repeated solves of
+// ONE network shape under drifting estimates, use the Solver's Resolve
 // method — the incremental path that reuses columns, the CG pool, and
 // the LP basis across solves.
 func NewSolver() *Solver { return core.NewSolver() }
@@ -372,11 +377,11 @@ func LinksFromNetwork(n *Network, queueLimit int) []LinkConfig {
 // NewAdaptor wraps a base network with live estimators (§VIII-A).
 func NewAdaptor(base *Network) (*Adaptor, error) { return estimate.NewAdaptor(base) }
 
-// NewServer starts the online solver service (sharded WarmPools, wave
-// coalescing, estimator feeds, admission control, and — with
-// ServeConfig.StateDir set — crash-safe session durability). Serve its
-// Handler over HTTP — cmd/dmcd is the ready-made binary — and Close it
-// to drain gracefully. The error is non-nil only when a configured
+// NewServer starts the online solver service (sharded WarmPools, each
+// shard drained by GOMAXPROCS workers, estimator feeds, admission
+// control, and — with ServeConfig.StateDir set — crash-safe session
+// durability). Serve its Handler over HTTP — cmd/dmcd is the ready-made
+// binary — and Close it to drain gracefully. The error is non-nil only when a configured
 // state dir is unusable or holds records from a newer schema.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 

@@ -29,6 +29,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("conc: task panicked: %v\n\noriginal stack:\n%s", e.Value, e.Stack)
 }
 
+// panicRecorded, when set, runs right after a worker records a task's
+// panic and raises the cancellation flag — a seam that lets tests order
+// other tasks after the cancellation without sleeping.
+var panicRecorded func()
+
 // ForEach runs fn(i) for every i in [0, n) across min(GOMAXPROCS, n)
 // workers. Tasks must be independent; callers write results into
 // pre-indexed slots so output order is deterministic. The first error
@@ -81,6 +86,9 @@ func ForEach(n int, fn func(i int) error) error {
 							panicOnce.Do(func() {
 								panicked = wrapPanic(r)
 								failed.Store(true)
+								if panicRecorded != nil {
+									panicRecorded()
+								}
 							})
 						}
 					}()

@@ -56,8 +56,18 @@ func forceWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// TestForEachPanicContained checks a panicking task is re-raised on the
+// caller with its value and stack, and cancels the tasks not yet
+// started. Tasks after the panicking one wait until ForEach has
+// recorded the panic, so the remaining tasks cannot all finish first on
+// a busy machine: each worker runs at most the one task it already
+// claimed after the cancellation.
 func TestForEachPanicContained(t *testing.T) {
-	forceWorkers(t, 4)
+	const workers, n, panicAt = 4, 100000, 5
+	forceWorkers(t, workers)
+	recorded := make(chan struct{})
+	panicRecorded = func() { close(recorded) }
+	t.Cleanup(func() { panicRecorded = nil })
 	var executed atomic.Int64
 	var pe *PanicError
 	func() {
@@ -68,10 +78,13 @@ func TestForEachPanicContained(t *testing.T) {
 				t.Fatalf("recovered %T (%v), want *PanicError", r, r)
 			}
 		}()
-		ForEach(100000, func(i int) error {
+		ForEach(n, func(i int) error {
 			executed.Add(1)
-			if i == 5 {
+			if i == panicAt {
 				panicHere()
+			}
+			if i > panicAt {
+				<-recorded
 			}
 			return nil
 		})
@@ -86,8 +99,9 @@ func TestForEachPanicContained(t *testing.T) {
 	if !strings.Contains(pe.Error(), "kaboom-original") {
 		t.Errorf("Error() omits the panic value: %s", pe.Error())
 	}
-	if got := executed.Load(); got == 100000 {
-		t.Error("panic did not cancel remaining tasks")
+	// Tasks 0..panicAt, plus at most one claimed task per other worker.
+	if got := executed.Load(); got > panicAt+workers {
+		t.Errorf("%d of %d tasks ran: the panic did not cancel the remaining tasks", got, n)
 	}
 }
 

@@ -263,11 +263,23 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // leaves in it what the next re-solve needs. A one-shot solve passes a
 // nil rs: every buffer is fresh and owned by the returned Solution, and
 // no basis is captured.
+//
+// The LP workspace is borrowed from lpPool for the solve and returned
+// when it ends. A solve that panics never returns it: the workspace may
+// be mid-pivot, so it is dropped with the panic, the way serving
+// quarantines a panicked session's warm state.
 func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	s.lps = lpPool.Get().(*lp.Solver)
+	var sol *Solution
+	var err error
 	if s.dispatchFor(n) == DispatchDense {
-		return s.solveDense(n, req, rs, warm)
+		sol, err = s.solveDense(n, req, rs, warm)
+	} else {
+		sol, err = s.solveCG(n, req, rs, warm)
 	}
-	return s.solveCG(n, req, rs, warm)
+	lpPool.Put(s.lps)
+	s.lps = nil
+	return sol, err
 }
 
 // newRequestModel builds the request's model — dense (the combination space

@@ -16,14 +16,17 @@ import (
 // and every cold one but wide m = 2 spaces (README, "Scaling").
 const DefaultDenseThreshold = 2048
 
-// Solver is a reusable solve context: it owns an lp.Solver (tableau,
-// basis, and pivot workspaces) plus the combination-enumeration scratch,
-// so repeated solves of same-shaped networks reuse all of the solver's
-// working memory and allocate only the returned Solution. A Solver is
-// NOT safe for concurrent use; use one per goroutine or the SolveMany
-// batch API, which shards work across a pool of them.
+// Solver is a reusable solve context: it owns the combination-
+// enumeration scratch and the Resolve warm state (columns, CG pool, LP
+// basis). The simplex tableau is not part of it: each solve borrows an
+// lp.Solver from a process-wide pool and returns it when the solve
+// ends, so an idle Solver — one per served session — holds no tableau.
+// A Solver is NOT safe for concurrent use; use one per goroutine or the
+// SolveMany batch API, which shards work across a pool of them.
 type Solver struct {
-	lps    lp.Solver
+	// lps is the LP workspace borrowed for the solve in progress; nil
+	// between solves.
+	lps    *lp.Solver
 	digits []int
 
 	// rs is the persistent incremental re-solve state behind Resolve;
@@ -65,6 +68,14 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 // SolveQualityRandom wrappers and the SolveMany workers, so one-shot
 // callers still reuse solver memory across calls.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
+
+// lpPool holds the LP workspaces (tableau, basis, and pivot buffers)
+// every Solver borrows for the length of one solve. An lp.Solver carries
+// nothing from one solve to the next — each starts with a fresh load,
+// and AppendSolve only continues within one column-generation loop — so
+// any workspace serves any solve, and the pool keeps about one per
+// concurrently running solve instead of one per Solver.
+var lpPool = sync.Pool{New: func() any { return lp.NewSolver() }}
 
 func (s *Solver) scratch(m int) []int {
 	if cap(s.digits) < m {
@@ -130,6 +141,24 @@ type asmScratch struct {
 	backing []float64
 }
 
+// bandwidthNames holds the first bandwidth rows' constraint names,
+// built once at start-up, so assembling a master — once per
+// column-generation iteration — formats no strings for them.
+var bandwidthNames = func() (names [128]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("bandwidth[%d]", i)
+	}
+	return names
+}()
+
+// bandwidthName names path i's bandwidth row.
+func bandwidthName(i int) string {
+	if i < len(bandwidthNames) {
+		return bandwidthNames[i]
+	}
+	return fmt.Sprintf("bandwidth[%d]", i)
+}
+
 // assembleProblemInto builds the common LP skeleton around the given
 // objective: bandwidth rows (Eqs. 14–15/29), an optional extra row (the
 // §VI-A quality floor), the cost row (Eq. 16/30) when costRow is set and
@@ -179,7 +208,7 @@ func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float6
 			row[l] = λ * cols.shares[l*base+i]
 		}
 		cons = append(cons, lp.Constraint{
-			Name: fmt.Sprintf("bandwidth[%d]", i-1), Coeffs: row, Rel: lp.LE, RHS: m.paths[i].Bandwidth,
+			Name: bandwidthName(i - 1), Coeffs: row, Rel: lp.LE, RHS: m.paths[i].Bandwidth,
 		})
 	}
 	if extra != nil {

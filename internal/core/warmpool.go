@@ -287,10 +287,12 @@ func (p *WarmPool) DropSession(key string) {
 }
 
 // QuarantineSession discards the session's warm solver after a solver
-// panic: the poisoned tableau is dropped on the floor — never retired
-// to the shape-keyed stripes, where another session could inherit it —
-// and replaced with a fresh cold solver, so the session's next solve
-// re-primes from scratch and later solves warm up again on clean state.
+// panic: the poisoned warm state (columns, CG pool, basis) is dropped
+// on the floor — never retired to the shape-keyed stripes, where
+// another session could inherit it — and replaced with a fresh cold
+// solver, so the session's next solve re-primes from scratch and later
+// solves warm up again on clean state. The panicked solve's LP
+// workspace never went back to its pool either (Solver.solve).
 // Quarantining an unknown or dropped key is a no-op. Callers must not
 // hold the session's solve in progress (the panic has already unwound
 // it).

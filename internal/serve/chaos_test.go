@@ -100,7 +100,7 @@ func TestChaosFleetSurvivesFaultStorms(t *testing.T) {
 	iters := chaosIters(t)
 
 	srv, err := New(Config{
-		Shards: 2, BatchWindow: time.Millisecond,
+		Shards:           2,
 		BreakerThreshold: 6, BreakerCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {

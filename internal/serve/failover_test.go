@@ -116,8 +116,7 @@ func waitSynced(t *testing.T, srv *Server, f *Follower) {
 func TestFailoverFleet(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	cfg := Config{
-		Shards:      2,
-		BatchWindow: time.Millisecond,
+		Shards: 2,
 		// Small threshold so compactions — and the follower reset
 		// transfers they force — happen for real during the test.
 		SnapshotBytes:  16 << 10,
@@ -267,7 +266,7 @@ func TestFailoverFleet(t *testing.T) {
 		// any unacknowledged records it journaled after the last
 		// replication poll. As a primary it must be fenced: a poll
 		// carrying the new epoch answers 409, never journal bytes.
-		stale, err := New(Config{Shards: 1, BatchWindow: -1, StateDir: staleDir})
+		stale, err := New(Config{Shards: 1, StateDir: staleDir})
 		if err != nil {
 			t.Fatalf("cycle %d: stale primary reboot: %v", cycle, err)
 		}
@@ -402,7 +401,7 @@ func readAllBody(resp *http.Response) (string, error) {
 func TestSyncAckRequiresFollower(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Config{
-		Shards: 1, BatchWindow: -1, StateDir: dir,
+		Shards: 1, StateDir: dir,
 		ReplAck: ReplAckSync, ReplAckTimeout: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -438,7 +437,7 @@ func TestSyncAckRequiresFollower(t *testing.T) {
 	// session. The 500 reported replication, not persistence.
 	ts.Close()
 	srv.crash()
-	srv2, err := New(Config{Shards: 1, BatchWindow: -1, StateDir: dir})
+	srv2, err := New(Config{Shards: 1, StateDir: dir})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -470,7 +469,7 @@ func TestFollowerFencesStalePrimary(t *testing.T) {
 
 	// A primary with one session, and a follower that syncs from it.
 	dirA := t.TempDir()
-	srvA, err := New(Config{Shards: 1, BatchWindow: -1, StateDir: dirA})
+	srvA, err := New(Config{Shards: 1, StateDir: dirA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +482,7 @@ func TestFollowerFencesStalePrimary(t *testing.T) {
 
 	// Promotion bumps the epoch and stamps it into the follower's state
 	// dir; the old primary keeps running, stale.
-	srvB, err := fol.Promote(Config{Shards: 1, BatchWindow: -1})
+	srvB, err := fol.Promote(Config{Shards: 1})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -543,7 +542,7 @@ func TestFollowerServesDegraded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 1))
 	wire := testNetwork(rng, 2)
 
-	srv, err := New(Config{Shards: 1, BatchWindow: -1, StateDir: t.TempDir()})
+	srv, err := New(Config{Shards: 1, StateDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +593,7 @@ func TestFollowerServesDegraded(t *testing.T) {
 func TestCompactionFsyncFaultKeepsJournal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		Shards: 1, BatchWindow: -1, StateDir: dir,
+		Shards: 1, StateDir: dir,
 		SnapshotBytes: 4 << 10, JournalNoSync: true,
 	}
 	srv, err := New(cfg)
@@ -684,7 +683,7 @@ func TestCompactionFsyncFaultKeepsJournal(t *testing.T) {
 // (the node still serves) with a status that says what is wrong.
 func TestHealthzDegradesOnDurabilityTrouble(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := New(Config{Shards: 1, BatchWindow: -1, StateDir: dir, ReplLagWarn: 64})
+	srv, err := New(Config{Shards: 1, StateDir: dir, ReplLagWarn: 64})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -52,7 +53,7 @@ func sumShards(m Metrics, f func(ShardMetrics) uint64) uint64 {
 // and let the session warm back up afterwards.
 func TestSolverPanicIsolatedAndQuarantined(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1})
+	srv, base := newTestServer(t, Config{Shards: 1})
 	rng := rand.New(rand.NewPCG(0xfa01, 1))
 	wire := testNetwork(rng, 3)
 
@@ -99,30 +100,37 @@ func TestSolverPanicIsolatedAndQuarantined(t *testing.T) {
 }
 
 // TestBudgetExpiredShed: tasks whose budget_ms runs out while queued
-// behind a slow wave are shed with 504 + Retry-After, before solver
-// work, and counted in shed_expired.
+// behind slow tasks holding every worker are shed with 504 +
+// Retry-After, before solver work, and counted in shed_expired.
 func TestBudgetExpiredShed(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1, MaxBatch: 1})
+	const workers = 2
+	srv, base := newPinnedServer(t, workers, Config{Shards: 1})
 	rng := rand.New(rand.NewPCG(0xfa02, 1))
 	wire := testNetwork(rng, 2)
 
 	fault.Activate(always("serve.exec", fault.Latency, 300*time.Millisecond))
-	const n = 4
+	const n = workers + 2
 	statuses := make([]int, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			req := scenario.SolveRequest{Solve: scenario.Solve{Network: wire}}
 			req.SessionID = "budget"
 			req.BudgetMs = 50
-			statuses[i], _ = postJSON(t, base+"/v1/solve", req)
-		}(i)
-		// Stagger so the first request occupies the (MaxBatch=1) wave
-		// and the rest age in the queue past their budgets.
-		time.Sleep(10 * time.Millisecond)
+			statuses[i], _ = postJSONAsync(t, base+"/v1/solve", req)
+		}()
+	}
+	// The first requests occupy every worker; the rest queue behind
+	// them and age past their budgets.
+	for i := 0; i < workers; i++ {
+		post(i)
+	}
+	waitHits(t, "serve.exec", workers)
+	for i := workers; i < n; i++ {
+		post(i)
 	}
 	wg.Wait()
 	fault.Deactivate()
@@ -153,7 +161,7 @@ func TestBudgetExpiredShed(t *testing.T) {
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	defer fault.Deactivate()
 	srv, base := newTestServer(t, Config{
-		Shards: 1, BatchWindow: -1,
+		Shards:           1,
 		BreakerThreshold: 3, BreakerCooldown: 100 * time.Millisecond,
 	})
 	rng := rand.New(rand.NewPCG(0xfa03, 1))
@@ -217,7 +225,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 func TestBreakerServesDegraded(t *testing.T) {
 	defer fault.Deactivate()
 	srv, base := newTestServer(t, Config{
-		Shards: 1, BatchWindow: -1,
+		Shards:           1,
 		BreakerThreshold: 2, BreakerCooldown: time.Hour, // stays open for the whole test
 		ServeDegraded: true,
 	})
@@ -262,23 +270,27 @@ func TestBreakerServesDegraded(t *testing.T) {
 }
 
 // TestAbandonedTasksShed: a client that disconnects while its task
-// queues must not cost a solve; the wave sheds it and counts abandoned.
+// queues must not cost a solve; the worker sheds it and counts
+// abandoned.
 func TestAbandonedTasksShed(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1, MaxBatch: 1})
+	const workers = 2
+	srv, base := newPinnedServer(t, workers, Config{Shards: 1})
 	rng := rand.New(rand.NewPCG(0xfa05, 1))
 	wire := testNetwork(rng, 2)
 
 	fault.Activate(always("serve.exec", fault.Latency, 300*time.Millisecond))
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postJSON(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "slow"})
-	}()
-	time.Sleep(30 * time.Millisecond) // the slow task is now mid-exec
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			postJSONAsync(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: fmt.Sprintf("slow-%d", i)})
+		}(i)
+	}
+	waitHits(t, "serve.exec", workers) // every worker is now mid-exec
 
-	// This request queues behind it, then its client walks away.
+	// This request queues behind them, then its client walks away.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/solve",

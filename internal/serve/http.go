@@ -84,7 +84,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, sh *shard, t *ta
 	case res := <-t.done:
 		return &res
 	case <-r.Context().Done():
-		// The client is gone: mark the task so the wave sheds it without
+		// The client is gone: mark the task so the worker sheds it without
 		// solver work. The buffered done send cannot block either way.
 		t.abandoned.Store(true)
 		return nil
@@ -241,7 +241,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Feed the observations before enqueuing the poll, so the poll's
-	// drift check sees them no matter how waves interleave.
+	// drift check sees them no matter how workers interleave.
 	se.mu.Lock()
 	ad := se.adaptor
 	if ad == nil || se.dropped {

@@ -147,10 +147,12 @@ func (m *shardMetrics) quantile(q float64) time.Duration {
 type ShardMetrics struct {
 	Shard    int `json:"shard"`
 	Sessions int `json:"sessions"`
-	// QueueDepth is the number of admitted tasks waiting for a wave.
+	// QueueDepth is the number of admitted tasks waiting for a free
+	// worker (tasks a worker holds are not counted).
 	QueueDepth int `json:"queue_depth"`
 	// Solves counts completed tasks (including failed ones); Waves
-	// counts the batches they were coalesced into.
+	// counts busy periods: the times the shard went from no executing
+	// task to one. Solves/Waves is the mean tasks per busy period.
 	Solves uint64 `json:"solves"`
 	Waves  uint64 `json:"waves"`
 	// WarmSolves counts tasks served from session warm state;
@@ -161,11 +163,12 @@ type ShardMetrics struct {
 	// Rejected counts tasks turned away by admission control (HTTP 429).
 	Rejected uint64 `json:"rejected"`
 	// Panics counts recovered solver panics (each one a 500 + a
-	// quarantined session solver); the shard worker survived them all.
+	// quarantined session solver); the shard's workers survived them
+	// all.
 	Panics uint64 `json:"panics"`
 	// ShedExpired counts tasks shed because their deadline budget ran
 	// out while queued (HTTP 504); Abandoned counts tasks dropped
-	// because their client disconnected before a wave reached them.
+	// because their client disconnected before a worker reached them.
 	ShedExpired uint64 `json:"shed_expired"`
 	Abandoned   uint64 `json:"abandoned"`
 	// BreakerState is the shard circuit breaker's current position

@@ -303,7 +303,7 @@ type seqShadow = map[string]uint64
 // replay order within a file is append order, but a crash between a
 // snapshot rename and the journal reset leaves stale lower-Seq journal
 // records behind, and two same-session records can land in the journal
-// slightly out of capture order when their waves raced — Seq, assigned
+// slightly out of capture order when their workers raced — Seq, assigned
 // under the session lock, is the authority.
 func applyRecord(state map[string]*scenario.SessionState, shadow seqShadow, rec *scenario.SnapshotRecord) {
 	switch rec.Kind {

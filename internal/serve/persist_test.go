@@ -279,7 +279,7 @@ func TestRetryAfterJitter(t *testing.T) {
 		}
 		return sh
 	}
-	s := &Server{}
+	s := &Server{workers: 1}
 	sh := mkShard()
 	seen := map[int]bool{}
 	seq := make([]int, 64)

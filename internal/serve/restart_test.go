@@ -110,9 +110,8 @@ func restartStorm(seed uint64) *fault.Plan {
 func TestCrashRestartFleet(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		Shards:      2,
-		BatchWindow: time.Millisecond,
-		StateDir:    dir,
+		Shards:   2,
+		StateDir: dir,
 		// Small threshold so compaction runs for real during the test.
 		SnapshotBytes: 16 << 10,
 	}
@@ -351,7 +350,7 @@ func TestCrashRestartFleet(t *testing.T) {
 // succeeds: after a crash the session stays gone.
 func TestDropDurability(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, BatchWindow: -1, StateDir: dir}
+	cfg := Config{Shards: 1, StateDir: dir}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -417,7 +416,7 @@ func TestDropDurability(t *testing.T) {
 // to a newer acknowledged append, and then truncate that record away.
 func TestSnapshotCompactionKeepsAckedState(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, BatchWindow: -1, StateDir: dir}
+	cfg := Config{Shards: 1, StateDir: dir}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,19 +1,20 @@
 // Package serve implements the dmcd online solver service: N sharded
-// core.WarmPools serving session-keyed solve/re-solve requests, with
-// concurrent requests coalesced into batched solve waves per shard,
-// per-session §VIII-A estimator feeds (estimate.Adaptor) driving warm
-// re-solves on drift, admission control with backpressure, and
-// per-shard metrics. The HTTP/JSON wire schema lives in
-// internal/scenario; cmd/dmcd wraps this package in a binary.
+// core.WarmPools serving session-keyed solve/re-solve requests, each
+// shard drained by a fixed set of workers, per-session §VIII-A
+// estimator feeds (estimate.Adaptor) driving warm re-solves on drift,
+// admission control with backpressure, and per-shard metrics. The
+// HTTP/JSON wire schema lives in internal/scenario; cmd/dmcd wraps this
+// package in a binary.
 //
 // Request flow: a session ID hashes onto a shard, whose bounded queue
-// either admits the task or rejects it (HTTP 429 + Retry-After). The
-// shard's worker collects admitted tasks into a wave — up to MaxBatch
-// tasks within BatchWindow — and fans the wave across the worker pool,
-// each task re-solving on the session's warm solver (basis and column
-// affinity survive fleet churn because the pool is keyed, not
-// positional). Estimator sessions route through their Adaptor instead,
-// which re-solves only when the fed estimates drift.
+// either admits the task or rejects it (HTTP 429 + Retry-After). Each of
+// the shard's GOMAXPROCS workers takes the next admitted task as soon
+// as it is free and re-solves it on the session's warm solver (basis and
+// column affinity survive fleet churn because the pool is keyed, not
+// positional); the session mutex orders each session's solves. No task
+// waits for another session's solve. Estimator sessions route through
+// their Adaptor instead, which re-solves only when the fed estimates
+// drift.
 package serve
 
 import (
@@ -27,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmc/internal/conc"
 	"dmc/internal/core"
 	"dmc/internal/estimate"
 	"dmc/internal/fault"
@@ -36,8 +36,8 @@ import (
 
 // fpExec fires in exec just before the solve, the serving stack's own
 // injection seam: errors surface as 500s (and count against the shard
-// breaker), panics exercise the full containment path, latency widens
-// waves.
+// breaker), panics exercise the full containment path, latency holds a
+// worker busy so later tasks queue behind it.
 var fpExec = fault.Register("serve.exec")
 
 // Config tunes a Server. The zero value selects production defaults.
@@ -45,12 +45,6 @@ type Config struct {
 	// Shards is the number of independent WarmPool shards (sessions
 	// hash onto one by ID). Zero means GOMAXPROCS.
 	Shards int
-	// BatchWindow is how long a wave waits to coalesce more requests
-	// after its first. Zero means 500µs; negative disables waiting
-	// (a wave takes only what is already queued).
-	BatchWindow time.Duration
-	// MaxBatch caps tasks per wave. Zero means 256.
-	MaxBatch int
 	// MaxQueue bounds each shard's admitted-task queue; a full queue
 	// rejects with 429 + Retry-After. Zero means 1024.
 	MaxQueue int
@@ -119,12 +113,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 500 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
@@ -199,7 +187,7 @@ const (
 	taskPoll
 )
 
-// task is one admitted unit of work waiting for (or inside) a wave.
+// task is one admitted unit of work waiting for (or held by) a worker.
 type task struct {
 	kind      taskKind
 	sess      *session // nil for stateless one-shot solves
@@ -217,14 +205,14 @@ type task struct {
 	done chan taskResult // buffered(1): exec never blocks on a gone client
 	enq  time.Time
 
-	// deadline is when the task's budget expires (zero = none): a wave
+	// deadline is when the task's budget expires (zero = none): a worker
 	// reaching it after expiry sheds the task without solver work.
 	deadline time.Time
 	// abandoned is set by submit when the client disconnects, so the
-	// wave drops the task cheaply instead of solving for nobody.
+	// worker drops the task cheaply instead of solving for nobody.
 	abandoned atomic.Bool
-	// delivered guards done so the normal path and the wave-panic sweep
-	// can both try to deliver without double-sending.
+	// delivered guards done so the normal path and the worker's panic
+	// net can both try to deliver without double-sending.
 	delivered atomic.Bool
 }
 
@@ -257,12 +245,14 @@ type session struct {
 	// lastGood is the session's most recent successful wire result, the
 	// stale answer ServeDegraded falls back to while the shard's
 	// breaker is open. It is a self-contained copy (NewSolveResult
-	// extracts), so serving it never races solver storage.
+	// extracts), so serving it never races solver storage. Kept only
+	// with ServeDegraded or StateDir; nil otherwise.
 	lastGood *scenario.SolveResult
 	// binding is the wire form of the session's current solve request
 	// (network + objective), the scenario half of its durable state.
-	// Nil until the first successful solve. The pointed-to Solve is
-	// never mutated, so snapshot captures may share it.
+	// Nil until the first successful solve, and always nil without
+	// StateDir. The pointed-to Solve is never mutated, so snapshot
+	// captures may share it.
 	binding *scenario.Solve
 	// dropRec is the session's drop record, built under mu when the
 	// session is dropped and appended after release. It stays set so a
@@ -282,16 +272,18 @@ func (se *session) lastGoodResult() *scenario.SolveResult {
 	return se.lastGood
 }
 
-// shard is one WarmPool plus its admission queue, worker, and circuit
+// shard is one WarmPool plus its admission queue, workers, and circuit
 // breaker.
 type shard struct {
-	idx   int
-	pool  *core.WarmPool
-	reqs  chan *task
-	stop  chan struct{}
-	batch []*task // wave scratch, touched only by the shard worker
-	met   shardMetrics
-	brk   breaker
+	idx  int
+	pool *core.WarmPool
+	reqs chan *task
+	stop chan struct{}
+	// busy counts the shard's workers holding a task; a 0 → 1 step
+	// starts a busy period (the Waves metric).
+	busy atomic.Int32
+	met  shardMetrics
+	brk  breaker
 }
 
 // Server is the online solver service. Create with New, serve HTTP via
@@ -299,8 +291,10 @@ type shard struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
-	tcache *core.TimeoutCache
-	start  time.Time
+	// workers is each shard's worker count, GOMAXPROCS at New.
+	workers int
+	tcache  *core.TimeoutCache
+	start   time.Time
 
 	smu      sync.RWMutex
 	sessions map[string]*session
@@ -341,8 +335,8 @@ func (s *Server) logPanic(sp *SolverPanic) {
 	})
 }
 
-// New starts a Server: cfg.Shards WarmPool shards, each with a running
-// wave worker. With Config.StateDir set it first replays the state
+// New starts a Server: cfg.Shards WarmPool shards, each drained by
+// GOMAXPROCS workers. With Config.StateDir set it first replays the state
 // dir's snapshot + journal and re-registers every durable session —
 // estimator feeds resume from their restored counters, degraded serving
 // resumes from the restored last-good strategies, and the first solve
@@ -354,6 +348,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		shards:   make([]*shard, cfg.Shards),
+		workers:  runtime.GOMAXPROCS(0),
 		tcache:   core.NewTimeoutCache(),
 		start:    time.Now(),
 		sessions: make(map[string]*session),
@@ -399,8 +394,10 @@ func New(cfg Config) (*Server, error) {
 		s.restored = len(state)
 	}
 	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.runShard(sh)
+		for range s.workers {
+			s.wg.Add(1)
+			go s.runWorker(sh)
+		}
 	}
 	if cfg.Promote {
 		// Make the epoch bump durable before the first request: the
@@ -565,7 +562,7 @@ func (s *Server) snapshotNow() error {
 // request whose append crossed the journal threshold is acknowledged as
 // soon as its own record is durable instead of bearing the whole
 // fleet's capture + snapshot IO inside its deadline budget. Singleflight:
-// waves on every shard can cross the threshold at once, one spawn wins
+// workers on every shard can cross the threshold at once, one spawn wins
 // and the rest skip. The goroutine rides s.wg, so Close/crash wait it
 // out before the final snapshot and the journal close; once closed is
 // set it stands down — Close's own snapshotNow compacts. Failure is
@@ -730,17 +727,17 @@ func (s *Server) deadlineFor(budgetMs float64) time.Time {
 }
 
 // retryAfter estimates how long a rejected caller should back off: the
-// queue's expected drain time at the shard's median latency, plus
-// bounded jitter — every client shed from the same wave sees the same
-// queue depth and p50, and identical hints would march them back as one
-// synchronized retry storm. The jitter is deterministic (a counter-keyed
-// hash stream, not a clock or RNG), so the nth rejection on a shard
-// always backs off the same amount and chaos runs replay exactly.
-// Clamped to [1s, 30s] whole seconds.
+// queue's expected drain time at the shard's median latency across its
+// workers, plus bounded jitter — every client shed in the same burst
+// sees the same queue depth and p50, and identical hints would march
+// them back as one synchronized retry storm. The jitter is
+// deterministic (a counter-keyed hash stream, not a clock or RNG), so
+// the nth rejection on a shard always backs off the same amount and
+// chaos runs replay exactly. Clamped to [1s, 30s] whole seconds.
 func (s *Server) retryAfter(sh *shard) int {
 	var base time.Duration
 	if p50 := sh.met.quantile(0.50); p50 > 0 {
-		base = time.Duration(len(sh.reqs)) * p50
+		base = time.Duration(len(sh.reqs)) * p50 / time.Duration(s.workers)
 	}
 	// Jitter spans [0, base/2 + 1s): proportional spread under load, at
 	// least a second of spread when the queue is empty.
@@ -766,7 +763,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Close stops the server gracefully: every already-admitted task is
-// still solved (in-flight waves drain), then the shard workers exit.
+// still solved (the shard queues drain), then the shard workers exit.
 // With persistence on, the drain ends with a final full snapshot so a
 // graceful restart is lossless by construction. Requests arriving after
 // Close begin fail with 503. Close is idempotent and safe to call
@@ -840,21 +837,20 @@ func (s *Server) stop() bool {
 	return true
 }
 
-// runShard is the shard worker: block for a first task, coalesce a
-// wave around it, execute, repeat. On stop it drains everything already
-// admitted before exiting — graceful shutdown never abandons an
-// admitted task.
-func (s *Server) runShard(sh *shard) {
+// runWorker is one of a shard's workers: take the next admitted task,
+// execute it, repeat. On stop it drains everything already admitted
+// before exiting — graceful shutdown never abandons an admitted task.
+func (s *Server) runWorker(sh *shard) {
 	defer s.wg.Done()
 	for {
 		select {
 		case t := <-sh.reqs:
-			s.safeWave(sh, t)
+			s.safeExec(sh, t)
 		case <-sh.stop:
 			for {
 				select {
 				case t := <-sh.reqs:
-					s.safeWave(sh, t)
+					s.safeExec(sh, t)
 				default:
 					return
 				}
@@ -863,87 +859,27 @@ func (s *Server) runShard(sh *shard) {
 	}
 }
 
-// safeWave is the shard worker's last line of defense: exec recovers
-// panics per task, so nothing should escape a wave — but if something
-// does (a panic in wave assembly itself), the worker must not die with
-// callers parked on t.done. Every undelivered task in the wave gets the
-// panic as its error, and the worker loop continues.
-func (s *Server) safeWave(sh *shard, first *task) {
+// safeExec is the worker's last line of defense: exec recovers solver
+// panics itself, so nothing should escape it — but if something does
+// (a panic in the journal append or the bookkeeping around the solve),
+// the worker must not die with the caller parked on t.done. The task
+// gets the panic as its error, and the worker loop continues.
+func (s *Server) safeExec(sh *shard, t *task) {
+	if sh.busy.Add(1) == 1 {
+		sh.met.waves.Add(1)
+	}
+	defer sh.busy.Add(-1)
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
 		sp := &SolverPanic{Value: p, Stack: debug.Stack()}
-		if pe, ok := p.(*conc.PanicError); ok {
-			sp = &SolverPanic{Value: pe.Value, Stack: pe.Stack}
-		}
 		sh.met.panics.Add(1)
 		s.logPanic(sp)
-		first.deliver(taskResult{err: sp})
-		for _, t := range sh.batch {
-			// Tasks from an already-completed wave are skipped by the
-			// delivered guard.
-			t.deliver(taskResult{err: sp})
-		}
+		t.deliver(taskResult{err: sp})
 	}()
-	s.wave(sh, first)
-}
-
-// wave coalesces up to MaxBatch tasks — waiting at most BatchWindow for
-// stragglers, but firing early once arrivals go quiet for a quarter
-// window (callers blocked on this wave's results cannot send more, so
-// idling out the full window would only add latency) — and solves them
-// as one batch across the worker pool. Per-session warm affinity comes
-// from the keyed pool, so which wave a task lands in never affects its
-// result, only its latency.
-func (s *Server) wave(sh *shard, first *task) {
-	batch := append(sh.batch[:0], first)
-	if s.cfg.BatchWindow > 0 {
-		gapD := s.cfg.BatchWindow / 4
-		if gapD <= 0 {
-			gapD = s.cfg.BatchWindow
-		}
-		total := time.NewTimer(s.cfg.BatchWindow)
-		gap := time.NewTimer(gapD)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-sh.reqs:
-				batch = append(batch, t)
-				if !gap.Stop() {
-					<-gap.C
-				}
-				gap.Reset(gapD)
-			case <-gap.C:
-				break collect
-			case <-total.C:
-				break collect
-			case <-sh.stop:
-				// Shutdown cuts the window short; the queue's remainder
-				// drains in runShard's stop loop.
-				break collect
-			}
-		}
-		total.Stop()
-		gap.Stop()
-	} else {
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-sh.reqs:
-				batch = append(batch, t)
-			default:
-				goto full
-			}
-		}
-	full:
-	}
-	sh.batch = batch
-	sh.met.waves.Add(1)
-	conc.ForEach(len(batch), func(i int) error {
-		s.exec(sh, batch[i])
-		return nil
-	})
+	s.exec(sh, t)
 }
 
 // exec runs one task and delivers its result. Shedding happens here,
@@ -952,7 +888,7 @@ func (s *Server) wave(sh *shard, first *task) {
 // injected or real — is contained to this task: the session path
 // quarantines its solver in solveTask's recover, everything else is
 // caught by the outer recover, and either way the caller gets a typed
-// 500 and the wave rolls on.
+// 500 and the worker moves on.
 func (s *Server) exec(sh *shard, t *task) {
 	if t.abandoned.Load() {
 		sh.met.abandonedTasks.Add(1)
@@ -1058,7 +994,7 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 			return scenario.SolveResult{}, false, nil, err
 		}
 		res := scenario.NewSolveResult(sol, nil)
-		se.lastGood = &res
+		s.keepLocked(se, res, nil)
 		return res, resolved, s.captureLocked(se), nil
 	}
 
@@ -1080,10 +1016,7 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 		}
 		se.adaptor = ad
 		res := scenario.NewSolveResult(sol, nil)
-		se.lastGood = &res
-		if t.wire != nil {
-			se.binding = t.wire
-		}
+		s.keepLocked(se, res, t.wire)
 		return res, true, s.captureLocked(se), nil
 	}
 	// An explicit plain solve supersedes any estimator feed: the client
@@ -1103,11 +1036,23 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 		return scenario.SolveResult{}, false, nil, err
 	}
 	out := scenario.NewSolveResult(sol, to)
-	se.lastGood = &out
-	if t.wire != nil {
-		se.binding = t.wire
-	}
+	s.keepLocked(se, out, t.wire)
 	return out, true, s.captureLocked(se), nil
+}
+
+// keepLocked stores what a later read needs from a successful session
+// solve; the caller holds se.mu. The last good result is read by
+// degraded serving and by the journal capture, the wire binding by the
+// journal capture alone, so a server with neither feature keeps no
+// per-session copy. A nil wire (an estimator poll) leaves the binding.
+func (s *Server) keepLocked(se *session, res scenario.SolveResult, wire *scenario.Solve) {
+	if s.persist != nil || s.cfg.ServeDegraded {
+		lg := res
+		se.lastGood = &lg
+	}
+	if s.persist != nil && wire != nil {
+		se.binding = wire
+	}
 }
 
 // oneShot solves a session-less task on the package-level pooled

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/estimate"
+	"dmc/internal/fault"
 	"dmc/internal/scenario"
 )
 
@@ -67,18 +69,33 @@ func toCore(t *testing.T, n scenario.Network) *core.Network {
 // postJSON posts body to url and returns the status plus decoded body.
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
+	status, out := postJSONAsync(t, url, body)
+	if status == 0 {
+		t.FailNow()
+	}
+	return status, out
+}
+
+// postJSONAsync is postJSON for goroutines other than the test's own:
+// a failed request is reported with t.Error and returns status 0, since
+// only the test goroutine may stop the test.
+func postJSONAsync(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Errorf("marshal: %v", err)
+		return 0, nil
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Errorf("POST %s: %v", url, err)
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("read body: %v", err)
+		t.Errorf("read body: %v", err)
+		return 0, nil
 	}
 	return resp.StatusCode, out
 }
@@ -113,13 +130,37 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, ts.URL
 }
 
+// newPinnedServer is newTestServer with exactly workers workers per
+// shard on any machine: New sizes each shard's worker set from
+// GOMAXPROCS, so it is pinned around the call.
+func newPinnedServer(t *testing.T, workers int, cfg Config) (*Server, string) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
+	return newTestServer(t, cfg)
+}
+
+// waitHits blocks until the named injection point has been hit at
+// least n times under the active plan. With latency armed on
+// serve.exec, n hits means n tasks are holding a worker.
+func waitHits(t *testing.T, point string, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for fault.Stats()[point].Hits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s hit %d times in 10s, want %d", point, fault.Stats()[point].Hits, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeFleetDrift drives a 64-session fleet over HTTP through
-// solve → drift → re-solve rounds with concurrent requests (so waves
-// coalesce), asserting every optimum matches a per-session library
+// solve → drift → re-solve rounds with concurrent requests (so workers
+// overlap), asserting every optimum matches a per-session library
 // Resolve trajectory to 1e-6 and that every re-solve after the first
 // round is served warm from the session's keyed solver.
 func TestServeFleetDrift(t *testing.T) {
-	srv, base := newTestServer(t, Config{Shards: 4, BatchWindow: time.Millisecond})
+	srv, base := newTestServer(t, Config{Shards: 4})
 	rng := rand.New(rand.NewPCG(7, 1))
 
 	const fleet = 64
@@ -189,8 +230,8 @@ func TestServeFleetDrift(t *testing.T) {
 	if solves != 4*fleet {
 		t.Errorf("metrics count %d solves, want %d", solves, 4*fleet)
 	}
-	if waves >= solves {
-		t.Errorf("no coalescing: %d waves for %d solves", waves, solves)
+	if waves < 1 || waves > solves {
+		t.Errorf("%d busy periods for %d solves, want 1 ≤ waves ≤ solves", waves, solves)
 	}
 	if m.Sessions != fleet {
 		t.Errorf("metrics report %d sessions, want %d", m.Sessions, fleet)
@@ -473,19 +514,17 @@ func TestEnqueueAfterClose(t *testing.T) {
 	}
 }
 
-// TestServeGracefulShutdown checks Close drains in-flight waves: every
-// request admitted before Close still gets its solution, and requests
-// after Close get 503.
+// TestServeGracefulShutdown checks Close drains the shard: every
+// request admitted before Close still gets its solution — those holding
+// a worker and those still queued — and requests after Close get 503.
 func TestServeGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{Shards: 1, BatchWindow: 200 * time.Millisecond, MaxBatch: 64})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	defer fault.Deactivate()
+	const workers = 2
+	srv, base := newPinnedServer(t, workers, Config{Shards: 1})
 	rng := rand.New(rand.NewPCG(5, 5))
 	wire := testNetwork(rng, 3)
 
+	fault.Activate(always("serve.exec", fault.Latency, 100*time.Millisecond))
 	const n = 8
 	statuses := make([]int, n)
 	bodies := make([][]byte, n)
@@ -494,24 +533,32 @@ func TestServeGracefulShutdown(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i], bodies[i] = postJSON(t, ts.URL+"/v1/solve", scenario.SolveRequest{
+			statuses[i], bodies[i] = postJSONAsync(t, base+"/v1/solve", scenario.SolveRequest{
 				Solve:     scenario.Solve{Network: wire},
 				SessionID: fmt.Sprintf("drain-%d", i),
 			})
 		}(i)
 	}
-	// Give the requests time to be admitted into the (still-collecting)
-	// wave, then shut down: the wave must cut its window short and
-	// drain, not abandon the admitted tasks.
-	time.Sleep(50 * time.Millisecond)
+	// Shut down once every request is admitted: workers tasks held in
+	// exec latency, the rest queued behind them. Close must drain the
+	// queue, not abandon it.
+	waitHits(t, "serve.exec", workers)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(srv.shards[0].reqs) < n-workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests queued", len(srv.shards[0].reqs), n-workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	closed := make(chan struct{})
 	go func() { srv.Close(); close(closed) }()
 	wg.Wait()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the waves drained")
+		t.Fatal("Close did not return after the queue drained")
 	}
+	fault.Deactivate()
 
 	for i, st := range statuses {
 		if st != http.StatusOK {
@@ -519,11 +566,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	}
 
-	status, _ := postJSON(t, ts.URL+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}})
+	status, _ := postJSON(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}})
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("solve after Close: status %d, want 503", status)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,23 +581,27 @@ func TestServeGracefulShutdown(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServeAdmission saturates a 1-deep queue with slow cold solves and
-// checks backpressure: 429s with a Retry-After header, a rejected
-// counter on /metrics, and no hung or dropped requests.
+// TestServeAdmission fills every worker with a slow task and then
+// saturates a 1-deep queue, checking backpressure: 429s with a
+// Retry-After header, a rejected counter on /metrics, and no hung or
+// dropped requests.
 func TestServeAdmission(t *testing.T) {
-	srv, base := newTestServer(t, Config{Shards: 1, MaxQueue: 1, MaxBatch: 1, BatchWindow: -1})
+	defer fault.Deactivate()
+	const workers = 2
+	srv, base := newPinnedServer(t, workers, Config{Shards: 1, MaxQueue: 1})
 	rng := rand.New(rand.NewPCG(13, 4))
 	wire := testNetwork(rng, 7)
 	wire.Transmissions = 3
 
+	fault.Activate(always("serve.exec", fault.Latency, 300*time.Millisecond))
 	const n = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	counts := map[int]int{}
 	var retryAfter string
-	for i := 0; i < n; i++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			buf, _ := json.Marshal(scenario.SolveRequest{
 				Solve:     scenario.Solve{Network: wire},
@@ -569,15 +620,23 @@ func TestServeAdmission(t *testing.T) {
 				retryAfter = resp.Header.Get("Retry-After")
 			}
 			mu.Unlock()
-		}(i)
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		post(i)
+	}
+	waitHits(t, "serve.exec", workers) // every worker is busy
+	for i := workers; i < n; i++ {
+		post(i)
 	}
 	wg.Wait()
+	fault.Deactivate()
 
 	if counts[http.StatusOK]+counts[http.StatusTooManyRequests] != n {
 		t.Fatalf("unexpected status mix: %v", counts)
 	}
 	if counts[http.StatusTooManyRequests] == 0 {
-		t.Skip("queue never saturated on this machine; admission path not exercised")
+		t.Fatalf("queue never saturated with every worker busy: %v", counts)
 	}
 	if retryAfter == "" {
 		t.Error("429 response missing Retry-After header")
@@ -588,6 +647,80 @@ func TestServeAdmission(t *testing.T) {
 	}
 	if int(m.Shards[0].Solves) != counts[http.StatusOK] {
 		t.Errorf("metrics count %d solves, want %d", m.Shards[0].Solves, counts[http.StatusOK])
+	}
+}
+
+// TestQuickSolveNotBehindSlowSolve checks a shard's workers pull tasks
+// independently: while one worker is held inside a slow column-
+// generation re-solve, a quick solve for another session on the same
+// shard is answered at once instead of waiting for it.
+func TestQuickSolveNotBehindSlowSolve(t *testing.T) {
+	defer fault.Deactivate()
+	_, base := newPinnedServer(t, 2, Config{Shards: 1})
+	rng := rand.New(rand.NewPCG(0x51, 3))
+	// 15 paths × 3 transmissions is 16³ = 4,096 combinations, above the
+	// dense threshold: the session solves by column generation.
+	slow := testNetwork(rng, 15)
+	slow.Transmissions = 3
+	solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: slow}, SessionID: "slow"})
+
+	fault.Activate(always("core.cg.reprice", fault.Latency, 500*time.Millisecond))
+	drifted := driftWire(rng, slow, 0.05)
+	slowStatus := make(chan int, 1)
+	go func() {
+		st, _ := postJSONAsync(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: drifted}, SessionID: "slow"})
+		slowStatus <- st
+	}()
+	waitHits(t, "core.cg.reprice", 1) // the warm re-solve holds a worker
+
+	quick := solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: testNetwork(rng, 3)}, SessionID: "quick"})
+	select {
+	case st := <-slowStatus:
+		t.Fatalf("the 3×2 answer arrived after the held 15×3 re-solve (status %d)", st)
+	default:
+	}
+	if quick.Result.Quality <= 0 {
+		t.Errorf("quick solve quality %v", quick.Result.Quality)
+	}
+	if st := <-slowStatus; st != http.StatusOK {
+		t.Errorf("held re-solve status %d, want 200", st)
+	}
+}
+
+// TestSessionCopiesKeptOnlyWhenRead checks a session keeps its last good
+// result only when degraded serving or the journal reads it, and its
+// wire binding only when the journal does.
+func TestSessionCopiesKeptOnlyWhenRead(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 5))
+	wire := testNetwork(rng, 2)
+	for _, tc := range []struct {
+		name              string
+		cfg               Config
+		lastGood, binding bool
+	}{
+		{"plain", Config{Shards: 1}, false, false},
+		{"state dir", Config{Shards: 1, StateDir: t.TempDir()}, true, true},
+		{"serve degraded", Config{Shards: 1, ServeDegraded: true}, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, base := newTestServer(t, tc.cfg)
+			solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "plain"})
+			solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "est", Estimator: true})
+			if st, body := postJSON(t, base+"/v1/observe", scenario.ObserveRequest{
+				SessionID: "est", Paths: []scenario.PathObservation{{Path: 0, Sent: 100, Lost: 30}},
+			}); st != http.StatusOK {
+				t.Fatalf("/v1/observe status %d: %s", st, body)
+			}
+			for _, id := range []string{"plain", "est"} {
+				se := srv.lookupSession(id)
+				se.mu.Lock()
+				lastGood, binding := se.lastGood != nil, se.binding != nil
+				se.mu.Unlock()
+				if lastGood != tc.lastGood || binding != tc.binding {
+					t.Errorf("session %q: lastGood set %v, binding set %v; want %v, %v", id, lastGood, binding, tc.lastGood, tc.binding)
+				}
+			}
+		})
 	}
 }
 
