@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dmc"
+	"dmc/internal/conc"
 	"dmc/internal/core"
 	"dmc/internal/dist"
 	"dmc/internal/experiments"
@@ -324,23 +325,52 @@ func solveManyFleet(paths, trans, size, rounds int) [][]*dmc.Network {
 	return out
 }
 
-// BenchmarkSolveManyWarm measures fleet-scale batch re-solves of 64
-// drifting 20-path × 4-transmission networks (194k-combination CG
-// dispatch each): the shared warm pool (one pooled warm solver per
-// network shape, reused across batches) against per-worker cold solves
-// of the identical fleets. The warm/cold per-op ratio is the PR's
-// fleet-re-solve artifact; ≥5× is the acceptance bar.
+// sessionKeys precomputes one session key per fleet slot, so the
+// session fan-outs below format no strings inside the timed loop.
+func sessionKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sat-%05d", i)
+	}
+	return keys
+}
+
+// solveSessions re-solves one fleet round on the pool, network i on
+// session keys[i], fanned across GOMAXPROCS workers.
+func solveSessions(pool *dmc.WarmPool, keys []string, nets []*dmc.Network) error {
+	return conc.ForEach(len(nets), func(i int) error {
+		_, err := pool.SolveSession(keys[i], nets[i])
+		return err
+	})
+}
+
+// solveCold solves every network one-shot with the package-level
+// SolveQuality, fanned across GOMAXPROCS workers.
+func solveCold(nets []*dmc.Network) error {
+	return conc.ForEach(len(nets), func(i int) error {
+		_, err := dmc.SolveQuality(nets[i])
+		return err
+	})
+}
+
+// BenchmarkSolveManyWarm measures fleet-scale re-solves of 64 drifting
+// 20-path × 4-transmission networks (194k-combination CG dispatch
+// each): one WarmPool session per network, re-solved warm as the fleet
+// drifts, against one-shot cold solves of the identical fleets. Both
+// fan out across GOMAXPROCS workers. The warm/cold per-op ratio is the
+// fleet re-solve artifact; ≥5× is the acceptance bar.
 func BenchmarkSolveManyWarm(b *testing.B) {
 	fleets := solveManyFleet(20, 4, 64, 8)
 	b.Run("warm", func(b *testing.B) {
 		pool := dmc.NewWarmPool()
-		if _, err := pool.SolveMany(fleets[0]); err != nil {
+		keys := sessionKeys(len(fleets[0]))
+		if err := solveSessions(pool, keys, fleets[0]); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pool.SolveMany(fleets[i%len(fleets)]); err != nil {
+			if err := solveSessions(pool, keys, fleets[i%len(fleets)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -348,7 +378,7 @@ func BenchmarkSolveManyWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dmc.SolveMany(fleets[i%len(fleets)]); err != nil {
+			if err := solveCold(fleets[i%len(fleets)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -561,8 +591,9 @@ func BenchmarkSumTail(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveMany measures the batch solve API on a fleet of Figure 4
-// sized instances (per-op time covers the whole batch).
+// BenchmarkSolveMany measures one-shot solves of a fleet of Figure 4
+// sized instances fanned across GOMAXPROCS workers (per-op time covers
+// the whole fleet).
 func BenchmarkSolveMany(b *testing.B) {
 	rng := rand.New(rand.NewPCG(9, 27))
 	nets := make([]*dmc.Network, 64)
@@ -572,12 +603,8 @@ func BenchmarkSolveMany(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sols, err := dmc.SolveMany(nets)
-		if err != nil {
+		if err := solveCold(nets); err != nil {
 			b.Fatal(err)
-		}
-		if len(sols) != len(nets) {
-			b.Fatal("missing solutions")
 		}
 	}
 }
@@ -607,12 +634,13 @@ func BenchmarkLPLargeAspect(b *testing.B) {
 // fleet: rounds × size wire requests over the same session IDs.
 func serveFleetBodies(fleets [][]*dmc.Network) [][][]byte {
 	out := make([][][]byte, len(fleets))
+	keys := sessionKeys(len(fleets[0]))
 	for r, fleet := range fleets {
 		out[r] = make([][]byte, len(fleet))
 		for i, n := range fleet {
 			buf, err := json.Marshal(scenario.SolveRequest{
 				Solve:     scenario.Solve{Network: scenario.FromNetwork(n)},
-				SessionID: fmt.Sprintf("sat-%05d", i),
+				SessionID: keys[i],
 			})
 			if err != nil {
 				panic(err)
@@ -666,7 +694,8 @@ func serveSweep(url string, bodies [][]byte) error {
 
 // BenchmarkServeSaturation measures the daemon under fleet re-solve
 // sweeps (one whole drifting fleet round per op) against the same
-// sweeps on the library's WarmPool directly, in two regimes. sessions=64
+// sweeps on a library WarmPool directly (one session per network,
+// fanned across GOMAXPROCS workers), in two regimes. sessions=64
 // is CG-scale (20 paths × 4 transmissions per session): per-solve work
 // dominates, and the daemon/library per-op ratio is the serving tax —
 // HTTP, admission queueing, and session registry on top of identical keyed
@@ -683,12 +712,13 @@ func BenchmarkServeSaturation(b *testing.B) {
 
 		b.Run(fmt.Sprintf("sessions=%d/library", size.sessions), func(b *testing.B) {
 			pool := dmc.NewWarmPool()
-			if _, err := pool.SolveMany(fleets[0]); err != nil {
+			keys := sessionKeys(size.sessions)
+			if err := solveSessions(pool, keys, fleets[0]); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pool.SolveMany(fleets[i%len(fleets)]); err != nil {
+				if err := solveSessions(pool, keys, fleets[i%len(fleets)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,10 +34,10 @@
 // Solver.ResolveQualityRandom re-solve incrementally on the same engine
 // for drifting estimates: column tables rebuilt in place, CG pool
 // retained and repriced, LP basis reused with newly priced columns
-// appended onto the hot tableau; NewWarmPool shares that warm state
-// across SolveMany workers and session keys for fleet-wide re-solve
-// storms. SolveQualityExact solves with exact rational arithmetic, as
-// the paper's CGAL setup.
+// appended onto the hot tableau; NewWarmPool keeps one such warm
+// Solver per session key for fleets of sessions re-solving as their
+// estimates drift. SolveQualityExact solves with exact rational
+// arithmetic, as the paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
 // solved split to per-packet decisions.
@@ -103,30 +103,29 @@ type (
 	// Solver is a reusable solve context: it owns the
 	// combination-enumeration workspaces and borrows a pooled simplex
 	// tableau for each solve, so repeated solves of same-shaped networks
-	// allocate almost nothing after warmup. Its DenseThreshold field is
-	// the one dispatch option: the combination count above which every
-	// objective solves by column generation (0 = the 2,048 default,
-	// negative = always). Its one-shot methods
-	// (SolveQuality, SolveMinCost, SolveQualityRandom) return Solutions
-	// that own their storage. Its Resolve methods solve incrementally:
-	// when only λ/µ/loss/delay drift between calls (the §VIII-A adaptive
-	// regime), column tables are rebuilt in place, the column-generation
-	// pool is retained and repriced, and the previous LP basis
-	// warm-starts the simplex — typically ≥5× faster than a cold solve at
-	// CG scale, with identical optima. Not safe for concurrent use; use
-	// one per goroutine, or SolveMany.
+	// reuse that memory instead of reallocating it. Its DenseThreshold
+	// field is the one dispatch option: the combination count above
+	// which every objective solves by column generation (0 = the 2,048
+	// default, negative = always). Its one-shot methods (SolveQuality,
+	// SolveMinCost, SolveQualityRandom) return Solutions that own their
+	// storage. Its Resolve methods solve incrementally: when only
+	// λ/µ/loss/delay drift between calls (the §VIII-A adaptive regime),
+	// column tables are rebuilt in place, the column-generation pool is
+	// retained and repriced, and the previous LP basis warm-starts the
+	// simplex — typically ≥5× faster than a cold solve at CG scale, with
+	// identical optima. Not safe for concurrent use; use one per
+	// goroutine, or a WarmPool (one Solver per session key).
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
 	// re-solves under λ/µ/loss drift reuse the table for free. Safe for
 	// concurrent use.
 	TimeoutCache = core.TimeoutCache
-	// WarmPool shares incremental re-solve state (column tables, CG
-	// pools, LP bases) across fleet re-solves: a striped, shape-keyed
-	// pool of warm Solvers with positional (SolveMany) and session-keyed
-	// (SolveSession, SolveSessionMinCost, SolveSessionRandom,
-	// DropSession) entry points. Safe for concurrent use; see
-	// NewWarmPool.
+	// WarmPool keeps incremental re-solve state (column tables, CG
+	// pool, LP basis) per session: a map from session key to one warm
+	// Solver, solved through SolveSession, SolveSessionMinCost, and
+	// SolveSessionRandom and released by DropSession. Safe for
+	// concurrent use; see NewWarmPool.
 	WarmPool = core.WarmPool
 	// SolveStats records which solve core ran (dense enumeration or
 	// column generation) and what it cost.
@@ -267,9 +266,9 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 
 // NewSolver returns a reusable Solver for hot loops that solve many
-// same-shaped networks (adaptive re-solves, sweeps): basis and
-// enumeration buffers are kept across calls, and the simplex tableau
-// comes from a process-wide pool for each solve. For repeated solves of
+// same-shaped networks (adaptive re-solves, sweeps): enumeration
+// buffers are kept across calls, and the simplex tableau comes from a
+// process-wide pool for each solve. For repeated solves of
 // ONE network shape under drifting estimates, use the Solver's Resolve
 // method — the incremental path that reuses columns, the CG pool, and
 // the LP basis across solves.
@@ -281,24 +280,13 @@ func NewSolver() *Solver { return core.NewSolver() }
 // cache for free.
 func NewTimeoutCache() *TimeoutCache { return core.NewTimeoutCache() }
 
-// SolveMany solves the quality maximization for every network, fanning
-// the solves across GOMAXPROCS workers with per-worker reusable solvers.
-// Results are in input order; on error, entries that did not solve are
-// nil. Safe for concurrent use.
-func SolveMany(nets []*Network) ([]*Solution, error) { return core.SolveMany(nets) }
-
-// NewWarmPool returns an empty shared warm-solver pool with two kinds
-// of entry point. The positional batch method SolveMany is the
-// incremental counterpart of the package-level SolveMany: batch slot i
-// re-solves on the solver that served slot i last time, so stable fleet
-// orderings stay warm.
-// The session-keyed methods (SolveSession, SolveSessionMinCost,
-// SolveSessionRandom, DropSession) pin a caller-supplied key to its own
-// warm solver, keeping basis and column-pool affinity as the fleet
-// reorders, grows, and shrinks around it. Both share the
+// NewWarmPool returns an empty session-keyed warm-solver pool. Its
+// methods (SolveSession, SolveSessionMinCost, SolveSessionRandom) pin a
+// caller-supplied key to its own warm solver, keeping basis and
+// column-pool affinity as the fleet reorders, grows, and shrinks around
+// it; DropSession releases the key's solver. They share the
 // Solver.Resolve result-invalidation contract: a Solution's slices are
-// valid until the next solve that reuses its solver (same positional
-// slot, or same session key).
+// valid until the next solve on the same session key.
 func NewWarmPool() *WarmPool { return core.NewWarmPool() }
 
 // SolveMinCost minimizes cost subject to a quality floor (§VI-A) with

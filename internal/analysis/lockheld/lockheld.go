@@ -1,11 +1,11 @@
 // Package lockheld checks the serving stack's lock-discipline
 // invariant: the registry mutexes that guard shared maps and admission
-// (core.WarmPool.mu/.smu, the warm-stripe locks, serve.Server.smu and
-// .admitMu, the fault registry lock) must never be held across anything
-// that can block or across a solver call, and the per-session slot
-// mutexes (core.sessionSlot.mu, serve.session.mu) — which by design ARE
-// held across solves to serialize a session — must still never be held
-// across channel operations, sleeps, waits, or network I/O.
+// (core.WarmPool.smu, serve.Server.smu and .admitMu, the fault registry
+// lock) must never be held across anything that can block or across a
+// solver call, and the per-session slot mutexes (core.sessionSlot.mu,
+// serve.session.mu) — which by design ARE held across solves to
+// serialize a session — must still never be held across channel
+// operations, sleeps, waits, or network I/O.
 //
 // A registry lock held across a blocking operation turns one slow or
 // deadlocked session into a server-wide stall: every solve on the shard
@@ -76,9 +76,7 @@ type mutexSpec struct {
 // guarded is the project's lock-discipline table. Fixture stubs declare
 // the same paths, so the table serves tests unchanged.
 var guarded = []mutexSpec{
-	{"dmc/internal/core", "WarmPool", "mu", tierRegistry},
 	{"dmc/internal/core", "WarmPool", "smu", tierRegistry},
-	{"dmc/internal/core", "warmStripe", "mu", tierRegistry},
 	{"dmc/internal/core", "sessionSlot", "mu", tierSlot},
 	{"dmc/internal/serve", "Server", "smu", tierRegistry},
 	{"dmc/internal/serve", "Server", "admitMu", tierRegistry},
@@ -336,7 +334,7 @@ func (c *checker) blockingOp(pos token.Pos, held map[string]heldMutex, op string
 
 // mutexOp decodes expr as a Lock/RLock/Unlock/RUnlock call on a guarded
 // mutex, returning a key identifying the mutex path (so the Unlock of
-// `p.stripes[i].mu` closes the region its Lock opened).
+// `se.sh.pool.smu` closes the region its Lock opened).
 func (c *checker) mutexOp(expr ast.Expr) (key string, hm heldMutex, op string, ok bool) {
 	call, okc := expr.(*ast.CallExpr)
 	if !okc {

@@ -1,7 +1,6 @@
 // Package core is a fixture stub shadowing dmc/internal/core: the
-// guarded registry (WarmPool.mu/.smu, warmStripe.mu) and slot
-// (sessionSlot.mu) mutexes with representative good and bad critical
-// sections.
+// guarded registry (WarmPool.smu) and slot (sessionSlot.mu) mutexes
+// with representative good and bad critical sections.
 package core
 
 import (
@@ -13,16 +12,10 @@ type sessionSlot struct {
 	mu sync.Mutex
 }
 
-type warmStripe struct {
-	mu sync.Mutex
-}
-
 type WarmPool struct {
-	mu      sync.Mutex
-	smu     sync.RWMutex
-	stripes [4]warmStripe
-	ch      chan int
-	slots   map[string]*sessionSlot
+	smu   sync.Mutex
+	ch    chan int
+	slots map[string]*sessionSlot
 }
 
 // Solve stands in for the solver entry points the registry tier must
@@ -30,9 +23,9 @@ type WarmPool struct {
 func (p *WarmPool) Solve() int { return 1 }
 
 func (p *WarmPool) badSend() {
-	p.mu.Lock()
-	p.ch <- 1 // want `channel send while registry mutex core.WarmPool.mu is held`
-	p.mu.Unlock()
+	p.smu.Lock()
+	p.ch <- 1 // want `channel send while registry mutex core.WarmPool.smu is held`
+	p.smu.Unlock()
 }
 
 func (p *WarmPool) badSleep() {
@@ -42,15 +35,15 @@ func (p *WarmPool) badSleep() {
 }
 
 func (p *WarmPool) badSolve() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.smu.Lock()
+	defer p.smu.Unlock()
 	_ = p.Solve() // want `solver call .* registry locks must never span a solve`
 }
 
 func (p *WarmPool) badSelect(done chan struct{}) {
-	p.stripes[0].mu.Lock()
-	defer p.stripes[0].mu.Unlock()
-	select { // want `select without default while registry mutex core.warmStripe.mu is held`
+	p.smu.Lock()
+	defer p.smu.Unlock()
+	select { // want `select without default while registry mutex core.WarmPool.smu is held`
 	case <-done:
 	case p.ch <- 1:
 	}
@@ -61,8 +54,8 @@ func (p *WarmPool) badSelect(done chan struct{}) {
 func (p *WarmPool) recvHelper() int { return <-p.ch }
 
 func (p *WarmPool) badTransitive() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.smu.Lock()
+	defer p.smu.Unlock()
 	_ = p.recvHelper() // want `which may block`
 }
 
@@ -73,8 +66,8 @@ func WaitOn(c chan int) int { return <-c }
 // goodNonBlockingSend is the sanctioned bounded-queue idiom: a select
 // with a default never blocks.
 func (p *WarmPool) goodNonBlockingSend() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.smu.Lock()
+	defer p.smu.Unlock()
 	select {
 	case p.ch <- 1:
 		return true
@@ -85,15 +78,15 @@ func (p *WarmPool) goodNonBlockingSend() bool {
 
 // goodAfterUnlock blocks only once the region is closed.
 func (p *WarmPool) goodAfterUnlock() {
-	p.mu.Lock()
-	p.mu.Unlock()
+	p.smu.Lock()
+	p.smu.Unlock()
 	p.ch <- 1
 }
 
 // goodLiteralLater: a literal's body runs outside the region.
 func (p *WarmPool) goodLiteralLater() func() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.smu.Lock()
+	defer p.smu.Unlock()
 	return func() { p.ch <- 1 }
 }
 

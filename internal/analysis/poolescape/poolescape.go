@@ -1,9 +1,9 @@
 // Package poolescape checks the Solution-lifetime invariant the warm
 // serving stack rests on: a Solution obtained from a warm source —
-// core.Solver's Resolve*/Solve* methods, core.WarmPool's SolveSession*/
-// SolveMany* methods, or estimate.Adaptor.Solution — aliases
-// solver-owned storage that the NEXT solve on the same solver rebuilds
-// in place (see the WarmPool contract in internal/core/warmpool.go).
+// core.Solver's Resolve*/Solve* methods, core.WarmPool's SolveSession*
+// methods, or estimate.Adaptor.Solution — aliases solver-owned storage
+// that the NEXT solve on the same solver rebuilds in place (see the
+// WarmPool contract in internal/core/warmpool.go).
 // Consumers must extract what they need (scenario.NewSolveResult, or a
 // field-by-field copy) before the value can outlive its call frame.
 //
@@ -11,8 +11,7 @@
 // internal/core, internal/lp, internal/estimate — manage that storage
 // and are exempt) and performs per-function taint tracking: values
 // returned by warm-source calls, and anything reference-shaped derived
-// from them (slice/element/field reads like sol.X, batch elements like
-// sols[i]), must not
+// from them (slice/element/field reads like sol.X), must not
 //
 //   - be stored into memory that outlives the frame: package-level
 //     vars, or fields/elements reached through a parameter, receiver,
@@ -21,8 +20,8 @@
 //   - be captured by a `go` statement's function literal;
 //   - be returned to the caller.
 //
-// One-shot entry points (core.SolveQuality, core.SolveMany, dmc.Solve*)
-// return freshly allocated storage and are deliberately NOT tainted —
+// One-shot entry points (core.SolveQuality & co., dmc.Solve*) return
+// freshly allocated storage and are deliberately NOT tainted —
 // retaining those results (internal/proto's simulation Config does) is
 // fine. Passing a tainted value to a call is also fine: synchronous use
 // inside the frame is exactly the sanctioned pattern.

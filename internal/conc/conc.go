@@ -1,5 +1,5 @@
 // Package conc provides the one worker-pool primitive shared by the
-// batch solver (core.SolveMany) and the experiment sweeps: run n
+// experiment sweeps and the fleet fan-outs of the benchmarks: run n
 // independent tasks across GOMAXPROCS workers with first-error-wins
 // cancellation and panic containment.
 package conc

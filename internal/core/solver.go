@@ -21,8 +21,9 @@ const DefaultDenseThreshold = 2048
 // basis). The simplex tableau is not part of it: each solve borrows an
 // lp.Solver from a process-wide pool and returns it when the solve
 // ends, so an idle Solver — one per served session — holds no tableau.
-// A Solver is NOT safe for concurrent use; use one per goroutine or the
-// SolveMany batch API, which shards work across a pool of them.
+// A Solver is NOT safe for concurrent use: use one per goroutine, the
+// package-level one-shot solves (which draw from a pool of Solvers), or
+// a WarmPool (one Solver per session key).
 type Solver struct {
 	// lps is the LP workspace borrowed for the solve in progress; nil
 	// between solves.
@@ -65,8 +66,8 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 }
 
 // solverPool backs the package-level SolveQuality/SolveMinCost/
-// SolveQualityRandom wrappers and the SolveMany workers, so one-shot
-// callers still reuse solver memory across calls.
+// SolveQualityRandom wrappers, so one-shot callers still reuse solver
+// memory across calls.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // lpPool holds the LP workspaces (tableau, basis, and pivot buffers)

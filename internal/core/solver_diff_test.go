@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
+
+	"dmc/internal/conc"
 )
 
 // diffRandomNetwork draws a random valid network (mirroring the Figure 4
@@ -146,73 +149,44 @@ func TestSolverReuseIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolveManyMatchesSequential: the batch API must return the same
-// solutions, in order, as one-at-a-time solves.
-func TestSolveManyMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	nets := make([]*Network, 32)
-	for i := range nets {
-		nets[i] = diffRandomNetwork(rng, 2+rng.IntN(4), 2)
-	}
-	sols, err := SolveMany(nets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range nets {
-		want, err := SolveQuality(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sols[i] == nil || sols[i].Quality != want.Quality {
-			t.Errorf("batch[%d] quality %v, want %v", i, sols[i].Quality, want.Quality)
-		}
-	}
-}
-
-// TestSolveManyConcurrent hammers SolveMany from several goroutines at
-// once — run under -race (the CI test target does) this is the
-// data-race check for the shared solver pool and batch fan-out.
-func TestSolveManyConcurrent(t *testing.T) {
+// TestSolveQualityConcurrent hammers the package-level SolveQuality
+// from several goroutines at once, each fanning a fleet across
+// GOMAXPROCS workers — run under -race (the CI test target does) this
+// is the data-race check for the shared solver and LP workspace pools
+// (solverPool, lpPool).
+func TestSolveQualityConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 42))
 	nets := make([]*Network, 24)
 	for i := range nets {
 		nets[i] = diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 	}
-	want, err := SolveMany(nets)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]float64, len(nets))
+	for i, n := range nets {
+		sol, err := SolveQuality(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sol.Quality
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sols, err := SolveMany(nets)
-			if err != nil {
-				t.Errorf("concurrent SolveMany: %v", err)
-				return
-			}
-			for i := range sols {
-				if sols[i].Quality != want[i].Quality {
-					t.Errorf("concurrent batch[%d] quality %v, want %v", i, sols[i].Quality, want[i].Quality)
-					return
+			err := conc.ForEach(len(nets), func(i int) error {
+				sol, err := SolveQuality(nets[i])
+				if err != nil {
+					return err
 				}
+				if sol.Quality != want[i] {
+					return fmt.Errorf("concurrent solve %d quality %v, want %v", i, sol.Quality, want[i])
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSolveManyError: a failing network reports an error and leaves the
-// unfailed entries usable.
-func TestSolveManyError(t *testing.T) {
-	good := diffRandomNetwork(rand.New(rand.NewPCG(1, 2)), 2, 2)
-	bad := &Network{} // no paths
-	if _, err := SolveMany([]*Network{good, bad}); err == nil {
-		t.Fatal("want error for invalid network")
-	}
-	sols, err := SolveMany([]*Network{good})
-	if err != nil || sols[0] == nil {
-		t.Fatalf("good-only batch failed: %v", err)
-	}
 }

@@ -158,8 +158,8 @@ func TestValidationUniformAcrossEntryPoints(t *testing.T) {
 			_, err := OptimalTimeouts(n, TimeoutOptions{GridStep: 100 * time.Millisecond, ConvolutionNodes: 32})
 			return err
 		},
-		"DetTimeouts": func(n *Network) error { _, err := DeterministicTimeouts(n, 0); return err },
-		"SolveMany":   func(n *Network) error { _, err := SolveMany([]*Network{n}); return err },
+		"DetTimeouts":  func(n *Network) error { _, err := DeterministicTimeouts(n, 0); return err },
+		"SolveSession": func(n *Network) error { _, err := NewWarmPool().SolveSession("k", n); return err },
 		"SolveQualityRandom": func(n *Network) error {
 			to := NewTimeouts(len(n.Paths))
 			_, err := SolveQualityRandom(n, to)

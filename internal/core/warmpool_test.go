@@ -3,20 +3,23 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
+	"dmc/internal/conc"
 	"dmc/internal/fault"
 )
 
 // driftFleet returns a fleet of networks plus rounds of drifted copies
 // (each round drifts every network of the previous round) — the
-// fleet-wide re-solve storm the shared warm pool serves.
+// fleet-wide re-solve storm a serving shard's sessions produce.
 func driftFleet(rng *rand.Rand, size, rounds int) [][]*Network {
 	out := make([][]*Network, rounds+1)
 	out[0] = make([]*Network, size)
 	for i := range out[0] {
-		// A few distinct shapes so the pool's shape keying is exercised.
+		// A few distinct shapes, as a real fleet mixes them.
 		paths := 2 + i%3
 		out[0][i] = diffRandomNetwork(rng, paths, 2+i%2)
 	}
@@ -29,15 +32,38 @@ func driftFleet(rng *rand.Rand, size, rounds int) [][]*Network {
 	return out
 }
 
-// TestWarmPoolMatchesCold: every batch of a drifting fleet must return
-// the same optima as independent cold solves, and batches after the
-// first must actually run warm.
+// sessionKeys returns n session keys under the given prefix.
+func sessionKeys(prefix string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return keys
+}
+
+// solveRound solves network i on session keys[i], fanned across
+// GOMAXPROCS workers the way a serving shard's workers drain a fleet.
+// Entries that did not solve are nil.
+func solveRound(pool *WarmPool, keys []string, nets []*Network) ([]*Solution, error) {
+	sols := make([]*Solution, len(nets))
+	err := conc.ForEach(len(nets), func(i int) error {
+		sol, err := pool.SolveSession(keys[i], nets[i])
+		sols[i] = sol
+		return err
+	})
+	return sols, err
+}
+
+// TestWarmPoolMatchesCold: every round of a drifting fleet, one session
+// per network, must return the same optima as independent cold solves,
+// and rounds after the first must actually run warm.
 func TestWarmPoolMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9001, 1))
 	rounds := driftFleet(rng, 24, 4)
 	pool := NewWarmPool()
+	keys := sessionKeys("s", len(rounds[0]))
 	for r, nets := range rounds {
-		sols, err := pool.SolveMany(nets)
+		sols, err := solveRound(pool, keys, nets)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -64,16 +90,13 @@ func TestWarmPoolMatchesCold(t *testing.T) {
 }
 
 // TestWarmPoolConcurrent hammers one WarmPool from several goroutines
-// at once — run under -race (the CI test target does) this is the data
-// race check for the striped shape-keyed pool.
+// at once, each driving its own sessions (its own key prefix) through
+// a fan-out — run under -race (the CI test target does) this is the
+// data race check for the session map and its slots.
 func TestWarmPoolConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9001, 2))
 	rounds := driftFleet(rng, 16, 3)
 	pool := NewWarmPool()
-	// Prime the pool once so concurrent batches contend for warm state.
-	if _, err := pool.SolveMany(rounds[0]); err != nil {
-		t.Fatal(err)
-	}
 	want := make([][]float64, len(rounds))
 	for r, nets := range rounds {
 		want[r] = make([]float64, len(nets))
@@ -90,8 +113,9 @@ func TestWarmPoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			keys := sessionKeys(fmt.Sprintf("g%d-", g), len(rounds[0]))
 			for r, nets := range rounds {
-				sols, err := pool.SolveMany(nets)
+				sols, err := solveRound(pool, keys, nets)
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", g, r, err)
 					return
@@ -108,25 +132,63 @@ func TestWarmPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWarmPoolError: a failing network reports an error, leaves the
-// other entries usable, and does not poison the pool.
+// TestWarmPoolError: a failing network reports an error and poisons
+// neither its own session nor the others.
 func TestWarmPoolError(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9001, 3))
 	good := diffRandomNetwork(rng, 3, 2)
 	pool := NewWarmPool()
-	if _, err := pool.SolveMany([]*Network{good, {}}); err == nil {
+	keys := []string{"good", "bad"}
+	if _, err := solveRound(pool, keys, []*Network{good, {}}); err == nil {
 		t.Fatal("want error for invalid network")
 	}
-	sols, err := pool.SolveMany([]*Network{good})
-	if err != nil || sols[0] == nil {
-		t.Fatalf("good-only batch failed after error batch: %v", err)
+	for _, key := range keys {
+		if sol, err := pool.SolveSession(key, good); err != nil || sol == nil {
+			t.Fatalf("session %q failed after the error round: %v", key, err)
+		}
 	}
+}
+
+// TestDropSessionFreesWarmState: once dropped, a session's warm solver
+// must be garbage — nothing in the pool may keep its columns, CG pool,
+// and basis alive.
+func TestDropSessionFreesWarmState(t *testing.T) {
+	pool := NewWarmPool()
+	const key = "drop-me"
+	sv := primeSession(t, pool, key)
+	pool.DropSession(key)
+	runtime.GC()
+	if sv.Value() != nil {
+		t.Fatal("dropped session's warm solver is still reachable from the pool")
+	}
+	// The pool itself stays live across the collection above.
+	if got := pool.Sessions(); got != 0 {
+		t.Fatalf("Sessions() after drop = %d, want 0", got)
+	}
+}
+
+// primeSession solves the session cold and then warm under drift, and
+// returns a weak pointer to its warm solver. The Solutions die here, so
+// only the pool can keep the solver alive.
+func primeSession(t *testing.T, pool *WarmPool, key string) weak.Pointer[Solver] {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(0x9006, 1))
+	net := diffRandomNetwork(rng, 3, 2)
+	for r := 0; r < 2; r++ {
+		if _, err := pool.SolveSession(key, net); err != nil {
+			t.Fatal(err)
+		}
+		net = driftNetwork(rng, net, 0.08)
+	}
+	pool.smu.Lock()
+	defer pool.smu.Unlock()
+	return weak.Make(pool.sessions[key].sv)
 }
 
 // TestWarmPoolSessionAffinity: session-keyed solves must match a
 // per-session reference Resolve trajectory exactly, stay warm under
 // drift, and KEEP that warmth when the fleet reorders, grows, and
-// shrinks around them — the affinity positional checkout cannot give.
+// shrinks around them.
 func TestWarmPoolSessionAffinity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9004, 1))
 	pool := NewWarmPool()
@@ -314,8 +376,8 @@ func TestWarmPoolSessionChurnRace(t *testing.T) {
 
 // TestWarmPoolQuarantineSession: a panic mid-Resolve poisons a
 // session's warm solver; after QuarantineSession the next solve must
-// run cold, match a fresh solver to 1e-6, and later drift solves must
-// warm back up — and the poisoned state must never leak to the stripes.
+// run cold on a fresh solver and match a fresh reference to 1e-6, and
+// later drift solves must warm back up on that clean solver.
 func TestWarmPoolQuarantineSession(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x9005, 1))
 	pool := NewWarmPool()

@@ -28,9 +28,7 @@ func SchedulerAblation(messages int, seed uint64) ([]SchedulerAblationRow, error
 		messages = FullMessageCount
 	}
 	n := TableIIINetwork(90, 800*time.Millisecond)
-	solver := borrowSolver()
-	sol, err := solver.SolveQuality(n)
-	returnSolver(solver)
+	sol, err := core.SolveQuality(n)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +110,7 @@ func AckAblation(messages int, ackLoss float64, seed uint64) ([]AckAblationRow, 
 	}
 	n := core.NewNetwork(2*core.Mbps, 500*time.Millisecond,
 		core.Path{Name: "a", Bandwidth: 10 * core.Mbps, Delay: 100 * time.Millisecond, Loss: 0.2})
-	solver := borrowSolver()
-	sol, err := solver.SolveQuality(n)
-	returnSolver(solver)
+	sol, err := core.SolveQuality(n)
 	if err != nil {
 		return nil, err
 	}

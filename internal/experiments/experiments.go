@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"dmc/internal/core"
@@ -25,17 +24,6 @@ const (
 	// QueueLimit is the drop-tail buffer for simulated links (packets).
 	QueueLimit = 100
 )
-
-// solvers pools reusable core.Solvers for the parallel sweeps: each
-// sweep point borrows one for all of its LP solves, so tableau and
-// enumeration memory is reused across points (and sweep invocations)
-// instead of reallocated per point.
-var solvers = sync.Pool{New: func() any { return core.NewSolver() }}
-
-// borrowSolver draws a pooled solver; return it with returnSolver.
-func borrowSolver() *core.Solver { return solvers.Get().(*core.Solver) }
-
-func returnSolver(s *core.Solver) { solvers.Put(s) }
 
 // TableIIINetwork returns the two-path Experiment 1/3 network with the
 // §VII conservative model delays (450/150 ms).

@@ -39,20 +39,18 @@ func (c Figure2Config) messages() int {
 	return c.Messages
 }
 
-// figure2Point computes all four curves for one scenario, running every
-// LP through the caller's reusable solver (one per sweep point, reused
-// across the multipath and single-path solves — the figure4.go pattern).
-func figure2Point(solver *core.Solver, n *core.Network, x float64, cfg Figure2Config) (Fig2Point, error) {
+// figure2Point computes all four curves for one scenario.
+func figure2Point(n *core.Network, x float64, cfg Figure2Config) (Fig2Point, error) {
 	pt := Fig2Point{X: x}
 
-	sol, err := solver.SolveQuality(n)
+	sol, err := core.SolveQuality(n)
 	if err != nil {
 		return pt, err
 	}
 	pt.MultipathTheory = sol.Quality
 
 	for i := 0; i < 2; i++ {
-		si, err := solver.SolveQuality(n.SinglePath(i))
+		si, err := core.SolveQuality(n.SinglePath(i))
 		if err != nil {
 			return pt, err
 		}
@@ -88,9 +86,7 @@ func Figure2Top(cfg Figure2Config) ([]Fig2Point, error) {
 	err := conc.ForEach(len(out), func(i int) error {
 		rate := 10.0 + 10*float64(i)
 		n := TableIIINetwork(rate, 800*time.Millisecond)
-		solver := borrowSolver()
-		pt, err := figure2Point(solver, n, rate, cfg)
-		returnSolver(solver)
+		pt, err := figure2Point(n, rate, cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: figure 2 top λ=%v: %w", rate, err)
 		}
@@ -111,9 +107,7 @@ func Figure2Bottom(cfg Figure2Config) ([]Fig2Point, error) {
 		ms := 100 + 50*i
 		δ := time.Duration(ms) * time.Millisecond
 		n := TableIIINetwork(90, δ)
-		solver := borrowSolver()
-		pt, err := figure2Point(solver, n, float64(ms), cfg)
-		returnSolver(solver)
+		pt, err := figure2Point(n, float64(ms), cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: figure 2 bottom δ=%v: %w", δ, err)
 		}

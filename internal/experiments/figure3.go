@@ -90,9 +90,7 @@ func Figure3(param Fig3Param, cfg Figure3Config) ([]Fig3Point, error) {
 	err := conc.ForEach(2*len(errs), func(i int) error {
 		e := errs[i/2]
 		path := i % 2
-		solver := borrowSolver()
-		q, err := figure3Point(solver, param, path, e, cfg)
-		returnSolver(solver)
+		q, err := figure3Point(param, path, e, cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: figure 3 %v path %d err %v: %w", param, path+1, e, err)
 		}
@@ -109,9 +107,9 @@ func Figure3(param Fig3Param, cfg Figure3Config) ([]Fig3Point, error) {
 	return out, nil
 }
 
-// figure3Point builds the erroneous estimate, solves on the caller's
-// reusable solver, and simulates against the truth.
-func figure3Point(solver *core.Solver, param Fig3Param, path int, e float64, cfg Figure3Config) (float64, error) {
+// figure3Point builds the erroneous estimate, solves it, and simulates
+// against the truth.
+func figure3Point(param Fig3Param, path int, e float64, cfg Figure3Config) (float64, error) {
 	est := TableIIINetwork(90, 800*time.Millisecond)
 	switch param {
 	case Fig3Bandwidth:
@@ -128,7 +126,7 @@ func figure3Point(solver *core.Solver, param Fig3Param, path int, e float64, cfg
 		}
 		est.Paths[path].Loss = loss
 	}
-	sol, err := solver.SolveQuality(est)
+	sol, err := core.SolveQuality(est)
 	if err != nil {
 		return 0, err
 	}

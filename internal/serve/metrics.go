@@ -145,7 +145,9 @@ func (m *shardMetrics) quantile(q float64) time.Duration {
 
 // ShardMetrics is one shard's snapshot on the /metrics wire.
 type ShardMetrics struct {
-	Shard    int `json:"shard"`
+	Shard int `json:"shard"`
+	// Sessions counts the live sessions hashed onto the shard, estimator
+	// sessions and restored, not yet solved ones included.
 	Sessions int `json:"sessions"`
 	// QueueDepth is the number of admitted tasks waiting for a free
 	// worker (tasks a worker holds are not counted).
@@ -256,12 +258,21 @@ func (s *Server) Metrics() Metrics {
 		UptimeSec: now.Sub(s.start).Seconds(),
 		Shards:    make([]ShardMetrics, len(s.shards)),
 	}
+	// Sessions count from the serve registry, not the shard pools: an
+	// estimator session solves on its Adaptor's own solver, and a
+	// restored one has no warm solver until its first solve.
+	perShard := make([]int, len(s.shards))
+	s.smu.RLock()
+	for _, se := range s.sessions {
+		perShard[se.sh.idx]++
+	}
+	s.smu.RUnlock()
 	for i, sh := range s.shards {
 		m := &sh.met
 		solves := m.solves.Load()
 		sm := ShardMetrics{
 			Shard:            i,
-			Sessions:         sh.pool.Sessions(),
+			Sessions:         perShard[i],
 			QueueDepth:       len(sh.reqs),
 			Solves:           solves,
 			Waves:            m.waves.Load(),
@@ -289,7 +300,7 @@ func (s *Server) Metrics() Metrics {
 			RestoredSessions: s.restored,
 			Snapshots:        p.snapshots.Load(),
 			JournalBytes:     p.journalBytes.Load(),
-			JournalRecords:   p.journalRecords.Load(),
+			JournalRecords:   uint64(p.recordsInGen()),
 			JournalErrors:    p.journalErrors.Load(),
 			TruncatedBytes:   p.truncatedBytes.Load(),
 		}

@@ -124,7 +124,8 @@ type persister struct {
 	// — can never alias a valid offset in the current one.
 	gen uint64
 	// genRecords counts records in the current journal incarnation (the
-	// record-granularity twin of journalBytes, for lag metrics).
+	// record-granularity twin of journalBytes, for lag metrics and
+	// DurabilityMetrics.JournalRecords).
 	genRecords int64
 	// notify is closed (and cleared) whenever the journal changes —
 	// an append or a reset — waking replication long-polls. Lazily
@@ -136,7 +137,6 @@ type persister struct {
 
 	// Metrics, readable without mu.
 	journalBytes   atomic.Int64
-	journalRecords atomic.Uint64
 	journalErrors  atomic.Uint64
 	snapshots      atomic.Uint64
 	truncatedBytes atomic.Int64
@@ -369,7 +369,6 @@ func (p *persister) append(rec *scenario.SnapshotRecord) (replPos, error) {
 		}
 	}
 	end := p.journalBytes.Add(int64(len(data)))
-	p.journalRecords.Add(1)
 	p.genRecords++
 	if rec.Epoch > p.maxEpoch.Load() {
 		p.maxEpoch.Store(rec.Epoch)
@@ -533,7 +532,6 @@ func (p *persister) appendRaw(data []byte, recs int) error {
 		return fail(err)
 	}
 	p.journalBytes.Store(pre + int64(len(data)))
-	p.journalRecords.Add(uint64(recs))
 	p.genRecords += int64(recs)
 	p.notifyLocked()
 	return nil

@@ -173,6 +173,63 @@ func TestPersisterSnapshotCompacts(t *testing.T) {
 	}
 }
 
+// TestJournalRecordsCountsLiveJournal: DurabilityMetrics.JournalRecords
+// counts the live journal — the records since the last compaction,
+// seeded by boot replay — so it always pairs with JournalBytes, and
+// JournalBytes/JournalRecords is the frame size.
+func TestJournalRecordsCountsLiveJournal(t *testing.T) {
+	dir := t.TempDir()
+	wire := testNetwork(rand.New(rand.NewPCG(4, 4)), 2)
+	// Two-digit Seqs frame to one size.
+	rec := func(seq int) *scenario.SnapshotRecord { return stateRecord(t, uint64(seq), "a", wire) }
+	data, err := frame(rec(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLen := int64(len(data))
+	seq := 10
+	appendN := func(s *Server, n int) {
+		t.Helper()
+		for range n {
+			if _, err := s.persist.append(rec(seq)); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+	}
+	check := func(s *Server, when string, want int) {
+		t.Helper()
+		d := s.Metrics().Durability
+		if d.JournalRecords != uint64(want) || d.JournalBytes != int64(want)*frameLen {
+			t.Fatalf("%s: journal_records %d, journal_bytes %d; want %d records of %d bytes",
+				when, d.JournalRecords, d.JournalBytes, want, frameLen)
+		}
+	}
+
+	boot := func() *Server {
+		t.Helper()
+		s, err := New(Config{Shards: 1, StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+
+	const n, m = 5, 3
+	s := boot()
+	appendN(s, n)
+	check(s, "before compaction", n)
+	if err := s.snapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(s, m)
+	check(s, "after compaction", m)
+	// Crash (no final snapshot): the reboot replays the m live records.
+	s.crash()
+	check(boot(), "after restart", m)
+}
+
 // TestPersisterFutureVersionRefusesBoot: an intact record from a newer
 // schema is a hard boot error naming the version — truncating it would
 // silently discard durable state; guessing at its layout is worse.

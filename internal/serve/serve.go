@@ -10,8 +10,8 @@
 // either admits the task or rejects it (HTTP 429 + Retry-After). Each of
 // the shard's GOMAXPROCS workers takes the next admitted task as soon
 // as it is free and re-solves it on the session's warm solver (basis and
-// column affinity survive fleet churn because the pool is keyed, not
-// positional); the session mutex orders each session's solves. No task
+// column affinity survive fleet churn because the pool is keyed by
+// session); the session mutex orders each session's solves. No task
 // waits for another session's solve. Estimator sessions route through
 // their Adaptor instead, which re-solves only when the fed estimates
 // drift.
@@ -619,10 +619,10 @@ func (s *Server) lookupSession(id string) *session {
 }
 
 // DropSession removes a session: its registry entry, its estimator
-// feed, and its warm solver (retired to the shard pool's shape stripes,
-// where a future same-shaped session picks the structural state back
-// up). Unknown IDs are a no-op. Tasks the session still has queued fail
-// with a "session dropped" error.
+// feed, and its warm solver (left to the garbage collector; a later
+// session under the same ID starts cold). Unknown IDs are a no-op.
+// Tasks the session still has queued fail with a "session dropped"
+// error.
 //
 // With persistence on, a drop follows the same durability-before-
 // acknowledgement rule as a solve: the drop record must be journaled

@@ -724,6 +724,52 @@ func TestSessionCopiesKeptOnlyWhenRead(t *testing.T) {
 	}
 }
 
+// TestMetricsSessionsCountsEveryLiveSession: /metrics' per-shard
+// session counts cover every live session — estimator sessions, which
+// solve on their Adaptor's own solver, and sessions restored at boot
+// that have not solved yet, as well as plain ones — so they sum to
+// Server.Sessions().
+func TestMetricsSessionsCountsEveryLiveSession(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewPCG(17, 1))
+	cfg := Config{Shards: 4, StateDir: dir, JournalNoSync: true}
+	solve := func(base, id string, estimator bool) {
+		t.Helper()
+		solveOK(t, base, scenario.SolveRequest{
+			Solve:     scenario.Solve{Network: testNetwork(rng, 3)},
+			SessionID: id,
+			Estimator: estimator,
+		})
+	}
+	check := func(srv *Server, when string, want int) {
+		t.Helper()
+		m := srv.Metrics()
+		sum := 0
+		for _, sh := range m.Shards {
+			sum += sh.Sessions
+		}
+		if got := srv.Sessions(); got != want {
+			t.Fatalf("%s: Server.Sessions() = %d, want %d", when, got, want)
+		}
+		if sum != want || m.Sessions != want {
+			t.Fatalf("%s: shard sessions sum to %d (metrics sessions %d), want %d", when, sum, m.Sessions, want)
+		}
+	}
+
+	srv, base := newTestServer(t, cfg)
+	solve(base, "plain-1", false)
+	solve(base, "est-1", true)
+	check(srv, "first boot", 2)
+	srv.Close()
+
+	// Both sessions come back from the state dir, not yet solved.
+	srv, base = newTestServer(t, cfg)
+	check(srv, "restored", 2)
+	solve(base, "plain-2", false)
+	solve(base, "est-2", true)
+	check(srv, "restored plus new", 4)
+}
+
 // TestServeHTTPErrors covers the remaining error mappings.
 func TestServeHTTPErrors(t *testing.T) {
 	_, base := newTestServer(t, Config{Shards: 1})

@@ -13,8 +13,8 @@
 // simulations, which are too noisy on shared runners to gate merges —
 // are reported as warnings. New or vanished benchmarks are reported but
 // never fail the run. The default -critical set covers the solve-core
-// benchmarks (LP solve, dispatch, batch, scalability), whose per-op
-// times are tight enough to compare meaningfully.
+// benchmarks (LP solve, dispatch, fleet fan-outs, scalability), whose
+// per-op times are tight enough to compare meaningfully.
 package main
 
 import (
@@ -96,7 +96,8 @@ func parseBench(r io.Reader) (map[string]entry, []string, error) {
 
 // defaultCritical matches the solve-core benchmarks: regressions here
 // fail the run, regressions in sweeps/simulations only warn. SolveMany
-// also covers SolveManyWarm (the shared warm-pool fleet re-solve);
+// (a one-shot fleet fan-out) also covers SolveManyWarm (the same
+// fan-out re-solving one WarmPool session per network);
 // MinCostCG is the §VI-A column-generation solve core. ServeSaturation
 // gates the cmd/dmcd serving tax over the same warm fleet re-solves.
 // RandomCG stays warn-only: its per-op time is dominated by
