@@ -34,7 +34,7 @@
 // Solver.ResolveQualityRandom re-solve incrementally on the same engine
 // for drifting estimates: column tables rebuilt in place, CG pool
 // retained and repriced, LP basis reused with newly priced columns
-// appended onto the hot tableau; NewWarmPool keeps one such warm
+// appended to the sparse master in place; NewWarmPool keeps one such warm
 // Solver per session key for fleets of sessions re-solving as their
 // estimates drift. SolveQualityExact solves with exact rational
 // arithmetic, as the paper's CGAL setup.
@@ -102,7 +102,7 @@ type (
 	TimeoutOptions = core.TimeoutOptions
 	// Solver is a reusable solve context: it owns the
 	// combination-enumeration workspaces and borrows a pooled simplex
-	// tableau for each solve, so repeated solves of same-shaped networks
+	// workspace for each solve, so repeated solves of same-shaped networks
 	// reuse that memory instead of reallocating it. Its DenseThreshold
 	// field is the one dispatch option: the combination count above
 	// which every objective solves by column generation (0 = the 2,048
@@ -267,7 +267,7 @@ func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 
 // NewSolver returns a reusable Solver for hot loops that solve many
 // same-shaped networks (adaptive re-solves, sweeps): enumeration
-// buffers are kept across calls, and the simplex tableau comes from a
+// buffers are kept across calls, and the simplex workspace comes from a
 // process-wide pool for each solve. For repeated solves of
 // ONE network shape under drifting estimates, use the Solver's Resolve
 // method — the incremental path that reuses columns, the CG pool, and

@@ -15,6 +15,10 @@ import (
 // positive; with a per-iteration batch of columns the iteration count
 // stays near the row count, so the cap is a diverged-numerics backstop,
 // not a tuning knob.
+//
+// Both pricing floors are relative to the master's objective scale (see
+// runCG): on quality masters they are the reduced-cost thresholds
+// themselves, on min-cost masters the same fractions of λ·cost.
 const (
 	cgMaxIterations  = 400
 	cgPriceTol       = 1e-9 // reduced-cost threshold: bounds the optimality gap (Σx′ = 1)
@@ -45,9 +49,8 @@ var errMasterInfeasible = errors.New("core: restricted master infeasible over th
 // maximization (Eq. 10), §VI-A cost minimization under a quality floor,
 // and the §VI-B random-delay columns alike.
 type cgObjective interface {
-	// assembleInto builds the master over the given columns (into the
-	// reusable arena when sc is non-nil).
-	assembleInto(sc *asmScratch, cols *columns) *lp.Problem
+	// master names the restricted master's shape.
+	master() masterSpec
 	// columnEvaluator evaluates one combination's LP column.
 	columnEvaluator
 	// reprice loads the master's dual vector (in its row order) into the
@@ -116,9 +119,7 @@ type qualityObjective struct {
 	costRow bool
 }
 
-func (o *qualityObjective) assembleInto(sc *asmScratch, cols *columns) *lp.Problem {
-	return o.m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, o.costRow)
-}
+func (o *qualityObjective) master() masterSpec { return masterSpec{costRow: o.costRow} }
 
 func (o *qualityObjective) evalColumn(combo []int, share []float64) (float64, float64) {
 	return o.m.evalColumn(combo, share)
@@ -141,21 +142,115 @@ func (o *qualityObjective) price(floor float64) [][]int { return o.pr.price(floo
 
 func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs, o, scratch) }
 
+// masterSpec is the shape of a restricted master: the §VI-A min-cost
+// master (minimize λ·cost under the quality floor row, no cost row), or
+// a quality master (maximize delivery, with the Eq. 16 budget row when
+// costRow is set and the budget is finite). Both carry one bandwidth row
+// per real path first and the conservation row last.
+type masterSpec struct {
+	minCost bool
+	floor   float64 // the §VI-A quality floor (minCost)
+	costRow bool
+}
+
+// budgetRow reports whether the master carries the Eq. 16 budget row.
+func (spec masterSpec) budgetRow(m *model) bool {
+	return !spec.minCost && spec.costRow && !math.IsInf(m.net.CostBound, 1)
+}
+
+// cgMaster is a column-generation solve's restricted master: the sparse
+// LP it grows in place, and the scratch one column is built in.
+type cgMaster struct {
+	sp   lp.Sparse
+	rows []int
+	vals []float64
+}
+
+// load resets the master to the pooled columns and returns the largest
+// objective magnitude among them. Rows follow assembleProblemInto's
+// order, so the duals unpack the same way on either dispatch.
+func (cm *cgMaster) load(m *model, spec masterSpec, cols *columns) float64 {
+	sense := lp.Maximize
+	if spec.minCost {
+		sense = lp.Minimize
+	}
+	sp := &cm.sp
+	sp.Reset(sense)
+	for i := 1; i < m.base; i++ {
+		sp.AddRow(bandwidthName(i-1), lp.LE, m.paths[i].Bandwidth)
+	}
+	if spec.minCost {
+		sp.AddRow("quality", lp.GE, spec.floor)
+	} else if spec.budgetRow(m) {
+		sp.AddRow("cost", lp.LE, m.net.CostBound)
+	}
+	sp.AddRow("conservation", lp.EQ, 1)
+	return cm.add(m, spec, cols, 0)
+}
+
+// add appends pooled columns from index from on to the master — each
+// touches its paths' bandwidth rows, the quality or cost row, and the
+// conservation row, with the coefficients assembleProblemInto would
+// write — and returns the largest objective magnitude among them.
+func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) float64 {
+	λ := m.net.Rate
+	base := m.base
+	costRow := spec.budgetRow(m)
+	rows, vals := cm.rows[:0], cm.vals[:0]
+	objMax := 0.0
+	for l := from; l < cols.len(); l++ {
+		rows, vals = rows[:0], vals[:0]
+		for i, sh := range cols.shares[l*base+1 : (l+1)*base] {
+			if sh != 0 {
+				rows = append(rows, i)
+				vals = append(vals, λ*sh)
+			}
+		}
+		next := base - 1
+		obj := cols.delivery[l]
+		switch {
+		case spec.minCost:
+			rows = append(rows, next)
+			vals = append(vals, cols.delivery[l])
+			next++
+			obj = λ * cols.costs[l] // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
+		case costRow:
+			rows = append(rows, next)
+			vals = append(vals, λ*cols.costs[l])
+			next++
+		}
+		rows = append(rows, next)
+		vals = append(vals, 1)
+		cm.sp.AddColumn(obj, rows, vals)
+		objMax = max(objMax, math.Abs(obj))
+	}
+	cm.rows, cm.vals = rows, vals
+	return objMax
+}
+
 // runCG alternates restricted-master LP solves over the column set with
 // exact pricing until no combination prices above certTol (which bounds
-// the optimality gap), returning the final master problem and LP
-// solution plus the iteration count and whether the first master solve
-// warm-started.
+// the optimality gap), returning the final master LP solution — cm then
+// holds the final master — plus the iteration count and whether the
+// first master solve warm-started.
 //
-// The first master solves through SolveWith — warm-started from basis
-// when non-nil (the incremental re-solve path). Every later iteration
-// appends the freshly priced columns onto the still-hot simplex tableau
-// (lp.Solver.AppendSolve): the basis stays factorized in place and only
-// the new columns are transformed in, instead of reloading the problem
-// and re-installing the basis pivot by pivot. Any append failure falls
-// back to a full solve of that master (warm when a basis chain is
-// available), preserving the guarantee that the incremental path never
-// changes the result.
+// The master is built into cm once, from the pool as it stands, and
+// solved on the revised simplex — warm-started from basis when non-nil
+// (the incremental re-solve path). Every later iteration appends only
+// the freshly priced columns to cm and re-optimizes from the current
+// basis (lp.Revised.Append), which leaves the factorized basis inverse
+// in place. Any append failure falls back to a full solve of that
+// master (warm when a basis chain is available), so the incremental
+// path never changes the result. capture asks for the final basis.
+//
+// certTol is relative to the master's objective scale: the pricing
+// floor is certTol times the largest objective magnitude in the pool,
+// at least 1. The LP's optimality tolerance is relative to the same
+// scale, so the floor stays above the reduced costs the master leaves
+// unresolved — a quality master's coefficients are probabilities and
+// its floor is certTol itself, while a min-cost master's are costs per
+// second, around 1e9 at the paper's rates, where an absolute 1e-9 is
+// below float64 resolution.
 //
 // stop, when non-nil, is checked after every master solve and ends the
 // loop early without certification — the min-cost feasibility stage
@@ -163,49 +258,43 @@ func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs,
 //
 // A master that comes back infeasible returns errMasterInfeasible
 // (possible only for the min-cost objective's first master).
-func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, stop func(*lp.Solution) bool) (*lp.Problem, *lp.Solution, int, bool, error) {
+func (s *Solver) runCG(cm *cgMaster, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool) (*lp.Solution, int, bool, error) {
 	chain := basis != nil
-	// The persistent-resolve paths (marked by their assembly scratch)
-	// need the final basis captured to warm-start the next re-solve;
-	// one-shot solves need it only for the append-failure fallback,
-	// which re-covers via a plain cold solve.
-	capture := sc != nil
+	spec := obj.master()
+	scale := max(1, cm.load(m, spec, &cs.cols))
+	sp, rev := &cm.sp, &s.work.rev
 
-	var prob *lp.Problem
 	var lpSol *lp.Solution
 	var err error
 	iters, firstWarm := 0, false
-	prevN := -1
-	refreshed := false
+	appended, refreshed := false, false
 	for {
 		iters++
 		if iters > cgMaxIterations {
-			return nil, nil, 0, false, fmt.Errorf("core: column generation did not converge within %d iterations", cgMaxIterations)
+			return nil, 0, false, fmt.Errorf("core: column generation did not converge within %d iterations", cgMaxIterations)
 		}
-		prob = obj.assembleInto(sc, &cs.cols)
-		n := cs.cols.len()
-		opts := lp.Options{AssumeValid: true, CaptureBasis: capture || chain}
 		solved := false
-		if prevN >= 0 && n > prevN {
-			if sol, aerr := s.lps.AppendSolve(prob, prevN, opts); aerr == nil {
+		if appended {
+			if sol, aerr := rev.Append(sp); aerr == nil {
 				lpSol, solved = sol, true
 			}
 		}
 		if !solved {
+			opts := lp.Options{AssumeValid: true, CaptureBasis: capture || chain}
 			if basis != nil {
-				opts.WarmBasis = basis.Remap(n, nil)
+				opts.WarmBasis = basis.Remap(sp.NumVars(), nil)
 			}
-			lpSol, err = s.lps.SolveWith(prob, opts)
+			lpSol, err = rev.SolveWith(sp, opts)
 			if err != nil {
-				return nil, nil, 0, false, fmt.Errorf("core: solving restricted master: %w", err)
+				return nil, 0, false, fmt.Errorf("core: solving restricted master: %w", err)
 			}
 		}
 		switch lpSol.Status {
 		case lp.Optimal:
 		case lp.Infeasible:
-			return prob, lpSol, iters, firstWarm, errMasterInfeasible
+			return lpSol, iters, firstWarm, errMasterInfeasible
 		default:
-			return nil, nil, 0, false, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
+			return nil, 0, false, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
 		}
 		if iters == 1 {
 			firstWarm = lpSol.PhaseISkipped
@@ -213,15 +302,15 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 		if chain {
 			basis = lpSol.Basis
 		}
-		prevN = n
 
 		if stop != nil && stop(lpSol) {
 			break
 		}
 
 		obj.reprice(lpSol.Dual)
+		n0 := cs.cols.len()
 		added, priced := 0, 0
-		for _, cand := range obj.price(certTol) {
+		for _, cand := range obj.price(certTol * scale) {
 			priced++
 			if cs.add(m, obj, cand) {
 				added++
@@ -229,23 +318,24 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 		}
 		if added == 0 {
 			// The oracle pricing POOLED columns above the floor means the
-			// master's incrementally maintained reduced costs disagree
-			// with the raw coefficients — tableau roundoff from the
-			// append chain or a long pivot path. The gap is then real
-			// (those columns should re-enter the basis), so force one
-			// refactorized master solve — a full reload from raw data —
-			// and re-price. A second stall right after the refresh is the
-			// float solver's precision limit; accept it.
+			// master's reduced costs disagree with the raw coefficients —
+			// roundoff from a long pivot path. The gap is then real (those
+			// columns should re-enter the basis), so rebuild the master
+			// from the pool, solve it in full and re-price. A second stall
+			// right after the refresh is the float solver's precision
+			// limit; accept it.
 			if priced > 0 && !refreshed {
-				refreshed = true
-				prevN = -1
+				refreshed, appended = true, false
+				scale = max(1, cm.load(m, spec, &cs.cols))
 				continue
 			}
 			break // oracle certifies: no combination prices above certTol
 		}
 		refreshed = false
+		scale = max(scale, cm.add(m, spec, &cs.cols, n0))
+		appended = true
 	}
-	return prob, lpSol, iters, firstWarm, nil
+	return lpSol, iters, firstWarm, nil
 }
 
 // seedColumns primes the restricted master: the all-blackhole column

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dmc/internal/dist"
-	"dmc/internal/lp"
 )
 
 // randomObjective is the §VI-B random-delay quality maximization over
@@ -124,9 +123,7 @@ func (o *randomObjective) evalColumn(combo []int, share []float64) (float64, flo
 	return clamp01(delivery + pR*o.pDeliver[at]), cost
 }
 
-func (o *randomObjective) assembleInto(sc *asmScratch, cols *columns) *lp.Problem {
-	return o.m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
-}
+func (o *randomObjective) master() masterSpec { return masterSpec{costRow: true} }
 
 // reprice stores the master duals (bandwidth rows, the cost row when
 // the budget is finite, the conservation row).

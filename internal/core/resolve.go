@@ -74,7 +74,7 @@ type resolveState struct {
 	// dispatch); its buffers are reused across re-solves, the values
 	// re-tabulated each time.
 	rnd *randomObjective
-	// mcObj is the min-cost master objective buffer (objMinCost).
+	// mcObj is the dense min-cost master's objective buffer.
 	mcObj []float64
 
 	// basis is the previous solve's optimal LP basis, captured over the
@@ -84,14 +84,17 @@ type resolveState struct {
 	// score pooled columns for trimming.
 	duals []float64
 
-	// asm is the LP-assembly arena the Resolve paths rewrite in place
-	// (their returned Solutions are documented as invalidated by the
-	// next Resolve). It holds nothing shape-dependent, so reset keeps it.
-	asm asmScratch
+	// asm is the dense dispatch's LP-assembly arena and master the CG
+	// dispatch's sparse restricted master (allocated by the first CG
+	// solve), both rewritten in place by each re-solve (its returned
+	// Solution is documented as invalidated by the next Resolve). They
+	// hold nothing shape-dependent, so reset keeps them.
+	asm    asmScratch
+	master *cgMaster
 }
 
-// reset invalidates the warm state, keeping only the assembly arena.
-func (rs *resolveState) reset() { *rs = resolveState{asm: rs.asm} }
+// reset invalidates the warm state, keeping only the LP storage.
+func (rs *resolveState) reset() { *rs = resolveState{asm: rs.asm, master: rs.master} }
 
 // The storage policy of the solve engine lives in the four helpers
 // below. A Resolve passes its warm state and gets its reused buffers; a
@@ -104,6 +107,17 @@ func (rs *resolveState) arena() *asmScratch {
 		return nil
 	}
 	return &rs.asm
+}
+
+// cgMaster returns the CG master's storage, fresh for a one-shot.
+func (rs *resolveState) cgMaster() *cgMaster {
+	if rs == nil {
+		return new(cgMaster)
+	}
+	if rs.master == nil {
+		rs.master = new(cgMaster)
+	}
+	return rs.master
 }
 
 // pricerFor returns the branch-and-bound oracle bound to m.
@@ -168,7 +182,8 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 //     Phase I whenever it is still feasible for the perturbed
 //     coefficients (with dual-simplex repair when the drift left it
 //     dual feasible, and automatic cold fallback otherwise), and later
-//     CG iterations append their columns onto the hot tableau.
+//     CG iterations append their columns to the sparse master in place,
+//     re-optimizing from the factorized basis.
 //
 // The result is identical to a cold SolveQuality up to solver tolerance;
 // Solution.Stats reports Warm, PhaseISkipped, and the pool hit counts.
@@ -264,12 +279,13 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // nil rs: every buffer is fresh and owned by the returned Solution, and
 // no basis is captured.
 //
-// The LP workspace is borrowed from lpPool for the solve and returned
-// when it ends. A solve that panics never returns it: the workspace may
-// be mid-pivot, so it is dropped with the panic, the way serving
-// quarantines a panicked session's warm state.
+// The LP workspace — the dense tableau, or the revised simplex for
+// column generation — is borrowed from its pool for the solve and
+// returned when it ends. A solve that panics never returns it: the
+// workspace may be mid-pivot, so it is dropped with the panic, the way
+// serving quarantines a panicked session's warm state.
 func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
-	s.lps = lpPool.Get().(*lp.Solver)
+	s.work = lpPool.Get().(*lpWork)
 	var sol *Solution
 	var err error
 	if s.dispatchFor(n) == DispatchDense {
@@ -277,8 +293,8 @@ func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) 
 	} else {
 		sol, err = s.solveCG(n, req, rs, warm)
 	}
-	lpPool.Put(s.lps)
-	s.lps = nil
+	lpPool.Put(s.work)
+	s.work = nil
 	return sol, err
 }
 
@@ -353,15 +369,15 @@ func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolv
 	sc := rs.arena()
 	var prob *lp.Problem
 	if req.obj == objMinCost {
-		mo := minCostObjective{m: m, minQuality: req.minQuality, obj: rs.minCostBuf()}
-		prob = mo.assembleInto(sc, cols)
+		var obj []float64
+		prob, obj = m.assembleMinCostInto(sc, cols, req.minQuality, rs.minCostBuf())
 		if rs != nil {
-			rs.mcObj = mo.obj
+			rs.mcObj = obj
 		}
 	} else { // objQuality and objRandom share the Eq. 10 master shape
 		prob = m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
 	}
-	lpSol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true, CaptureBasis: rs != nil, WarmBasis: basis})
+	lpSol, err := s.work.tab.SolveWith(prob, lp.Options{AssumeValid: true, CaptureBasis: rs != nil, WarmBasis: basis})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
 	}
@@ -382,7 +398,7 @@ func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolv
 // seed columns, or — on a re-solve — over the warm pool, repriced in
 // place (every pooled column a pricing-oracle call saved) and continued
 // from the previous optimal basis, with newly priced columns appended
-// onto the hot tableau.
+// to the sparse master in place.
 func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	m, err := newRequestModel(n, req, false)
 	if err != nil {
@@ -393,7 +409,7 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 	case objRandom:
 		obj = rs.randomTables(m, req.to)
 	case objMinCost:
-		obj = &minCostObjective{m: m, pr: rs.pricerFor(m), minQuality: req.minQuality, obj: rs.minCostBuf()}
+		obj = &minCostObjective{m: m, pr: rs.pricerFor(m), minQuality: req.minQuality}
 	default:
 		obj = &qualityObjective{m: m, pr: rs.pricerFor(m), costRow: true}
 	}
@@ -424,20 +440,18 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 		sol   *Solution
 		lpSol *lp.Solution
 	)
+	cm, capture := rs.cgMaster(), rs != nil
 	if mo, ok := obj.(*minCostObjective); ok {
-		sol, lpSol, err = s.solveMinCostCG(rs.arena(), m, cs, mo, basis, certTol, warm)
-		if rs != nil {
-			rs.mcObj = mo.obj
-		}
+		sol, lpSol, err = s.solveMinCostCG(cm, m, cs, mo, basis, certTol, capture, warm)
 	} else {
 		var (
-			prob      *lp.Problem
 			iters     int
 			firstWarm bool
 		)
-		prob, lpSol, iters, firstWarm, err = s.runCG(rs.arena(), m, cs, obj, basis, certTol, nil)
+		lpSol, iters, firstWarm, err = s.runCG(cm, m, cs, obj, basis, certTol, capture, nil)
 		if err == nil {
-			sol = m.newSolution(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
+			sol = m.newSolution(nil, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
+			sol.master = &cm.sp
 			sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters, PhaseISkipped: firstWarm}
 		}
 	}

@@ -65,8 +65,11 @@ type Solution struct {
 	// Stats records which solve core ran and what it cost.
 	Stats SolveStats
 
-	m        *model
+	m *model
+	// problem is the dense dispatch's LP; master the column-generation
+	// master, from which Problem builds the dense LP on demand.
 	problem  *lp.Problem
+	master   *lp.Sparse
 	combos   []Combo
 	delivery []float64
 	// shares is the send-share matrix in flat row-major form:
@@ -177,8 +180,16 @@ func (s *Solution) Timeouts(margin time.Duration) []time.Duration {
 }
 
 // Problem exposes the underlying linear program (for diagnostics and the
-// solver-ablation benchmarks).
-func (s *Solution) Problem() *lp.Problem { return s.problem }
+// solver-ablation benchmarks). A column-generation solution keeps its
+// final restricted master column-sparse; Problem builds a fresh dense
+// copy of it on every call. A Resolve solution's master is rewritten by
+// the next Resolve on the same Solver, like the rest of its storage.
+func (s *Solution) Problem() *lp.Problem {
+	if s.master != nil {
+		return s.master.Dense()
+	}
+	return s.problem
+}
 
 // Combos returns every path combination in variable order (parallel to X).
 // The slice is shared; callers must not mutate it.

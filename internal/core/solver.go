@@ -17,17 +17,18 @@ import (
 const DefaultDenseThreshold = 2048
 
 // Solver is a reusable solve context: it owns the combination-
-// enumeration scratch and the Resolve warm state (columns, CG pool, LP
-// basis). The simplex tableau is not part of it: each solve borrows an
-// lp.Solver from a process-wide pool and returns it when the solve
-// ends, so an idle Solver — one per served session — holds no tableau.
+// enumeration scratch and the Resolve warm state (columns, CG pool and
+// sparse master, LP basis). The simplex workspace is not part of it:
+// each solve borrows a dense tableau (lp.Solver) or a revised simplex
+// (lp.Revised) from a process-wide pool and returns it when the solve
+// ends, so an idle Solver — one per served session — holds neither.
 // A Solver is NOT safe for concurrent use: use one per goroutine, the
 // package-level one-shot solves (which draw from a pool of Solvers), or
 // a WarmPool (one Solver per session key).
 type Solver struct {
-	// lps is the LP workspace borrowed for the solve in progress; nil
+	// work is the LP workspace borrowed for the solve in progress; nil
 	// between solves.
-	lps    *lp.Solver
+	work   *lpWork
 	digits []int
 
 	// rs is the persistent incremental re-solve state behind Resolve;
@@ -70,13 +71,21 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 // memory across calls.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
-// lpPool holds the LP workspaces (tableau, basis, and pivot buffers)
-// every Solver borrows for the length of one solve. An lp.Solver carries
-// nothing from one solve to the next — each starts with a fresh load,
-// and AppendSolve only continues within one column-generation loop — so
-// any workspace serves any solve, and the pool keeps about one per
-// concurrently running solve instead of one per Solver.
-var lpPool = sync.Pool{New: func() any { return lp.NewSolver() }}
+// lpWork is the LP workspace of one solve: the dense tableau for the
+// dense dispatch, the revised simplex for column generation. Each
+// allocates its buffers on first use.
+type lpWork struct {
+	tab lp.Solver
+	rev lp.Revised
+}
+
+// lpPool holds the LP workspaces every Solver borrows for the length of
+// one solve. A workspace carries nothing from one solve to the next —
+// each starts with a fresh load, and lp.Revised.Append only continues
+// within one column-generation loop — so any workspace serves any
+// solve, and the pool keeps about one per concurrently running solve
+// instead of one per Solver.
+var lpPool = sync.Pool{New: func() any { return new(lpWork) }}
 
 func (s *Solver) scratch(m int) []int {
 	if cap(s.digits) < m {
@@ -130,12 +139,12 @@ func checkFloor(minQuality float64) error {
 	return nil
 }
 
-// asmScratch is a reusable LP-assembly arena: the constraint headers,
-// the flat coefficient backing, and the Problem value itself, rewritten
-// in place by assembleProblemInto. Solve paths that document result
-// invalidation (Solver.Resolve) route their assemblies through one of
-// these so re-solves stop paying the dominant makeslice+clear cost of
-// problem construction.
+// asmScratch is a reusable dense LP-assembly arena: the constraint
+// headers, the flat coefficient backing, and the Problem value itself,
+// rewritten in place by assembleProblemInto. Dense re-solves, whose
+// results are documented as invalidated by the next Resolve, route
+// their assemblies through one of these so they stop paying the
+// makeslice+clear cost of problem construction.
 type asmScratch struct {
 	prob    lp.Problem
 	cons    []lp.Constraint
@@ -143,8 +152,8 @@ type asmScratch struct {
 }
 
 // bandwidthNames holds the first bandwidth rows' constraint names,
-// built once at start-up, so assembling a master — once per
-// column-generation iteration — formats no strings for them.
+// built once at start-up, so building a master formats no strings for
+// them.
 var bandwidthNames = func() (names [128]string) {
 	for i := range names {
 		names[i] = fmt.Sprintf("bandwidth[%d]", i)
@@ -237,7 +246,8 @@ func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float6
 }
 
 // newSolution assembles the public Solution from a solved x′ vector,
-// sharing the column tables with the LP that produced it. colIndex maps
+// sharing the column tables with the LP that produced it (prob, or for
+// column generation the sparse master the caller sets). colIndex maps
 // a combination's packed key to its position in the column tables; nil
 // means the columns cover the dense space in enumeration order.
 func (m *model) newSolution(prob *lp.Problem, cols *columns, x []float64, quality float64, colIndex map[uint64]int) *Solution {

@@ -41,25 +41,51 @@ func extendProblem(rng *rand.Rand, p *Problem, k int) *Problem {
 	return out
 }
 
-// TestAppendSolveMatchesCold: appending columns onto a hot tableau must
-// reach the same optimum as a cold solve of the extended problem, over
+// toSparse returns p in column-sparse form.
+func toSparse(p *Problem) *Sparse {
+	sp := NewSparse(p.Sense)
+	for _, c := range p.Constraints {
+		sp.AddRow(c.Name, c.Rel, c.RHS)
+	}
+	appendColumnsFrom(sp, p, 0)
+	return sp
+}
+
+// appendColumnsFrom appends p's columns from index from on to sp, whose
+// rows must be p's.
+func appendColumnsFrom(sp *Sparse, p *Problem, from int) {
+	rows := make([]int, len(p.Constraints))
+	vals := make([]float64, len(p.Constraints))
+	for j := from; j < p.NumVars(); j++ {
+		for i, c := range p.Constraints {
+			rows[i], vals[i] = i, c.Coeffs[j]
+		}
+		sp.AddColumn(p.Objective[j], rows, vals)
+	}
+}
+
+// TestAppendSolveMatchesCold: columns appended to a Sparse problem and
+// re-optimized by Revised.Append must reach the same optimum, duals
+// included, as a cold tableau solve of the extended problem, over
 // randomized instances and multi-step append chains.
 func TestAppendSolveMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xa99e))
 	chains := 0
 	for trial := 0; trial < 150; trial++ {
-		solver := NewSolver()
+		solver := NewRevised()
 		p := cgShapedProblem(rng, 2+rng.Intn(6), 1+rng.Intn(4))
-		sol, err := solver.SolveWith(p, Options{CaptureBasis: true})
+		sp := toSparse(p)
+		sol, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: base solve: %v / %+v", trial, err, sol)
 		}
-		// Chain several appends on the same hot tableau.
+		// Chain several appends on the same basis.
 		steps := 1 + rng.Intn(4)
 		for step := 0; step < steps; step++ {
 			oldN := p.NumVars()
 			p = extendProblem(rng, p, 1+rng.Intn(5))
-			got, err := solver.AppendSolve(p, oldN, Options{})
+			appendColumnsFrom(sp, p, oldN)
+			got, err := solver.Append(sp)
 			if err != nil {
 				t.Fatalf("trial %d step %d: append solve: %v", trial, step, err)
 			}
@@ -93,8 +119,9 @@ func TestAppendSolveMatchesCold(t *testing.T) {
 // master): appended columns must carry the sign-adjusted objective.
 func TestAppendSolveMinimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x317))
+	appended := 0
 	for trial := 0; trial < 60; trial++ {
-		solver := NewSolver()
+		solver := NewRevised()
 		nVars := 2 + rng.Intn(5)
 		p := NewProblem(Minimize, randVec(rng, nVars, 0.1, 2))
 		p.AddConstraint(randVec(rng, nVars, 0.2, 2), GE, 0.5+rng.Float64())
@@ -103,7 +130,8 @@ func TestAppendSolveMinimize(t *testing.T) {
 			ones[j] = 1
 		}
 		p.AddConstraint(ones, EQ, 1)
-		sol, err := solver.SolveWith(p, Options{CaptureBasis: true})
+		sp := toSparse(p)
+		sol, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 		if err != nil || sol.Status != Optimal {
 			continue // a too-tight GE row can be infeasible; skip
 		}
@@ -116,7 +144,8 @@ func TestAppendSolveMinimize(t *testing.T) {
 			}
 			ext.AddConstraint(coeffs, con.Rel, con.RHS)
 		}
-		got, err := solver.AppendSolve(ext, oldN, Options{})
+		appendColumnsFrom(sp, ext, oldN)
+		got, err := solver.Append(sp)
 		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
@@ -124,57 +153,100 @@ func TestAppendSolveMinimize(t *testing.T) {
 		if math.Abs(got.Objective-ref.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("trial %d: append min %v vs cold %v", trial, got.Objective, ref.Objective)
 		}
+		appended++
+	}
+	if appended == 0 {
+		t.Fatal("no minimization ever appended")
 	}
 }
 
-// TestAppendSolveGuards: a cold solver, a shrunk column set, and a
-// changed row structure must all be refused (the caller then solves
-// cold) instead of producing answers for a problem that was never
-// loaded.
+// TestAppendSolveGuards: a solver with no optimal solve, another
+// problem, a rebuilt problem with fewer columns, and one with a changed
+// row must all be refused (the caller then solves in full) instead of
+// producing answers for a problem that was never loaded.
 func TestAppendSolveGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := cgShapedProblem(rng, 4, 2)
+	sp := toSparse(p)
 
-	if _, err := NewSolver().AppendSolve(p, 4, Options{}); err == nil {
-		t.Error("append on a cold solver accepted")
+	if _, err := NewRevised().Append(sp); err == nil {
+		t.Error("append on a solver with no solve accepted")
 	}
 
-	solver := NewSolver()
-	if _, err := solver.SolveWith(p, Options{}); err != nil {
+	solver := NewRevised()
+	if _, err := solver.SolveWith(sp, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	ext := extendProblem(rng, p, 2)
-	if _, err := solver.AppendSolve(ext, 3, Options{}); err == nil {
-		t.Error("wrong oldN accepted")
+	if _, err := solver.Append(toSparse(p)); err == nil {
+		t.Error("append of a problem the solver never loaded accepted")
 	}
-	if _, err := solver.AppendSolve(p, 6, Options{}); err == nil {
+
+	// Rebuilt with fewer columns.
+	sp.Reset(p.Sense)
+	for _, c := range p.Constraints {
+		sp.AddRow(c.Name, c.Rel, c.RHS)
+	}
+	appendColumnsFrom(sp, &Problem{Sense: p.Sense, Objective: p.Objective[:3], Constraints: truncated(p.Constraints, 3)}, 0)
+	if _, err := solver.Append(sp); err == nil {
 		t.Error("shrunk column set accepted")
+	}
+
+	// Rebuilt with a changed row relation.
+	if _, err := solver.SolveWith(sp, Options{}); err != nil {
+		t.Fatal(err)
 	}
 	bad := extendProblem(rng, p, 1)
 	bad.Constraints[0].Rel = GE
-	if _, err := solver.AppendSolve(bad, p.NumVars(), Options{}); err == nil {
+	sp.Reset(bad.Sense)
+	for _, c := range bad.Constraints {
+		sp.AddRow(c.Name, c.Rel, c.RHS)
+	}
+	appendColumnsFrom(sp, bad, 0)
+	if _, err := solver.Append(sp); err == nil {
 		t.Error("changed row relation accepted")
+	}
+
+	// A refused append leaves the solver usable for a full solve.
+	sol, err := solver.SolveWith(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mustSolve(t, bad)
+	if sol.Status != ref.Status || sol.Status == Optimal && !almostEq(sol.Objective, ref.Objective, 1e-7*(1+math.Abs(ref.Objective))) {
+		t.Errorf("full solve after a refused append: %v %v, cold %v %v", sol.Status, sol.Objective, ref.Status, ref.Objective)
 	}
 }
 
+// truncated returns the constraints cut to their first n coefficients.
+func truncated(cons []Constraint, n int) []Constraint {
+	out := make([]Constraint, len(cons))
+	for i, c := range cons {
+		out[i] = c
+		out[i].Coeffs = c.Coeffs[:n]
+	}
+	return out
+}
+
 // TestAppendSolveAfterWarmStart: the append path must compose with a
-// warm-started first solve (the resolve regime: install basis, then
-// keep appending CG columns onto the hot tableau).
+// warm-started first solve (the resolve regime: install the basis, then
+// keep appending CG columns).
 func TestAppendSolveAfterWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xbeef))
-	solver := NewSolver()
+	solver := NewRevised()
 	p := cgShapedProblem(rng, 5, 3)
-	first, err := solver.SolveWith(p, Options{CaptureBasis: true})
+	sp := toSparse(p)
+	first, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 	if err != nil || first.Status != Optimal {
 		t.Fatal(err)
 	}
-	warm, err := solver.SolveWith(p, Options{WarmBasis: first.Basis})
+	warm, err := solver.SolveWith(sp, Options{WarmBasis: first.Basis})
 	if err != nil || !warm.WarmStarted {
 		t.Fatalf("warm restart failed: %v %+v", err, warm)
 	}
 	oldN := p.NumVars()
 	p = extendProblem(rng, p, 3)
-	got, err := solver.AppendSolve(p, oldN, Options{})
+	appendColumnsFrom(sp, p, oldN)
+	got, err := solver.Append(sp)
 	if err != nil {
 		t.Fatalf("append after warm start: %v", err)
 	}

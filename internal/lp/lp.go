@@ -1,15 +1,27 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs over float64, supporting maximization and minimization with
-// less-than, equality, and greater-than constraints and non-negative
-// variables.
+// Package lp implements two simplex engines for linear programs over
+// float64 with non-negative variables, maximization or minimization,
+// and less-than, equality, and greater-than constraints.
 //
 // The paper solves its packet-to-path-combination assignment problem
 // (Eq. 10) with an off-the-shelf LP library (CGAL). Go's ecosystem has no
-// comparable standard solver, so this package provides one from scratch. It
-// is deliberately dense: the paper's problems have n^m variables (paths ×
-// transmissions) but only n+2 rows, for which a dense tableau is both simple
-// and fast. The companion package ratlp solves the same problems exactly
-// over rationals, mirroring CGAL's exact arithmetic.
+// comparable standard solver, so this package provides one from scratch.
+// The paper's problems have (n+1)^m variables (paths × transmissions)
+// but only n+2 rows, and each variable touches at most m+2 of them.
+//
+//   - Solver is a two-phase dense tableau simplex over a Problem. It suits
+//     the fully enumerated LPs of small shapes, where every column is
+//     present and pivots over contiguous rows are cheapest.
+//   - Revised is a revised simplex over a Sparse problem: rows fixed,
+//     columns stored sparsely and appended in place, an explicit basis
+//     inverse. It suits the restricted masters of column generation,
+//     which grow by a few columns per iteration: a pivot costs
+//     O(rows² + nonzeros), and an append only its columns' nonzeros.
+//
+// Both equilibrate rows and the objective, so their tolerances are
+// relative, and both share Options, Solution and Basis: a basis either
+// captures warm-starts the other. The companion package ratlp solves
+// the same problems exactly over rationals, mirroring CGAL's exact
+// arithmetic.
 package lp
 
 import (
@@ -140,20 +152,29 @@ func (p *Problem) validate() error {
 		if len(con.Coeffs) != len(p.Objective) {
 			return fmt.Errorf("lp: constraint %d has %d coefficients, want %d", i, len(con.Coeffs), len(p.Objective))
 		}
-		if con.Rel != LE && con.Rel != EQ && con.Rel != GE {
-			return fmt.Errorf("lp: constraint %d has invalid relation %d", i, int(con.Rel))
-		}
 		for j, a := range con.Coeffs {
 			if math.IsNaN(a) || math.IsInf(a, 0) {
 				return fmt.Errorf("lp: constraint %d coefficient %d is %v", i, j, a)
 			}
 		}
-		if math.IsNaN(con.RHS) {
-			return fmt.Errorf("lp: constraint %d RHS is NaN", i)
+		if err := checkRow(i, con.Rel, con.RHS); err != nil {
+			return err
 		}
-		if math.IsInf(con.RHS, 0) && !(con.Rel == LE && con.RHS > 0) && !(con.Rel == GE && con.RHS < 0) {
-			return fmt.Errorf("lp: constraint %d has non-vacuous infinite RHS", i)
-		}
+	}
+	return nil
+}
+
+// checkRow rejects an invalid relation, a NaN right-hand side, and an
+// infinite one that is not vacuous (≤ +Inf or ≥ −Inf).
+func checkRow(i int, rel Relation, rhs float64) error {
+	if rel != LE && rel != EQ && rel != GE {
+		return fmt.Errorf("lp: constraint %d has invalid relation %d", i, int(rel))
+	}
+	if math.IsNaN(rhs) {
+		return fmt.Errorf("lp: constraint %d RHS is NaN", i)
+	}
+	if math.IsInf(rhs, 0) && !(rel == LE && rhs > 0) && !(rel == GE && rhs < 0) {
+		return fmt.Errorf("lp: constraint %d has non-vacuous infinite RHS", i)
 	}
 	return nil
 }

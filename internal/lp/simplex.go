@@ -88,7 +88,9 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 // objective (detecting unboundedness). Dantzig pricing is used until
 // degeneracy is detected, then Bland's rule guarantees termination. The
 // tableau is stored flat in row-major order so pivot loops run over
-// contiguous memory.
+// contiguous memory; every pivot rewrites all of it, so for LPs that
+// grow by columns — column generation's restricted masters — Revised
+// is the engine to use.
 type Solver struct {
 	opts Options
 
@@ -99,6 +101,9 @@ type Solver struct {
 	total   int // columns: n + nSlack + nArt + nRepair
 	artCol  int // first artificial column (repair columns live past nArt)
 	sign    float64
+	// objScale is objectiveScale of the objective; obj holds the
+	// objective divided by it, and the duals are scaled back by it.
+	objScale float64
 
 	a     []float64 // m × total, flat row-major
 	b     []float64 // RHS, kept ≥ 0
@@ -107,12 +112,6 @@ type Solver struct {
 	rel   []Relation
 	orig  []int // kept row → original constraint index
 	basis []int // basis[i] = column basic in row i
-	// unit[i] is the auxiliary column that entered the tableau as +eᵢ
-	// (the slack of a ≤ row, the artificial of a ≥/= row). Its current
-	// values are therefore the i-th column of the accumulated row
-	// transform — the implicit B⁻¹ the incremental column append
-	// (AppendSolve) multiplies new raw columns by.
-	unit []int
 
 	obj  []float64 // phase-2 objective over all columns (maximization form)
 	z    []float64 // reduced-cost row workspace
@@ -123,12 +122,6 @@ type Solver struct {
 	iters      int
 	degenerate int // consecutive degenerate pivots
 	dualPivots int // dual-simplex repair pivots this solve
-
-	// hot marks the tableau as holding an optimal basis for the problem
-	// of the last SolveWith/AppendSolve on this Solver — the state
-	// AppendSolve continues from. Any load (and any non-optimal outcome)
-	// clears it.
-	hot bool
 }
 
 // NewSolver returns a reusable Solver with default options.
@@ -187,8 +180,8 @@ const warmPivotsPerRow = 32
 // it within the warm pivot budget. It returns nil — the caller reloads
 // and solves cold — when the install fails, the budget runs out, the
 // outcome is not Optimal, or the answer fails a feasibility audit
-// against p's raw data (as AppendSolve's does: a re-installed basis can
-// claim optimality for a point the raw problem rejects).
+// against p's raw data (a re-installed basis can claim optimality for a
+// point the raw problem rejects).
 func (s *Solver) solveWarm(p *Problem, b *Basis) *Solution {
 	limit := s.opts.MaxIter
 	s.opts.MaxIter = min(limit, warmPivotsPerRow*(s.m+1))
@@ -201,7 +194,6 @@ func (s *Solver) solveWarm(p *Problem, b *Basis) *Solution {
 	case installRepaired:
 		sol, _ = s.run(p, warmRepaired)
 	}
-	// Later AppendSolve calls continue under the options' full limit.
 	s.opts.MaxIter = limit
 	if sol == nil || sol.Status != Optimal || !Feasible(p, sol.X, 1e2*s.opts.Tol) {
 		return nil
@@ -270,7 +262,6 @@ func (s *Solver) load(p *Problem, opts Options) {
 	s.artCol = n + nSlack
 	s.opts = opts.withDefaults(m, n)
 	s.iters, s.degenerate, s.dualPivots = 0, 0, 0
-	s.hot = false
 
 	s.a = grow(s.a, m*s.total)
 	s.b = grow(s.b, m)
@@ -282,7 +273,6 @@ func (s *Solver) load(p *Problem, opts Options) {
 	s.obj = grow(s.obj, s.total)
 	s.z = grow(s.z, s.total)
 	s.work = grow(s.work, s.total)
-	s.unit = grow(s.unit, m)
 
 	// Second pass: fill rows.
 	slack, art := n, s.artCol
@@ -332,19 +322,16 @@ func (s *Solver) load(p *Problem, opts Options) {
 		case LE:
 			row[slack] = 1
 			s.basis[i] = slack
-			s.unit[i] = slack
 			slack++
 		case GE:
 			row[slack] = -1
 			slack++
 			row[art] = 1
 			s.basis[i] = art
-			s.unit[i] = art
 			art++
 		case EQ:
 			row[art] = 1
 			s.basis[i] = art
-			s.unit[i] = art
 			art++
 		}
 		i++
@@ -354,9 +341,10 @@ func (s *Solver) load(p *Problem, opts Options) {
 	if p.Sense == Minimize {
 		s.sign = -1
 	}
+	s.objScale = objectiveScale(p.Objective)
 	clear(s.obj)
 	for j := 0; j < n; j++ {
-		s.obj[j] = s.sign * p.Objective[j]
+		s.obj[j] = s.sign * p.Objective[j] / s.objScale
 	}
 }
 
@@ -428,7 +416,6 @@ func (s *Solver) run(p *Problem, from start) (*Solution, error) {
 	if s.opts.CaptureBasis || s.opts.WarmBasis != nil {
 		basis = s.captureBasis()
 	}
-	s.hot = true
 	return &Solution{
 		Status:        Optimal,
 		X:             x,
@@ -611,7 +598,7 @@ func (s *Solver) driveOutArtificials() {
 // costs. For row i with slack column s(i): y_i = sign * (c_s - z_s) where
 // c_s = 0, i.e. y_i = -sign*z_s for the phase-2 objective; for equality
 // rows (no slack) the dual comes from the artificial column. Duals are
-// reported in the problem's original sense and original constraint
+// reported in the problem's original sense, scale and constraint
 // indexing (vacuous rows get 0). s.z still holds the phase-2 reduced
 // costs at termination (optimize maintains it through every pivot and
 // nothing pivots afterwards), so no re-elimination pass is needed.
@@ -619,7 +606,8 @@ func (s *Solver) extractDuals(p *Problem) []float64 {
 	z := s.z
 	// Attribute auxiliary columns to original rows by replaying the column
 	// assignment order of load; negative-RHS sign flips are undone via the
-	// per-row flip factor, and row equilibration via scale.
+	// per-row flip factor, and row and objective equilibration via scale
+	// and objScale.
 	duals := make([]float64, len(p.Constraints))
 	slack, art := s.n, s.artCol
 	for i := 0; i < s.m; i++ {
@@ -636,9 +624,30 @@ func (s *Solver) extractDuals(p *Problem) []float64 {
 			y = -s.sign * z[art] * s.flip[i] / s.scale[i]
 			art++
 		}
-		duals[s.orig[i]] = y
+		duals[s.orig[i]] = y * s.objScale
 	}
 	return duals
+}
+
+// objectiveScale is the power of two at or just above the objective's
+// largest coefficient magnitude (1 for a zero objective). Both engines
+// divide the objective by it at load, so their optimality tolerance is
+// relative to the objective's magnitude — an absolute 1e-9 is below
+// float64 resolution on a λ·cost objective near 1e9. A power of two
+// keeps the division exact: an objective whose largest magnitude lies
+// in [0.5, 1), such as delivery probabilities, is left bit for bit
+// unchanged, and scaling an objective by a power of two leaves the
+// pivot path unchanged.
+func objectiveScale(obj []float64) float64 {
+	var m float64
+	for _, c := range obj {
+		m = max(m, math.Abs(c))
+	}
+	if m == 0 {
+		return 1
+	}
+	_, e := math.Frexp(m)
+	return math.Ldexp(1, e)
 }
 
 func norm1(v []float64) float64 {

@@ -36,29 +36,17 @@ func Verify(p *Problem, x []float64, tol float64) []Violation {
 		for j, a := range c.Coeffs {
 			lhs += a * x[j]
 		}
-		var amt float64
-		switch c.Rel {
-		case LE:
-			amt = lhs - c.RHS
-		case GE:
-			amt = c.RHS - lhs
-		case EQ:
-			amt = math.Abs(lhs - c.RHS)
-		}
-		// Scale tolerance by row magnitude so large-coefficient rows
-		// (e.g. bandwidth in bits/s) are not spuriously flagged. The
-		// scale is at least 1+|RHS|, so a row within that bound passes
-		// without the second pass over its coefficients.
-		scale := 1 + math.Abs(c.RHS)
-		if amt <= tol*scale {
+		amt := rowExcess(c.Rel, lhs, c.RHS)
+		// A row within 1+|RHS| passes without the second pass over its
+		// coefficients.
+		if amt <= tol*(1+math.Abs(c.RHS)) {
 			continue
 		}
+		var rowMax float64
 		for _, a := range c.Coeffs {
-			if abs := math.Abs(a); abs > scale {
-				scale = abs
-			}
+			rowMax = max(rowMax, math.Abs(a))
 		}
-		if amt > tol*scale {
+		if rowViolated(c.Rel, lhs, c.RHS, rowMax, tol) {
 			name := c.Name
 			if name == "" {
 				name = fmt.Sprintf("constraint %d", i)
@@ -68,6 +56,27 @@ func Verify(p *Problem, x []float64, tol float64) []Violation {
 		}
 	}
 	return out
+}
+
+// rowExcess is how far lhs overshoots the row lhs rel rhs (≤ 0 when it
+// holds).
+func rowExcess(rel Relation, lhs, rhs float64) float64 {
+	switch rel {
+	case LE:
+		return lhs - rhs
+	case GE:
+		return rhs - lhs
+	default:
+		return math.Abs(lhs - rhs)
+	}
+}
+
+// rowViolated applies Verify's row-scaled tolerance: a row whose largest
+// coefficient magnitude is rowMax may miss its bound by tol times
+// max(1+|rhs|, rowMax), so large-coefficient rows (bandwidth in bits/s)
+// are not spuriously flagged.
+func rowViolated(rel Relation, lhs, rhs, rowMax, tol float64) bool {
+	return rowExcess(rel, lhs, rhs) > tol*max(1+math.Abs(rhs), rowMax)
 }
 
 // Feasible reports whether x satisfies p within tol.

@@ -99,11 +99,17 @@ func (s *Solver) captureBasis() *Basis {
 // basisCompatible reports whether the warm basis matches the loaded
 // problem's row structure and column counts exactly.
 func (s *Solver) basisCompatible(b *Basis) bool {
-	if b == nil || b.m != s.m || b.n != s.n || b.nSlack != s.nSlack || b.nArt != s.nArt {
+	return b.fits(s.m, s.n, s.nSlack, s.nArt, s.rel)
+}
+
+// fits reports whether b was captured on a problem with this kept-row
+// structure and these column counts.
+func (b *Basis) fits(m, n, nSlack, nArt int, rel []Relation) bool {
+	if b == nil || b.m != m || b.n != n || b.nSlack != nSlack || b.nArt != nArt {
 		return false
 	}
-	for i := 0; i < s.m; i++ {
-		if b.rel[i] != s.rel[i] {
+	for i := 0; i < m; i++ {
+		if b.rel[i] != rel[i] {
 			return false
 		}
 	}

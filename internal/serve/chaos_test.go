@@ -82,11 +82,30 @@ func stormPlan(seed uint64) *fault.Plan {
 	}
 }
 
-// TestChaosFleetSurvivesFaultStorms is the tentpole invariant test: a
-// 64-session drifting fleet served through repeated randomized fault
+// reshapeWire drops a 15-path network's last path or gives a 14-path
+// one a fresh path: both shapes (3,375 and 4,096 combinations at three
+// transmissions) solve by column generation, and the shape change makes
+// the next solve of the session a cold one.
+func reshapeWire(rng *rand.Rand, n scenario.Network) scenario.Network {
+	out := n
+	if len(n.Paths) == 15 {
+		out.Paths = n.Paths[:14:14]
+		return out
+	}
+	out.Paths = append(append([]scenario.Path(nil), n.Paths...), testNetwork(rng, 1).Paths[0])
+	out.Paths[len(out.Paths)-1].Name = "p14"
+	return out
+}
+
+// TestChaosFleetSurvivesFaultStorms is the tentpole invariant test: an
+// 84-session drifting fleet served through repeated randomized fault
 // storms (panics, errors, latency at every registered seam), asserting
 // after every storm that
 //
+//   - every armed injection point was reached — the fleet's 15×3
+//     sessions (4,096 combinations) take the column-generation path,
+//     where lp.append and core.cg.reprice sit, so the cold-reference
+//     check below covers it,
 //   - the process and every shard worker survive (requests keep
 //     completing),
 //   - no request hangs (every HTTP call returns within its client
@@ -110,11 +129,20 @@ func TestChaosFleetSurvivesFaultStorms(t *testing.T) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	base := ts.URL
 
-	const fleet = 64
+	// 64 small sessions on the dense dispatch, then cgSessions past the
+	// dense threshold, the last reshaped of them changing shape every
+	// storm.
+	const small, cgSessions, reshaped = 64, 20, 8
+	const fleet = small + cgSessions
 	rng := rand.New(rand.NewPCG(0xc4a05, 7))
 	wires := make([]scenario.Network, fleet)
 	for i := range wires {
-		wires[i] = testNetwork(rng, 2+i%3)
+		if i < small {
+			wires[i] = testNetwork(rng, 2+i%3)
+			continue
+		}
+		wires[i] = testNetwork(rng, 15)
+		wires[i].Transmissions = 3
 	}
 	sessionID := func(i int) string { return "chaos-" + strconv.Itoa(i) }
 	post := func(i int) (int, scenario.SolveResponse) {
@@ -137,12 +165,20 @@ func TestChaosFleetSurvivesFaultStorms(t *testing.T) {
 	}
 
 	for iter := 1; iter <= iters; iter++ {
+		// The reshaped sessions gain or lose a path, so the storm re-primes
+		// them with a cold column generation, which appends columns; the
+		// others drift and re-solve warm.
 		for i := range wires {
+			if i >= fleet-reshaped {
+				wires[i] = reshapeWire(rng, wires[i])
+				continue
+			}
 			wires[i] = driftWire(rng, wires[i], 0.06)
 		}
 
 		// The storm: every seam armed, fleet re-solved concurrently.
-		fault.Activate(stormPlan(uint64(iter)))
+		plan := stormPlan(uint64(iter))
+		fault.Activate(plan)
 		type outcome struct {
 			status  int
 			quality float64
@@ -162,7 +198,13 @@ func TestChaosFleetSurvivesFaultStorms(t *testing.T) {
 		for i := 0; i < fleet; i++ {
 			<-done
 		}
+		stats := fault.Stats()
 		fault.Deactivate()
+		for name := range plan.Points {
+			if stats[name].Hits == 0 {
+				t.Fatalf("iter %d: armed point %s was never reached", iter, name)
+			}
+		}
 
 		// Every response honest: a 200 must be optimal to 1e-6 against
 		// an independent cold solve of the same drifted network; every
