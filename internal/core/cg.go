@@ -59,7 +59,9 @@ type cgObjective interface {
 	// price returns up to cgColumnsPerIter combinations whose pricing
 	// gain exceeds floor (reduced cost above floor for maximizations,
 	// below −floor for minimizations). The oracle is exact: an empty
-	// result certifies no combination prices beyond floor.
+	// result certifies no combination prices beyond floor. The
+	// combinations are headers into the oracle's storage, valid until
+	// its next price call; colSet.add copies the ones it pools.
 	price(floor float64) [][]int
 	// seed primes an empty pool with the objective's starting columns
 	// (always including the all-blackhole column, which keeps the
@@ -405,29 +407,54 @@ func (m *model) seedColumns(cs *colSet, obj cgObjective, scratch []int) {
 // negative-contribution attempt from any combination never lowers its
 // value (later attempts shift earlier and their survival mass grows),
 // so some maximizer uses only in-time attempts with gain > 0 — the
-// search expands exactly those, with a τ-discounted optimistic bound
-// pruning the rest.
+// search expands exactly those.
+//
+// Bound. load keeps the positive-gain paths in order, fastest first,
+// and tabulates, with gⱼ and τⱼ the gain and loss of order[j],
+//
+//	ub[0][q] = 0
+//	ub[r][q] = max(0, max_{j<q} gⱼ + τⱼ·ub[r−1][q])
+//
+// for r = 0..m and q = 0..len(order). Send times only grow along a
+// chain, so when only order[:q] can still arrive in time at a node,
+// every later attempt of any chain below it also lies in order[:q]; by
+// induction on r (ub is nondecreasing in both r and q, and an attempt
+// outside order[:q] adds at most 0 and scales the survival mass by
+// τ ≤ 1), r more attempts add at most surv·ub[r][q]. Over non-binding
+// paths alone (gain 1 − τ) ub[r][q] = 1 − τ_min^r, which r in-time
+// attempts on the least lossy of them attain.
+//
+// Traversal. dfs walks order[:q] — the in-time paths — fastest first.
+// A child's send time grows with its path's delay, so its in-time count
+// shrinks along the walk and a cursor that only moves down yields it in
+// amortized O(1). A child is pruned before the call when its
+// accumulated gain plus its survival mass times ub cannot beat the
+// recording floor.
+//
+// Storage. The kept candidates live in a topK heap over fixed storage;
+// price returns headers into it, valid until the next price call.
 type pricer struct {
 	m     *model
 	δ     time.Duration
 	dmin  time.Duration
 	trans int
 
-	gain0 []float64       // per model path: α(1−τᵢ) − wᵢ
-	delay []time.Duration // per model path
-	loss  []float64
-	order []int     // real paths with gain0 > 0, best first
-	geo   []float64 // geo[r] = Σ_{j<r} τmax^j, for the optimistic bound
+	order []pricedPath
+	ub    []float64 // (trans+1) × (len(order)+1): ub[r][q] at r*(len(order)+1)+q
 	y0    float64
 
 	digits []int
-	found  []pricedCombo
-	flo    float64 // current recording floor: cgPriceTol until found is full, then the worst kept rc
+	top    topK
 }
 
-type pricedCombo struct {
-	combo []int
-	rc    float64
+// pricedPath is a real path with positive pricing gain, as the search
+// reads it.
+type pricedPath struct {
+	i      int           // model path index
+	gain   float64       // α(1−τᵢ) − wᵢ: an in-time attempt's gain per unit of survival mass
+	loss   float64       // τᵢ
+	step   time.Duration // dᵢ + d_min, saturating: the next attempt's send-time offset
+	latest time.Duration // δ − dᵢ: the latest send time that still arrives in time
 }
 
 func newPricer(m *model) *pricer {
@@ -436,11 +463,8 @@ func newPricer(m *model) *pricer {
 		δ:      m.net.Lifetime,
 		dmin:   m.dmin,
 		trans:  m.m,
-		gain0:  make([]float64, m.base),
-		delay:  make([]time.Duration, m.base),
-		loss:   make([]float64, m.base),
-		order:  make([]int, 0, m.base),
-		geo:    make([]float64, m.m+1),
+		order:  make([]pricedPath, 0, m.base),
+		ub:     make([]float64, (m.m+1)*m.base),
 		digits: make([]int, m.m),
 	}
 }
@@ -491,105 +515,188 @@ func (p *pricer) repriceMinCost(yBW []float64, yQ, y0 float64) {
 	}, -y0)
 }
 
-// load fills the per-path pricing gains gain0[i] = α(1−τᵢ) − w(i) and
-// the constant y0 subtracted from every combination's accumulated gain,
-// then orders the positive-gain paths best first and rebuilds the
-// geometric optimistic-bound table.
+// load computes the per-path pricing gains α(1−τᵢ) − w(i) and the
+// constant y0 subtracted from every combination's accumulated gain,
+// keeps the positive-gain paths in order, fastest first, and rebuilds
+// the ub table.
 func (p *pricer) load(alpha float64, w func(int, *Path) float64, y0 float64) {
 	p.y0 = y0
 	p.order = p.order[:0]
-	τmax := 0.0
 	for i := 1; i < p.m.base; i++ {
 		path := &p.m.paths[i]
-		p.gain0[i] = alpha*(1-path.Loss) - w(i, path)
-		p.delay[i] = path.Delay
-		p.loss[i] = path.Loss
-		if p.gain0[i] > 0 {
-			p.order = append(p.order, i)
-			if path.Loss > τmax {
-				τmax = path.Loss
+		if g := alpha*(1-path.Loss) - w(i, path); g > 0 {
+			step := path.Delay + p.dmin
+			if step < path.Delay { // overflow
+				step = time.Duration(math.MaxInt64)
 			}
+			p.order = append(p.order, pricedPath{i: i, gain: g, loss: path.Loss, step: step, latest: p.δ - path.Delay})
 		}
 	}
-	// Best-gain-first ordering tightens the top-K floor early.
+	// Stable insertion sort, fastest path (latest in-time send) first:
+	// the in-time paths at any send time are then a prefix of order.
 	for a := 1; a < len(p.order); a++ {
-		for b := a; b > 0 && p.gain0[p.order[b]] > p.gain0[p.order[b-1]]; b-- {
+		for b := a; b > 0 && p.order[b].latest > p.order[b-1].latest; b-- {
 			p.order[b], p.order[b-1] = p.order[b-1], p.order[b]
 		}
 	}
-	p.geo[0] = 0
+	w1 := len(p.order) + 1
+	ub := p.ub[:(p.trans+1)*w1]
+	clear(ub[:w1])
 	for r := 1; r <= p.trans; r++ {
-		p.geo[r] = 1 + τmax*p.geo[r-1]
+		prev, row := ub[(r-1)*w1:r*w1], ub[r*w1:(r+1)*w1]
+		for q := range row {
+			best := 0.0
+			for _, c := range p.order[:q] {
+				best = max(best, c.gain+c.loss*prev[q])
+			}
+			row[q] = best
+		}
 	}
 }
 
 // price returns up to cgColumnsPerIter combinations with pricing gain
-// above the floor.
+// above the floor, as headers into the pricer's storage that stay valid
+// until its next price call.
 func (p *pricer) price(floor float64) [][]int {
-	p.found = p.found[:0]
-	p.flo = floor
-	p.dfs(0, 0, 1, 0)
-	out := make([][]int, len(p.found))
-	for i, f := range p.found {
-		out[i] = f.combo
-	}
-	return out
+	p.top.reset(p.trans, floor)
+	p.dfs(0, 0, p.inTime(0, len(p.order)), 1, 0)
+	return p.top.combos()
 }
 
-func (p *pricer) record(k int, rc float64) {
-	combo := make([]int, p.trans)
-	copy(combo, p.digits[:k])
-	if len(p.found) < cgColumnsPerIter {
-		p.found = append(p.found, pricedCombo{combo, rc})
-	} else {
-		worstAt, worst := 0, p.found[0].rc
-		for i, f := range p.found[1:] {
-			if f.rc < worst {
-				worstAt, worst = i+1, f.rc
-			}
-		}
-		p.found[worstAt] = pricedCombo{combo, rc}
+// inTime returns how many of order[:q] still arrive by the deadline when
+// sent at t ≥ 0: a prefix, since order is sorted by delay.
+func (p *pricer) inTime(t time.Duration, q int) int {
+	for q > 0 && t > p.order[q-1].latest {
+		q--
 	}
-	if len(p.found) == cgColumnsPerIter {
-		p.flo = p.found[0].rc
-		for _, f := range p.found[1:] {
-			if f.rc < p.flo {
-				p.flo = f.rc
-			}
-		}
-	}
+	return q
 }
 
 // dfs explores attempt prefixes. k attempts are committed (p.digits[:k])
-// with next send time t, survival mass surv, and accumulated
-// contribution acc; terminating here (blackhole-padding the rest) is
-// itself a candidate column.
-func (p *pricer) dfs(k int, t time.Duration, surv float64, acc float64) {
-	if rc := acc - p.y0; rc > p.flo {
-		p.record(k, rc)
+// with next send time t, in-time path count q, survival mass surv and
+// accumulated contribution acc; terminating here (blackhole-padding the
+// rest) is itself a candidate column. A node with no survival mass left
+// has nothing to add: every extension is the same column.
+func (p *pricer) dfs(k int, t time.Duration, q int, surv, acc float64) {
+	if rc := acc - p.y0; rc > p.top.floor {
+		p.top.push(rc, p.digits[:k])
 	}
-	if k == p.trans {
+	if k == p.trans || surv == 0 {
 		return
 	}
-	// Optimistic remaining value: every future attempt gains at most the
-	// best single-attempt gain, discounted by the largest survivable loss.
-	best := 0.0
-	if len(p.order) > 0 {
-		best = p.gain0[p.order[0]]
-	}
-	if acc+surv*best*p.geo[p.trans-k]-p.y0 <= p.flo {
-		return
-	}
-	for _, i := range p.order {
-		arrival := t + p.delay[i]
-		if arrival < 0 || arrival > p.δ {
-			continue // late now means late forever: the subtree cannot gain
+	r := p.trans - k - 1 // attempts left below a child
+	if r == 0 {
+		// The children are leaves: each is its own bound.
+		for _, c := range p.order[:q] {
+			if rc := acc + surv*c.gain - p.y0; rc > p.top.floor {
+				p.digits[k] = c.i
+				p.top.push(rc, p.digits[:k+1])
+			}
 		}
-		next := arrival + p.dmin
-		if next < arrival { // overflow
+		return
+	}
+	w1 := len(p.order) + 1
+	ub := p.ub[r*w1 : (r+1)*w1]
+	nq := q
+	for _, c := range p.order[:q] {
+		next := t + c.step
+		if next < t { // overflow
 			next = time.Duration(math.MaxInt64)
 		}
-		p.digits[k] = i
-		p.dfs(k+1, next, surv*p.loss[i], acc+surv*p.gain0[i])
+		nq = p.inTime(next, nq)
+		s, a := surv*c.loss, acc+surv*c.gain
+		if a+s*ub[nq]-p.y0 <= p.top.floor {
+			continue
+		}
+		p.digits[k] = c.i
+		p.dfs(k+1, next, nq, s, a)
 	}
+}
+
+// topK keeps the cgColumnsPerIter highest-gain candidates of one
+// pricing pass in a binary min-heap on gain over fixed storage, so
+// recording a candidate allocates nothing. floor is the gain a new
+// candidate must beat: the pass's pricing floor until the heap is full,
+// then the worst kept gain (the heap root).
+type topK struct {
+	floor  float64
+	width  int
+	n      int
+	heap   [cgColumnsPerIter]heapEntry
+	digits []int // slot s's combination at digits[s*width:(s+1)*width]
+	out    [cgColumnsPerIter][]int
+}
+
+type heapEntry struct {
+	rc   float64
+	slot int
+}
+
+// reset empties the heap for a pass over width-digit combinations.
+func (h *topK) reset(width int, floor float64) {
+	h.floor, h.width, h.n = floor, width, 0
+	if n := cgColumnsPerIter * width; cap(h.digits) < n {
+		h.digits = make([]int, n)
+	} else {
+		h.digits = h.digits[:n]
+	}
+}
+
+// push records combo, blackhole-padded to width, with gain rc > floor —
+// into a free slot, or over the worst kept candidate once the heap is
+// full.
+func (h *topK) push(rc float64, combo []int) {
+	var slot int
+	if h.n < cgColumnsPerIter {
+		slot = h.n
+		h.heap[h.n] = heapEntry{rc, slot}
+		h.n++
+		h.up(h.n - 1)
+	} else {
+		slot = h.heap[0].slot
+		h.heap[0].rc = rc
+		h.down()
+	}
+	d := h.digits[slot*h.width : (slot+1)*h.width]
+	clear(d[copy(d, combo):])
+	if h.n == cgColumnsPerIter {
+		h.floor = h.heap[0].rc
+	}
+}
+
+func (h *topK) up(j int) {
+	for j > 0 {
+		parent := (j - 1) / 2
+		if h.heap[parent].rc <= h.heap[j].rc {
+			return
+		}
+		h.heap[parent], h.heap[j] = h.heap[j], h.heap[parent]
+		j = parent
+	}
+}
+
+func (h *topK) down() {
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= h.n {
+			return
+		}
+		if c+1 < h.n && h.heap[c+1].rc < h.heap[c].rc {
+			c++
+		}
+		if h.heap[j].rc <= h.heap[c].rc {
+			return
+		}
+		h.heap[j], h.heap[c] = h.heap[c], h.heap[j]
+		j = c
+	}
+}
+
+// combos returns the kept combinations as headers into the heap's
+// storage, valid until its next reset.
+func (h *topK) combos() [][]int {
+	for s := range h.n {
+		h.out[s] = h.digits[s*h.width : (s+1)*h.width : (s+1)*h.width]
+	}
+	return h.out[:h.n]
 }

@@ -38,7 +38,7 @@ type randomObjective struct {
 	yCost float64
 	y0    float64
 
-	found []pricedCombo
+	top topK
 }
 
 // newRandomObjective tabulates the Eqs. 27–30 pair coefficients,
@@ -141,42 +141,18 @@ func (o *randomObjective) reprice(duals []float64) {
 // price scans every pair exactly. rc(i,j) decomposes into a first-leg
 // term aᵢ = firstDeliverᵢ − λ(yᵢ + y_c·cᵢ) − y₀ plus, for a real
 // retransmission leg, pRᵢⱼ·(pDᵢⱼ − λ(yⱼ + y_c·cⱼ)); blackhole shares
-// never enter a constraint row.
+// never enter a constraint row. The result is headers into the
+// objective's storage, valid until its next price call.
 func (o *randomObjective) price(floor float64) [][]int {
-	o.found = o.found[:0]
+	o.top.reset(2, floor)
 	λ := o.m.net.Rate
 	base := o.m.base
 	real := base - 1
-	flo := floor
-
-	record := func(i, j int, rc float64) {
-		if len(o.found) < cgColumnsPerIter {
-			c := []int{i, j}
-			o.found = append(o.found, pricedCombo{c, rc})
-		} else {
-			worstAt, worst := 0, o.found[0].rc
-			for k, f := range o.found[1:] {
-				if f.rc < worst {
-					worstAt, worst = k+1, f.rc
-				}
-			}
-			o.found[worstAt].combo[0], o.found[worstAt].combo[1] = i, j
-			o.found[worstAt].rc = rc
-		}
-		if len(o.found) == cgColumnsPerIter {
-			flo = o.found[0].rc
-			for _, f := range o.found[1:] {
-				if f.rc < flo {
-					flo = f.rc
-				}
-			}
-		}
-	}
 
 	// All blackhole-first pairs are the identical empty column; only
 	// (0,0) is ever considered.
-	if rc := -o.y0; rc > flo {
-		record(0, 0, rc)
+	if rc := -o.y0; rc > o.top.floor {
+		o.top.push(rc, nil)
 	}
 	// price per real path: w_i = λ(yᵢ + y_c·cᵢ). The delivery sum is
 	// priced exactly as evalColumn computes it — including the Eq. 28
@@ -184,8 +160,8 @@ func (o *randomObjective) price(floor float64) [][]int {
 	// crowd the top-K, and stall the loop on permanent duplicates.
 	for i := 1; i < base; i++ {
 		wi := λ * (o.yBW[i-1] + o.yCost*o.m.paths[i].Cost)
-		if rc := o.firstDeliver[i] - wi - o.y0; rc > flo {
-			record(i, 0, rc)
+		if rc := o.firstDeliver[i] - wi - o.y0; rc > o.top.floor {
+			o.top.push(rc, []int{i})
 		}
 		row := o.pRetr[(i-1)*real : i*real]
 		del := o.pDeliver[(i-1)*real : i*real]
@@ -197,16 +173,12 @@ func (o *randomObjective) price(floor float64) [][]int {
 				d = 1
 			}
 			rc := d - wi - pR*wj - o.y0
-			if rc > flo {
-				record(i, j, rc)
+			if rc > o.top.floor {
+				o.top.push(rc, []int{i, j})
 			}
 		}
 	}
-	out := make([][]int, len(o.found))
-	for i, f := range o.found {
-		out[i] = f.combo
-	}
-	return out
+	return o.top.combos()
 }
 
 // seed primes the pool: the empty column, one drop-after-first column

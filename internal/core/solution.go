@@ -138,7 +138,9 @@ func (s *Solution) SentRate(i int) float64 {
 	base := s.m.base
 	var rate float64
 	for l, x := range s.X {
-		rate += x * s.shares[l*base+model]
+		if x != 0 { // most of a column-generation pool carries no traffic
+			rate += x * s.shares[l*base+model]
+		}
 	}
 	return rate * s.Network.Rate
 }
@@ -148,7 +150,7 @@ func (s *Solution) SentRate(i int) float64 {
 func (s *Solution) DropRate() float64 {
 	var rate float64
 	for l, x := range s.X {
-		if s.combos[l][0] == 0 {
+		if x != 0 && s.combos[l][0] == 0 {
 			rate += x
 		}
 	}
@@ -162,7 +164,9 @@ func (s *Solution) Goodput() float64 { return s.Quality * s.Network.Rate }
 func (s *Solution) Cost() float64 {
 	var c float64
 	for l, x := range s.X {
-		c += x * s.costs[l]
+		if x != 0 {
+			c += x * s.costs[l]
+		}
 	}
 	return c * s.Network.Rate
 }
