@@ -218,12 +218,14 @@ func warmResolveRing(paths, trans, n int) (*dmc.Network, []*dmc.Network) {
 
 // BenchmarkWarmResolve measures the incremental re-solve engine on a
 // drift trajectory against cold solves of the identical instances, per
-// dispatch regime: dense (10×3), and column generation just past the
-// dense threshold (15×3) and at the 2.8M-combination ROADMAP target
-// (40×4). The warm/cold per-op ratio at each size is the headline
-// artifact; both sides are gated as critical in scripts/benchcmp.
+// dispatch regime: dense (3×2, the serving sweep's shape, and 10×3),
+// and column generation just past the dense threshold (15×3) and at the
+// 2.8M-combination ROADMAP target (40×4). The warm/cold per-op ratio at
+// each size is the headline artifact; both sides are gated as critical
+// in scripts/benchcmp.
 func BenchmarkWarmResolve(b *testing.B) {
 	for _, size := range []struct{ paths, trans int }{
+		{3, 2},  // 16 combos: dense re-solve of the serving sweep's shape
 		{10, 3}, // 1331 combos: dense warm re-solve
 		{15, 3}, // 4096: column generation just past the dense threshold
 		{40, 4}, // 2.8M: column generation with persistent pool

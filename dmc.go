@@ -32,11 +32,12 @@
 // materialize. A Solver with DenseThreshold = -1 forces column
 // generation at every size. Solver.Resolve, Solver.ResolveMinCost, and
 // Solver.ResolveQualityRandom re-solve incrementally on the same engine
-// for drifting estimates: column tables rebuilt in place, CG pool
-// retained and repriced, LP basis reused with newly priced columns
-// appended to the sparse master in place; NewWarmPool keeps one such warm
-// Solver per session key for fleets of sessions re-solving as their
-// estimates drift. SolveQualityExact solves with exact rational
+// for drifting estimates. A dense re-solve rebuilds its column table in
+// place and solves its master cold, so it equals a cold solve bit for
+// bit; a column-generation re-solve reprices its retained pool, reuses
+// the LP basis and appends newly priced columns to the sparse master in
+// place. NewWarmPool keeps one such warm Solver per session key for
+// fleets of sessions re-solving as their estimates drift. SolveQualityExact solves with exact rational
 // arithmetic, as the paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
@@ -110,19 +111,20 @@ type (
 	// SolveMinCost, SolveQualityRandom) return Solutions that own their
 	// storage. Its Resolve methods solve incrementally: when only
 	// λ/µ/loss/delay drift between calls (the §VIII-A adaptive regime),
-	// column tables are rebuilt in place, the column-generation pool is
-	// retained and repriced, and the previous LP basis warm-starts the
-	// simplex — typically ≥5× faster than a cold solve at CG scale, with
-	// identical optima. Not safe for concurrent use; use one per
-	// goroutine, or a WarmPool (one Solver per session key).
+	// column tables are rebuilt in place; a dense master is then solved
+	// cold, while under column generation the pool is retained and
+	// repriced and the previous LP basis warm-starts the simplex —
+	// typically ≥5× faster than a cold solve at CG scale, with identical
+	// optima. Not safe for concurrent use; use one per goroutine, or a
+	// WarmPool (one Solver per session key).
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
 	// re-solves under λ/µ/loss drift reuse the table for free. Safe for
 	// concurrent use.
 	TimeoutCache = core.TimeoutCache
-	// WarmPool keeps incremental re-solve state (column tables, CG
-	// pool, LP basis) per session: a map from session key to one warm
+	// WarmPool keeps incremental re-solve state (column tables; the CG
+	// pool and LP basis) per session: a map from session key to one warm
 	// Solver, solved through SolveSession, SolveSessionMinCost, and
 	// SolveSessionRandom and released by DropSession. Safe for
 	// concurrent use; see NewWarmPool.
@@ -270,8 +272,8 @@ func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 // buffers are kept across calls, and the simplex workspace comes from a
 // process-wide pool for each solve. For repeated solves of
 // ONE network shape under drifting estimates, use the Solver's Resolve
-// method — the incremental path that reuses columns, the CG pool, and
-// the LP basis across solves.
+// method — the incremental path that reuses columns, and under column
+// generation the pool and the LP basis, across solves.
 func NewSolver() *Solver { return core.NewSolver() }
 
 // NewTimeoutCache returns an empty OptimalTimeouts cache keyed by the

@@ -77,8 +77,9 @@ type resolveState struct {
 	// mcObj is the dense min-cost master's objective buffer.
 	mcObj []float64
 
-	// basis is the previous solve's optimal LP basis, captured over the
-	// whole dense table or the whole CG pool.
+	// basis is the previous CG solve's optimal LP basis, captured over
+	// the whole pool. Dense re-solves solve their master cold and leave
+	// it nil.
 	basis *lp.Basis
 	// duals is the previous master's dual vector (CG dispatch), used to
 	// score pooled columns for trimming.
@@ -175,18 +176,22 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 // of starting cold:
 //
 //   - the dense column tables are rebuilt in place (no re-allocation),
+//     and the dense master is assembled into reused storage and solved
+//     cold, so a dense re-solve returns exactly what a cold
+//     SolveQuality of the same network returns, bit for bit,
 //   - the column-generation pool is retained and repriced, so the
 //     branch-and-bound pricing oracle only searches for columns the
 //     drift actually made attractive,
-//   - the previous optimal simplex basis is re-installed, skipping LP
-//     Phase I whenever it is still feasible for the perturbed
-//     coefficients (with dual-simplex repair when the drift left it
-//     dual feasible, and automatic cold fallback otherwise), and later
-//     CG iterations append their columns to the sparse master in place,
-//     re-optimizing from the factorized basis.
+//   - for column generation, the previous optimal simplex basis is
+//     re-installed, skipping LP Phase I whenever it is still feasible
+//     for the perturbed coefficients (with dual-simplex repair when the
+//     drift left it dual feasible, and automatic cold fallback
+//     otherwise), and later CG iterations append their columns to the
+//     sparse master in place, re-optimizing from the factorized basis.
 //
 // The result is identical to a cold SolveQuality up to solver tolerance;
-// Solution.Stats reports Warm, PhaseISkipped, and the pool hit counts.
+// Solution.Stats reports Warm, PhaseISkipped (column generation only),
+// and the pool hit counts.
 // On a shape change — or any failure of the warm path — Resolve falls
 // back to a cold solve transparently and re-primes the state.
 //
@@ -219,8 +224,8 @@ func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, erro
 // delays, losses, and timeout tables, with the same warm-state reuse,
 // result-invalidation contract, and cold fallback as Resolve. The pair
 // tables are re-tabulated every call (they depend on the drifting
-// delays); what warms is the column table or pool, the LP basis, and
-// all storage.
+// delays); what warms is the column table or pool, the LP basis under
+// column generation, and all storage.
 func (s *Solver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 	return s.resolve(n, resolveReq{obj: objRandom, to: to})
 }
@@ -277,7 +282,8 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // false) or re-solves from (warm true): the run reuses its buffers and
 // leaves in it what the next re-solve needs. A one-shot solve passes a
 // nil rs: every buffer is fresh and owned by the returned Solution, and
-// no basis is captured.
+// no basis is captured. Only column generation keeps a basis: the dense
+// dispatch solves its master cold on every call.
 //
 // The LP workspace — the dense tableau, or the revised simplex for
 // column generation — is borrowed from its pool for the solve and
@@ -323,8 +329,7 @@ func newRequestModel(n *Network, req resolveReq, dense bool) (*model, error) {
 }
 
 // solveDense evaluates the request's dense column table — freshly, or
-// in place over the warm state's table — and solves the master, warm
-// from the previous optimal basis on a re-solve.
+// in place over the warm state's table — and solves the master cold.
 func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	m, err := newRequestModel(n, req, true)
 	if err != nil {
@@ -334,10 +339,9 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 	if req.obj == objRandom {
 		ev = rs.randomTables(m, req.to)
 	}
-	var basis *lp.Basis
 	var cols *columns
 	if warm {
-		cols, basis = rs.dense, rs.basis
+		cols = rs.dense
 		if cols == nil || cols.len() != m.nVars {
 			return nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
 		}
@@ -346,7 +350,7 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		cols = m.computeColumns(s.scratch(m.m), ev)
 	}
 
-	prob, lpSol, err := s.denseMaster(m, cols, req, rs, basis)
+	prob, lpSol, err := s.denseMaster(m, cols, req, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -355,17 +359,17 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		quality = achievedQuality(lpSol.X, cols.delivery)
 	}
 	out := m.newSolution(prob, cols, lpSol.X, quality, nil)
-	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), Warm: warm, PhaseISkipped: lpSol.PhaseISkipped}
+	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), Warm: warm}
 	if rs != nil {
-		rs.dense, rs.basis = cols, lpSol.Basis
+		rs.dense = cols
 	}
 	return out, nil
 }
 
 // denseMaster assembles the request's master over the dense columns and
-// solves it, warm from basis when non-nil. Only a Resolve (non-nil rs)
-// assembles into the reused arena and captures the optimal basis.
-func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolveState, basis *lp.Basis) (*lp.Problem, *lp.Solution, error) {
+// solves it cold on the tableau. Only a Resolve (non-nil rs) assembles
+// into the reused arena.
+func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolveState) (*lp.Problem, *lp.Solution, error) {
 	sc := rs.arena()
 	var prob *lp.Problem
 	if req.obj == objMinCost {
@@ -377,7 +381,7 @@ func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolv
 	} else { // objQuality and objRandom share the Eq. 10 master shape
 		prob = m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
 	}
-	lpSol, err := s.work.tab.SolveWith(prob, lp.Options{AssumeValid: true, CaptureBasis: rs != nil, WarmBasis: basis})
+	lpSol, err := s.work.tab.SolveWith(prob, lp.Options{AssumeValid: true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
 	}

@@ -35,9 +35,10 @@ type SolveStats struct {
 	// shape): columns were rebuilt in place and, for column generation,
 	// the pooled columns were repriced instead of regenerated.
 	Warm bool
-	// PhaseISkipped reports the first LP solve re-installed the previous
-	// optimal basis as a feasible starting point and skipped simplex
-	// Phase I entirely.
+	// PhaseISkipped reports the first LP solve of a column-generation
+	// re-solve re-installed the previous optimal basis as a feasible
+	// starting point and skipped simplex Phase I entirely. It is always
+	// false on the dense dispatch, which solves every master cold.
 	PhaseISkipped bool
 	// PoolHits counts column-generation columns reused (repriced in
 	// place) from the persistent pool; PoolAdded counts columns the

@@ -17,8 +17,10 @@ import (
 const DefaultDenseThreshold = 2048
 
 // Solver is a reusable solve context: it owns the combination-
-// enumeration scratch and the Resolve warm state (columns, CG pool and
-// sparse master, LP basis). The simplex workspace is not part of it:
+// enumeration scratch and the Resolve warm state (dense columns and
+// assembly storage; the CG pool, sparse master and LP basis). Only
+// column generation re-installs a basis: a dense re-solve solves its
+// master cold. The simplex workspace is not part of it:
 // each solve borrows a dense tableau (lp.Solver) or a revised simplex
 // (lp.Revised) from a process-wide pool and returns it when the solve
 // ends, so an idle Solver — one per served session — holds neither.

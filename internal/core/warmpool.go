@@ -12,9 +12,9 @@ type sessionSlot struct {
 
 // WarmPool keeps one warm Solver per session key. The §VIII-A adaptive
 // loop re-solves one session at a time as its estimates drift, so each
-// session keeps its column tables, CG pool, and LP basis across its
-// own solves, however the surrounding fleet reorders, grows, or
-// shrinks. Distinct keys solve concurrently; calls on the same key
+// session keeps its column tables and, under column generation, its
+// pool and LP basis across its own solves, however the surrounding
+// fleet reorders, grows, or shrinks. Distinct keys solve concurrently; calls on the same key
 // serialize.
 //
 // A returned Solution shares storage with its session's warm state: the

@@ -21,8 +21,10 @@ type ResolvePoint struct {
 	// QualityGap is |Q_warm − Q_cold| (must sit within solver tolerance).
 	QualityGap float64
 	Dispatch   core.Dispatch
-	// PhaseISkipped reports the warm solve re-installed the previous LP
-	// basis; PoolHits counts repriced CG pool columns.
+	// PhaseISkipped reports the warm solve's first column-generation
+	// master re-installed the previous LP basis (always false on the
+	// dense dispatch, which solves cold); PoolHits counts repriced CG
+	// pool columns.
 	PhaseISkipped bool
 	PoolHits      int
 	CGIterations  int

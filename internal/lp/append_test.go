@@ -258,11 +258,12 @@ func TestAppendSolveAfterWarmStart(t *testing.T) {
 
 // TestDualSimplexRepair: shrinking only the right-hand sides leaves the
 // old optimal basis dual feasible but primal infeasible — exactly the
-// dual-simplex regime. The warm solve must engage it (DualPivots > 0
-// on at least some trials), skip Phase I, and still match cold solves.
+// dual-simplex regime. The Revised warm solve must engage it
+// (DualPivots > 0 on at least some trials), skip Phase I, and still
+// match cold tableau solves.
 func TestDualSimplexRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd0a1))
-	solver := NewSolver()
+	solver := NewRevised()
 	dualRepaired := 0
 	for trial := 0; trial < 200; trial++ {
 		nVars := 2 + rng.Intn(5)
@@ -270,7 +271,7 @@ func TestDualSimplexRepair(t *testing.T) {
 		for c := 0; c < 1+rng.Intn(3); c++ {
 			p.AddConstraint(randVec(rng, nVars, 0.5, 5), LE, 5+rng.Float64()*20)
 		}
-		cold, err := solver.SolveWith(p, Options{CaptureBasis: true})
+		cold, err := solver.SolveWith(toSparse(p), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
 		}
@@ -278,7 +279,7 @@ func TestDualSimplexRepair(t *testing.T) {
 		for _, con := range p.Constraints {
 			pert.AddConstraint(con.Coeffs, con.Rel, con.RHS*(0.2+rng.Float64()*0.5))
 		}
-		warm, err := solver.SolveWith(pert, Options{WarmBasis: cold.Basis})
+		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}

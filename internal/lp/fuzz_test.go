@@ -52,7 +52,8 @@ func FuzzSolveSmallLP(f *testing.F) {
 // tableau: both must agree on the status and, when optimal, on the
 // objective to 1e-7 relative, with the revised answer passing Verify;
 // the same columns appended in two or three batches must reach the same
-// verdict.
+// verdict; and an optimal instance, drifted and re-solved warm from its
+// revised basis, must agree with a cold tableau solve of the drifted LP.
 func FuzzRevisedMatchesTableau(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint16(seed*37))
@@ -89,18 +90,41 @@ func randomSparseLP(seed int64, shape uint16) *Sparse {
 	return sp
 }
 
-func checkRevisedMatchesTableau(t *testing.T, seed int64, shape uint16) {
+// driftSparse returns a copy of sp with each right-hand side scaled by a
+// factor in [0.3, 1.3), each objective coefficient by one in [0.8, 1.2)
+// and each nonzero by one in [0.9, 1.1), drawn from seed.
+func driftSparse(sp *Sparse, seed int64) *Sparse {
+	rng := rand.New(rand.NewSource(^seed))
+	out := NewSparse(sp.sense)
+	for _, r := range sp.rows {
+		out.AddRow(r.name, r.rel, r.rhs*(0.3+rng.Float64()))
+	}
+	vals := make([]float64, 0, 6)
+	for j := 0; j < sp.NumVars(); j++ {
+		rows, v := sp.column(j)
+		vals = vals[:0]
+		for _, a := range v {
+			vals = append(vals, a*(0.9+0.2*rng.Float64()))
+		}
+		out.AddColumn(sp.obj[j]*(0.8+0.4*rng.Float64()), rows, vals)
+	}
+	return out
+}
+
+// checkRevisedMatchesTableau runs the fuzz target's checks on one
+// instance and reports whether its warm leg re-installed the basis.
+func checkRevisedMatchesTableau(t *testing.T, seed int64, shape uint16) (warmStarted bool) {
 	sp := randomSparseLP(seed, shape)
 	dense := sp.Dense()
 	ref, err := NewSolver().Solve(dense)
 	if err != nil {
 		t.Fatalf("tableau: %v\n%v", err, dense)
 	}
-	got, err := NewRevised().Solve(sp)
+	got, err := NewRevised().SolveWith(sp, Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatalf("revised: %v\n%v", err, dense)
 	}
-	agree := func(what string, got *Solution) {
+	agree := func(what string, got, ref *Solution, dense *Problem) {
 		t.Helper()
 		if got.Status != ref.Status {
 			t.Fatalf("%s %v, tableau %v\n%v", what, got.Status, ref.Status, dense)
@@ -115,7 +139,7 @@ func checkRevisedMatchesTableau(t *testing.T, seed int64, shape uint16) {
 			t.Fatalf("%s answer infeasible: %v\n%v", what, v, dense)
 		}
 	}
-	agree("revised", got)
+	agree("revised", got, ref, dense)
 
 	// The same columns in batches, appended onto the previous optimum.
 	n := sp.NumVars()
@@ -160,5 +184,21 @@ func checkRevisedMatchesTableau(t *testing.T, seed int64, shape uint16) {
 			break
 		}
 	}
-	agree("appended", last)
+	agree("appended", last, ref, dense)
+
+	if got.Status != Optimal {
+		return false
+	}
+	drifted := driftSparse(sp, seed)
+	driftedDense := drifted.Dense()
+	driftedRef, err := NewSolver().Solve(driftedDense)
+	if err != nil {
+		t.Fatalf("drifted tableau: %v\n%v", err, driftedDense)
+	}
+	warm, err := NewRevised().SolveWith(drifted, Options{WarmBasis: got.Basis})
+	if err != nil {
+		t.Fatalf("warm: %v\n%v", err, driftedDense)
+	}
+	agree("warm", warm, driftedRef, driftedDense)
+	return warm.WarmStarted
 }

@@ -18,10 +18,11 @@
 //     O(rows² + nonzeros), and an append only its columns' nonzeros.
 //
 // Both equilibrate rows and the objective, so their tolerances are
-// relative, and both share Options, Solution and Basis: a basis either
-// captures warm-starts the other. The companion package ratlp solves
-// the same problems exactly over rationals, mirroring CGAL's exact
-// arithmetic.
+// relative, and both take Options and return a Solution. Only Revised
+// warm-starts: it captures a Basis and re-installs it on a later solve
+// of the same shape. Solver solves every problem cold. The companion
+// package ratlp solves the same problems exactly over rationals,
+// mirroring CGAL's exact arithmetic.
 package lp
 
 import (
@@ -217,10 +218,14 @@ type Solution struct {
 	Dual []float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
-	// Basis is the optimal basis, captured when Options.CaptureBasis or
-	// Options.WarmBasis was set (nil otherwise, and on non-Optimal
-	// results). Pass it as Options.WarmBasis to warm-start a later solve
-	// of a structurally identical problem with drifted coefficients.
+	// The fields below report on warm starts, which only Revised makes;
+	// the dense Solver leaves them zero.
+
+	// Basis is the optimal basis of a Revised solve, captured when
+	// Options.CaptureBasis or Options.WarmBasis was set (nil otherwise,
+	// and on non-Optimal results). Pass it as Options.WarmBasis to
+	// warm-start a later Revised solve of a structurally identical
+	// problem with drifted coefficients.
 	Basis *Basis
 	// WarmStarted reports that the solve re-installed Options.WarmBasis
 	// (either outright feasible, or repaired by a short Phase I).

@@ -31,10 +31,11 @@ const singularTol = 1e-12
 // objective by the power of two above its own, so every tolerance is
 // relative.
 //
-// It shares Options, Solution and Basis with the dense Solver: a basis
-// captured by either engine warm-starts the other on a problem of the
-// same shape, with the same three outcomes (feasible, dual-simplex
-// repaired, primal repaired plus a short Phase I), pivot budget and cold
+// It is the package's warm-start engine: a Basis captured by one solve
+// (Options.CaptureBasis) warm-starts a later solve of a problem of the
+// same shape (Options.WarmBasis), with three outcomes — feasible, so
+// Phase I is skipped; repaired by dual-simplex pivots; or primal
+// repaired plus a short Phase I — within a pivot budget and with a cold
 // fallback. Append re-optimizes after columns were appended to the
 // problem of the last solve — the step column generation repeats — at
 // the cost of the new columns' nonzeros.
@@ -556,8 +557,8 @@ func (s *Revised) pivot(r, enter int, phase1 bool) {
 }
 
 // price returns the entering column: the largest reduced cost above tol
-// (Dantzig), or under Bland's rule the first, in the dense Solver's
-// column order. Artificials never enter.
+// (Dantzig), or under Bland's rule the first in Basis column order.
+// Artificials never enter.
 func (s *Revised) price(phase1, bland bool) (int, bool) {
 	enter, best, found := 0, s.opts.Tol, false
 	y := s.y
@@ -593,7 +594,8 @@ func (s *Revised) price(phase1, bland bool) (int, bool) {
 	return enter, found
 }
 
-// order is column id's index in the dense Solver's column order, which
+// order is column id's index in Basis column order — structural
+// columns, then slacks, then artificials and repair columns — which
 // Bland's rule follows.
 func (s *Revised) order(id int) int {
 	if id >= 0 {
@@ -603,8 +605,8 @@ func (s *Revised) order(id int) int {
 }
 
 // ratioTest picks the leaving position for the entering column in
-// s.alpha, breaking near-ties like the dense Solver: under Bland's rule
-// the smallest column, otherwise an artificial first, then the larger
+// s.alpha, breaking near-ties under Bland's rule by the smallest column
+// in Basis order, otherwise by an artificial first, then the larger
 // pivot element. In Phase II an artificial still basic (at zero, on a
 // row that was redundant) blocks at ratio 0 whichever sign its entry
 // has, so it leaves rather than moving off zero — columns appended later
@@ -672,8 +674,22 @@ func (s *Revised) optimize(phase1 bool) (Status, error) {
 	}
 }
 
+// start describes how run begins: cold (the slack/artificial basis,
+// full Phase I), warm with a feasible re-installed basis (Phase I
+// skipped), warm with a basis made feasible again by dual-simplex
+// pivots (Phase I skipped), or warm with a repaired basis (a short
+// Phase I from the near-feasible point).
+type start int
+
+const (
+	coldStart start = iota
+	warmFeasible
+	warmDual
+	warmRepaired
+)
+
 // run executes the phases from the given start and extracts the
-// solution, as the dense Solver's run does.
+// solution.
 func (s *Revised) run(from start) (*Solution, error) {
 	tol := s.opts.Tol
 	runPhase1 := s.nArt > 0
@@ -788,8 +804,7 @@ func (s *Revised) audit(x []float64) bool {
 	return s.p.feasible(x, s.lhs, s.rowMax, 1e2*s.opts.Tol)
 }
 
-// captureBasis snapshots the basis in the dense Solver's column
-// indexing, so either engine can warm-start from it.
+// captureBasis snapshots the basis in Basis column order.
 func (s *Revised) captureBasis() *Basis {
 	cols := make([]int, s.m)
 	for i, id := range s.basis {
@@ -810,6 +825,14 @@ func (s *Revised) captureBasis() *Basis {
 func (s *Revised) basisCompatible(b *Basis) bool {
 	return b.fits(s.m, s.n, s.nSlack, s.nArt, s.rel)
 }
+
+// warmPivotsPerRow bounds a warm attempt at this many pivots per kept
+// row (plus one), counting the basis install, dual-simplex repair and
+// both phases. The most a successful warm attempt was measured to take
+// is under 6 per row (239 pivots at 42 rows across five seeds of 40×4
+// column-generation fleet replays), so 32 leaves over 5× headroom. An
+// attempt past it has stalled, and the cold path takes over.
+const warmPivotsPerRow = 32
 
 // solveWarm solves from basis b within the warm pivot budget, returning
 // nil — the caller solves cold — when the install fails, the budget
@@ -833,12 +856,11 @@ func (s *Revised) solveWarm(b *Basis) *Solution {
 	return sol
 }
 
-// installBasis factorizes the captured basis b and classifies it, as
-// the dense Solver's installBasis does: feasible (Phase I skipped),
-// dual feasible and repaired by dual-simplex pivots, or primal repaired
-// — each violated basic variable swapped for a repair column −a_old,
-// which enters at the violation's magnitude (negating its row of B⁻¹
-// and of x_B), for a short Phase I.
+// installBasis factorizes the captured basis b and classifies it:
+// feasible (Phase I skipped), dual feasible and repaired by dual-simplex
+// pivots, or primal repaired — each violated basic variable swapped for
+// a repair column −a_old, which enters at the violation's magnitude
+// (negating its row of B⁻¹ and of x_B), for a short Phase I.
 func (s *Revised) installBasis(b *Basis) installResult {
 	if fpWarmInstall.Hit() != nil {
 		return installFailed
@@ -937,11 +959,11 @@ func (s *Revised) dualFeasible() bool {
 	return true
 }
 
-// dualSimplex restores primal feasibility from a dual-feasible basis,
-// as the dense Solver's dualSimplex does: the most violated basic
-// variable leaves, and the column with the smallest reduced-cost ratio
-// over decisively negative entries of its row of B⁻¹A enters. It
-// returns false when no pivot qualifies or the budget runs out.
+// dualSimplex restores primal feasibility from a dual-feasible basis:
+// the most violated basic variable leaves, and the column with the
+// smallest reduced-cost ratio over decisively negative entries of its
+// row of B⁻¹A enters. It returns false when no pivot qualifies or the
+// budget runs out.
 func (s *Revised) dualSimplex(ftol float64) bool {
 	m := s.m
 	for {

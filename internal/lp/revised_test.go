@@ -7,10 +7,17 @@ import (
 )
 
 // TestRevisedMatchesTableau runs the fuzz target's differential check
-// over a fixed range of seeds and shapes.
+// over a fixed range of seeds and shapes; some of its warm legs must
+// re-install the basis.
 func TestRevisedMatchesTableau(t *testing.T) {
+	warm := 0
 	for seed := int64(0); seed < 600; seed++ {
-		checkRevisedMatchesTableau(t, seed, uint16(seed*7919))
+		if checkRevisedMatchesTableau(t, seed, uint16(seed*7919)) {
+			warm++
+		}
+	}
+	if warm == 0 {
+		t.Fatal("no warm leg ever re-installed its basis")
 	}
 }
 
@@ -83,10 +90,9 @@ func TestRevisedValidates(t *testing.T) {
 }
 
 // TestRevisedWarmStartDifferential drifts random LPs with ≤ and = rows
-// and re-solves them warm on the revised engine — from its own basis and
-// from the tableau's — against cold tableau solves. All three warm
-// outcomes must occur: Phase I skipped outright, dual-simplex repair,
-// and primal repair.
+// and re-solves them warm on the revised engine from its own basis,
+// against cold tableau solves. All three warm outcomes must occur:
+// Phase I skipped outright, dual-simplex repair, and primal repair.
 func TestRevisedWarmStartDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5e7))
 	solver := NewRevised()
@@ -103,10 +109,6 @@ func TestRevisedWarmStartDifferential(t *testing.T) {
 		cold, err := solver.SolveWith(toSparse(base), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
-		}
-		tab, err := NewSolver().SolveWith(base, Options{CaptureBasis: true})
-		if err != nil || tab.Status != Optimal {
-			t.Fatalf("trial %d: tableau %v %v", trial, err, tab)
 		}
 		shrink := trial%3 == 0
 		drift := func(v float64) float64 { return v * (1 + (rng.Float64()-0.5)*0.3) }
@@ -126,32 +128,30 @@ func TestRevisedWarmStartDifferential(t *testing.T) {
 			pert.AddConstraint(coeffs, con.Rel, rhs)
 		}
 		ref := mustSolve(t, pert)
-		for _, b := range []*Basis{cold.Basis, tab.Basis} {
-			warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: b})
-			if err != nil {
-				t.Fatalf("trial %d: warm: %v", trial, err)
-			}
-			if warm.Status != ref.Status {
-				t.Fatalf("trial %d: warm %v, cold %v", trial, warm.Status, ref.Status)
-			}
-			if warm.Status != Optimal {
-				continue
-			}
-			if !almostEq(warm.Objective, ref.Objective, 1e-7*(1+math.Abs(ref.Objective))) {
-				t.Fatalf("trial %d: warm %v, cold %v", trial, warm.Objective, ref.Objective)
-			}
-			if v := Verify(pert, warm.X, 1e-7); len(v) != 0 {
-				t.Fatalf("trial %d: warm answer infeasible: %v", trial, v)
-			}
-			switch {
-			case !warm.WarmStarted:
-			case warm.DualPivots > 0:
-				dual++
-			case warm.PhaseISkipped:
-				skipped++
-			default:
-				repaired++
-			}
+		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
+		if err != nil {
+			t.Fatalf("trial %d: warm: %v", trial, err)
+		}
+		if warm.Status != ref.Status {
+			t.Fatalf("trial %d: warm %v, cold %v", trial, warm.Status, ref.Status)
+		}
+		if warm.Status != Optimal {
+			continue
+		}
+		if !almostEq(warm.Objective, ref.Objective, 1e-7*(1+math.Abs(ref.Objective))) {
+			t.Fatalf("trial %d: warm %v, cold %v", trial, warm.Objective, ref.Objective)
+		}
+		if v := Verify(pert, warm.X, 1e-7); len(v) != 0 {
+			t.Fatalf("trial %d: warm answer infeasible: %v", trial, v)
+		}
+		switch {
+		case !warm.WarmStarted:
+		case warm.DualPivots > 0:
+			dual++
+		case warm.PhaseISkipped:
+			skipped++
+		default:
+			repaired++
 		}
 	}
 	if skipped == 0 || dual == 0 || repaired == 0 {

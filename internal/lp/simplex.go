@@ -24,19 +24,21 @@ type Options struct {
 	// guarantee well-formedness; a malformed problem then produces
 	// undefined results instead of an error.
 	AssumeValid bool
-	// WarmBasis, when non-nil, warm-starts the solve from a prior
-	// optimal basis (Solution.Basis of an earlier solve of a
+	// WarmBasis, when non-nil, warm-starts a Revised solve from a prior
+	// optimal basis (Solution.Basis of an earlier Revised solve of a
 	// structurally identical problem). If the basis re-installs as a
 	// basic feasible solution for the new coefficients, Phase I is
 	// skipped entirely and Phase II starts at (usually) a near-optimal
 	// vertex; a basis that no longer factorizes or is primal infeasible
 	// falls back to the cold two-phase path automatically. The result is
 	// identical to a cold solve either way (Solution.WarmStarted reports
-	// which path ran). Setting WarmBasis implies CaptureBasis.
+	// which path ran). Setting WarmBasis implies CaptureBasis. The dense
+	// Solver ignores it and always solves cold.
 	WarmBasis *Basis
-	// CaptureBasis snapshots the optimal basis onto Solution.Basis for
-	// reuse as a later WarmBasis. Off by default: one-shot solves then
-	// skip the (small) snapshot allocations on the hot path.
+	// CaptureBasis snapshots a Revised solve's optimal basis onto
+	// Solution.Basis for reuse as a later WarmBasis. Off by default:
+	// one-shot solves then skip the (small) snapshot allocations on the
+	// hot path. The dense Solver ignores it and returns no basis.
 	CaptureBasis bool
 }
 
@@ -91,16 +93,20 @@ func SolveWith(p *Problem, opts Options) (*Solution, error) {
 // contiguous memory; every pivot rewrites all of it, so for LPs that
 // grow by columns — column generation's restricted masters — Revised
 // is the engine to use.
+//
+// Every solve starts cold from the slack and artificial basis load
+// installs, so the same problem always yields the same answer bit for
+// bit. Options.WarmBasis and CaptureBasis are ignored, and
+// Solution.Basis is nil; warm starts are Revised's.
 type Solver struct {
 	opts Options
 
-	m, n    int // constraint rows (kept), structural variables
-	nSlack  int
-	nArt    int
-	nRepair int // warm-start repair columns (0 on cold solves)
-	total   int // columns: n + nSlack + nArt + nRepair
-	artCol  int // first artificial column (repair columns live past nArt)
-	sign    float64
+	m, n   int // constraint rows (kept), structural variables
+	nSlack int
+	nArt   int
+	total  int // columns: n + nSlack + nArt
+	artCol int // first artificial column
+	sign   float64
 	// objScale is objectiveScale of the objective; obj holds the
 	// objective divided by it, and the duals are scaled back by it.
 	objScale float64
@@ -117,11 +123,8 @@ type Solver struct {
 	z    []float64 // reduced-cost row workspace
 	work []float64 // phase-1 objective / scratch reduced-cost row
 
-	rowTaken []bool // warm-start refactorization scratch
-
 	iters      int
 	degenerate int // consecutive degenerate pivots
-	dualPivots int // dual-simplex repair pivots this solve
 }
 
 // NewSolver returns a reusable Solver with default options.
@@ -147,73 +150,8 @@ func (s *Solver) SolveWith(p *Problem, opts Options) (*Solution, error) {
 		}
 	}
 	s.load(p, opts)
-	if opts.WarmBasis != nil && s.basisCompatible(opts.WarmBasis) {
-		if sol := s.solveWarm(p, opts.WarmBasis); sol != nil {
-			return sol, nil
-		}
-		// A warm start must never change the outcome: a non-Optimal
-		// status, an error such as the pivot budget, or an answer the
-		// raw problem rejects off a re-installed basis is either a
-		// genuine property of the problem (the cold path will reproduce
-		// it) or numerical corruption from a marginal refactorization.
-		// Either way — including a failed install, which leaves the
-		// tableau dirty — rebuild and solve cold. A reload is one
-		// O(rows·cols) copy pass, far cheaper than the Phase I it
-		// precedes.
-		s.load(p, opts)
-	}
-	return s.run(p, coldStart)
+	return s.run(p)
 }
-
-// warmPivotsPerRow bounds a warm attempt at this many pivots per kept
-// row (plus one), counting the basis install, dual-simplex repair and
-// both phases. The most a successful warm attempt was measured to take
-// is about 9 per row (428 pivots at 46 rows on a 2,025-column
-// random-delay master; 239 at 42 rows across five seeds of 40×4
-// column-generation fleet replays), so 32 leaves over 3× headroom. An
-// attempt past it has stalled — one drifted random-delay master spent
-// the whole 200·(rows+cols+1) cold budget, 414,400 pivots, before a
-// 2.6 ms cold solve — and the cold path takes over.
-const warmPivotsPerRow = 32
-
-// solveWarm re-installs the basis on the loaded tableau and solves from
-// it within the warm pivot budget. It returns nil — the caller reloads
-// and solves cold — when the install fails, the budget runs out, the
-// outcome is not Optimal, or the answer fails a feasibility audit
-// against p's raw data (a re-installed basis can claim optimality for a
-// point the raw problem rejects).
-func (s *Solver) solveWarm(p *Problem, b *Basis) *Solution {
-	limit := s.opts.MaxIter
-	s.opts.MaxIter = min(limit, warmPivotsPerRow*(s.m+1))
-	var sol *Solution
-	switch s.installBasis(b) {
-	case installFeasible:
-		sol, _ = s.run(p, warmFeasible)
-	case installDual:
-		sol, _ = s.run(p, warmDual)
-	case installRepaired:
-		sol, _ = s.run(p, warmRepaired)
-	}
-	s.opts.MaxIter = limit
-	if sol == nil || sol.Status != Optimal || !Feasible(p, sol.X, 1e2*s.opts.Tol) {
-		return nil
-	}
-	return sol
-}
-
-// start describes how run begins: cold (all-slack basis, full Phase I),
-// warm with a feasible re-installed basis (Phase I skipped), warm with a
-// basis made feasible again by dual-simplex pivots (Phase I skipped),
-// or warm with a repaired basis (short Phase I from the near-feasible
-// point).
-type start int
-
-const (
-	coldStart start = iota
-	warmFeasible
-	warmDual
-	warmRepaired
-)
 
 // load normalizes the problem into the solver's flat tableau: vacuous
 // rows (≤ +Inf) dropped, negative RHS sign-flipped so b ≥ 0, rows
@@ -247,21 +185,10 @@ func (s *Solver) load(p *Problem, opts Options) {
 	}
 
 	s.m, s.n, s.nSlack, s.nArt = m, n, nSlack, nArt
-	// A warm-start attempt reserves one repair column per row: when the
-	// re-installed basis is primal infeasible, violated rows are flipped
-	// onto these artificial-like columns and a short Phase I repairs the
-	// basis instead of restarting from the all-slack basis. They sit past
-	// the regular artificials, so the existing Phase I objective,
-	// drive-out, and Phase II entering-column exclusion cover them with
-	// no further changes.
-	s.nRepair = 0
-	if opts.WarmBasis != nil {
-		s.nRepair = m
-	}
-	s.total = n + nSlack + nArt + s.nRepair
+	s.total = n + nSlack + nArt
 	s.artCol = n + nSlack
 	s.opts = opts.withDefaults(m, n)
-	s.iters, s.degenerate, s.dualPivots = 0, 0, 0
+	s.iters, s.degenerate = 0, 0
 
 	s.a = grow(s.a, m*s.total)
 	s.b = grow(s.b, m)
@@ -348,23 +275,12 @@ func (s *Solver) load(p *Problem, opts Options) {
 	}
 }
 
-// run executes both phases and extracts the solution. A warmFeasible
-// start skips Phase I (the re-installed basis is already a BFS); a
-// warmDual start skips it too (dual-simplex pivots already restored
-// primal feasibility); a warmRepaired start runs Phase I, but from the
-// repaired basis — a few pivots to clear the violated rows instead of a
-// cold restart.
-func (s *Solver) run(p *Problem, from start) (*Solution, error) {
+// run executes both phases from the basis load installed and extracts
+// the solution.
+func (s *Solver) run(p *Problem) (*Solution, error) {
 	tol := s.opts.Tol
 
-	runPhase1 := s.nArt > 0
-	switch from {
-	case warmFeasible, warmDual:
-		runPhase1 = false
-	case warmRepaired:
-		runPhase1 = true
-	}
-	if runPhase1 {
+	if s.nArt > 0 {
 		// Phase 1: maximize -(sum of artificials).
 		phase1 := s.work
 		clear(phase1)
@@ -412,20 +328,12 @@ func (s *Solver) run(p *Problem, from start) (*Solution, error) {
 		}
 	}
 
-	var basis *Basis
-	if s.opts.CaptureBasis || s.opts.WarmBasis != nil {
-		basis = s.captureBasis()
-	}
 	return &Solution{
-		Status:        Optimal,
-		X:             x,
-		Objective:     p.Value(x),
-		Dual:          s.extractDuals(p),
-		Iterations:    s.iters,
-		Basis:         basis,
-		WarmStarted:   from != coldStart,
-		PhaseISkipped: from == warmFeasible || from == warmDual,
-		DualPivots:    s.dualPivots,
+		Status:     Optimal,
+		X:          x,
+		Objective:  p.Value(x),
+		Dual:       s.extractDuals(p),
+		Iterations: s.iters,
 	}, nil
 }
 

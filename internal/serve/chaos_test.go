@@ -97,15 +97,17 @@ func reshapeWire(rng *rand.Rand, n scenario.Network) scenario.Network {
 	return out
 }
 
-// TestChaosFleetSurvivesFaultStorms is the tentpole invariant test: an
-// 84-session drifting fleet served through repeated randomized fault
+// TestChaosFleetSurvivesFaultStorms is the tentpole invariant test: a
+// 104-session drifting fleet served through repeated randomized fault
 // storms (panics, errors, latency at every registered seam), asserting
 // after every storm that
 //
 //   - every armed injection point was reached — the fleet's 15×3
 //     sessions (4,096 combinations) take the column-generation path,
-//     where lp.append and core.cg.reprice sit, so the cold-reference
-//     check below covers it,
+//     where lp.append, lp.warm.install and core.cg.reprice sit, so the
+//     cold-reference check below covers it; only the CG sessions that
+//     re-solve warm reach lp.warm.install, since the dense dispatch
+//     re-installs no basis,
 //   - the process and every shard worker survive (requests keep
 //     completing),
 //   - no request hangs (every HTTP call returns within its client
@@ -132,7 +134,7 @@ func TestChaosFleetSurvivesFaultStorms(t *testing.T) {
 	// 64 small sessions on the dense dispatch, then cgSessions past the
 	// dense threshold, the last reshaped of them changing shape every
 	// storm.
-	const small, cgSessions, reshaped = 64, 20, 8
+	const small, cgSessions, reshaped = 64, 40, 8
 	const fleet = small + cgSessions
 	rng := rand.New(rand.NewPCG(0xc4a05, 7))
 	wires := make([]scenario.Network, fleet)

@@ -74,16 +74,18 @@ func TestWarmAnswersFeasibleFleetCG(t *testing.T) {
 
 // TestWarmStartStallIsBounded replays a random-objective drift
 // trajectory (44 paths, m = 2: 2,025 pairs, the largest dense shape)
-// whose step 10 used to stall its warm attempt for the full simplex
-// iteration limit — 414,400 pivots, over 40 s — before falling back to
-// a 2.6 ms cold solve. The warm pivot budget must hand such an attempt
-// to the cold path instead.
+// on which warm re-solves of the dense master used to stall. Step 10
+// once spent the full simplex iteration limit — 414,400 pivots, over
+// 40 s — before falling back to a 2.6 ms cold solve; with a per-row
+// warm pivot budget, steps 2, 10 and 14 still ran 7 to 90 cold solves'
+// worth of dual-simplex pivots before falling back. The dense dispatch
+// now solves every master cold, so each of the 16 steps costs about
+// one cold solve.
 //
 // The bound is in units of a cold solve of the same master, timed here,
-// so it holds on slow machines and under the race detector. The bounded
-// step measured about 60 cold solves (120 under the race detector); the
-// stall costs over 16,000. A bound of 2,500 leaves the first 20–40×
-// headroom and still fails the second by 6×.
+// so it holds on slow machines and under the race detector. An
+// unbounded stall costs over 16,000 cold solves; a bound of 2,500
+// still fails it by 6×.
 func TestWarmStartStallIsBounded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 44))
 	net := experiments.RandomNetwork(rng, 44, 2)
@@ -98,7 +100,7 @@ func TestWarmStartStallIsBounded(t *testing.T) {
 		ring[i], tos[i] = net, to
 	}
 	warm := core.NewSolver()
-	for i := 0; i <= 10; i++ {
+	for i := range ring {
 		start := time.Now()
 		cold, err := core.SolveQualityRandom(ring[i], tos[i])
 		if err != nil {
