@@ -30,15 +30,17 @@
 // enumeration up to Solver.DenseThreshold (2,048 by default), column
 // generation above it — including spaces dense enumeration could never
 // materialize. A Solver with DenseThreshold = -1 forces column
-// generation at every size. Solver.Resolve, Solver.ResolveMinCost, and
-// Solver.ResolveQualityRandom re-solve incrementally on the same engine
-// for drifting estimates. A dense re-solve rebuilds its column table in
-// place and solves its master cold, so it equals a cold solve bit for
-// bit; a column-generation re-solve reprices its retained pool, reuses
-// the LP basis and appends newly priced columns to the sparse master in
-// place. NewWarmPool keeps one such warm Solver per session key for
-// fleets of sessions re-solving as their estimates drift. SolveQualityExact solves with exact rational
-// arithmetic, as the paper's CGAL setup.
+// generation at every size. Either way the master is built as a
+// column-sparse LP and solved by one revised simplex.
+// Solver.Resolve, Solver.ResolveMinCost, and Solver.ResolveQualityRandom
+// re-solve incrementally on the same engine for drifting estimates. A
+// dense re-solve rebuilds its column table in place and solves its
+// master cold, so it equals a cold solve bit for bit; a
+// column-generation re-solve reprices its retained pool, reuses the LP
+// basis and appends newly priced columns to the sparse master in place.
+// NewWarmPool keeps one such warm Solver per session key for fleets of
+// sessions re-solving as their estimates drift. SolveQualityExact solves
+// with exact rational arithmetic, as the paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
 // solved split to per-packet decisions.
@@ -102,9 +104,10 @@ type (
 	// TimeoutOptions tunes OptimalTimeouts' search.
 	TimeoutOptions = core.TimeoutOptions
 	// Solver is a reusable solve context: it owns the
-	// combination-enumeration workspaces and borrows a pooled simplex
-	// workspace for each solve, so repeated solves of same-shaped networks
-	// reuse that memory instead of reallocating it. Its DenseThreshold
+	// combination-enumeration workspaces and borrows a pooled LP
+	// workspace (the master and its simplex) for each solve, so repeated
+	// solves of same-shaped networks reuse that memory instead of
+	// reallocating it. Its DenseThreshold
 	// field is the one dispatch option: the combination count above
 	// which every objective solves by column generation (0 = the 2,048
 	// default, negative = always). Its one-shot methods (SolveQuality,

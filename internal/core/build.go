@@ -14,8 +14,9 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := m.computeColumns(make([]int, m.m), m)
-	return m.assembleProblemInto(nil, lp.Maximize, cols.delivery, cols, nil, true), nil
+	var cm cgMaster
+	cm.load(m, masterSpec{costRow: true}, m.computeColumns(make([]int, m.m), m))
+	return cm.sp.Dense(), nil
 }
 
 // SolveQuality solves the deterministic-delay quality maximization

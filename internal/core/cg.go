@@ -127,9 +127,9 @@ func (o *qualityObjective) evalColumn(combo []int, share []float64) (float64, fl
 	return o.m.evalColumn(combo, share)
 }
 
-// reprice unpacks the master duals. Dual layout follows
-// assembleProblem's row order: one bandwidth row per real path, the
-// cost row when present, the conservation row last.
+// reprice unpacks the master duals. Dual layout follows cgMaster.load's
+// row order: one bandwidth row per real path, the cost row when
+// present, the conservation row last.
 func (o *qualityObjective) reprice(duals []float64) {
 	yCost := 0.0
 	next := o.m.base - 1
@@ -150,8 +150,8 @@ func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs,
 // costRow is set and the budget is finite). Both carry one bandwidth row
 // per real path first and the conservation row last.
 type masterSpec struct {
-	minCost bool
 	floor   float64 // the §VI-A quality floor (minCost)
+	minCost bool
 	costRow bool
 }
 
@@ -160,17 +160,19 @@ func (spec masterSpec) budgetRow(m *model) bool {
 	return !spec.minCost && spec.costRow && !math.IsInf(m.net.CostBound, 1)
 }
 
-// cgMaster is a column-generation solve's restricted master: the sparse
-// LP it grows in place, and the scratch one column is built in.
+// cgMaster is a solve's master — the dense dispatch's full master or
+// column generation's restricted one — as the sparse LP it is built
+// and grown in place in, plus the scratch one column is built in.
 type cgMaster struct {
 	sp   lp.Sparse
 	rows []int
 	vals []float64
 }
 
-// load resets the master to the pooled columns and returns the largest
-// objective magnitude among them. Rows follow assembleProblemInto's
-// order, so the duals unpack the same way on either dispatch.
+// load resets the master to the given columns and returns the largest
+// objective magnitude among them. Rows come in one order on either
+// dispatch — bandwidth rows, the quality floor or the budget row, and
+// conservation last — so the duals unpack the same way everywhere.
 func (cm *cgMaster) load(m *model, spec masterSpec, cols *columns) float64 {
 	sense := lp.Maximize
 	if spec.minCost {
@@ -190,56 +192,59 @@ func (cm *cgMaster) load(m *model, spec masterSpec, cols *columns) float64 {
 	return cm.add(m, spec, cols, 0)
 }
 
-// add appends pooled columns from index from on to the master — each
-// touches its paths' bandwidth rows, the quality or cost row, and the
-// conservation row, with the coefficients assembleProblemInto would
-// write — and returns the largest objective magnitude among them.
+// add appends columns from index from on to the master — each touches
+// its paths' bandwidth rows (Eqs. 14–15/29), the quality floor (§VI-A)
+// or the cost row (Eq. 16/30), and the conservation row (Eq. 18) — and
+// returns the largest objective magnitude among them.
 func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) float64 {
 	λ := m.net.Rate
 	base := m.base
 	costRow := spec.budgetRow(m)
-	rows, vals := cm.rows[:0], cm.vals[:0]
+	if cap(cm.rows) < base+1 {
+		cm.rows, cm.vals = make([]int, base+1), make([]float64, base+1)
+	}
+	rows, vals := cm.rows[:base+1], cm.vals[:base+1]
 	objMax := 0.0
 	for l := from; l < cols.len(); l++ {
-		rows, vals = rows[:0], vals[:0]
+		k := 0
 		for i, sh := range cols.shares[l*base+1 : (l+1)*base] {
 			if sh != 0 {
-				rows = append(rows, i)
-				vals = append(vals, λ*sh)
+				rows[k], vals[k] = i, λ*sh
+				k++
 			}
 		}
 		next := base - 1
 		obj := cols.delivery[l]
 		switch {
 		case spec.minCost:
-			rows = append(rows, next)
-			vals = append(vals, cols.delivery[l])
+			rows[k], vals[k] = next, cols.delivery[l]
+			k++
 			next++
 			obj = λ * cols.costs[l] // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
 		case costRow:
-			rows = append(rows, next)
-			vals = append(vals, λ*cols.costs[l])
+			rows[k], vals[k] = next, λ*cols.costs[l]
+			k++
 			next++
 		}
-		rows = append(rows, next)
-		vals = append(vals, 1)
-		cm.sp.AddColumn(obj, rows, vals)
-		objMax = max(objMax, math.Abs(obj))
+		rows[k], vals[k] = next, 1
+		cm.sp.AddColumn(obj, rows[:k+1], vals[:k+1])
+		if a := math.Abs(obj); a > objMax {
+			objMax = a
+		}
 	}
-	cm.rows, cm.vals = rows, vals
 	return objMax
 }
 
 // runCG alternates restricted-master LP solves over the column set with
 // exact pricing until no combination prices above certTol (which bounds
-// the optimality gap), returning the final master LP solution — cm then
-// holds the final master — plus the iteration count and whether the
-// first master solve warm-started.
+// the optimality gap), returning the final master LP solution — the LP
+// workspace's master then holds the final master — plus the iteration
+// count and whether the first master solve warm-started.
 //
-// The master is built into cm once, from the pool as it stands, and
-// solved on the revised simplex — warm-started from basis when non-nil
-// (the incremental re-solve path). Every later iteration appends only
-// the freshly priced columns to cm and re-optimizes from the current
+// The master is built once, from the pool as it stands, and solved on
+// the revised simplex — warm-started from basis when non-nil (the
+// incremental re-solve path). Every later iteration appends only the
+// freshly priced columns to it and re-optimizes from the current
 // basis (lp.Revised.Append), which leaves the factorized basis inverse
 // in place. Any append failure falls back to a full solve of that
 // master (warm when a basis chain is available), so the incremental
@@ -260,11 +265,12 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 //
 // A master that comes back infeasible returns errMasterInfeasible
 // (possible only for the min-cost objective's first master).
-func (s *Solver) runCG(cm *cgMaster, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool) (*lp.Solution, int, bool, error) {
+func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool) (*lp.Solution, int, bool, error) {
 	chain := basis != nil
 	spec := obj.master()
+	cm, rev := &s.work.master, &s.work.rev
 	scale := max(1, cm.load(m, spec, &cs.cols))
-	sp, rev := &cm.sp, &s.work.rev
+	sp := &cm.sp
 
 	var lpSol *lp.Solution
 	var err error

@@ -28,20 +28,6 @@ func (o *minCostObjective) master() masterSpec {
 	return masterSpec{minCost: true, floor: o.minQuality}
 }
 
-// assembleMinCostInto builds the dense §VI-A master over cols for the
-// dense dispatch, writing the objective λ·costₗ into obj (grown as
-// needed and returned for reuse).
-func (m *model) assembleMinCostInto(sc *asmScratch, cols *columns, minQuality float64, obj []float64) (*lp.Problem, []float64) {
-	n := cols.len()
-	obj = grow(obj, n)
-	λ := m.net.Rate
-	for l, c := range cols.costs[:n] {
-		obj[l] = λ * c // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
-	}
-	extra := lp.Constraint{Name: "quality", Coeffs: cols.delivery[:n:n], Rel: lp.GE, RHS: minQuality}
-	return m.assembleProblemInto(sc, lp.Minimize, obj, cols, &extra, false), obj
-}
-
 func (o *minCostObjective) evalColumn(combo []int, share []float64) (float64, float64) {
 	return o.m.evalColumn(combo, share)
 }
@@ -75,29 +61,29 @@ func grow(buf []float64, n int) []float64 {
 // skipFeasStage is set (a warm re-solve whose retained pool supported
 // the floor last time), the feasibility stage is tried only if the
 // min-cost master actually comes back infeasible under the drifted
-// coefficients. Both stages build their master into cm, which ends
-// holding the min-cost master. Returns the solution and the final
-// master LP solution (whose duals the resolve path stashes for pool
-// trimming).
-func (s *Solver) solveMinCostCG(cm *cgMaster, m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, capture, skipFeasStage bool) (*Solution, *lp.Solution, error) {
+// coefficients. Both stages build their master in the solve's LP
+// workspace, which ends holding the min-cost master. Returns the
+// solution and the final master LP solution (whose duals the resolve
+// path stashes for pool trimming).
+func (s *Solver) solveMinCostCG(m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, capture, skipFeasStage bool) (*Solution, *lp.Solution, error) {
 	feasIters := 0
 	if !skipFeasStage {
 		var err error
-		feasIters, err = s.growPoolToQualityFloor(cm, m, cs, mo, certTol)
+		feasIters, err = s.growPoolToQualityFloor(m, cs, mo, certTol)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	lpSol, iters, firstWarm, err := s.runCG(cm, m, cs, mo, basis, certTol, capture, nil)
+	lpSol, iters, firstWarm, err := s.runCG(m, cs, mo, basis, certTol, capture, nil)
 	if errors.Is(err, errMasterInfeasible) && skipFeasStage {
 		// The drift pushed the floor beyond the retained pool: grow it
 		// and retry once (cold master — the basis belongs to the old,
 		// now-infeasible restricted problem).
-		feasIters, err = s.growPoolToQualityFloor(cm, m, cs, mo, certTol)
+		feasIters, err = s.growPoolToQualityFloor(m, cs, mo, certTol)
 		if err != nil {
 			return nil, nil, err
 		}
-		lpSol, iters, firstWarm, err = s.runCG(cm, m, cs, mo, nil, certTol, capture, nil)
+		lpSol, iters, firstWarm, err = s.runCG(m, cs, mo, nil, certTol, capture, nil)
 	}
 	if errors.Is(err, errMasterInfeasible) {
 		// The pool provably reaches the floor's neighborhood, yet the
@@ -109,8 +95,7 @@ func (s *Solver) solveMinCostCG(cm *cgMaster, m *model, cs *colSet, mo *minCostO
 		return nil, nil, err
 	}
 
-	sol := m.newSolution(nil, &cs.cols, lpSol.X, achievedQuality(lpSol.X, cs.cols.delivery), cs.pos)
-	sol.master = &cm.sp
+	sol := m.newSolution(mo.master(), &cs.cols, lpSol.X, achievedQuality(lpSol.X, cs.cols.delivery), cs.pos)
 	sol.Stats = SolveStats{
 		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: feasIters + iters,
 		PhaseISkipped: firstWarm,
@@ -135,11 +120,11 @@ func achievedQuality(x, delivery []float64) float64 {
 // certify the true quality optimum below the floor, no strategy over
 // the full combination space can meet it: ErrInfeasible. Returns the
 // master-solve count.
-func (s *Solver) growPoolToQualityFloor(cm *cgMaster, m *model, cs *colSet, mo *minCostObjective, certTol float64) (int, error) {
+func (s *Solver) growPoolToQualityFloor(m *model, cs *colSet, mo *minCostObjective, certTol float64) (int, error) {
 	minQ := mo.minQuality
 	qo := &qualityObjective{m: m, pr: mo.pr, costRow: false}
 	stop := func(sol *lp.Solution) bool { return sol.Objective >= minQ }
-	qSol, iters, _, err := s.runCG(cm, m, cs, qo, nil, certTol, false, stop)
+	qSol, iters, _, err := s.runCG(m, cs, qo, nil, certTol, false, stop)
 	if err != nil {
 		return iters, fmt.Errorf("core: min-cost feasibility stage: %w", err)
 	}

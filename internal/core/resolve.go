@@ -74,8 +74,6 @@ type resolveState struct {
 	// dispatch); its buffers are reused across re-solves, the values
 	// re-tabulated each time.
 	rnd *randomObjective
-	// mcObj is the dense min-cost master's objective buffer.
-	mcObj []float64
 
 	// basis is the previous CG solve's optimal LP basis, captured over
 	// the whole pool. Dense re-solves solve their master cold and leave
@@ -84,42 +82,15 @@ type resolveState struct {
 	// duals is the previous master's dual vector (CG dispatch), used to
 	// score pooled columns for trimming.
 	duals []float64
-
-	// asm is the dense dispatch's LP-assembly arena and master the CG
-	// dispatch's sparse restricted master (allocated by the first CG
-	// solve), both rewritten in place by each re-solve (its returned
-	// Solution is documented as invalidated by the next Resolve). They
-	// hold nothing shape-dependent, so reset keeps them.
-	asm    asmScratch
-	master *cgMaster
 }
 
-// reset invalidates the warm state, keeping only the LP storage.
-func (rs *resolveState) reset() { *rs = resolveState{asm: rs.asm, master: rs.master} }
+// reset invalidates the warm state.
+func (rs *resolveState) reset() { *rs = resolveState{} }
 
-// The storage policy of the solve engine lives in the four helpers
+// The storage policy of the solve engine lives in the two helpers
 // below. A Resolve passes its warm state and gets its reused buffers; a
 // one-shot solve passes a nil state and gets fresh ones, which its
 // Solution then owns.
-
-// arena returns the assembly arena, or nil for fresh storage.
-func (rs *resolveState) arena() *asmScratch {
-	if rs == nil {
-		return nil
-	}
-	return &rs.asm
-}
-
-// cgMaster returns the CG master's storage, fresh for a one-shot.
-func (rs *resolveState) cgMaster() *cgMaster {
-	if rs == nil {
-		return new(cgMaster)
-	}
-	if rs.master == nil {
-		rs.master = new(cgMaster)
-	}
-	return rs.master
-}
 
 // pricerFor returns the branch-and-bound oracle bound to m.
 func (rs *resolveState) pricerFor(m *model) *pricer {
@@ -141,14 +112,6 @@ func (rs *resolveState) randomTables(m *model, to *Timeouts) *randomObjective {
 	}
 	rs.rnd = newRandomObjective(m, to, rs.rnd)
 	return rs.rnd
-}
-
-// minCostBuf returns the min-cost master objective buffer to grow.
-func (rs *resolveState) minCostBuf() []float64 {
-	if rs == nil {
-		return nil
-	}
-	return rs.mcObj
 }
 
 // resolveReq carries one solve's objective and its parameters.
@@ -176,9 +139,9 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 // of starting cold:
 //
 //   - the dense column tables are rebuilt in place (no re-allocation),
-//     and the dense master is assembled into reused storage and solved
-//     cold, so a dense re-solve returns exactly what a cold
-//     SolveQuality of the same network returns, bit for bit,
+//     and the dense master is solved cold, so a dense re-solve returns
+//     exactly what a cold SolveQuality of the same network returns, bit
+//     for bit,
 //   - the column-generation pool is retained and repriced, so the
 //     branch-and-bound pricing oracle only searches for columns the
 //     drift actually made attractive,
@@ -285,11 +248,11 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // no basis is captured. Only column generation keeps a basis: the dense
 // dispatch solves its master cold on every call.
 //
-// The LP workspace — the dense tableau, or the revised simplex for
-// column generation — is borrowed from its pool for the solve and
-// returned when it ends. A solve that panics never returns it: the
-// workspace may be mid-pivot, so it is dropped with the panic, the way
-// serving quarantines a panicked session's warm state.
+// The LP workspace — the master and the revised simplex, for either
+// dispatch — is borrowed from its pool for the solve and returned when
+// it ends. A solve that panics never returns it: the workspace may be
+// mid-pivot, so it is dropped with the panic, the way serving
+// quarantines a panicked session's warm state.
 func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	s.work = lpPool.Get().(*lpWork)
 	var sol *Solution
@@ -350,15 +313,19 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		cols = m.computeColumns(s.scratch(m.m), ev)
 	}
 
-	prob, lpSol, err := s.denseMaster(m, cols, req, rs)
+	spec := masterSpec{costRow: true} // objQuality and objRandom share the Eq. 10 master
+	if req.obj == objMinCost {
+		spec = masterSpec{minCost: true, floor: req.minQuality}
+	}
+	lpSol, err := s.denseMaster(m, spec, cols)
 	if err != nil {
 		return nil, err
 	}
 	quality := lpSol.Objective
-	if req.obj == objMinCost {
+	if spec.minCost {
 		quality = achievedQuality(lpSol.X, cols.delivery)
 	}
-	out := m.newSolution(prob, cols, lpSol.X, quality, nil)
+	out := m.newSolution(spec, cols, lpSol.X, quality, nil)
 	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), Warm: warm}
 	if rs != nil {
 		rs.dense = cols
@@ -366,36 +333,26 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 	return out, nil
 }
 
-// denseMaster assembles the request's master over the dense columns and
-// solves it cold on the tableau. Only a Resolve (non-nil rs) assembles
-// into the reused arena.
-func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, rs *resolveState) (*lp.Problem, *lp.Solution, error) {
-	sc := rs.arena()
-	var prob *lp.Problem
-	if req.obj == objMinCost {
-		var obj []float64
-		prob, obj = m.assembleMinCostInto(sc, cols, req.minQuality, rs.minCostBuf())
-		if rs != nil {
-			rs.mcObj = obj
-		}
-	} else { // objQuality and objRandom share the Eq. 10 master shape
-		prob = m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
-	}
-	lpSol, err := s.work.tab.SolveWith(prob, lp.Options{AssumeValid: true})
+// denseMaster builds the master of the given spec over the dense
+// columns in the LP workspace and solves it cold.
+func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solution, error) {
+	cm := &s.work.master
+	cm.load(m, spec, cols)
+	lpSol, err := s.work.rev.SolveWith(&cm.sp, lp.Options{AssumeValid: true})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
+		return nil, fmt.Errorf("core: solving LP: %w", err)
 	}
 	switch lpSol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
-		if req.obj == objMinCost {
-			return nil, nil, fmt.Errorf("core: quality %v unattainable on this network: %w", req.minQuality, ErrInfeasible)
+		if spec.minCost {
+			return nil, fmt.Errorf("core: quality %v unattainable on this network: %w", spec.floor, ErrInfeasible)
 		}
 		fallthrough
 	default:
-		return nil, nil, fmt.Errorf("core: LP unexpectedly %v", lpSol.Status)
+		return nil, fmt.Errorf("core: LP unexpectedly %v", lpSol.Status)
 	}
-	return prob, lpSol, nil
+	return lpSol, nil
 }
 
 // solveCG runs the request's column generation: from the objective's
@@ -444,18 +401,17 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 		sol   *Solution
 		lpSol *lp.Solution
 	)
-	cm, capture := rs.cgMaster(), rs != nil
+	capture := rs != nil
 	if mo, ok := obj.(*minCostObjective); ok {
-		sol, lpSol, err = s.solveMinCostCG(cm, m, cs, mo, basis, certTol, capture, warm)
+		sol, lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm)
 	} else {
 		var (
 			iters     int
 			firstWarm bool
 		)
-		lpSol, iters, firstWarm, err = s.runCG(cm, m, cs, obj, basis, certTol, capture, nil)
+		lpSol, iters, firstWarm, err = s.runCG(m, cs, obj, basis, certTol, capture, nil)
 		if err == nil {
-			sol = m.newSolution(nil, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-			sol.master = &cm.sp
+			sol = m.newSolution(obj.master(), &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
 			sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters, PhaseISkipped: firstWarm}
 		}
 	}

@@ -192,14 +192,17 @@ func TestResolveCGScale(t *testing.T) {
 }
 
 // TestResolveBasisRepairFallback drifts violently enough that the prior
-// basis cannot stay primal feasible, exercising the automatic cold
-// fallback inside the warm path: the solve must still succeed and agree
-// with a cold solve, just without the Phase-I skip.
+// basis cannot stay primal feasible, exercising the basis repair and the
+// automatic cold fallback inside the warm path: the solve must still
+// succeed and agree with a cold solve, just without the Phase-I skip.
+// Column generation is forced, since only it re-installs a basis: a dense
+// re-solve is cold by design and would count as a fallback every time.
 func TestResolveBasisRepairFallback(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xfa11, 7))
 	fellBack := 0
 	for traj := 0; traj < 25 && fellBack == 0; traj++ {
 		warm := NewSolver()
+		warm.DenseThreshold = -1
 		base := diffRandomNetwork(rng, 3, 2)
 		if _, err := warm.Resolve(base); err != nil {
 			t.Fatal(err)

@@ -67,10 +67,9 @@ type Solution struct {
 	Stats SolveStats
 
 	m *model
-	// problem is the dense dispatch's LP; master the column-generation
-	// master, from which Problem builds the dense LP on demand.
-	problem  *lp.Problem
-	master   *lp.Sparse
+	// spec is the shape of the master the solution solved, over the
+	// column tables below; Problem rebuilds the LP from the two.
+	spec     masterSpec
 	combos   []Combo
 	delivery []float64
 	// shares is the send-share matrix in flat row-major form:
@@ -185,15 +184,15 @@ func (s *Solution) Timeouts(margin time.Duration) []time.Duration {
 }
 
 // Problem exposes the underlying linear program (for diagnostics and the
-// solver-ablation benchmarks). A column-generation solution keeps its
-// final restricted master column-sparse; Problem builds a fresh dense
-// copy of it on every call. A Resolve solution's master is rewritten by
-// the next Resolve on the same Solver, like the rest of its storage.
+// solver-ablation benchmarks): the master the solution solved, over its
+// own columns — every combination for the dense dispatch, the final pool
+// for column generation. Problem rebuilds it from the solution's column
+// tables as a fresh dense copy on every call. A Resolve solution's
+// tables are rewritten by the next Resolve on the same Solver.
 func (s *Solution) Problem() *lp.Problem {
-	if s.master != nil {
-		return s.master.Dense()
-	}
-	return s.problem
+	var cm cgMaster
+	cm.load(s.m, s.spec, &columns{delivery: s.delivery, costs: s.costs, shares: s.shares, combos: s.combos})
+	return cm.sp.Dense()
 }
 
 // Combos returns every path combination in variable order (parallel to X).

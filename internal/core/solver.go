@@ -17,13 +17,13 @@ import (
 const DefaultDenseThreshold = 2048
 
 // Solver is a reusable solve context: it owns the combination-
-// enumeration scratch and the Resolve warm state (dense columns and
-// assembly storage; the CG pool, sparse master and LP basis). Only
-// column generation re-installs a basis: a dense re-solve solves its
-// master cold. The simplex workspace is not part of it:
-// each solve borrows a dense tableau (lp.Solver) or a revised simplex
-// (lp.Revised) from a process-wide pool and returns it when the solve
-// ends, so an idle Solver — one per served session — holds neither.
+// enumeration scratch and the Resolve warm state (the dense column
+// table; the CG pool, pricing oracle and LP basis). Only column
+// generation re-installs a basis: a dense re-solve solves its master
+// cold. The LP workspace is not part of it: each solve borrows the
+// master and the revised simplex (lp.Revised) that solves it from a
+// process-wide pool and returns them when the solve ends, so an idle
+// Solver — one per served session — holds neither.
 // A Solver is NOT safe for concurrent use: use one per goroutine, the
 // package-level one-shot solves (which draw from a pool of Solvers), or
 // a WarmPool (one Solver per session key).
@@ -73,12 +73,12 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 // memory across calls.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
-// lpWork is the LP workspace of one solve: the dense tableau for the
-// dense dispatch, the revised simplex for column generation. Each
-// allocates its buffers on first use.
+// lpWork is the LP workspace of one solve, for either dispatch: the
+// master, built in place, and the revised simplex that solves it. Both
+// allocate their buffers on first use.
 type lpWork struct {
-	tab lp.Solver
-	rev lp.Revised
+	master cgMaster
+	rev    lp.Revised
 }
 
 // lpPool holds the LP workspaces every Solver borrows for the length of
@@ -141,18 +141,6 @@ func checkFloor(minQuality float64) error {
 	return nil
 }
 
-// asmScratch is a reusable dense LP-assembly arena: the constraint
-// headers, the flat coefficient backing, and the Problem value itself,
-// rewritten in place by assembleProblemInto. Dense re-solves, whose
-// results are documented as invalidated by the next Resolve, route
-// their assemblies through one of these so they stop paying the
-// makeslice+clear cost of problem construction.
-type asmScratch struct {
-	prob    lp.Problem
-	cons    []lp.Constraint
-	backing []float64
-}
-
 // bandwidthNames holds the first bandwidth rows' constraint names,
 // built once at start-up, so building a master formats no strings for
 // them.
@@ -171,94 +159,18 @@ func bandwidthName(i int) string {
 	return fmt.Sprintf("bandwidth[%d]", i)
 }
 
-// assembleProblemInto builds the common LP skeleton around the given
-// objective: bandwidth rows (Eqs. 14–15/29), an optional extra row (the
-// §VI-A quality floor), the cost row (Eq. 16/30) when costRow is set and
-// the budget is finite, and the conservation row Bx′ = 1 (Eq. 18). All
-// constraint coefficient rows are carved from one flat backing array;
-// slices from cols are referenced, never copied, so the Problem shares
-// storage with the Solution's own column tables. A non-nil scratch
-// arena is rewritten in place (the Resolve paths); nil allocates fresh
-// storage (one-shot solves, whose returned Solutions must stay
-// immutable).
-func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float64, cols *columns, extra *lp.Constraint, costRow bool) *lp.Problem {
-	λ := m.net.Rate
-	base, nVars := m.base, cols.len()
-	hasCost := costRow && !math.IsInf(m.net.CostBound, 1)
-
-	nRows := base - 1 + 1 // bandwidth rows + conservation
-	if hasCost {
-		nRows++
-	}
-	if extra != nil {
-		nRows++
-	}
-	var cons []lp.Constraint
-	var backing []float64
-	if sc != nil {
-		if cap(sc.cons) < nRows {
-			sc.cons = make([]lp.Constraint, 0, nRows)
-		}
-		if cap(sc.backing) < nVars*nRows {
-			sc.backing = make([]float64, nVars*nRows)
-		}
-		cons = sc.cons[:0]
-		backing = sc.backing[:nVars*nRows]
-	} else {
-		cons = make([]lp.Constraint, 0, nRows)
-		backing = make([]float64, nVars*nRows)
-	}
-	nextRow := func() []float64 {
-		row := backing[:nVars:nVars]
-		backing = backing[nVars:]
-		return row
-	}
-
-	for i := 1; i < base; i++ {
-		row := nextRow()
-		for l := 0; l < nVars; l++ {
-			row[l] = λ * cols.shares[l*base+i]
-		}
-		cons = append(cons, lp.Constraint{
-			Name: bandwidthName(i - 1), Coeffs: row, Rel: lp.LE, RHS: m.paths[i].Bandwidth,
-		})
-	}
-	if extra != nil {
-		cons = append(cons, *extra)
-	}
-	if hasCost {
-		row := nextRow()
-		for l, c := range cols.costs {
-			row[l] = λ * c
-		}
-		cons = append(cons, lp.Constraint{Name: "cost", Coeffs: row, Rel: lp.LE, RHS: m.net.CostBound})
-	}
-	ones := nextRow()
-	for l := range ones {
-		ones[l] = 1
-	}
-	cons = append(cons, lp.Constraint{Name: "conservation", Coeffs: ones, Rel: lp.EQ, RHS: 1})
-
-	if sc != nil {
-		sc.cons = cons
-		sc.prob = lp.Problem{Sense: sense, Objective: obj, Constraints: cons}
-		return &sc.prob
-	}
-	return &lp.Problem{Sense: sense, Objective: obj, Constraints: cons}
-}
-
-// newSolution assembles the public Solution from a solved x′ vector,
-// sharing the column tables with the LP that produced it (prob, or for
-// column generation the sparse master the caller sets). colIndex maps
-// a combination's packed key to its position in the column tables; nil
-// means the columns cover the dense space in enumeration order.
-func (m *model) newSolution(prob *lp.Problem, cols *columns, x []float64, quality float64, colIndex map[uint64]int) *Solution {
+// newSolution assembles the public Solution from a solved x′ vector over
+// the columns of a master of the given spec, sharing the column tables.
+// colIndex maps a combination's packed key to its position in the
+// column tables; nil means the columns cover the dense space in
+// enumeration order.
+func (m *model) newSolution(spec masterSpec, cols *columns, x []float64, quality float64, colIndex map[uint64]int) *Solution {
 	return &Solution{
 		Network:  m.net,
 		X:        x,
 		Quality:  clamp01(quality),
 		m:        m,
-		problem:  prob,
+		spec:     spec,
 		combos:   cols.combos,
 		delivery: cols.delivery,
 		shares:   cols.shares,

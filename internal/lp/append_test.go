@@ -41,16 +41,6 @@ func extendProblem(rng *rand.Rand, p *Problem, k int) *Problem {
 	return out
 }
 
-// toSparse returns p in column-sparse form.
-func toSparse(p *Problem) *Sparse {
-	sp := NewSparse(p.Sense)
-	for _, c := range p.Constraints {
-		sp.AddRow(c.Name, c.Rel, c.RHS)
-	}
-	appendColumnsFrom(sp, p, 0)
-	return sp
-}
-
 // appendColumnsFrom appends p's columns from index from on to sp, whose
 // rows must be p's.
 func appendColumnsFrom(sp *Sparse, p *Problem, from int) {
@@ -66,7 +56,7 @@ func appendColumnsFrom(sp *Sparse, p *Problem, from int) {
 
 // TestAppendSolveMatchesCold: columns appended to a Sparse problem and
 // re-optimized by Revised.Append must reach the same optimum, duals
-// included, as a cold tableau solve of the extended problem, over
+// included, as a cold solve of the extended problem, over
 // randomized instances and multi-step append chains.
 func TestAppendSolveMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xa99e))
@@ -74,7 +64,7 @@ func TestAppendSolveMatchesCold(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		solver := NewRevised()
 		p := cgShapedProblem(rng, 2+rng.Intn(6), 1+rng.Intn(4))
-		sp := toSparse(p)
+		sp := new(Sparse).setProblem(p)
 		sol, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: base solve: %v / %+v", trial, err, sol)
@@ -130,7 +120,7 @@ func TestAppendSolveMinimize(t *testing.T) {
 			ones[j] = 1
 		}
 		p.AddConstraint(ones, EQ, 1)
-		sp := toSparse(p)
+		sp := new(Sparse).setProblem(p)
 		sol, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 		if err != nil || sol.Status != Optimal {
 			continue // a too-tight GE row can be infeasible; skip
@@ -167,7 +157,7 @@ func TestAppendSolveMinimize(t *testing.T) {
 func TestAppendSolveGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := cgShapedProblem(rng, 4, 2)
-	sp := toSparse(p)
+	sp := new(Sparse).setProblem(p)
 
 	if _, err := NewRevised().Append(sp); err == nil {
 		t.Error("append on a solver with no solve accepted")
@@ -177,7 +167,7 @@ func TestAppendSolveGuards(t *testing.T) {
 	if _, err := solver.SolveWith(sp, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := solver.Append(toSparse(p)); err == nil {
+	if _, err := solver.Append(new(Sparse).setProblem(p)); err == nil {
 		t.Error("append of a problem the solver never loaded accepted")
 	}
 
@@ -234,7 +224,7 @@ func TestAppendSolveAfterWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xbeef))
 	solver := NewRevised()
 	p := cgShapedProblem(rng, 5, 3)
-	sp := toSparse(p)
+	sp := new(Sparse).setProblem(p)
 	first, err := solver.SolveWith(sp, Options{CaptureBasis: true})
 	if err != nil || first.Status != Optimal {
 		t.Fatal(err)
@@ -260,7 +250,7 @@ func TestAppendSolveAfterWarmStart(t *testing.T) {
 // old optimal basis dual feasible but primal infeasible — exactly the
 // dual-simplex regime. The Revised warm solve must engage it
 // (DualPivots > 0 on at least some trials), skip Phase I, and still
-// match cold tableau solves.
+// match cold solves.
 func TestDualSimplexRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd0a1))
 	solver := NewRevised()
@@ -271,7 +261,7 @@ func TestDualSimplexRepair(t *testing.T) {
 		for c := 0; c < 1+rng.Intn(3); c++ {
 			p.AddConstraint(randVec(rng, nVars, 0.5, 5), LE, 5+rng.Float64()*20)
 		}
-		cold, err := solver.SolveWith(toSparse(p), Options{CaptureBasis: true})
+		cold, err := solver.SolveWith(new(Sparse).setProblem(p), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
 		}
@@ -279,7 +269,7 @@ func TestDualSimplexRepair(t *testing.T) {
 		for _, con := range p.Constraints {
 			pert.AddConstraint(con.Coeffs, con.Rel, con.RHS*(0.2+rng.Float64()*0.5))
 		}
-		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
+		warm, err := solver.SolveWith(new(Sparse).setProblem(pert), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}

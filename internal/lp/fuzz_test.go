@@ -46,25 +46,9 @@ func FuzzSolveSmallLP(f *testing.F) {
 	})
 }
 
-// FuzzRevisedMatchesTableau generates random column-sparse LPs — 2–12
-// rows mixing ≤, ≥ and = with negative right-hand sides, at most six
-// nonzeros per column — and checks the revised engine against the dense
-// tableau: both must agree on the status and, when optimal, on the
-// objective to 1e-7 relative, with the revised answer passing Verify;
-// the same columns appended in two or three batches must reach the same
-// verdict; and an optimal instance, drifted and re-solved warm from its
-// revised basis, must agree with a cold tableau solve of the drifted LP.
-func FuzzRevisedMatchesTableau(f *testing.F) {
-	for seed := int64(0); seed < 6; seed++ {
-		f.Add(seed, uint16(seed*37))
-	}
-	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
-		checkRevisedMatchesTableau(t, seed, shape)
-	})
-}
-
-// randomSparseLP draws the fuzz target's LP: small integer data, so the
-// verdicts are not numerically borderline.
+// randomSparseLP draws FuzzRevisedMatchesExact's LP: small integer data,
+// so the verdicts are not numerically borderline. It and the drifts below
+// reach that external test through export_test.go.
 func randomSparseLP(seed int64, shape uint16) *Sparse {
 	rng := rand.New(rand.NewSource(seed))
 	m := 2 + int(shape%11)
@@ -111,94 +95,18 @@ func driftSparse(sp *Sparse, seed int64) *Sparse {
 	return out
 }
 
-// checkRevisedMatchesTableau runs the fuzz target's checks on one
-// instance and reports whether its warm leg re-installed the basis.
-func checkRevisedMatchesTableau(t *testing.T, seed int64, shape uint16) (warmStarted bool) {
-	sp := randomSparseLP(seed, shape)
-	dense := sp.Dense()
-	ref, err := NewSolver().Solve(dense)
-	if err != nil {
-		t.Fatalf("tableau: %v\n%v", err, dense)
-	}
-	got, err := NewRevised().SolveWith(sp, Options{CaptureBasis: true})
-	if err != nil {
-		t.Fatalf("revised: %v\n%v", err, dense)
-	}
-	agree := func(what string, got, ref *Solution, dense *Problem) {
-		t.Helper()
-		if got.Status != ref.Status {
-			t.Fatalf("%s %v, tableau %v\n%v", what, got.Status, ref.Status, dense)
-		}
-		if got.Status != Optimal {
-			return
-		}
-		if math.Abs(got.Objective-ref.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
-			t.Fatalf("%s objective %v, tableau %v\n%v", what, got.Objective, ref.Objective, dense)
-		}
-		if v := Verify(dense, got.X, 1e-7); len(v) != 0 {
-			t.Fatalf("%s answer infeasible: %v\n%v", what, v, dense)
-		}
-	}
-	agree("revised", got, ref, dense)
-
-	// The same columns in batches, appended onto the previous optimum.
-	n := sp.NumVars()
-	batches := 2 + int(seed&1)
-	grown := NewSparse(sp.sense)
+// driftRHS returns a copy of sp with only its right-hand sides scaled, each
+// by a factor in [0.3, 1.3) drawn from seed. The objective and the columns
+// are unchanged, so an optimal basis of sp stays dual feasible for it.
+func driftRHS(sp *Sparse, seed int64) *Sparse {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	out := NewSparse(sp.sense)
 	for _, r := range sp.rows {
-		grown.AddRow(r.name, r.rel, r.rhs)
+		out.AddRow(r.name, r.rel, r.rhs*(0.3+rng.Float64()))
 	}
-	solver := NewRevised()
-	var last *Solution
-	for b, from := 1, 0; b <= batches; b++ {
-		to := max(from+1, n*b/batches)
-		if b == batches {
-			to = n
-		}
-		for j := from; j < to && j < n; j++ {
-			rows, vals := sp.column(j)
-			grown.AddColumn(sp.obj[j], rows, vals)
-		}
-		from = to
-		if grown.NumVars() == 0 {
-			continue
-		}
-		var sol *Solution
-		if last != nil && last.Status == Optimal {
-			sol, err = solver.Append(grown)
-			if err != nil {
-				// Only an extension that is no longer optimal (now
-				// unbounded) may refuse the append.
-				if full, _ := NewRevised().Solve(grown); full != nil && full.Status == Optimal {
-					t.Fatalf("batch %d: append refused an optimal extension: %v\n%v", b, err, grown.Dense())
-				}
-			}
-		}
-		if sol == nil {
-			if sol, err = solver.Solve(grown); err != nil {
-				t.Fatalf("batch %d: %v", b, err)
-			}
-		}
-		last = sol
-		if from >= n {
-			break
-		}
+	for j := 0; j < sp.NumVars(); j++ {
+		rows, vals := sp.column(j)
+		out.AddColumn(sp.obj[j], rows, vals)
 	}
-	agree("appended", last, ref, dense)
-
-	if got.Status != Optimal {
-		return false
-	}
-	drifted := driftSparse(sp, seed)
-	driftedDense := drifted.Dense()
-	driftedRef, err := NewSolver().Solve(driftedDense)
-	if err != nil {
-		t.Fatalf("drifted tableau: %v\n%v", err, driftedDense)
-	}
-	warm, err := NewRevised().SolveWith(drifted, Options{WarmBasis: got.Basis})
-	if err != nil {
-		t.Fatalf("warm: %v\n%v", err, driftedDense)
-	}
-	agree("warm", warm, driftedRef, driftedDense)
-	return warm.WarmStarted
+	return out
 }

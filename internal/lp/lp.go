@@ -1,4 +1,4 @@
-// Package lp implements two simplex engines for linear programs over
+// Package lp implements a simplex engine for linear programs over
 // float64 with non-negative variables, maximization or minimization,
 // and less-than, equality, and greater-than constraints.
 //
@@ -8,21 +8,17 @@
 // The paper's problems have (n+1)^m variables (paths × transmissions)
 // but only n+2 rows, and each variable touches at most m+2 of them.
 //
-//   - Solver is a two-phase dense tableau simplex over a Problem. It suits
-//     the fully enumerated LPs of small shapes, where every column is
-//     present and pivots over contiguous rows are cheapest.
-//   - Revised is a revised simplex over a Sparse problem: rows fixed,
-//     columns stored sparsely and appended in place, an explicit basis
-//     inverse. It suits the restricted masters of column generation,
-//     which grow by a few columns per iteration: a pivot costs
-//     O(rows² + nonzeros), and an append only its columns' nonzeros.
-//
-// Both equilibrate rows and the objective, so their tolerances are
-// relative, and both take Options and return a Solution. Only Revised
-// warm-starts: it captures a Basis and re-installs it on a later solve
-// of the same shape. Solver solves every problem cold. The companion
-// package ratlp solves the same problems exactly over rationals,
-// mirroring CGAL's exact arithmetic.
+// The engine is Revised, a revised simplex over a Sparse problem: rows
+// fixed, columns stored sparsely and appended in place, an explicit
+// basis inverse. A pivot costs O(rows² + nonzeros), and an append only
+// its columns' nonzeros, which suits the fully enumerated LPs of small
+// shapes and column generation's growing restricted masters alike. It
+// equilibrates rows and the objective, so its tolerances are relative,
+// and it warm-starts: it captures a Basis and re-installs it on a later
+// solve of the same shape. Solver, and the package-level Solve and
+// SolveWith, take a dense Problem, convert it to a Sparse and solve it
+// on Revised. The companion package ratlp solves the same problems
+// exactly over rationals, mirroring CGAL's exact arithmetic.
 package lp
 
 import (
@@ -218,14 +214,11 @@ type Solution struct {
 	Dual []float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
-	// The fields below report on warm starts, which only Revised makes;
-	// the dense Solver leaves them zero.
 
-	// Basis is the optimal basis of a Revised solve, captured when
-	// Options.CaptureBasis or Options.WarmBasis was set (nil otherwise,
-	// and on non-Optimal results). Pass it as Options.WarmBasis to
-	// warm-start a later Revised solve of a structurally identical
-	// problem with drifted coefficients.
+	// Basis is the optimal basis, captured when Options.CaptureBasis or
+	// Options.WarmBasis was set (nil otherwise, and on non-Optimal
+	// results). Pass it as Options.WarmBasis to warm-start a later solve
+	// of a structurally identical problem with drifted coefficients.
 	Basis *Basis
 	// WarmStarted reports that the solve re-installed Options.WarmBasis
 	// (either outright feasible, or repaired by a short Phase I).

@@ -6,70 +6,6 @@ import (
 	"testing"
 )
 
-// TestRevisedMatchesTableau runs the fuzz target's differential check
-// over a fixed range of seeds and shapes; some of its warm legs must
-// re-install the basis.
-func TestRevisedMatchesTableau(t *testing.T) {
-	warm := 0
-	for seed := int64(0); seed < 600; seed++ {
-		if checkRevisedMatchesTableau(t, seed, uint16(seed*7919)) {
-			warm++
-		}
-	}
-	if warm == 0 {
-		t.Fatal("no warm leg ever re-installed its basis")
-	}
-}
-
-// TestRevisedSolvesTableauSuite replays the tableau's hand-built cases
-// on the revised engine.
-func TestRevisedSolvesTableauSuite(t *testing.T) {
-	cases := []*Problem{warmProblem(1), warmProblem(1.3)}
-	beale := NewProblem(Maximize, []float64{0.75, -20, 0.5, -6})
-	beale.AddConstraint([]float64{0.25, -8, -1, 9}, LE, 0)
-	beale.AddConstraint([]float64{0.5, -12, -0.5, 3}, LE, 0)
-	beale.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
-	cases = append(cases, beale)
-	redundant := NewProblem(Minimize, []float64{1, 2})
-	redundant.AddConstraint([]float64{1, 1}, EQ, 2)
-	redundant.AddConstraint([]float64{2, 2}, EQ, 4)
-	redundant.AddConstraint([]float64{1, 0}, LE, 1.5)
-	cases = append(cases, redundant)
-	vacuous := NewProblem(Maximize, []float64{1, 1})
-	vacuous.AddConstraint([]float64{1, 0}, LE, math.Inf(1))
-	vacuous.AddConstraint([]float64{1, 1}, LE, 3)
-	vacuous.AddConstraint([]float64{-1, 0}, LE, -1)
-	cases = append(cases, vacuous)
-	infeasible := NewProblem(Maximize, []float64{1})
-	infeasible.AddConstraint([]float64{1}, LE, 5)
-	infeasible.AddConstraint([]float64{1}, GE, 6)
-	cases = append(cases, infeasible)
-	unbounded := NewProblem(Minimize, []float64{-1, 1})
-	unbounded.AddConstraint([]float64{1, -1}, GE, 1)
-	cases = append(cases, unbounded)
-	for i, p := range cases {
-		ref := mustSolve(t, p)
-		got, err := NewRevised().Solve(toSparse(p))
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got.Status != ref.Status {
-			t.Fatalf("case %d: revised %v, tableau %v\n%v", i, got.Status, ref.Status, p)
-		}
-		if got.Status != Optimal {
-			continue
-		}
-		if !almostEq(got.Objective, ref.Objective, tol*(1+math.Abs(ref.Objective))) {
-			t.Fatalf("case %d: revised %v, tableau %v", i, got.Objective, ref.Objective)
-		}
-		for r := range ref.Dual {
-			if !almostEq(got.Dual[r], ref.Dual[r], 1e-6*(1+math.Abs(ref.Dual[r]))) {
-				t.Fatalf("case %d: dual[%d] revised %v, tableau %v", i, r, got.Dual[r], ref.Dual[r])
-			}
-		}
-	}
-}
-
 // TestRevisedValidates: malformed sparse problems are rejected unless
 // AssumeValid is set.
 func TestRevisedValidates(t *testing.T) {
@@ -91,7 +27,7 @@ func TestRevisedValidates(t *testing.T) {
 
 // TestRevisedWarmStartDifferential drifts random LPs with ≤ and = rows
 // and re-solves them warm on the revised engine from its own basis,
-// against cold tableau solves. All three warm outcomes must occur:
+// against cold solves. All three warm outcomes must occur:
 // Phase I skipped outright, dual-simplex repair, and primal repair.
 func TestRevisedWarmStartDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5e7))
@@ -106,7 +42,7 @@ func TestRevisedWarmStartDifferential(t *testing.T) {
 		if trial%2 == 0 {
 			base.AddConstraint(randVec(rng, nVars, 0.5, 2), EQ, 1+rng.Float64()*3)
 		}
-		cold, err := solver.SolveWith(toSparse(base), Options{CaptureBasis: true})
+		cold, err := solver.SolveWith(new(Sparse).setProblem(base), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
 		}
@@ -128,7 +64,7 @@ func TestRevisedWarmStartDifferential(t *testing.T) {
 			pert.AddConstraint(coeffs, con.Rel, rhs)
 		}
 		ref := mustSolve(t, pert)
-		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
+		warm, err := solver.SolveWith(new(Sparse).setProblem(pert), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -157,4 +93,65 @@ func TestRevisedWarmStartDifferential(t *testing.T) {
 	if skipped == 0 || dual == 0 || repaired == 0 {
 		t.Fatalf("warm outcomes: %d skipped, %d dual-repaired, %d primal-repaired; want each > 0", skipped, dual, repaired)
 	}
+}
+
+// TestPartialPricingResetsOnLoad: a Revised reused on problem A and then
+// on problem B returns bitwise what a fresh Revised returns on B, cold and
+// through Append. The problems hold enough columns for partial pricing,
+// whose window offset must not carry from one load into the next.
+func TestPartialPricingResetsOnLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x9a1))
+	reused := NewRevised()
+	for trial := 0; trial < 20; trial++ {
+		a := cgShapedProblem(rng, partialFrom+rng.Intn(200), 3+rng.Intn(6))
+		b := cgShapedProblem(rng, partialFrom+rng.Intn(200), 3+rng.Intn(6))
+		ext := extendProblem(rng, b, 1+rng.Intn(priceWindow))
+		if _, err := reused.Solve(new(Sparse).setProblem(a)); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewRevised()
+		var got, want [2]*Solution
+		for i, s := range []*Revised{reused, fresh} {
+			sp := new(Sparse).setProblem(b)
+			sol, err := s.Solve(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendColumnsFrom(sp, ext, b.NumVars())
+			app, err := s.Append(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				got = [2]*Solution{sol, app}
+			} else {
+				want = [2]*Solution{sol, app}
+			}
+		}
+		for leg, what := range []string{"cold", "append"} {
+			if !sameSolution(got[leg], want[leg]) {
+				t.Fatalf("trial %d %s: reused solver took %d pivots to %v, fresh %d to %v",
+					trial, what, got[leg].Iterations, got[leg].Objective, want[leg].Iterations, want[leg].Objective)
+			}
+		}
+	}
+}
+
+// sameSolution reports whether a and b agree bit for bit.
+func sameSolution(a, b *Solution) bool {
+	if a.Status != b.Status || a.Iterations != b.Iterations ||
+		math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.X) != len(b.X) {
+		return false
+	}
+	for j := range a.X {
+		if math.Float64bits(a.X[j]) != math.Float64bits(b.X[j]) {
+			return false
+		}
+	}
+	for i := range a.Dual {
+		if math.Float64bits(a.Dual[i]) != math.Float64bits(b.Dual[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -10,12 +10,13 @@ import (
 	"dmc/internal/lp"
 )
 
-// TestObjectiveScaleInvariance: both engines divide the objective by its
-// largest coefficient at load, so their optimality tolerance is relative
-// and multiplying the objective by a power of two leaves the pivot path
-// and the answer bit for bit unchanged. The LPs are 40×4 min-cost
-// masters at 0.9 × the quality optimum, whose λ·cost objective (~1e9)
-// puts an absolute 1e-9 reduced-cost tolerance below float64 resolution.
+// TestObjectiveScaleInvariance: the revised engine divides the objective
+// by the power of two above its largest coefficient at load, so its
+// optimality tolerance is relative and multiplying the objective by a
+// power of two leaves the pivot path and the answer bit for bit
+// unchanged. The LPs are 40×4 min-cost masters at 0.9 × the quality
+// optimum, whose λ·cost objective (~1e9) puts an absolute 1e-9
+// reduced-cost tolerance below float64 resolution.
 func TestObjectiveScaleInvariance(t *testing.T) {
 	for s := uint64(4010); s <= 4013; s++ {
 		n := experiments.RandomNetwork(rand.New(rand.NewPCG(7, s)), 40, 4)
@@ -34,21 +35,11 @@ func TestObjectiveScaleInvariance(t *testing.T) {
 			scaled.Objective[j] = math.Ldexp(c, -30)
 		}
 
-		tab, err := lp.Solve(p)
+		rev, err := lp.Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tabScaled, err := lp.Solve(&scaled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, s, "tableau", tab, tabScaled)
-
-		rev, err := lp.NewRevised().Solve(sparseOf(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		revScaled, err := lp.NewRevised().Solve(sparseOf(&scaled))
+		revScaled, err := lp.Solve(&scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,22 +61,4 @@ func sameAnswer(t *testing.T, seed uint64, engine string, a, b *lp.Solution) {
 			return
 		}
 	}
-}
-
-// sparseOf returns p in column-sparse form.
-func sparseOf(p *lp.Problem) *lp.Sparse {
-	sp := lp.NewSparse(p.Sense)
-	rows := make([]int, len(p.Constraints))
-	vals := make([]float64, len(p.Constraints))
-	for i, c := range p.Constraints {
-		sp.AddRow(c.Name, c.Rel, c.RHS)
-		rows[i] = i
-	}
-	for j, c := range p.Objective {
-		for i, con := range p.Constraints {
-			vals[i] = con.Coeffs[j]
-		}
-		sp.AddColumn(c, rows, vals)
-	}
-	return sp
 }

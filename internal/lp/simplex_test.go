@@ -110,6 +110,13 @@ func TestSolveUnboundedMin(t *testing.T) {
 	if sol.Status != Unbounded {
 		t.Errorf("status = %v, want unbounded", sol.Status)
 	}
+	// min -x + y s.t. x - y ≥ 1: unbounded along x = y + 1, reached only
+	// after Phase I clears the ≥ row's artificial.
+	q := NewProblem(Minimize, []float64{-1, 1})
+	q.AddConstraint([]float64{1, -1}, GE, 1)
+	if sol := mustSolve(t, q); sol.Status != Unbounded {
+		t.Errorf("≥ row: status = %v, want unbounded", sol.Status)
+	}
 }
 
 func TestSolveNegativeRHS(t *testing.T) {
@@ -149,6 +156,20 @@ func TestSolveVacuousInfinityRHS(t *testing.T) {
 	if sol.Dual[0] != 0 {
 		t.Errorf("dual of vacuous row = %v, want 0", sol.Dual[0])
 	}
+	// Next to a negated row (-x ≤ -1, i.e. x ≥ 1): max x + y over
+	// 1 ≤ x, x + y ≤ 3 is 3, and the duals still price every kept row.
+	q := NewProblem(Maximize, []float64{1, 1})
+	q.AddConstraint([]float64{1, 0}, LE, math.Inf(1))
+	q.AddConstraint([]float64{1, 1}, LE, 3)
+	q.AddConstraint([]float64{-1, 0}, LE, -1)
+	sol = requireOptimal(t, q)
+	if !almostEq(sol.Objective, 3, tol) {
+		t.Errorf("negated row: objective = %v, want 3", sol.Objective)
+	}
+	if sol.Dual[0] != 0 {
+		t.Errorf("negated row: dual of vacuous row = %v, want 0", sol.Dual[0])
+	}
+	requireStrongDuality(t, q, sol)
 }
 
 func TestSolveDegenerate(t *testing.T) {
@@ -173,6 +194,21 @@ func TestSolveBealeCycling(t *testing.T) {
 	if !almostEq(sol.Objective, 0.05, 1e-6) {
 		t.Errorf("objective = %v, want 0.05", sol.Objective)
 	}
+	// The example's other common scaling: optimum 5/4 at (1, 0, 1, 0)
+	// with duals (0, 3/2, 5/4), exactly as the rational solver finds.
+	q := NewProblem(Maximize, []float64{0.75, -20, 0.5, -6})
+	q.AddConstraint([]float64{0.25, -8, -1, 9}, LE, 0)
+	q.AddConstraint([]float64{0.5, -12, -0.5, 3}, LE, 0)
+	q.AddConstraint([]float64{0, 0, 1, 0}, LE, 1)
+	sol = requireOptimal(t, q)
+	if !almostEq(sol.Objective, 1.25, tol) {
+		t.Errorf("second scaling: objective = %v, want 1.25", sol.Objective)
+	}
+	for i, w := range []float64{0, 1.5, 1.25} {
+		if !almostEq(sol.Dual[i], w, 1e-6) {
+			t.Errorf("second scaling: Dual[%d] = %v, want %v", i, sol.Dual[i], w)
+		}
+	}
 }
 
 func TestSolveRedundantEqualities(t *testing.T) {
@@ -186,6 +222,17 @@ func TestSolveRedundantEqualities(t *testing.T) {
 	if !almostEq(sol.Objective, 1, tol) {
 		t.Errorf("objective = %v, want 1", sol.Objective)
 	}
+	// Minimizing with a binding ≤ row next to the redundant pair: min
+	// x + 2y over x + y = 2, x ≤ 1.5 is 2.5 at (1.5, 0.5).
+	q := NewProblem(Minimize, []float64{1, 2})
+	q.AddConstraint([]float64{1, 1}, EQ, 2)
+	q.AddConstraint([]float64{2, 2}, EQ, 4)
+	q.AddConstraint([]float64{1, 0}, LE, 1.5)
+	sol = requireOptimal(t, q)
+	if !almostEq(sol.Objective, 2.5, tol) {
+		t.Errorf("minimize: objective = %v, want 2.5", sol.Objective)
+	}
+	requireStrongDuality(t, q, sol)
 }
 
 func TestSolveZeroObjective(t *testing.T) {
@@ -209,24 +256,38 @@ func TestSolveSingleVariableBounds(t *testing.T) {
 }
 
 func TestDualsKnownLP(t *testing.T) {
-	// max 3x+5y with slack duals known: y* = (0, 1.5, 1).
-	p := NewProblem(Maximize, []float64{3, 5})
-	p.AddConstraint([]float64{1, 0}, LE, 4)
-	p.AddConstraint([]float64{0, 2}, LE, 12)
-	p.AddConstraint([]float64{3, 2}, LE, 18)
-	sol := requireOptimal(t, p)
-	want := []float64{0, 1.5, 1}
-	for i, w := range want {
-		if !almostEq(sol.Dual[i], w, 1e-6) {
-			t.Errorf("Dual[%d] = %v, want %v", i, sol.Dual[i], w)
+	// max 3x+5y with slack duals known: y* = (0, 1.5, 1). Scaling the
+	// first cost and the second bound by 1.3 moves the optimum to
+	// (0.8, 7.8), 42.12, with y* = (0, 1.2, 1.3).
+	for _, tc := range []struct {
+		scale float64
+		want  []float64
+	}{{1, []float64{0, 1.5, 1}}, {1.3, []float64{0, 1.2, 1.3}}} {
+		p := NewProblem(Maximize, []float64{3 * tc.scale, 5})
+		p.AddConstraint([]float64{1, 0}, LE, 4)
+		p.AddConstraint([]float64{0, 2}, LE, 12*tc.scale)
+		p.AddConstraint([]float64{3, 2}, LE, 18)
+		sol := requireOptimal(t, p)
+		for i, w := range tc.want {
+			if !almostEq(sol.Dual[i], w, 1e-6) {
+				t.Errorf("scale %v: Dual[%d] = %v, want %v", tc.scale, i, sol.Dual[i], w)
+			}
 		}
+		requireStrongDuality(t, p, sol)
 	}
-	// Strong duality: b·y == objective.
+}
+
+// requireStrongDuality checks b·y = objective over the kept (non-vacuous)
+// rows.
+func requireStrongDuality(t *testing.T, p *Problem, sol *Solution) {
+	t.Helper()
 	var by float64
 	for i, c := range p.Constraints {
-		by += c.RHS * sol.Dual[i]
+		if !math.IsInf(c.RHS, 0) {
+			by += c.RHS * sol.Dual[i]
+		}
 	}
-	if !almostEq(by, sol.Objective, 1e-6) {
+	if !almostEq(by, sol.Objective, 1e-6*(1+math.Abs(sol.Objective))) {
 		t.Errorf("b·y = %v, want %v (strong duality)", by, sol.Objective)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Sparse is a linear program over non-negative variables stored by
@@ -69,13 +70,15 @@ func (p *Sparse) AddRow(name string, rel Relation, rhs float64) {
 // are copied.
 func (p *Sparse) AddColumn(obj float64, rows []int, vals []float64) {
 	p.obj = append(p.obj, obj)
+	rowIdx, val := p.rowIdx, p.val
 	for k, r := range rows {
-		if vals[k] != 0 {
-			p.rowIdx = append(p.rowIdx, r)
-			p.val = append(p.val, vals[k])
+		if v := vals[k]; v != 0 {
+			rowIdx = append(rowIdx, r)
+			val = append(val, v)
 		}
 	}
-	p.start = append(p.start, len(p.val))
+	p.rowIdx, p.val = rowIdx, val
+	p.start = append(p.start, len(val))
 }
 
 // column returns column j's row indices and values.
@@ -91,6 +94,69 @@ func (p *Sparse) value(x []float64) float64 {
 		v += c * x[j]
 	}
 	return v
+}
+
+// setProblem resets sp to p's rows and columns, keeping only the
+// nonzero entries. It is the package's one Problem→Sparse conversion.
+func (sp *Sparse) setProblem(p *Problem) *Sparse {
+	sp.Reset(p.Sense)
+	for _, c := range p.Constraints {
+		sp.AddRow(c.Name, c.Rel, c.RHS)
+	}
+	for j, c := range p.Objective {
+		sp.obj = append(sp.obj, c)
+		for i, con := range p.Constraints {
+			if a := con.Coeffs[j]; a != 0 {
+				sp.rowIdx = append(sp.rowIdx, i)
+				sp.val = append(sp.val, a)
+			}
+		}
+		sp.start = append(sp.start, len(sp.val))
+	}
+	return sp
+}
+
+// Solver solves dense Problems: each solve converts its Problem into a
+// column-sparse copy kept for reuse and solves that on the Revised
+// engine, with the same Options and the same Solution. The zero value is
+// ready to use; a Solver must not be used concurrently from multiple
+// goroutines (use one per worker, or the pooled package-level Solve).
+type Solver struct {
+	sp  Sparse
+	rev Revised
+}
+
+// NewSolver returns a reusable Solver.
+func NewSolver() *Solver { return &Solver{} }
+
+// Solve solves the problem with default options.
+func (s *Solver) Solve(p *Problem) (*Solution, error) { return s.SolveWith(p, Options{}) }
+
+// SolveWith solves the problem, reusing the solver's workspaces.
+func (s *Solver) SolveWith(p *Problem, opts Options) (*Solution, error) {
+	if !opts.AssumeValid {
+		if err := p.validate(); err != nil {
+			return nil, err
+		}
+		opts.AssumeValid = true
+	}
+	return s.rev.SolveWith(s.sp.setProblem(p), opts)
+}
+
+// solverPool backs the package-level Solve and SolveWith.
+var solverPool = sync.Pool{New: func() any { return NewSolver() }}
+
+// Solve solves the problem with default options, drawing a reusable
+// Solver from an internal pool.
+func Solve(p *Problem) (*Solution, error) { return SolveWith(p, Options{}) }
+
+// SolveWith solves the problem with explicit options, drawing a reusable
+// Solver from an internal pool.
+func SolveWith(p *Problem, opts Options) (*Solution, error) {
+	s := solverPool.Get().(*Solver)
+	sol, err := s.SolveWith(p, opts)
+	solverPool.Put(s)
+	return sol, err
 }
 
 // Dense returns the problem as a freshly allocated dense Problem.

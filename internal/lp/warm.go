@@ -3,14 +3,13 @@ package lp
 import "dmc/internal/fault"
 
 // fpWarmInstall fires at the top of Revised.installBasis; an injected
-// error reports installFailed (cold fallback), an injected panic
+// error fails the install (cold fallback), an injected panic
 // unwinds through Resolve like a real numerical crash would.
 var fpWarmInstall = fault.Register("lp.warm.install")
 
-// Basis is the optimal simplex basis of a Revised solve, captured on
+// Basis is the optimal simplex basis of a solve, captured on
 // Solution.Basis and reusable as Options.WarmBasis to warm-start a later
-// Revised solve of a structurally identical problem whose coefficients
-// drifted.
+// solve of a structurally identical problem whose coefficients drifted.
 //
 // It names one basic column per kept (non-vacuous) row, in a fixed
 // column order: the n structural columns first, by index; then one
@@ -22,9 +21,9 @@ var fpWarmInstall = fault.Register("lp.warm.install")
 // A basis is compatible with a problem when the kept constraint rows
 // match in count, order, and relation, and the structural variable count
 // matches; Remap translates a basis across column-set changes (columns
-// appended, or a subset re-indexed) so column-generation masters and
-// pruned column pools can reuse it too. The zero value is not useful;
-// bases come from Solution.Basis.
+// appended, or a subset re-indexed) so a column-generation master can
+// reuse it after columns were priced in or its pool was trimmed. The
+// zero value is not useful; bases come from Solution.Basis.
 type Basis struct {
 	cols   []int // basic column per kept row, in the order above
 	n      int   // structural variable count at capture
@@ -111,27 +110,6 @@ func (b *Basis) fits(m, n, nSlack, nArt int, rel []Relation) bool {
 // that are feasible by construction). Refusing early keeps the
 // factorization stable and falls back to the cold two-phase path.
 const installPivotTol = 1e-5
-
-// installResult is the outcome of re-installing a warm basis.
-type installResult int
-
-const (
-	// installFailed: the basis is singular (or otherwise unusable) for
-	// the perturbed coefficients. The solver's basis is dirty; install
-	// the cold basis and solve from it.
-	installFailed installResult = iota
-	// installFeasible: the basis is a BFS of the perturbed problem.
-	// Phase I can be skipped entirely.
-	installFeasible
-	// installDual: the basis drifted primal infeasible but stayed dual
-	// feasible; dual-simplex pivots restored primal feasibility, so
-	// Phase I is skipped and Phase II starts at (usually) the optimum.
-	installDual
-	// installRepaired: the basis went primal infeasible; each violated
-	// basic variable was swapped for a repair column, leaving a valid
-	// BFS of the Phase I problem a few pivots from feasibility.
-	installRepaired
-)
 
 // dualPivotTol is the minimum magnitude of a dual-simplex pivot element.
 // Smaller entries make 1/|pivot| amplification unacceptable; rather than

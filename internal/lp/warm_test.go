@@ -18,7 +18,7 @@ func warmProblem(scale float64) *Problem {
 
 func TestWarmStartSkipsPhase1(t *testing.T) {
 	s := NewRevised()
-	cold, err := s.SolveWith(toSparse(warmProblem(1)), Options{CaptureBasis: true})
+	cold, err := s.SolveWith(new(Sparse).setProblem(warmProblem(1)), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 	}
 
 	perturbed := warmProblem(1.05)
-	warm, err := s.SolveWith(toSparse(perturbed), Options{WarmBasis: cold.Basis})
+	warm, err := s.SolveWith(new(Sparse).setProblem(perturbed), Options{WarmBasis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,14 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 }
 
 func TestWarmStartIncompatibleBasisSolvesCold(t *testing.T) {
-	cold, err := NewRevised().SolveWith(toSparse(warmProblem(1)), Options{CaptureBasis: true})
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(warmProblem(1)), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Different row structure: extra constraint.
 	p := warmProblem(1)
 	p.AddConstraint([]float64{1, 1}, LE, 100)
-	sol, err := NewRevised().SolveWith(toSparse(p), Options{WarmBasis: cold.Basis})
+	sol, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{WarmBasis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWarmStartInfeasibleBasisFallsBack(t *testing.T) {
 		p.AddConstraint([]float64{1, 0}, LE, 8)
 		return p
 	}
-	cold, err := NewRevised().SolveWith(toSparse(build(10)), Options{CaptureBasis: true})
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(build(10)), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWarmStartInfeasibleBasisFallsBack(t *testing.T) {
 	// cold solve exactly, warm-started or not.
 	for _, rhs := range []float64{3, 10, 25} {
 		p := build(rhs)
-		warm, err := NewRevised().SolveWith(toSparse(p), Options{WarmBasis: cold.Basis})
+		warm, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,14 +113,14 @@ func TestWarmStartRejectsNegativeRHSBasis(t *testing.T) {
 	p := NewProblem(Maximize, []float64{1})
 	p.AddConstraint([]float64{1}, LE, 5)
 	p.AddConstraint([]float64{1}, GE, 1)
-	cold, err := NewRevised().SolveWith(toSparse(p), Options{CaptureBasis: true})
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := NewProblem(Maximize, []float64{1})
 	q.AddConstraint([]float64{1}, LE, 5)
 	q.AddConstraint([]float64{1}, GE, 6) // infeasible overall
-	sol, err := NewRevised().SolveWith(toSparse(q), Options{WarmBasis: cold.Basis})
+	sol, err := NewRevised().SolveWith(new(Sparse).setProblem(q), Options{WarmBasis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWarmStartRejectsNegativeRHSBasis(t *testing.T) {
 
 func TestBasisRemapAppendedColumns(t *testing.T) {
 	p := warmProblem(1)
-	cold, err := NewRevised().SolveWith(toSparse(p), Options{CaptureBasis: true})
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestBasisRemapAppendedColumns(t *testing.T) {
 	if remapped == nil {
 		t.Fatal("identity remap onto a superset failed")
 	}
-	warm, err := NewRevised().SolveWith(toSparse(q), Options{WarmBasis: remapped})
+	warm, err := NewRevised().SolveWith(new(Sparse).setProblem(q), Options{WarmBasis: remapped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestBasisRemapAppendedColumns(t *testing.T) {
 
 func TestBasisRemapDroppedColumn(t *testing.T) {
 	p := warmProblem(1)
-	cold, err := NewRevised().SolveWith(toSparse(p), Options{CaptureBasis: true})
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{CaptureBasis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,7 @@ func TestBasisRemapDroppedColumn(t *testing.T) {
 }
 
 // TestWarmStartRandomDifferential perturbs random feasible LPs and
-// checks Revised warm-started solves agree with cold tableau solves
-// everywhere.
+// checks Revised warm-started solves agree with cold solves everywhere.
 func TestWarmStartRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	warmUsed := 0
@@ -198,7 +197,7 @@ func TestWarmStartRandomDifferential(t *testing.T) {
 		for c := 0; c < nCons; c++ {
 			base.AddConstraint(randVec(rng, nVars, 0, 5), LE, 5+rng.Float64()*20)
 		}
-		cold, err := solver.SolveWith(toSparse(base), Options{CaptureBasis: true})
+		cold, err := solver.SolveWith(new(Sparse).setProblem(base), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
 		}
@@ -215,7 +214,7 @@ func TestWarmStartRandomDifferential(t *testing.T) {
 			}
 			pert.AddConstraint(coeffs, con.Rel, drift(con.RHS))
 		}
-		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
+		warm, err := solver.SolveWith(new(Sparse).setProblem(pert), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
@@ -254,8 +253,8 @@ func randVec(rng *rand.Rand, n int, lo, hi float64) []float64 {
 
 // TestWarmRepairPreservesDuals pins the repaired-basis dual convention:
 // a Revised warm solve whose basis needed repair (repair columns) must
-// return the same constraint multipliers as a cold tableau solve — the
-// repair column's negation must not leak into Solution.Dual.
+// return the same constraint multipliers as a cold solve — the repair
+// column's negation must not leak into Solution.Dual.
 func TestWarmRepairPreservesDuals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	solver := NewRevised()
@@ -267,7 +266,7 @@ func TestWarmRepairPreservesDuals(t *testing.T) {
 			base.AddConstraint(randVec(rng, nVars, 0, 5), LE, 5+rng.Float64()*20)
 		}
 		base.AddConstraint(randVec(rng, nVars, 0.5, 2), EQ, 3+rng.Float64()*5)
-		cold, err := solver.SolveWith(toSparse(base), Options{CaptureBasis: true})
+		cold, err := solver.SolveWith(new(Sparse).setProblem(base), Options{CaptureBasis: true})
 		if err != nil || cold.Status != Optimal {
 			continue
 		}
@@ -277,7 +276,7 @@ func TestWarmRepairPreservesDuals(t *testing.T) {
 		for _, con := range base.Constraints {
 			pert.AddConstraint(con.Coeffs, con.Rel, con.RHS*(0.2+rng.Float64()*0.3))
 		}
-		warm, err := solver.SolveWith(toSparse(pert), Options{WarmBasis: cold.Basis})
+		warm, err := solver.SolveWith(new(Sparse).setProblem(pert), Options{WarmBasis: cold.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
