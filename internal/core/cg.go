@@ -162,11 +162,9 @@ func (spec masterSpec) budgetRow(m *model) bool {
 
 // cgMaster is a solve's master — the dense dispatch's full master or
 // column generation's restricted one — as the sparse LP it is built
-// and grown in place in, plus the scratch one column is built in.
+// and grown in place in.
 type cgMaster struct {
-	sp   lp.Sparse
-	rows []int
-	vals []float64
+	sp lp.Sparse
 }
 
 // load resets the master to the given columns and returns the largest
@@ -200,34 +198,27 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 	λ := m.net.Rate
 	base := m.base
 	costRow := spec.budgetRow(m)
-	if cap(cm.rows) < base+1 {
-		cm.rows, cm.vals = make([]int, base+1), make([]float64, base+1)
-	}
-	rows, vals := cm.rows[:base+1], cm.vals[:base+1]
+	sp := &cm.sp
 	objMax := 0.0
 	for l := from; l < cols.len(); l++ {
-		k := 0
+		obj := cols.delivery[l]
+		if spec.minCost {
+			obj = λ * cols.costs[l] // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
+		}
+		sp.AddColumn(obj, nil, nil)
 		for i, sh := range cols.shares[l*base+1 : (l+1)*base] {
-			if sh != 0 {
-				rows[k], vals[k] = i, λ*sh
-				k++
-			}
+			sp.AddEntry(i, λ*sh)
 		}
 		next := base - 1
-		obj := cols.delivery[l]
 		switch {
 		case spec.minCost:
-			rows[k], vals[k] = next, cols.delivery[l]
-			k++
+			sp.AddEntry(next, cols.delivery[l])
 			next++
-			obj = λ * cols.costs[l] // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
 		case costRow:
-			rows[k], vals[k] = next, λ*cols.costs[l]
-			k++
+			sp.AddEntry(next, λ*cols.costs[l])
 			next++
 		}
-		rows[k], vals[k] = next, 1
-		cm.sp.AddColumn(obj, rows[:k+1], vals[:k+1])
+		sp.AddEntry(next, 1)
 		if a := math.Abs(obj); a > objMax {
 			objMax = a
 		}

@@ -17,8 +17,9 @@ import (
 // the same columns appended in two or three batches must reach the same
 // verdict. An optimal instance is then re-solved warm from its basis
 // twice — with every coefficient drifted, and with only the right-hand
-// sides drifted, which keeps the basis dual feasible — and each warm
-// answer must agree with a cold solve of the same drifted LP.
+// sides drifted, which keeps the basis dual feasible — and on each drifted
+// LP a cold and the warm solve must agree with the exact solver and with
+// each other.
 func FuzzRevisedMatchesExact(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint16(seed*37))
@@ -69,20 +70,28 @@ func exactOf(p *lp.Problem) *ratlp.Problem {
 	return q
 }
 
+// exactSolution solves p over exact rationals and returns its status and,
+// when optimal, its objective rounded to float64.
+func exactSolution(t *testing.T, p *lp.Problem) *lp.Solution {
+	t.Helper()
+	ex, err := ratlp.Solve(exactOf(p))
+	if err != nil {
+		t.Fatalf("exact: %v\n%v", err, p)
+	}
+	ref := &lp.Solution{Status: ex.Status}
+	if ex.Status == lp.Optimal {
+		ref.Objective, _ = ex.Objective.Float64()
+	}
+	return ref
+}
+
 // checkRevisedMatchesExact runs the fuzz target's checks on one instance
 // and reports whether its coefficient-drift leg re-installed the basis and
 // whether its right-hand-side leg took dual simplex pivots.
 func checkRevisedMatchesExact(t *testing.T, seed int64, shape uint16) (warmStarted, dualPivots bool) {
 	sp := lp.RandomSparseLP(seed, shape)
 	dense := sp.Dense()
-	ex, err := ratlp.Solve(exactOf(dense))
-	if err != nil {
-		t.Fatalf("exact: %v\n%v", err, dense)
-	}
-	ref := &lp.Solution{Status: ex.Status}
-	if ex.Status == lp.Optimal {
-		ref.Objective, _ = ex.Objective.Float64()
-	}
+	ref := exactSolution(t, dense)
 	agree := func(what string, got, ref *lp.Solution, dense *lp.Problem) {
 		t.Helper()
 		if got.Status != ref.Status {
@@ -155,15 +164,18 @@ func checkRevisedMatchesExact(t *testing.T, seed int64, shape uint16) (warmStart
 	warm := func(what string, drifted *lp.Sparse) *lp.Solution {
 		t.Helper()
 		driftedDense := drifted.Dense()
+		exact := exactSolution(t, driftedDense)
 		cold, err := lp.NewRevised().Solve(drifted)
 		if err != nil {
 			t.Fatalf("%s cold: %v\n%v", what, err, driftedDense)
 		}
+		agree(what+" cold", cold, exact, driftedDense)
 		sol, err := lp.NewRevised().SolveWith(drifted, lp.Options{WarmBasis: got.Basis})
 		if err != nil {
 			t.Fatalf("%s: %v\n%v", what, err, driftedDense)
 		}
-		agree(what, sol, cold, driftedDense)
+		agree(what, sol, exact, driftedDense)
+		agree(what+" vs cold", sol, cold, driftedDense)
 		return sol
 	}
 	warmStarted = warm("warm", lp.DriftSparse(sp, seed)).WarmStarted

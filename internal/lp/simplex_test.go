@@ -287,7 +287,7 @@ func requireStrongDuality(t *testing.T, p *Problem, sol *Solution) {
 			by += c.RHS * sol.Dual[i]
 		}
 	}
-	if !almostEq(by, sol.Objective, 1e-6*(1+math.Abs(sol.Objective))) {
+	if !almostEq(by, sol.Objective, 1e-6) {
 		t.Errorf("b·y = %v, want %v (strong duality)", by, sol.Objective)
 	}
 }

@@ -66,19 +66,24 @@ func (p *Sparse) AddRow(name string, rel Relation, rhs float64) {
 }
 
 // AddColumn appends a column with objective coefficient obj and the
-// entries vals[k] in rows rows[k]. Zero entries are dropped; the slices
-// are copied.
+// entries vals[k] in rows rows[k]; AddEntry can add more to it. Zero
+// entries are dropped; the slices are copied.
 func (p *Sparse) AddColumn(obj float64, rows []int, vals []float64) {
 	p.obj = append(p.obj, obj)
-	rowIdx, val := p.rowIdx, p.val
+	p.start = append(p.start, len(p.val))
 	for k, r := range rows {
-		if v := vals[k]; v != 0 {
-			rowIdx = append(rowIdx, r)
-			val = append(val, v)
-		}
+		p.AddEntry(r, vals[k])
 	}
-	p.rowIdx, p.val = rowIdx, val
-	p.start = append(p.start, len(val))
+}
+
+// AddEntry appends the entry v in row r to the column added last, before
+// the problem is next solved. A zero entry is dropped.
+func (p *Sparse) AddEntry(r int, v float64) {
+	if v != 0 {
+		p.rowIdx = append(p.rowIdx, r)
+		p.val = append(p.val, v)
+		p.start[len(p.start)-1] = len(p.val)
+	}
 }
 
 // column returns column j's row indices and values.
@@ -104,14 +109,10 @@ func (sp *Sparse) setProblem(p *Problem) *Sparse {
 		sp.AddRow(c.Name, c.Rel, c.RHS)
 	}
 	for j, c := range p.Objective {
-		sp.obj = append(sp.obj, c)
+		sp.AddColumn(c, nil, nil)
 		for i, con := range p.Constraints {
-			if a := con.Coeffs[j]; a != 0 {
-				sp.rowIdx = append(sp.rowIdx, i)
-				sp.val = append(sp.val, a)
-			}
+			sp.AddEntry(i, con.Coeffs[j])
 		}
-		sp.start = append(sp.start, len(sp.val))
 	}
 	return sp
 }
