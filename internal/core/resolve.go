@@ -147,10 +147,11 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 //     drift actually made attractive,
 //   - for column generation, the previous optimal simplex basis is
 //     re-installed, skipping LP Phase I whenever it is still feasible
-//     for the perturbed coefficients (with dual-simplex repair when the
-//     drift left it dual feasible, and automatic cold fallback
-//     otherwise), and later CG iterations append their columns to the
-//     sparse master in place, re-optimizing from the factorized basis.
+//     for the perturbed coefficients (otherwise repair columns and a
+//     short Phase I restore feasibility, with automatic cold fallback
+//     when the basis no longer factorizes), and later CG iterations
+//     append their columns to the sparse master in place,
+//     re-optimizing from the factorized basis.
 //
 // The result is identical to a cold SolveQuality up to solver tolerance;
 // Solution.Stats reports Warm, PhaseISkipped (column generation only),

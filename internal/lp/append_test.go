@@ -246,15 +246,14 @@ func TestAppendSolveAfterWarmStart(t *testing.T) {
 	}
 }
 
-// TestDualSimplexRepair: shrinking only the right-hand sides leaves the
-// old optimal basis dual feasible but primal infeasible — exactly the
-// dual-simplex regime. The Revised warm solve must engage it
-// (DualPivots > 0 on at least some trials), skip Phase I, and still
-// match cold solves.
-func TestDualSimplexRepair(t *testing.T) {
+// TestRHSShrinkRepairsBasis: shrinking only the right-hand sides leaves
+// the old optimal basis primal infeasible. The Revised warm solve must
+// re-install and repair it (WarmStarted without PhaseISkipped) on at
+// least some trials, and still match cold solves.
+func TestRHSShrinkRepairsBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd0a1))
 	solver := NewRevised()
-	dualRepaired := 0
+	repaired := 0
 	for trial := 0; trial < 200; trial++ {
 		nVars := 2 + rng.Intn(5)
 		p := NewProblem(Maximize, randVec(rng, nVars, 1, 10))
@@ -285,11 +284,11 @@ func TestDualSimplexRepair(t *testing.T) {
 				t.Fatalf("trial %d: warm %v vs cold %v", trial, warm.Objective, ref.Objective)
 			}
 		}
-		if warm.DualPivots > 0 {
-			dualRepaired++
+		if warm.WarmStarted && !warm.PhaseISkipped {
+			repaired++
 		}
 	}
-	if dualRepaired == 0 {
-		t.Fatal("no trial ever used dual-simplex repair; the path is dead")
+	if repaired == 0 {
+		t.Fatal("no trial ever repaired its re-installed basis; the path is dead")
 	}
 }

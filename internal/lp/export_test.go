@@ -10,3 +10,6 @@ var (
 
 // Column returns column j's entries in their stored order.
 func (p *Sparse) Column(j int) ([]int, []float64) { return p.column(j) }
+
+// SparseOf returns p as a Sparse problem.
+func SparseOf(p *Problem) *Sparse { return new(Sparse).setProblem(p) }

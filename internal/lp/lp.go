@@ -15,7 +15,8 @@
 // shapes and column generation's growing restricted masters alike. It
 // equilibrates rows and the objective, so its tolerances are relative,
 // and it warm-starts: it captures a Basis and re-installs it on a later
-// solve of the same shape. Solver, and the package-level Solve and
+// solve of the same shape, where a basis the drift made infeasible is
+// repaired by a short Phase I. Solver, and the package-level Solve and
 // SolveWith, take a dense Problem, convert it to a Sparse and solve it
 // on Revised. The companion package ratlp solves the same problems
 // exactly over rationals, mirroring CGAL's exact arithmetic.
@@ -225,13 +226,9 @@ type Solution struct {
 	WarmStarted bool
 	// PhaseISkipped reports Phase I was skipped entirely: the
 	// re-installed basis was primal feasible for the perturbed
-	// coefficients, or dual-simplex pivots restored its feasibility
-	// (DualPivots > 0 distinguishes the latter).
+	// coefficients. A warm start with WarmStarted set and PhaseISkipped
+	// clear was repaired.
 	PhaseISkipped bool
-	// DualPivots counts dual-simplex repair pivots: a warm basis that
-	// drifted primal infeasible but stayed dual feasible is restored by
-	// dual pivots instead of Phase I. Zero when the repair never ran.
-	DualPivots int
 }
 
 // Value returns the objective value of x under the problem's objective,

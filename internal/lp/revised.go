@@ -52,11 +52,13 @@ const singularTol = 1e-12
 // It is the package's one simplex engine; Solver runs dense Problems on
 // it. A Basis captured by one solve (Options.CaptureBasis) warm-starts a
 // later solve of a problem of the same shape (Options.WarmBasis), with
-// three outcomes — feasible, so Phase I is skipped; repaired by
-// dual-simplex pivots; or primal repaired plus a short Phase I — within
-// a pivot budget and with a cold fallback. Append re-optimizes after
-// columns were appended to the problem of the last solve — the step
-// column generation repeats — at the cost of the new columns' nonzeros.
+// three outcomes — feasible, so Phase I is skipped; repaired, each
+// violated basic variable swapped for a repair column ahead of a short
+// Phase I; or a cold solve, when the basis no longer factorizes, the
+// warm attempt overruns its pivot budget or its answer fails the primal
+// audit. Append re-optimizes after columns were appended to the problem
+// of the last solve — the step column generation repeats — at the cost
+// of the new columns' nonzeros.
 //
 // The zero value is ready to use; a Revised must not be used
 // concurrently from multiple goroutines.
@@ -108,7 +110,7 @@ type Revised struct {
 	// next is where the next partial-pricing window starts.
 	next int
 
-	iters, sinceFactor, degenerate, dualPivots int
+	iters, sinceFactor, degenerate int
 }
 
 // NewRevised returns a reusable Revised solver.
@@ -171,7 +173,7 @@ func (s *Revised) Append(p *Sparse) (*Solution, error) {
 		s.basicS = append(s.basicS, false)
 	}
 	s.n = p.NumVars()
-	s.iters, s.degenerate, s.dualPivots = 0, 0, 0
+	s.iters, s.degenerate = 0, 0
 	sol, err := s.run(warmFeasible)
 	if err != nil {
 		return nil, err
@@ -338,7 +340,7 @@ func (s *Revised) coldBasis() {
 		}
 	}
 	s.next = 0
-	s.iters, s.sinceFactor, s.degenerate, s.dualPivots = 0, 0, 0, 0
+	s.iters, s.sinceFactor, s.degenerate = 0, 0, 0
 }
 
 // isArtificial reports whether column id is an artificial or repair
@@ -503,7 +505,7 @@ func (s *Revised) computeXB() {
 		}
 	}
 	for i, v := range s.xB {
-		if v < 0 && v > -s.opts.Tol {
+		if v < 0 && v > -simplexTol {
 			s.xB[i] = 0
 		}
 	}
@@ -547,7 +549,7 @@ func (s *Revised) pivot(r, enter int, phase1 bool, dq float64) {
 			continue
 		}
 		v := s.xB[i] - theta*a
-		if v < 0 && v > -s.opts.Tol {
+		if v < 0 && v > -simplexTol {
 			v = 0
 		}
 		s.xB[i] = v
@@ -587,13 +589,13 @@ func (s *Revised) price(phase1, bland bool) (int, float64, bool) {
 	}
 	n := s.n
 	if bland || n < partialFrom {
-		enter, best, found := s.priceColumns(0, n, cm, 0, s.opts.Tol, false, bland)
+		enter, best, found := s.priceColumns(0, n, cm, 0, simplexTol, false, bland)
 		if found && bland {
 			return enter, best, true
 		}
 		return s.priceSlacks(enter, best, found, bland)
 	}
-	enter, best, found := s.priceSlacks(0, s.opts.Tol, false, false)
+	enter, best, found := s.priceSlacks(0, simplexTol, false, false)
 	lo := s.next
 	for scanned := 0; scanned < n; {
 		hi := min(lo+priceWindow, n)
@@ -674,19 +676,18 @@ func (s *Revised) order(id int) int {
 // has, so it leaves rather than moving off zero — columns appended later
 // can make its row binding. It returns −1 when the column is unbounded.
 func (s *Revised) ratioTest(bland, phase1 bool) (int, float64) {
-	tol := s.opts.Tol
 	leave, minRatio := -1, 0.0
 	for i, a := range s.alpha[:s.m] {
-		if !phase1 && a < -tol && s.isArtificial(s.basis[i]) {
+		if !phase1 && a < -simplexTol && s.isArtificial(s.basis[i]) {
 			s.xB[i] = 0
 			a = -a
 		}
-		if a <= tol {
+		if a <= simplexTol {
 			continue
 		}
 		ratio := s.xB[i] / a
-		if leave < 0 || ratio < minRatio-tol ||
-			(math.Abs(ratio-minRatio) <= tol && s.betterLeave(i, leave, bland)) {
+		if leave < 0 || ratio < minRatio-simplexTol ||
+			(math.Abs(ratio-minRatio) <= simplexTol && s.betterLeave(i, leave, bland)) {
 			leave, minRatio = i, ratio
 		}
 	}
@@ -724,7 +725,7 @@ func (s *Revised) optimize(phase1 bool) (Status, error) {
 			s.refactor()
 			s.computeY()
 		}
-		bland := s.degenerate >= s.opts.BlandAfter
+		bland := s.degenerate >= blandAfter
 		enter, dq, ok := s.price(phase1, bland)
 		if !ok {
 			return Optimal, nil
@@ -735,7 +736,7 @@ func (s *Revised) optimize(phase1 bool) (Status, error) {
 		if leave < 0 {
 			return Unbounded, nil
 		}
-		if ratio <= s.opts.Tol {
+		if ratio <= simplexTol {
 			s.degenerate++
 		} else {
 			s.degenerate = 0
@@ -762,31 +763,21 @@ func (s *Revised) artificialsOut() bool {
 // basis yields: cold (the slack/artificial basis, full Phase I; for an
 // install, a basis that is singular or otherwise unusable for the
 // drifted coefficients), warm with a feasible re-installed basis (Phase
-// I skipped), warm with a basis made feasible again by dual-simplex
-// pivots (Phase I skipped, Phase II starts at about the optimum), or
-// warm with a repaired basis (each violated basic variable swapped for a
-// repair column, for a short Phase I from the near-feasible point).
+// I skipped), or warm with a repaired basis (each violated basic
+// variable swapped for a repair column, for a short Phase I from the
+// near-feasible point).
 type start int
 
 const (
 	coldStart start = iota
 	warmFeasible
-	warmDual
 	warmRepaired
 )
 
 // run executes the phases from the given start and extracts the
 // solution.
 func (s *Revised) run(from start) (*Solution, error) {
-	tol := s.opts.Tol
-	runPhase1 := s.nArt > 0
-	switch from {
-	case warmFeasible, warmDual:
-		runPhase1 = false
-	case warmRepaired:
-		runPhase1 = true
-	}
-	if runPhase1 {
+	if from == warmRepaired || from == coldStart && s.nArt > 0 {
 		status, err := s.optimize(true)
 		if err != nil {
 			return nil, err
@@ -800,7 +791,7 @@ func (s *Revised) run(from start) (*Solution, error) {
 				artSum += s.xB[i]
 			}
 		}
-		if artSum > tol*(1+norm1(s.b[:s.m])) {
+		if artSum > simplexTol*(1+norm1(s.b[:s.m])) {
 			return &Solution{Status: Infeasible, Iterations: s.iters}, nil
 		}
 		s.driveOutArtificials()
@@ -820,7 +811,7 @@ func (s *Revised) run(from start) (*Solution, error) {
 		}
 	}
 	for j := range x {
-		if x[j] < 0 && x[j] > -tol {
+		if x[j] < 0 && x[j] > -simplexTol {
 			x[j] = 0
 		}
 	}
@@ -841,8 +832,7 @@ func (s *Revised) run(from start) (*Solution, error) {
 		Iterations:    s.iters,
 		Basis:         basis,
 		WarmStarted:   from != coldStart,
-		PhaseISkipped: from == warmFeasible || from == warmDual,
-		DualPivots:    s.dualPivots,
+		PhaseISkipped: from == warmFeasible,
 	}, nil
 }
 
@@ -859,7 +849,7 @@ func (s *Revised) driveOutArtificials() {
 		for k := 0; k < m; k++ {
 			s.rho[k] = s.binv[k*m+i]
 		}
-		enter, best := 0, s.opts.Tol
+		enter, best := 0, simplexTol
 		found := false
 		for j := 0; j < s.n; j++ {
 			if !s.basicS[j] {
@@ -885,10 +875,10 @@ func (s *Revised) driveOutArtificials() {
 	}
 }
 
-// audit checks x against p's raw columns at 1e2·Tol under Verify's
+// audit checks x against p's raw columns at 1e2·simplexTol under Verify's
 // row-scaled rule.
 func (s *Revised) audit(x []float64) bool {
-	return s.p.feasible(x, s.lhs, s.rowMax, 1e2*s.opts.Tol)
+	return s.p.feasible(x, s.lhs, s.rowMax, 1e2*simplexTol)
 }
 
 // captureBasis snapshots the basis in Basis column order.
@@ -908,11 +898,11 @@ func (s *Revised) captureBasis() *Basis {
 }
 
 // warmPivotsPerRow bounds a warm attempt at this many pivots per kept
-// row (plus one), counting the basis install, dual-simplex repair and
-// both phases. The most a successful warm attempt was measured to take
-// is under 6 per row (239 pivots at 42 rows across five seeds of 40×4
-// column-generation fleet replays), so 32 leaves over 5× headroom. An
-// attempt past it has stalled, and the cold path takes over.
+// row (plus one), counting the basis install and both phases. The most
+// a warm attempt was measured to take is under 4 per row (162 pivots at
+// 42 rows, replaying three seeds of the 40×4 column-generation fleet
+// traffic), so 32 leaves 8× headroom. An attempt past it has stalled,
+// and the cold path takes over.
 const warmPivotsPerRow = 32
 
 // solveWarm solves from basis b within the warm pivot budget, returning
@@ -933,11 +923,12 @@ func (s *Revised) solveWarm(b *Basis) *Solution {
 }
 
 // installBasis factorizes the captured basis b and classifies it:
-// feasible (Phase I skipped), dual feasible and repaired by dual-simplex
-// pivots, or primal repaired — each violated basic variable swapped for
-// a repair column −a_old, which enters at the violation's magnitude
-// (negating its row of B⁻¹ and of x_B), for a short Phase I. coldStart
-// means the install failed and left the basis dirty.
+// feasible, so Phase I is skipped; or repaired — each violated basic
+// variable swapped for a repair column −a_old, which enters at the
+// violation's magnitude (negating its row of B⁻¹ and of x_B), for a
+// short Phase I that also drives out any artificial left basic at a
+// positive value. coldStart means the install failed and left the basis
+// dirty.
 func (s *Revised) installBasis(b *Basis) start {
 	if fpWarmInstall.Hit() != nil {
 		return coldStart
@@ -964,43 +955,17 @@ func (s *Revised) installBasis(b *Basis) start {
 	}
 	s.computeXB()
 
-	ftol := s.opts.Tol * (1 + norm1(s.b[:s.m]))
-	violated, artAway := false, false
-	for i, v := range s.xB[:s.m] {
-		if v < -ftol {
-			violated = true
-		} else if s.isArtificial(s.basis[i]) && v > ftol {
-			artAway = true
-		}
-	}
-	if !violated && !artAway {
-		s.clampXB()
-		return warmFeasible
-	}
-
-	if !artAway {
-		// Dual feasible: no column prices above tol.
-		s.loadCB(false)
-		s.computeY()
-		if _, _, found := s.price(false, false); !found {
-			if !s.dualSimplex(ftol) {
-				return coldStart
-			}
-			for i, id := range s.basis {
-				if s.isArtificial(id) && s.xB[i] > ftol {
-					return coldStart
-				}
-			}
-			return warmDual
-		}
-	}
-
-	m := s.m
+	m, ftol := s.m, simplexTol*(1+norm1(s.b[:s.m]))
+	from := warmFeasible
 	for i := 0; i < m; i++ {
-		if s.xB[i] >= -ftol {
-			s.xB[i] = max(s.xB[i], 0)
+		if v := s.xB[i]; v >= -ftol {
+			if v > ftol && s.isArtificial(s.basis[i]) {
+				from = warmRepaired
+			}
+			s.xB[i] = max(v, 0)
 			continue
 		}
+		from = warmRepaired
 		r := s.nRepair
 		s.nRepair++
 		s.repairOf[r] = s.basis[i]
@@ -1012,69 +977,5 @@ func (s *Revised) installBasis(b *Basis) start {
 		}
 		s.xB[i] = -s.xB[i]
 	}
-	return warmRepaired
-}
-
-func (s *Revised) clampXB() {
-	for i, v := range s.xB[:s.m] {
-		s.xB[i] = max(v, 0)
-	}
-}
-
-// dualSimplex restores primal feasibility from a dual-feasible basis:
-// the most violated basic variable leaves, and the column with the
-// smallest reduced-cost ratio over decisively negative entries of its
-// row of B⁻¹A enters. It returns false when no pivot qualifies or the
-// budget runs out.
-func (s *Revised) dualSimplex(ftol float64) bool {
-	m := s.m
-	for {
-		if s.iters >= s.opts.MaxIter {
-			return false
-		}
-		if s.sinceFactor >= refactorEvery {
-			s.refactor()
-		}
-		leave, worst := -1, -ftol
-		for i, v := range s.xB[:m] {
-			if v < worst {
-				leave, worst = i, v
-			}
-		}
-		if leave < 0 {
-			s.clampXB()
-			return true
-		}
-		s.computeY()
-		for k := 0; k < m; k++ {
-			s.rho[k] = s.binv[k*m+leave]
-		}
-		enter, best, found := 0, 0.0, false
-		consider := func(id int, a, d float64) {
-			if a >= -dualPivotTol {
-				return
-			}
-			if ratio := d / a; !found || ratio < best {
-				enter, best, found = id, ratio, true
-			}
-		}
-		for j := 0; j < s.n; j++ {
-			if !s.basicS[j] {
-				consider(j, s.dot(j, s.rho), s.costMul*s.p.obj[j]-s.dot(j, s.y))
-			}
-		}
-		for k := 0; k < s.nSlack; k++ {
-			if !s.basicA[k] {
-				r := s.auxRow[k]
-				consider(^k, s.auxSign[k]*s.rho[r], -s.auxSign[k]*s.y[r])
-			}
-		}
-		if !found {
-			return false
-		}
-		clear(s.alpha)
-		s.ftran(enter, 1, s.alpha)
-		s.pivot(leave, enter, false, 0)
-		s.dualPivots++
-	}
+	return from
 }

@@ -2,18 +2,21 @@ package lp
 
 import "math"
 
+// simplexTol is the feasibility and optimality tolerance. Rows and the
+// objective are equilibrated at load, so it is relative to their scale.
+const simplexTol = 1e-9
+
+// blandAfter is how many consecutive degenerate pivots switch pricing
+// from Dantzig's rule to Bland's rule, which cannot cycle.
+const blandAfter = 20
+
 // Options tunes the simplex solver. The zero value selects sensible
-// defaults; use DefaultOptions to inspect them.
+// defaults.
 type Options struct {
-	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tol float64
 	// MaxIter caps total pivots across both phases. Zero means
-	// 200*(rows+cols), which is far beyond what non-degenerate problems
+	// 200*(rows+cols+1), which is far beyond what non-degenerate problems
 	// need and serves only as a cycling backstop behind Bland's rule.
 	MaxIter int
-	// BlandAfter switches pivoting from Dantzig's rule to Bland's rule
-	// after this many consecutive degenerate pivots. Zero means 20.
-	BlandAfter int
 	// AssumeValid skips the structural validation pass (dimension and
 	// NaN/Inf checks over every coefficient, O(rows·cols) per solve).
 	// Only for callers that construct problems programmatically and
@@ -25,10 +28,14 @@ type Options struct {
 	// structurally identical problem). If the basis re-installs as a
 	// basic feasible solution for the new coefficients, Phase I is
 	// skipped entirely and Phase II starts at (usually) a near-optimal
-	// vertex; a basis that no longer factorizes or is primal infeasible
-	// falls back to the cold two-phase path automatically. The result is
-	// identical to a cold solve either way (Solution.WarmStarted reports
-	// which path ran). Setting WarmBasis implies CaptureBasis.
+	// vertex; if it is primal infeasible, each violated basic variable
+	// is swapped for a repair column and a short Phase I restores
+	// feasibility. A basis that no longer factorizes, a warm attempt
+	// that runs past its pivot budget, or an answer that fails the primal
+	// audit falls back to the cold two-phase path automatically. The
+	// result is identical to a cold solve either way (Solution.WarmStarted
+	// and Solution.PhaseISkipped report which path ran). Setting
+	// WarmBasis implies CaptureBasis.
 	WarmBasis *Basis
 	// CaptureBasis snapshots the optimal basis onto Solution.Basis for
 	// reuse as a later WarmBasis. Off by default: one-shot solves then
@@ -36,18 +43,7 @@ type Options struct {
 	CaptureBasis bool
 }
 
-// DefaultOptions returns the defaults applied for zero Options fields.
-func DefaultOptions() Options {
-	return Options{Tol: 1e-9, MaxIter: 0, BlandAfter: 20}
-}
-
 func (o Options) withDefaults(rows, cols int) Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.BlandAfter <= 0 {
-		o.BlandAfter = 20
-	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200 * (rows + cols + 1)
 	}

@@ -36,10 +36,6 @@ type Basis struct {
 // NumRows reports the kept constraint row count of the captured basis.
 func (b *Basis) NumRows() int { return b.m }
 
-// NumVars reports the structural variable count the basis was captured
-// against.
-func (b *Basis) NumVars() int { return b.n }
-
 // StructuralCols returns, per kept row, the basic structural column
 // index, or -1 where an auxiliary (slack/artificial) column is basic.
 func (b *Basis) StructuralCols() []int {
@@ -110,8 +106,3 @@ func (b *Basis) fits(m, n, nSlack, nArt int, rel []Relation) bool {
 // that are feasible by construction). Refusing early keeps the
 // factorization stable and falls back to the cold two-phase path.
 const installPivotTol = 1e-5
-
-// dualPivotTol is the minimum magnitude of a dual-simplex pivot element.
-// Smaller entries make 1/|pivot| amplification unacceptable; rather than
-// accept them, the repair bails out and the solve falls back cold.
-const dualPivotTol = 1e-6
