@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadSimulation$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrames$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # One iteration of every benchmark: proves they run, not how fast.
 bench-smoke:

@@ -344,15 +344,6 @@ func (m *model) combo(l int) Combo {
 	return c
 }
 
-// index packs a combination back into its variable index.
-func (m *model) index(c Combo) int {
-	l := 0
-	for k := m.m - 1; k >= 0; k-- {
-		l = l*m.base + c[k]
-	}
-	return l
-}
-
 // isBlackhole reports whether model path index i is the virtual path.
 func (m *model) isBlackhole(i int) bool { return i == 0 }
 

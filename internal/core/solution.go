@@ -110,7 +110,8 @@ func (s *Solution) Fraction(c Combo) float64 {
 		}
 		return 0
 	}
-	return s.X[s.m.index(c)]
+	// A dense solve's variable index is the combination's packed key.
+	return s.X[s.m.packKey(c)]
 }
 
 // ActiveCombos returns the combinations carrying at least minFraction of

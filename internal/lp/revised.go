@@ -111,6 +111,11 @@ type Revised struct {
 	next int
 
 	iters, sinceFactor, degenerate int
+	// maxIter caps the solve's pivots across both phases at
+	// 200·(rows+cols+1), far beyond what non-degenerate problems need: a
+	// cycling backstop behind Bland's rule. solveWarm lowers it to the
+	// warm budget for the warm attempt.
+	maxIter int
 }
 
 // NewRevised returns a reusable Revised solver.
@@ -221,7 +226,7 @@ func (s *Revised) load(p *Sparse, opts Options) {
 	}
 	s.orig, s.rel, s.scale, s.flip = s.orig[:m], s.rel[:m], s.scale[:m], s.flip[:m]
 	s.m, s.n, s.nSlack, s.nArt, s.nRepair = m, n, nSlack, nArt, 0
-	s.opts = opts.withDefaults(m, n)
+	s.opts, s.maxIter = opts, 200*(m+n+1)
 	s.p, s.gen, s.hot = p, p.gen, false
 
 	s.b = grow(s.b, m)
@@ -718,8 +723,8 @@ func (s *Revised) optimize(phase1 bool) (Status, error) {
 	s.loadCB(phase1)
 	s.computeY()
 	for {
-		if s.iters >= s.opts.MaxIter {
-			return 0, fmt.Errorf("lp: iteration limit %d exceeded (cycling?)", s.opts.MaxIter)
+		if s.iters >= s.maxIter {
+			return 0, fmt.Errorf("lp: iteration limit %d exceeded (cycling?)", s.maxIter)
 		}
 		if s.sinceFactor >= refactorEvery {
 			s.refactor()
@@ -909,13 +914,13 @@ const warmPivotsPerRow = 32
 // nil — the caller solves cold — when the install fails, the budget
 // runs out, the outcome is not Optimal, or the answer fails the audit.
 func (s *Revised) solveWarm(b *Basis) *Solution {
-	limit := s.opts.MaxIter
-	s.opts.MaxIter = min(limit, warmPivotsPerRow*(s.m+1))
+	limit := s.maxIter
+	s.maxIter = min(limit, warmPivotsPerRow*(s.m+1))
 	var sol *Solution
 	if from := s.installBasis(b); from != coldStart {
 		sol, _ = s.run(from)
 	}
-	s.opts.MaxIter = limit
+	s.maxIter = limit
 	if sol == nil || sol.Status != Optimal || !s.audit(sol.X) {
 		return nil
 	}

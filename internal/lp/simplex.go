@@ -13,10 +13,6 @@ const blandAfter = 20
 // Options tunes the simplex solver. The zero value selects sensible
 // defaults.
 type Options struct {
-	// MaxIter caps total pivots across both phases. Zero means
-	// 200*(rows+cols+1), which is far beyond what non-degenerate problems
-	// need and serves only as a cycling backstop behind Bland's rule.
-	MaxIter int
 	// AssumeValid skips the structural validation pass (dimension and
 	// NaN/Inf checks over every coefficient, O(rows·cols) per solve).
 	// Only for callers that construct problems programmatically and
@@ -41,13 +37,6 @@ type Options struct {
 	// reuse as a later WarmBasis. Off by default: one-shot solves then
 	// skip the (small) snapshot allocations on the hot path.
 	CaptureBasis bool
-}
-
-func (o Options) withDefaults(rows, cols int) Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200 * (rows + cols + 1)
-	}
-	return o
 }
 
 // grow resizes a workspace buffer to n entries, reusing capacity.

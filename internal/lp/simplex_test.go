@@ -557,8 +557,14 @@ func TestOptionsIterationLimit(t *testing.T) {
 	p.AddConstraint([]float64{1, 0}, LE, 4)
 	p.AddConstraint([]float64{0, 2}, LE, 12)
 	p.AddConstraint([]float64{3, 2}, LE, 18)
-	if _, err := SolveWith(p, Options{MaxIter: 1}); err == nil {
-		t.Error("want iteration-limit error with MaxIter=1")
+	s := NewRevised()
+	s.load(new(Sparse).setProblem(p), Options{})
+	if want := 200 * (3 + 2 + 1); s.maxIter != want {
+		t.Errorf("iteration cap %d, want 200·(rows+cols+1) = %d", s.maxIter, want)
+	}
+	s.maxIter = 1
+	if _, err := s.run(coldStart); err == nil {
+		t.Error("want iteration-limit error with a cap of 1")
 	}
 }
 

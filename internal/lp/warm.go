@@ -33,9 +33,6 @@ type Basis struct {
 	rel    []Relation // kept-row relations, in row order
 }
 
-// NumRows reports the kept constraint row count of the captured basis.
-func (b *Basis) NumRows() int { return b.m }
-
 // StructuralCols returns, per kept row, the basic structural column
 // index, or -1 where an auxiliary (slack/artificial) column is basic.
 func (b *Basis) StructuralCols() []int {

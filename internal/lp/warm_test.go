@@ -47,7 +47,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 	if v := Verify(perturbed, warm.X, tol); len(v) != 0 {
 		t.Fatalf("warm solution infeasible: %v", v)
 	}
-	if warm.Iterations > ref.Iterations+cold.Basis.NumRows() {
+	if warm.Iterations > ref.Iterations+cold.Basis.m {
 		t.Errorf("warm solve used %d pivots, cold %d: warm start saved nothing",
 			warm.Iterations, ref.Iterations)
 	}

@@ -35,16 +35,18 @@ func failoverIters(t *testing.T) int {
 	return 2
 }
 
-// failoverStorm arms the replication seams alongside PR 9's durability
-// and solver seams: failed sends stall polls (the follower retries),
-// failed applies drop chunks before they touch the follower's journal
-// (the retry re-requests the same chunk), and the primary keeps
-// serving — or failing honestly — through all of it.
+// failoverStorm arms the replication seams alongside the durability and
+// solver seams: failed sends stall polls (the follower retries), failed
+// applies drop chunks before they touch the follower's journal (the
+// retry re-requests the same chunk), failed journal writes and fsyncs
+// on either node are cut back out of that node's journal, and the
+// primary keeps serving — or failing honestly — through all of it.
 func failoverStorm(seed uint64) *fault.Plan {
 	return &fault.Plan{
 		Seed: seed,
 		Points: map[string][]fault.Spec{
 			"persist.write": {{Kind: fault.Error, Prob: 0.10}},
+			"persist.fsync": {{Kind: fault.Error, Prob: 0.10}},
 			"repl.send":     {{Kind: fault.Error, Prob: 0.15}},
 			"repl.apply":    {{Kind: fault.Error, Prob: 0.15}},
 			"serve.exec": {
@@ -444,6 +446,50 @@ func TestSyncAckRequiresFollower(t *testing.T) {
 	defer srv2.Close()
 	if srv2.lookupSession("s") == nil {
 		t.Error("sync-ack-failed write was not locally durable")
+	}
+}
+
+// TestSyncAckAfterFailedFsync: a write whose journal fsync fails is
+// answered 500 and cut back out of the primary's journal, so it never
+// reaches a follower. The next write on the same network frames to the
+// same size, lands where the failed one was, and its sync-mode 200 means
+// the follower holds it — not the failed record in its place.
+func TestSyncAckAfterFailedFsync(t *testing.T) {
+	defer fault.Deactivate()
+	srv, err := New(Config{
+		Shards: 1, StateDir: t.TempDir(),
+		ReplAck: ReplAckSync, ReplAckTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	fol := newTestFollower(t, ts.URL, t.TempDir())
+	defer fol.Close()
+
+	wire := testNetwork(rand.New(rand.NewPCG(23, 5)), 2)
+	solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "a"})
+	waitSynced(t, srv, fol)
+
+	fault.Activate(&fault.Plan{Seed: 1, Points: map[string][]fault.Spec{
+		"persist.fsync": {{Kind: fault.Error, Prob: 1}},
+	}})
+	status, body := postJSON(t, ts.URL+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "b"})
+	fault.Deactivate()
+	if status != http.StatusInternalServerError {
+		t.Fatalf("solve with a failing journal fsync: status %d (want 500): %s", status, body)
+	}
+
+	solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "c"})
+	fol.smu.RLock()
+	gotC, gotB := fol.state["c"] != nil, fol.state["b"] != nil
+	fol.smu.RUnlock()
+	if !gotC {
+		t.Error("sync-acknowledged session c is not on the follower")
+	}
+	if gotB {
+		t.Error("follower holds session b, whose write failed")
 	}
 }
 

@@ -9,7 +9,8 @@
 //	            snapshot.tmp, fsync'd, renamed over, dir fsync'd)
 //	journal     records appended since that snapshot, each fsync'd
 //	            before the request that produced it is acknowledged
-//	            (unless Config.JournalNoSync)
+//	            (unless Config.JournalNoSync); a failed append is cut
+//	            back out
 //
 // Both files are streams of framed scenario.SnapshotRecord values:
 // a 4-byte little-endian payload length, a 4-byte CRC32 (IEEE) of the
@@ -86,6 +87,9 @@ const (
 	maxReplChunk = 1 << 20
 )
 
+// errJournalClosed refuses IO on a closed persister.
+var errJournalClosed = errors.New("serve: journal closed")
+
 // replPos addresses a point in the replicated journal stream: the
 // journal incarnation (gen changes whenever the journal is reset — a
 // compaction, a reset transfer, or a fresh boot) and the byte offset
@@ -131,9 +135,6 @@ type persister struct {
 	// an append or a reset — waking replication long-polls. Lazily
 	// re-created by waitCh.
 	notify chan struct{}
-	// replayedJournalRecords counts journal records seen at boot replay
-	// (openPersister folds it into genRecords once).
-	replayedJournalRecords int64
 
 	// Metrics, readable without mu.
 	journalBytes   atomic.Int64
@@ -162,7 +163,7 @@ func openPersister(dir string, snapshotBytes int64, noSync bool) (*persister, ma
 	p := &persister{dir: dir, snapshotBytes: snapshotBytes, noSync: noSync}
 	// The boot gen must exceed every gen this state dir ever announced
 	// to a follower; wall-clock nanoseconds dominate any plausible
-	// bump count (resetLocked also takes max(gen+1, now)).
+	// bump count (resetGenLocked also takes max(gen+1, now)).
 	p.gen = uint64(time.Now().UnixNano())
 
 	state := make(map[string]*scenario.SessionState)
@@ -171,24 +172,31 @@ func openPersister(dir string, snapshotBytes int64, noSync bool) (*persister, ma
 	// history. It was written atomically, so corruption here is bitrot
 	// or an operator mistake — refuse boot rather than serve a silently
 	// truncated fleet.
-	if err := p.replayFile(filepath.Join(dir, snapshotFile), state, shadow, false); err != nil {
+	if _, err := p.replayFile(filepath.Join(dir, snapshotFile), state, shadow, false); err != nil {
 		return nil, nil, nil, err
 	}
 	// Then the journal, tolerating (and truncating) a torn suffix: the
 	// process can die mid-append, and everything before the tear was
 	// acknowledged durable.
-	if err := p.replayFile(filepath.Join(dir, journalFile), state, shadow, true); err != nil {
+	recs, err := p.replayFile(filepath.Join(dir, journalFile), state, shadow, true)
+	if err != nil {
 		return nil, nil, nil, err
 	}
+	p.genRecords = recs
 
 	j, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	if fi, err := j.Stat(); err == nil {
-		p.journalBytes.Store(fi.Size())
+	// journalBytes must start out as the file's true size: the writer
+	// cuts a failed append back to it, and replication reads address the
+	// file by it.
+	fi, err := j.Stat()
+	if err != nil {
+		j.Close()
+		return nil, nil, nil, fmt.Errorf("serve: sizing journal: %w", err)
 	}
-	p.genRecords = p.replayedJournalRecords
+	p.journalBytes.Store(fi.Size())
 	p.journal = j
 	r, err := os.Open(filepath.Join(dir, journalFile))
 	if err != nil {
@@ -199,128 +207,147 @@ func openPersister(dir string, snapshotBytes int64, noSync bool) (*persister, ma
 	return p, state, shadow, nil
 }
 
-// replayFile folds one record file into state. With truncateOnCorrupt,
-// a torn/corrupt/short-read suffix is cut back to the last valid record
-// (journal semantics); without it any damage is a hard error (snapshot
-// semantics). Future-version and structurally invalid records are hard
-// errors either way — they were written intact, so ignoring them would
-// silently drop durable state.
-func (p *persister) replayFile(path string, state map[string]*scenario.SessionState, shadow seqShadow, truncateOnCorrupt bool) error {
+// replayFile folds one record file into state and returns its record
+// count. With truncateOnCorrupt, a torn/corrupt/short-read suffix is
+// cut back to the last valid record (journal semantics); without it any
+// damage is a hard error (snapshot semantics). Future-version and
+// structurally invalid records are hard errors either way — they were
+// written intact, so ignoring them would silently drop durable state.
+func (p *persister) replayFile(path string, state map[string]*scenario.SessionState, shadow seqShadow, truncateOnCorrupt bool) (int64, error) {
+	name := filepath.Base(path)
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("serve: opening %s: %w", filepath.Base(path), err)
+		return 0, fmt.Errorf("serve: opening %s: %w", name, err)
 	}
 	defer f.Close()
 
-	var off int64
-	var hdr [frameHeaderLen]byte
+	var off, recs int64
 	buf := make([]byte, 0, 4096)
-	corrupt := func(reason string) error {
-		if !truncateOnCorrupt {
-			return fmt.Errorf("serve: %s corrupt at offset %d (%s); refusing to boot from a damaged snapshot", filepath.Base(path), off, reason)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			return fmt.Errorf("serve: %s: %w", filepath.Base(path), err)
-		}
-		dropped := fi.Size() - off
-		if err := os.Truncate(path, off); err != nil {
-			return fmt.Errorf("serve: truncating %s to last valid record: %w", filepath.Base(path), err)
-		}
-		p.truncatedBytes.Add(dropped)
-		log.Printf("serve: %s: %s at offset %d; truncated %d byte suffix to the last valid record", filepath.Base(path), reason, off, dropped)
-		return nil
-	}
-
 	for {
-		if err := fpPersistReplay.Hit(); err != nil {
-			return corrupt(fmt.Sprintf("injected replay fault: %v", err))
-		}
-		n, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
-			return nil
+		err := fpPersistReplay.Hit()
+		if err == nil {
+			if buf, err = readFrame(f, buf); err == io.EOF {
+				return recs, nil
+			}
 		}
 		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return corrupt(fmt.Sprintf("torn frame header (%d of %d bytes)", n, frameHeaderLen))
+			if !truncateOnCorrupt {
+				return 0, fmt.Errorf("serve: %s corrupt at offset %d (%v); refusing to boot from a damaged snapshot", name, off, err)
 			}
-			return corrupt(fmt.Sprintf("reading frame header: %v", err))
+			fi, err2 := f.Stat()
+			if err2 != nil {
+				return 0, fmt.Errorf("serve: %s: %w", name, err2)
+			}
+			if err2 := os.Truncate(path, off); err2 != nil {
+				return 0, fmt.Errorf("serve: truncating %s to last valid record: %w", name, err2)
+			}
+			p.truncatedBytes.Add(fi.Size() - off)
+			log.Printf("serve: %s: %v at offset %d; truncated %d byte suffix to the last valid record", name, err, off, fi.Size()-off)
+			return recs, nil
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if size == 0 || size > maxRecordBytes {
-			return corrupt(fmt.Sprintf("implausible record length %d", size))
-		}
-		if cap(buf) < int(size) {
-			buf = make([]byte, size)
-		}
-		buf = buf[:size]
-		if n, err := io.ReadFull(f, buf); err != nil {
-			return corrupt(fmt.Sprintf("torn record payload (%d of %d bytes)", n, size))
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			return corrupt("record checksum mismatch")
-		}
-
 		// The frame is intact: from here every problem is semantic, and
 		// semantic problems are hard errors — an unreadable-but-durable
 		// record means state this build must not silently discard.
-		v, err := scenario.SnapshotRecordVersion(buf)
+		rec, err := decodeRecord(buf)
 		if err != nil {
-			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
+			return 0, fmt.Errorf("serve: %s offset %d: %w", name, off, err)
 		}
-		if err := scenario.CheckSnapshotVersion(v); err != nil {
-			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
-		}
-		var rec scenario.SnapshotRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			return fmt.Errorf("serve: %s offset %d: parsing record: %w", filepath.Base(path), off, err)
-		}
-		if err := rec.Validate(); err != nil {
-			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
-		}
-		applyRecord(state, shadow, &rec)
-		if rec.Seq > p.maxSeq.Load() {
-			p.maxSeq.Store(rec.Seq)
-		}
-		if rec.Epoch > p.maxEpoch.Load() {
-			p.maxEpoch.Store(rec.Epoch)
-		}
-		if truncateOnCorrupt {
-			p.replayedJournalRecords++
-		}
-		off += frameHeaderLen + int64(size)
+		p.fold(state, shadow, rec)
+		recs++
+		off += frameHeaderLen + int64(len(buf))
 	}
+}
+
+// readFrame reads the next frame from r into buf's storage and returns
+// the payload, or io.EOF at a clean end of the stream. A torn frame, an
+// implausible length or a checksum mismatch is an error saying which.
+// Boot replay and parseFrames both read through it.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return buf, io.EOF
+		}
+		return buf, fmt.Errorf("torn frame header (%d of %d bytes): %w", n, frameHeaderLen, err)
+	}
+	size := binary.LittleEndian.Uint32(hdr[0:4])
+	if size == 0 || size > maxRecordBytes {
+		return buf, fmt.Errorf("implausible record length %d", size)
+	}
+	if cap(buf) < int(size) {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if n, err := io.ReadFull(r, buf); err != nil {
+		return buf, fmt.Errorf("torn record payload (%d of %d bytes): %w", n, size, err)
+	}
+	if crc32.ChecksumIEEE(buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return buf, errors.New("record checksum mismatch")
+	}
+	return buf, nil
+}
+
+// decodeRecord decodes one frame payload for boot replay and
+// parseFrames alike: it peeks at the schema version and refuses a newer
+// one before parsing — guessing at a future layout is worse than
+// refusing it — then parses the record and validates it.
+func decodeRecord(payload []byte) (*scenario.SnapshotRecord, error) {
+	v, err := scenario.SnapshotRecordVersion(payload)
+	if err == nil {
+		err = scenario.CheckSnapshotVersion(v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	rec := new(scenario.SnapshotRecord)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return nil, fmt.Errorf("parsing record: %w", err)
+	}
+	if err := rec.Validate(); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // seqShadow tracks the winning Seq per session during replay.
 type seqShadow = map[string]uint64
 
-// applyRecord folds one record into the replay state, newest Seq wins:
-// replay order within a file is append order, but a crash between a
-// snapshot rename and the journal reset leaves stale lower-Seq journal
-// records behind, and two same-session records can land in the journal
-// slightly out of capture order when their workers raced — Seq, assigned
-// under the session lock, is the authority.
-func applyRecord(state map[string]*scenario.SessionState, shadow seqShadow, rec *scenario.SnapshotRecord) {
-	switch rec.Kind {
-	case scenario.RecordSession:
-		id := rec.Session.ID
-		if rec.Seq < shadow[id] {
-			return
+// fold folds records into state, for boot replay and the follower's
+// chunks and reset transfers alike. Newest Seq wins: replay order
+// within a file is append order, but a crash between a snapshot rename
+// and the journal reset leaves stale lower-Seq journal records behind,
+// and two same-session records can land in the journal slightly out of
+// capture order when their workers raced — Seq, assigned under the
+// session lock, is the authority. It also raises the persister's Seq
+// and epoch high-water marks past every record folded.
+func (p *persister) fold(state map[string]*scenario.SessionState, shadow seqShadow, recs ...*scenario.SnapshotRecord) {
+	for _, rec := range recs {
+		id, live := rec.SessionID, rec.Kind == scenario.RecordSession
+		if live {
+			id = rec.Session.ID
 		}
-		shadow[id] = rec.Seq
-		state[id] = rec.Session
-	case scenario.RecordDrop:
-		id := rec.SessionID
-		if rec.Seq < shadow[id] {
-			return
+		if rec.Seq >= shadow[id] {
+			shadow[id] = rec.Seq
+			if live {
+				state[id] = rec.Session
+			} else {
+				delete(state, id)
+			}
 		}
-		shadow[id] = rec.Seq
-		delete(state, id)
+		raise(&p.maxSeq, rec.Seq)
+		raise(&p.maxEpoch, rec.Epoch)
+	}
+}
+
+// raise lifts a high-water mark to v. Each mark has one writer at a
+// time (boot replay, the follower's pull loop, or appends under mu), so
+// a load and a store suffice.
+func raise(mark *atomic.Uint64, v uint64) {
+	if v > mark.Load() {
+		mark.Store(v)
 	}
 }
 
@@ -339,11 +366,12 @@ func frame(rec *scenario.SnapshotRecord) ([]byte, error) {
 
 // append journals one record durably: framed write, then fsync (unless
 // configured off), before the caller acknowledges the request the
-// record describes. An error means the record may not survive a crash —
-// the caller must fail the request rather than acknowledge state the
-// journal does not hold. On success it returns the stream position just
-// past the record, the address a replication follower must durably
-// reach before a sync-mode acknowledgement.
+// record describes. On error the writer has cut the record back out of
+// the journal (the error says if even that failed), and the caller must
+// fail the request rather than acknowledge state the journal does not
+// hold. On success it returns the stream position just past the record,
+// the address a replication follower must durably reach before a
+// sync-mode acknowledgement.
 func (p *persister) append(rec *scenario.SnapshotRecord) (replPos, error) {
 	data, err := frame(rec)
 	if err != nil {
@@ -351,30 +379,71 @@ func (p *persister) append(rec *scenario.SnapshotRecord) (replPos, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	pos, err := p.writeLocked(data, 1, !p.noSync)
+	if err != nil {
+		return replPos{}, err
+	}
+	raise(&p.maxEpoch, rec.Epoch)
+	return pos, nil
+}
+
+// appendRaw appends pre-framed replication chunks to the journal and
+// fsyncs — the follower's apply path. Unlike append, it always syncs
+// regardless of noSync: a follower's poll cursor is its replication
+// acknowledgement, and acking state its disk does not hold would let a
+// sync-mode primary acknowledge a write that a double failure then
+// loses. A failed chunk is cut back out, so a retry of the same chunk
+// cannot duplicate frames.
+func (p *persister) appendRaw(data []byte, recs int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, err := p.writeLocked(data, int64(recs), true)
+	return err
+}
+
+// writeLocked is the journal writer behind append, appendRaw and
+// resetTo: it appends data (recs whole frames) and, with sync, fsyncs.
+// On any write or fsync failure it cuts the journal back to its
+// previous end, so a failed record is neither replayed at boot nor
+// streamed to a follower, and every later offset stays true; the
+// failure counts toward journal_errors. The caller holds p.mu.
+func (p *persister) writeLocked(data []byte, recs int64, sync bool) (replPos, error) {
 	if p.closed {
-		return replPos{}, fmt.Errorf("serve: journal closed")
+		return replPos{}, errJournalClosed
 	}
-	if err := fpPersistWrite.Hit(); err != nil {
+	pre := p.journalBytes.Load()
+	err := writeFile(p.journal, data)
+	if err == nil && sync {
+		err = syncFile(p.journal)
+	}
+	if err != nil {
 		p.journalErrors.Add(1)
-		return replPos{}, fmt.Errorf("serve: journal write: %w", err)
-	}
-	if _, err := p.journal.Write(data); err != nil {
-		p.journalErrors.Add(1)
-		return replPos{}, fmt.Errorf("serve: journal write: %w", err)
-	}
-	if !p.noSync {
-		if err := p.fsyncJournalLocked(); err != nil {
-			p.journalErrors.Add(1)
-			return replPos{}, err
+		if terr := p.journal.Truncate(pre); terr != nil {
+			return replPos{}, fmt.Errorf("serve: journal append: %w (and cutting the journal back to %d bytes failed: %v)", err, pre, terr)
 		}
+		return replPos{}, fmt.Errorf("serve: journal append: %w", err)
 	}
 	end := p.journalBytes.Add(int64(len(data)))
-	p.genRecords++
-	if rec.Epoch > p.maxEpoch.Load() {
-		p.maxEpoch.Store(rec.Epoch)
-	}
+	p.genRecords += recs
 	p.notifyLocked()
 	return replPos{gen: p.gen, off: end}, nil
+}
+
+// writeFile writes data to f behind the persist.write seam.
+func writeFile(f *os.File, data []byte) error {
+	if err := fpPersistWrite.Hit(); err != nil {
+		return err
+	}
+	_, err := f.Write(data)
+	return err
+}
+
+// syncFile fsyncs f behind the persist.fsync seam.
+func syncFile(f *os.File) error {
+	if err := fpPersistFsync.Hit(); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // notifyLocked wakes every replication long-poll waiting for journal
@@ -417,7 +486,7 @@ func (p *persister) cursor() replPos {
 // must never split a frame: the follower appends chunks verbatim to its
 // own journal, and a split frame there is indistinguishable from a torn
 // write.
-func alignFrames(data []byte) (n int, recs int) {
+func alignFrames(data []byte) (n int, recs int64) {
 	for n+frameHeaderLen <= len(data) {
 		size := int(binary.LittleEndian.Uint32(data[n : n+4]))
 		if n+frameHeaderLen+size > len(data) {
@@ -437,11 +506,11 @@ func alignFrames(data []byte) (n int, recs int) {
 // reset=false means the follower is caught up. File IO runs under p.mu
 // — the persister's own mutex, whose purpose is serializing exactly
 // this — so a compaction can never truncate the journal mid-read.
-func (p *persister) readJournal(pos replPos) (data []byte, next replPos, recs int, reset bool, err error) {
+func (p *persister) readJournal(pos replPos) (data []byte, next replPos, recs int64, reset bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, replPos{}, 0, false, fmt.Errorf("serve: journal closed")
+		return nil, replPos{}, 0, false, errJournalClosed
 	}
 	size := p.journalBytes.Load()
 	if pos.gen != p.gen || pos.off < 0 || pos.off > size {
@@ -476,7 +545,7 @@ func (p *persister) readForReset() (snap, jour []byte, pos replPos, recs int64, 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, nil, replPos{}, 0, fmt.Errorf("serve: journal closed")
+		return nil, nil, replPos{}, 0, errJournalClosed
 	}
 	snap, err = os.ReadFile(filepath.Join(p.dir, snapshotFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -500,110 +569,6 @@ func (p *persister) recordsInGen() int64 {
 	return p.genRecords
 }
 
-// appendRaw appends pre-framed replication chunks to the journal and
-// fsyncs — the follower's apply path. Unlike append, it always syncs
-// regardless of noSync: a follower's poll cursor is its replication
-// acknowledgement, and acking state its disk does not hold would let a
-// sync-mode primary acknowledge a write that a double failure then
-// loses. On a partial-write error the journal is truncated back to the
-// pre-call size so a retry of the same chunk cannot duplicate frames;
-// if even that fails the journal is declared broken.
-func (p *persister) appendRaw(data []byte, recs int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("serve: journal closed")
-	}
-	pre := p.journalBytes.Load()
-	fail := func(err error) error {
-		p.journalErrors.Add(1)
-		if terr := p.journal.Truncate(pre); terr != nil {
-			return fmt.Errorf("serve: replication apply: %w (and truncating back failed: %v; journal needs a reset transfer)", err, terr)
-		}
-		return fmt.Errorf("serve: replication apply: %w", err)
-	}
-	if err := fpPersistWrite.Hit(); err != nil {
-		return fail(err)
-	}
-	if _, err := p.journal.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := p.fsyncJournalLocked(); err != nil {
-		return fail(err)
-	}
-	p.journalBytes.Store(pre + int64(len(data)))
-	p.genRecords += int64(recs)
-	p.notifyLocked()
-	return nil
-}
-
-// resetTo replaces the follower's on-disk state with a transferred
-// snapshot + journal, with the same crash ordering as writeSnapshot:
-// temp snapshot, fsync, rename, dir fsync, then the journal rewrite.
-// A crash between rename and journal rewrite replays the new snapshot
-// plus the old journal — whose stale lower-Seq records lose at replay,
-// exactly the writeSnapshot argument.
-func (p *persister) resetTo(snap, jour []byte, recs int64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("serve: journal closed")
-	}
-	tmpPath := filepath.Join(p.dir, snapshotFile+".tmp")
-	werr := func(err error) error {
-		p.journalErrors.Add(1)
-		return fmt.Errorf("serve: reset transfer: %w", err)
-	}
-	if err := fpPersistWrite.Hit(); err != nil {
-		return werr(err)
-	}
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return werr(err)
-	}
-	defer os.Remove(tmpPath)
-	if _, err := tmp.Write(snap); err != nil {
-		tmp.Close()
-		return werr(err)
-	}
-	if err := fpPersistFsync.Hit(); err != nil {
-		tmp.Close()
-		return werr(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return werr(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return werr(err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(p.dir, snapshotFile)); err != nil {
-		return werr(err)
-	}
-	if err := p.fsyncDir(); err != nil {
-		p.journalErrors.Add(1)
-		return err
-	}
-	if err := p.journal.Truncate(0); err != nil {
-		return werr(err)
-	}
-	if _, err := p.journal.Seek(0, io.SeekStart); err != nil {
-		return werr(err)
-	}
-	if _, err := p.journal.Write(jour); err != nil {
-		return werr(err)
-	}
-	if err := p.fsyncJournalLocked(); err != nil {
-		p.journalErrors.Add(1)
-		return err
-	}
-	p.journalBytes.Store(int64(len(jour)))
-	p.genRecords = recs
-	p.resetGenLocked()
-	p.notifyLocked()
-	return nil
-}
-
 // resetGenLocked advances the journal incarnation; the caller holds
 // p.mu and has just reset the journal.
 func (p *persister) resetGenLocked() {
@@ -615,92 +580,103 @@ func (p *persister) resetGenLocked() {
 	}
 }
 
-func (p *persister) fsyncJournalLocked() error {
-	if err := fpPersistFsync.Hit(); err != nil {
-		return fmt.Errorf("serve: journal fsync: %w", err)
-	}
-	if err := p.journal.Sync(); err != nil {
-		return fmt.Errorf("serve: journal fsync: %w", err)
-	}
-	return nil
-}
-
 // shouldSnapshot reports whether the journal has outgrown its
 // compaction threshold.
 func (p *persister) shouldSnapshot() bool {
 	return p.snapshotBytes > 0 && p.journalBytes.Load() >= p.snapshotBytes
 }
 
-// writeSnapshot atomically replaces the snapshot with recs and resets
-// the journal. Crash-ordering: the temp snapshot is fully written and
-// fsync'd, renamed over the old one, the directory fsync'd — only then
-// is the journal truncated. A crash anywhere in between replays the old
-// snapshot + full journal, or the new snapshot + a stale journal whose
-// lower-Seq records lose at replay. Either way, no acknowledged state
-// is lost.
-//
-// Callers that captured recs from live sessions must use
-// writeSnapshotLocked with mu already held across the capture (see the
-// package comment's compaction barrier); this entry is for callers
-// whose recs cannot be raced by concurrent appends (tests, offline
-// tooling).
-func (p *persister) writeSnapshot(recs []*scenario.SnapshotRecord) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.writeSnapshotLocked(recs)
-}
-
-// writeSnapshotLocked is writeSnapshot's body; the caller holds p.mu.
+// writeSnapshotLocked compacts: it installs recs as the snapshot,
+// framing and writing them one at a time, and empties the journal. The
+// caller holds p.mu from before it captured recs from live sessions
+// (see the package comment's compaction barrier).
 func (p *persister) writeSnapshotLocked(recs []*scenario.SnapshotRecord) error {
 	if p.closed {
-		return fmt.Errorf("serve: journal closed")
+		return errJournalClosed
 	}
-	tmpPath := filepath.Join(p.dir, snapshotFile+".tmp")
-	tmp, err := os.Create(tmpPath)
+	err := p.installLocked(func(f *os.File) error {
+		for _, rec := range recs {
+			data, err := frame(rec)
+			if err != nil {
+				return err
+			}
+			if err := writeFile(f, data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	defer os.Remove(tmpPath) // no-op after the rename
-	for _, rec := range recs {
-		data, err := frame(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := fpPersistWrite.Hit(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("serve: snapshot write: %w", err)
-		}
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return fmt.Errorf("serve: snapshot write: %w", err)
-		}
+	p.snapshots.Add(1)
+	return nil
+}
+
+// resetTo replaces the follower's on-disk state with a transferred
+// snapshot + journal: the snapshot goes in through the installer, then
+// the journal through the writer. A crash between the snapshot rename
+// and the journal rewrite replays the new snapshot plus the old journal,
+// whose stale lower-Seq records lose at replay — the compaction
+// argument. A failed journal write leaves the journal empty; the cursor
+// has not moved, so the next poll takes the transfer again.
+func (p *persister) resetTo(snap, jour []byte, recs int64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return errJournalClosed
 	}
-	if err := fpPersistFsync.Hit(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot fsync: %w", err)
+	if err := p.installLocked(func(f *os.File) error { return writeFile(f, snap) }); err != nil {
+		p.journalErrors.Add(1)
+		return fmt.Errorf("serve: reset transfer: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(p.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("serve: snapshot rename: %w", err)
-	}
-	if err := p.fsyncDir(); err != nil {
+	_, err := p.writeLocked(jour, recs, true)
+	return err
+}
+
+// installLocked is the snapshot installer behind compaction and reset
+// transfers: it writes a new snapshot with write, then resets the
+// journal and starts a new incarnation. Crash ordering: the temp
+// snapshot is fully written and fsync'd, renamed over the old one, and
+// the directory fsync'd — only then is the journal truncated. A crash
+// anywhere in between replays the old snapshot + full journal, or the
+// new snapshot + a stale journal whose lower-Seq records lose at
+// replay. Either way, no acknowledged state is lost. The caller holds
+// p.mu.
+func (p *persister) installLocked(write func(*os.File) error) error {
+	tmpPath := filepath.Join(p.dir, snapshotFile+".tmp")
+	tmp, err := os.Create(tmpPath)
+	if err != nil {
 		return err
 	}
-
-	// The snapshot is durable; the journal's records are now redundant
-	// (their Seqs are baked into the snapshot). Reset it in place.
-	if err := p.journal.Truncate(0); err != nil {
-		return fmt.Errorf("serve: journal reset: %w", err)
+	defer os.Remove(tmpPath) // no-op after the rename
+	err = write(tmp)
+	if err == nil {
+		err = syncFile(tmp)
 	}
-	if _, err := p.journal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("serve: journal reset: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmpPath, filepath.Join(p.dir, snapshotFile)); err != nil {
+		return err
+	}
+	// Make the rename itself durable.
+	d, err := os.Open(p.dir)
+	if err == nil {
+		err = syncFile(d)
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("state dir fsync: %w", err)
+	}
+	// The snapshot is durable; the journal's records are now redundant
+	// (their Seqs are baked into the snapshot). Reset it in place: the
+	// journal is opened O_APPEND, so the next write lands at offset 0.
+	if err := p.journal.Truncate(0); err != nil {
+		return fmt.Errorf("journal reset: %w", err)
 	}
 	p.journalBytes.Store(0)
 	p.genRecords = 0
@@ -710,24 +686,7 @@ func (p *persister) writeSnapshotLocked(recs []*scenario.SnapshotRecord) error {
 	// also satisfies sync-ack waiters parked on old-gen positions — the
 	// snapshot the new gen starts from compacts everything they awaited.
 	p.resetGenLocked()
-	p.snapshots.Add(1)
 	p.notifyLocked()
-	return nil
-}
-
-// fsyncDir makes the snapshot rename itself durable.
-func (p *persister) fsyncDir() error {
-	if err := fpPersistFsync.Hit(); err != nil {
-		return fmt.Errorf("serve: state dir fsync: %w", err)
-	}
-	d, err := os.Open(p.dir)
-	if err != nil {
-		return fmt.Errorf("serve: state dir fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("serve: state dir fsync: %w", err)
-	}
 	return nil
 }
 

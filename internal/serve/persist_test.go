@@ -131,7 +131,7 @@ func TestPersisterTornSuffixTruncates(t *testing.T) {
 	}
 }
 
-// TestPersisterSnapshotCompacts: writeSnapshot atomically replaces the
+// TestPersisterSnapshotCompacts: compaction atomically replaces the
 // snapshot, resets the journal, and replay prefers the higher-Seq
 // journal records over a stale snapshot.
 func TestPersisterSnapshotCompacts(t *testing.T) {
@@ -148,8 +148,11 @@ func TestPersisterSnapshotCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.writeSnapshot([]*scenario.SnapshotRecord{stateRecord(t, 4, "a", wireA)}); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	p.mu.Lock()
+	err = p.writeSnapshotLocked([]*scenario.SnapshotRecord{stateRecord(t, 4, "a", wireA)})
+	p.mu.Unlock()
+	if err != nil {
+		t.Fatalf("writeSnapshotLocked: %v", err)
 	}
 	if p.journalBytes.Load() != 0 {
 		t.Errorf("journal not reset after snapshot: %d bytes", p.journalBytes.Load())
@@ -277,7 +280,10 @@ func TestPersisterCorruptSnapshotRefusesBoot(t *testing.T) {
 // TestPersisterFaultPoints exercises the injection seams: a write fault
 // fails the append (so the caller fails the request — acknowledged
 // always implies journaled), a fsync fault likewise, and a replay fault
-// truncates the journal like any other unreadable suffix.
+// truncates the journal like any other unreadable suffix. A failed
+// append is cut back out of the journal: the file stays as long as the
+// counted journal — the offsets replication reads by — and a reopen does
+// not restore the failed record, even with an append on top of it.
 func TestPersisterFaultPoints(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewPCG(5, 5))
@@ -300,24 +306,42 @@ func TestPersisterFaultPoints(t *testing.T) {
 	fault.Activate(&fault.Plan{Seed: 12, Points: map[string][]fault.Spec{
 		"persist.fsync": {{Kind: fault.Error, Prob: 1}},
 	}})
-	if _, err := p.append(stateRecord(t, 3, "a", wire)); err == nil {
+	if _, err := p.append(stateRecord(t, 3, "b", wire)); err == nil {
 		t.Error("append succeeded through a fsync fault")
 	}
 	fault.Deactivate()
 	if p.journalErrors.Load() != 2 {
 		t.Errorf("journalErrors = %d, want 2", p.journalErrors.Load())
 	}
+	if _, err := p.append(stateRecord(t, 4, "a", wire)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := journalSize(t, dir), p.journalBytes.Load(); got != want {
+		t.Errorf("journal file is %d bytes, journalBytes counts %d: the failed append was left in", got, want)
+	}
 	p.close()
+
+	p2, state, _, err := openPersister(dir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state["b"] != nil {
+		t.Error("reopen restored the fsync-faulted session")
+	}
+	if state["a"] == nil || p2.maxSeq.Load() != 4 {
+		t.Errorf("reopen lost the acknowledged appends: state %v, maxSeq %d", state, p2.maxSeq.Load())
+	}
+	p2.close()
 
 	fault.Activate(&fault.Plan{Seed: 13, Points: map[string][]fault.Spec{
 		"persist.replay": {{Kind: fault.Error, Prob: 1}},
 	}})
 	defer fault.Deactivate()
-	p2, state, _, err := openPersister(dir, 0, false)
+	p3, state, _, err := openPersister(dir, 0, false)
 	if err != nil {
 		t.Fatalf("replay fault must degrade to truncation, not fail boot: %v", err)
 	}
-	defer p2.close()
+	defer p3.close()
 	if len(state) != 0 {
 		t.Errorf("replay fault at the first record should restore nothing, got %v", state)
 	}

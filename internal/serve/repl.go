@@ -37,12 +37,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -351,49 +349,45 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	h := w.Header()
+	// setPos stamps the follower's next poll position, once it has
+	// durably applied the body, and this primary's epoch.
+	setPos := func(p replPos) {
+		h.Set(hdrGen, strconv.FormatUint(p.gen, 10))
+		h.Set(hdrOff, strconv.FormatInt(p.off, 10))
+		h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
+	}
 	for {
 		// Grab the change channel before reading: an append landing
 		// between the read and the wait must wake us.
 		ch := s.persist.waitCh()
-		data, next, n, reset, err := s.persist.readJournal(pos)
+		data, next, recs, reset, err := s.persist.readJournal(pos)
+		var snap []byte
+		if err == nil && reset {
+			snap, data, next, recs, err = s.persist.readForReset()
+		}
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		if reset {
-			snap, jour, tail, jrecs, err := s.persist.readForReset()
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, "%v", err)
-				return
+		if reset || len(data) > 0 {
+			if reset {
+				s.repl.resetsServed.Add(1)
+				h.Set(hdrReset, "1")
+				h.Set(hdrSnapLen, strconv.Itoa(len(snap)))
+			} else {
+				s.repl.chunksServed.Add(1)
 			}
-			s.repl.resetsServed.Add(1)
-			h.Set(hdrReset, "1")
-			h.Set(hdrSnapLen, strconv.Itoa(len(snap)))
-			h.Set(hdrGen, strconv.FormatUint(tail.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(tail.off, 10))
-			h.Set(hdrRecs, strconv.FormatInt(jrecs, 10))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
+			setPos(next)
+			h.Set(hdrRecs, strconv.FormatInt(recs, 10))
 			h.Set("Content-Type", "application/octet-stream")
 			w.Write(snap)
-			w.Write(jour)
-			return
-		}
-		if len(data) > 0 {
-			s.repl.chunksServed.Add(1)
-			h.Set(hdrGen, strconv.FormatUint(next.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(next.off, 10))
-			h.Set(hdrRecs, strconv.Itoa(n))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
-			h.Set("Content-Type", "application/octet-stream")
 			w.Write(data)
 			return
 		}
 		// Caught up: park until the journal changes or the poll expires.
 		left := time.Until(deadline)
 		if left <= 0 {
-			h.Set(hdrGen, strconv.FormatUint(pos.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(pos.off, 10))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
+			setPos(pos)
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -421,41 +415,22 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // because the follower is about to make them durable.
 func parseFrames(data []byte) ([]*scenario.SnapshotRecord, error) {
 	var out []*scenario.SnapshotRecord
-	off := 0
-	for off < len(data) {
-		if off+frameHeaderLen > len(data) {
-			return nil, fmt.Errorf("serve: replication body torn at offset %d", off)
+	r := bytes.NewReader(data)
+	var buf []byte
+	for off := 0; ; off += frameHeaderLen + len(buf) {
+		var err error
+		if buf, err = readFrame(r, buf); err == io.EOF {
+			return out, nil
 		}
-		size := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if size == 0 || size > maxRecordBytes {
-			return nil, fmt.Errorf("serve: replication body offset %d: implausible record length %d", off, size)
+		var rec *scenario.SnapshotRecord
+		if err == nil {
+			rec, err = decodeRecord(buf)
 		}
-		if off+frameHeaderLen+int(size) > len(data) {
-			return nil, fmt.Errorf("serve: replication body torn at offset %d", off)
-		}
-		payload := data[off+frameHeaderLen : off+frameHeaderLen+int(size)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("serve: replication body offset %d: checksum mismatch", off)
-		}
-		v, err := scenario.SnapshotRecordVersion(payload)
 		if err != nil {
 			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
 		}
-		if err := scenario.CheckSnapshotVersion(v); err != nil {
-			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
-		}
-		rec := new(scenario.SnapshotRecord)
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
-		}
-		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
-		}
 		out = append(out, rec)
-		off += frameHeaderLen + int(size)
 	}
-	return out, nil
 }
 
 // FollowerConfig configures a hot-standby Follower.
@@ -722,22 +697,12 @@ func (f *Follower) applyReset(h http.Header, body []byte, next replPos, repoch u
 	// divergent records the old state was built from.
 	state := make(map[string]*scenario.SessionState)
 	shadow := make(seqShadow)
-	maxEpoch := repoch
-	for _, rec := range append(snapRecs, jourRecs...) {
-		applyRecord(state, shadow, rec)
-		if rec.Epoch > maxEpoch {
-			maxEpoch = rec.Epoch
-		}
-		if rec.Seq > f.persist.maxSeq.Load() {
-			f.persist.maxSeq.Store(rec.Seq)
-		}
-	}
+	f.persist.fold(state, shadow, snapRecs...)
+	f.persist.fold(state, shadow, jourRecs...)
+	raise(&f.persist.maxEpoch, repoch)
 	f.smu.Lock()
 	f.state, f.shadow = state, shadow
 	f.smu.Unlock()
-	if maxEpoch > f.persist.maxEpoch.Load() {
-		f.persist.maxEpoch.Store(maxEpoch)
-	}
 	f.advance(next)
 	f.resets.Add(1)
 	f.records.Add(uint64(len(snapRecs) + len(jourRecs)))
@@ -747,21 +712,10 @@ func (f *Follower) applyReset(h http.Header, body []byte, next replPos, repoch u
 
 // fold applies persisted records to the in-memory state.
 func (f *Follower) fold(recs []*scenario.SnapshotRecord, repoch uint64) {
-	maxEpoch := repoch
 	f.smu.Lock()
-	for _, rec := range recs {
-		applyRecord(f.state, f.shadow, rec)
-		if rec.Epoch > maxEpoch {
-			maxEpoch = rec.Epoch
-		}
-		if rec.Seq > f.persist.maxSeq.Load() {
-			f.persist.maxSeq.Store(rec.Seq)
-		}
-	}
+	f.persist.fold(f.state, f.shadow, recs...)
 	f.smu.Unlock()
-	if maxEpoch > f.persist.maxEpoch.Load() {
-		f.persist.maxEpoch.Store(maxEpoch)
-	}
+	raise(&f.persist.maxEpoch, repoch)
 }
 
 func (f *Follower) advance(next replPos) {
