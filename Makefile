@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke bench run-dmcd ci
+.PHONY: all build vet lint fmt-check test chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke bench bench-ab run-dmcd ci
 
 all: build vet lint fmt-check test
 
@@ -99,6 +99,28 @@ bench-compare:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./scripts/benchcmp -baseline BENCH_baseline.json \
 			$(if $(BENCH_WRITE),-write $(BENCH_WRITE),)
+
+# Paired A/B run of the solve-core benchmarks (benchcmp's -critical set)
+# against a git ref: builds the root test binary at REF, from a `git
+# archive` of it under .bench_build/ab, and at the working tree, then
+# runs `benchcmp -ab` on the two, which alternates pairs of runs with
+# -benchmem on 2 CPUs. PAIRS and AB_BENCHTIME, when set, override its
+# -pairs and -benchtime defaults. Fails when a benchmark's median
+# per-pair ns/op ratio exceeds 1.25, or its allocs/op exceed REF's by
+# more than max(2, 10%). Both sides run on the same machine at the same
+# time, so unlike bench-compare the verdict does not follow the
+# machine's speed.
+REF ?= HEAD~1
+bench-ab:
+	rm -rf .bench_build/ab
+	mkdir -p .bench_build/ab/ref
+	set -o pipefail; git archive $(REF) | tar -x -C .bench_build/ab/ref
+	cd .bench_build/ab/ref && $(GO) test -c -o ../ref.test .
+	rm -rf .bench_build/ab/ref
+	$(GO) test -c -o .bench_build/ab/cur.test .
+	$(GO) run ./scripts/benchcmp -ab $(if $(PAIRS),-pairs $(PAIRS)) \
+		$(if $(AB_BENCHTIME),-benchtime $(AB_BENCHTIME)) \
+		.bench_build/ab/ref.test .bench_build/ab/cur.test
 
 # The online solver daemon (cmd/dmcd) on its default port; override
 # DMCD_FLAGS for address/shard/queue tuning.

@@ -14,6 +14,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -417,11 +418,13 @@ func BenchmarkAdaptorPoll(b *testing.B) {
 }
 
 // BenchmarkTimeoutCache measures the Eq. 34 table lookup under λ-only
-// drift (every call after the first hits the cache).
+// drift (every call after the first hits the cache, which keeps the
+// table while the caller holds it).
 func BenchmarkTimeoutCache(b *testing.B) {
 	n := experiments.TableVNetwork()
 	c := dmc.NewTimeoutCache()
-	if _, err := c.OptimalTimeouts(n, dmc.TimeoutOptions{}); err != nil {
+	held, err := c.OptimalTimeouts(n, dmc.TimeoutOptions{})
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -433,6 +436,7 @@ func BenchmarkTimeoutCache(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	runtime.KeepAlive(held)
 }
 
 // BenchmarkSolverAblation compares the float simplex against the exact

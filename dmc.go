@@ -54,10 +54,10 @@
 // and re-solves when they drift.
 //
 // Serving: NewServer runs the online solver service behind cmd/dmcd —
-// sharded WarmPools answering session-keyed HTTP/JSON solve requests,
-// each shard drained by GOMAXPROCS workers that take requests as they
-// arrive, with per-session estimator feeds, admission control, and
-// per-shard metrics.
+// sessions, each holding its own warm Solver, answering session-keyed
+// HTTP/JSON solve requests through sharded admission queues, each shard
+// drained by GOMAXPROCS workers that take requests as they arrive, with
+// per-session estimator feeds, admission control, and per-shard metrics.
 //
 // The underlying implementations live in internal/ packages; this package
 // re-exports the supported surface via type aliases, so the types here
@@ -103,14 +103,14 @@ type (
 	Timeouts = core.Timeouts
 	// TimeoutOptions tunes OptimalTimeouts' search.
 	TimeoutOptions = core.TimeoutOptions
-	// Solver is a reusable solve context: it owns the
-	// combination-enumeration workspaces and borrows a pooled LP
-	// workspace (the master and its simplex) for each solve, so repeated
-	// solves of same-shaped networks reuse that memory instead of
-	// reallocating it. Its DenseThreshold
-	// field is the one dispatch option: the combination count above
-	// which every objective solves by column generation (0 = the 2,048
-	// default, negative = always). Its one-shot methods (SolveQuality,
+	// Solver is a reusable solve context: it owns its Resolve warm state
+	// and borrows a pooled workspace for each solve — the master, its
+	// simplex, the pricing oracle, the random objective's pair tables and
+	// the digit buffer — so solves reuse that memory instead of
+	// reallocating it, and an idle Solver holds none of it. Its
+	// DenseThreshold field is the one dispatch option: the combination
+	// count above which every objective solves by column generation
+	// (0 = the 2,048 default, negative = always). Its one-shot methods (SolveQuality,
 	// SolveMinCost, SolveQualityRandom) return Solutions that own their
 	// storage. Its Resolve methods solve incrementally: when only
 	// λ/µ/loss/delay drift between calls (the §VIII-A adaptive regime),
@@ -123,8 +123,10 @@ type (
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
-	// re-solves under λ/µ/loss drift reuse the table for free. Safe for
-	// concurrent use.
+	// re-solves under λ/µ/loss drift reuse the table for free. It holds
+	// its tables weakly: a table stays cached while a caller keeps it,
+	// as a re-solve loop keeps the table it is using, and leaves at a
+	// garbage collection once none does. Safe for concurrent use.
 	TimeoutCache = core.TimeoutCache
 	// WarmPool keeps incremental re-solve state (column tables; the CG
 	// pool and LP basis) per session: a map from session key to one warm
@@ -228,9 +230,10 @@ type (
 	// runs GOMAXPROCS workers. The zero value selects production
 	// defaults.
 	ServeConfig = serve.Config
-	// Server is the online solver service: sharded WarmPools answering
-	// session-keyed solve/observe requests over HTTP/JSON, with
-	// admission control and graceful drain on Close.
+	// Server is the online solver service: sessions, each holding its
+	// own warm Solver, answering session-keyed solve/observe requests
+	// over HTTP/JSON through sharded admission queues, with admission
+	// control and graceful drain on Close.
 	Server = serve.Server
 	// ServeMetrics is the /metrics document: uptime, live sessions, and
 	// per-shard counters.
@@ -370,10 +373,10 @@ func LinksFromNetwork(n *Network, queueLimit int) []LinkConfig {
 // NewAdaptor wraps a base network with live estimators (§VIII-A).
 func NewAdaptor(base *Network) (*Adaptor, error) { return estimate.NewAdaptor(base) }
 
-// NewServer starts the online solver service (sharded WarmPools, each
-// shard drained by GOMAXPROCS workers, estimator feeds, admission
-// control, and — with ServeConfig.StateDir set — crash-safe session
-// durability). Serve its Handler over HTTP — cmd/dmcd is the ready-made
+// NewServer starts the online solver service (a warm Solver per
+// session, sharded admission queues each drained by GOMAXPROCS workers,
+// estimator feeds, admission control, and — with ServeConfig.StateDir
+// set — crash-safe session durability). Serve its Handler over HTTP — cmd/dmcd is the ready-made
 // binary — and Close it to drain gracefully. The error is non-nil only when a configured
 // state dir is unusable or holds records from a newer schema.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }

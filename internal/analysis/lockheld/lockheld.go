@@ -10,10 +10,10 @@
 // A registry lock held across a blocking operation turns one slow or
 // deadlocked session into a server-wide stall: every solve on the shard
 // funnels through those locks. A slot lock held across a channel op can
-// deadlock against DropSession/QuarantineSession, which take the same
-// lock. The analyzer tracks Lock/RLock..Unlock/RUnlock regions
-// intra-procedurally (the `mu.Lock(); defer mu.Unlock()` idiom holds to
-// function end) and flags, inside a region: channel sends and receives,
+// deadlock against serve's DropSession, which takes the same lock. The
+// analyzer tracks Lock/RLock..Unlock/RUnlock regions intra-procedurally
+// (the `mu.Lock(); defer mu.Unlock()` idiom holds to function end) and
+// flags, inside a region: channel sends and receives,
 // selects without a default (a select WITH default is the sanctioned
 // non-blocking idiom — enqueue's bounded-queue send), ranges over
 // channels, time.Sleep, WaitGroup/Cond waits, calls into net and

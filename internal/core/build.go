@@ -20,14 +20,12 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 }
 
 // SolveQuality solves the deterministic-delay quality maximization
-// (Eq. 10) with a pooled reusable Solver. The problem is always
-// feasible — the blackhole path absorbs any excess traffic — so a
-// non-optimal status indicates an internal error.
+// (Eq. 10) on a zero Solver; its workspace comes from the shared pool.
+// The problem is always feasible — the blackhole path absorbs any
+// excess traffic — so a non-optimal status indicates an internal error.
 func SolveQuality(n *Network) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQuality(n)
-	solverPool.Put(s)
-	return sol, err
+	var s Solver
+	return s.SolveQuality(n)
 }
 
 func clamp01(v float64) float64 {

@@ -454,26 +454,18 @@ type pricedPath struct {
 	latest time.Duration // δ − dᵢ: the latest send time that still arrives in time
 }
 
-func newPricer(m *model) *pricer {
-	return &pricer{
-		m:      m,
-		δ:      m.net.Lifetime,
-		dmin:   m.dmin,
-		trans:  m.m,
-		order:  make([]pricedPath, 0, m.base),
-		ub:     make([]float64, (m.m+1)*m.base),
-		digits: make([]int, m.m),
-	}
-}
-
-// bind points the pricer at a drifted model of the same shape (same
-// base and transmissions), so a persistent warm-resolve state can reuse
-// the pricer's workspaces across solves. Per-path coefficients are
-// reloaded by reprice each iteration anyway.
+// bind points the pricer at m and sizes its buffers for m's shape, so
+// one pricer serves solves of any shape in turn. Per-path coefficients
+// are loaded by reprice each iteration.
 func (p *pricer) bind(m *model) {
-	p.m = m
-	p.δ = m.net.Lifetime
-	p.dmin = m.dmin
+	p.m, p.δ, p.dmin, p.trans = m, m.net.Lifetime, m.dmin, m.m
+	if cap(p.order) < m.base {
+		p.order = make([]pricedPath, 0, m.base)
+	}
+	p.ub = grow(p.ub, (m.m+1)*m.base)
+	if cap(p.digits) < m.m {
+		p.digits = make([]int, m.m)
+	}
 }
 
 // repriceQuality loads a quality-master dual vector: yBW has one

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -28,7 +29,8 @@ func FuzzPricerMatchesEnumeration(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr := newPricer(m)
+		pr := new(pricer)
+		pr.bind(m)
 		for draw := range 6 {
 			g := drawPricingDuals(rng, m, pr, draw%3)
 			best := math.Inf(-1)
@@ -188,5 +190,81 @@ func checkPricerAgainstEnumeration(t *testing.T, m *model, pr *pricer, g *pricin
 	}
 	if math.Abs(top-best) > tol {
 		t.Fatalf("floor %v: best returned gain %v, enumeration max %v", floor, top, best)
+	}
+}
+
+// TestScratchReuseAcrossShapes: one pooled workspace serves solves of
+// any shape in turn, so its pricing oracle and pair tables must carry
+// nothing from one shape to the next. One pricer, bound in turn to
+// models of five shapes under fixed duals, must price exactly what a
+// fresh pricer prices — the same combinations in the same order, with
+// bit-identical gains — and one randomObjective, loaded for three
+// shapes, must tabulate exactly what a fresh one does.
+func TestScratchReuseAcrossShapes(t *testing.T) {
+	sparse := func(paths, trans int) *model {
+		m, err := newSparseModel(diffRandomNetwork(rand.New(rand.NewPCG(uint64(paths), uint64(trans))), paths, trans))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// pass binds pr to m, loads the duals of every gain form in turn and
+	// returns each pricing pass's combinations and gains.
+	pass := func(pr *pricer, m *model) (combos [][]int, gains []float64) {
+		pr.bind(m)
+		rng := rand.New(rand.NewPCG(uint64(m.base), uint64(m.m)))
+		for form := range 3 {
+			drawPricingDuals(rng, m, pr, form)
+			for _, c := range pr.price(math.Inf(-1)) {
+				combos = append(combos, append([]int(nil), c...))
+			}
+			byslot := make([]float64, pr.top.n)
+			for _, e := range pr.top.heap[:pr.top.n] {
+				byslot[e.slot] = e.rc
+			}
+			gains = append(gains, byslot...)
+		}
+		return combos, gains
+	}
+	reused := new(pricer)
+	for _, sh := range [][2]int{{3, 2}, {40, 4}, {10, 5}, {1, 1}, {3, 2}} {
+		m := sparse(sh[0], sh[1])
+		gotC, gotG := pass(reused, m)
+		wantC, wantG := pass(new(pricer), m)
+		if !reflect.DeepEqual(gotC, wantC) {
+			t.Fatalf("%d×%d: reused pricer returned %v, fresh %v", sh[0], sh[1], gotC, wantC)
+		}
+		for k := range wantG {
+			if math.Float64bits(gotG[k]) != math.Float64bits(wantG[k]) {
+				t.Fatalf("%d×%d: gain %d is %v reused, %v fresh", sh[0], sh[1], k, gotG[k], wantG[k])
+			}
+		}
+	}
+
+	var ro randomObjective
+	for _, paths := range []int{3, 40, 3} {
+		m := sparse(paths, 2)
+		to := randomResolveTimeouts(t, m.net)
+		ro.load(m, to)
+		var fresh randomObjective
+		fresh.load(m, to)
+		for _, tab := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"firstDeliver", ro.firstDeliver, fresh.firstDeliver},
+			{"pDrop", ro.pDrop, fresh.pDrop},
+			{"pRetr", ro.pRetr, fresh.pRetr},
+			{"pDeliver", ro.pDeliver, fresh.pDeliver},
+		} {
+			if len(tab.got) != len(tab.want) {
+				t.Fatalf("%d×2 %s: %d entries reused, %d fresh", paths, tab.name, len(tab.got), len(tab.want))
+			}
+			for k := range tab.want {
+				if math.Float64bits(tab.got[k]) != math.Float64bits(tab.want[k]) {
+					t.Fatalf("%d×2 %s[%d]: %v reused, %v fresh", paths, tab.name, k, tab.got[k], tab.want[k])
+				}
+			}
+		}
 	}
 }

@@ -41,15 +41,10 @@ type randomObjective struct {
 	top topK
 }
 
-// newRandomObjective tabulates the Eqs. 27–30 pair coefficients,
-// reusing prev's storage when the shape matches (the warm-resolve
-// path; the tables are still re-evaluated — delays and timeouts may
-// have drifted). It takes the dense and the sparse model alike.
-func newRandomObjective(m *model, to *Timeouts, prev *randomObjective) *randomObjective {
-	o := prev
-	if o == nil {
-		o = &randomObjective{}
-	}
+// load tabulates the Eqs. 27–30 pair coefficients for m into the
+// objective's own storage, growing it to m's shape. It takes the dense
+// and the sparse model alike.
+func (o *randomObjective) load(m *model, to *Timeouts) {
 	o.m = m
 	n := m.net
 	δ := n.Lifetime
@@ -92,7 +87,6 @@ func newRandomObjective(m *model, to *Timeouts, prev *randomObjective) *randomOb
 			}
 		}
 	}
-	return o
 }
 
 // evalColumn evaluates a pair's Eqs. 27–30 column (formulas on

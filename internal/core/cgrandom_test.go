@@ -70,7 +70,9 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := m.computeColumns(make([]int, m.m), newRandomObjective(m, to, nil))
+	var ro randomObjective
+	ro.load(m, to)
+	cols := m.computeColumns(make([]int, m.m), &ro)
 	nVars, base := cols.len(), m.base
 	λ := new(big.Rat).SetFloat64(n.Rate)
 

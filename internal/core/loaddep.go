@@ -74,7 +74,7 @@ type PathLoad struct {
 
 // LoadAwareOptions tunes the fixed-point iteration.
 type LoadAwareOptions struct {
-	// MaxIterations bounds the solve loop; zero means 50.
+	// MaxIterations bounds the solve loop; zero means 100.
 	MaxIterations int
 	// Damping blends utilizations across iterations in (0, 1]; zero
 	// means 0.5. Smaller is more stable, larger converges faster.

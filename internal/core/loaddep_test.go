@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,6 +70,10 @@ func TestLoadAwareBistableDiverges(t *testing.T) {
 	_, _, err := SolveQualityLoadAware(n, models, LoadAwareOptions{})
 	if !errors.Is(err, ErrLoadAwareDiverged) {
 		t.Fatalf("want ErrLoadAwareDiverged for a bistable config, got %v", err)
+	}
+	// Zero MaxIterations means the documented default of 100.
+	if !strings.Contains(err.Error(), "after 100 iterations") {
+		t.Fatalf("default budget is not 100 iterations: %v", err)
 	}
 	// The §IX-A remedy: cap planned utilization so the modeled queueing
 	// delay stays below the cliff; then a stable operating point exists.

@@ -10,13 +10,11 @@ import (
 // one retransmission, and the timeout table t_{i,j} is pairwise.
 var ErrRandomNeedsTwoTransmissions = errors.New("core: random-delay model requires Transmissions == 2")
 
-// SolveQualityRandom solves the random-delay model with a pooled reusable
-// Solver; see Solver.SolveQualityRandom.
+// SolveQualityRandom solves the random-delay model on a zero Solver;
+// see Solver.SolveQualityRandom.
 func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQualityRandom(n, to)
-	solverPool.Put(s)
-	return sol, err
+	var s Solver
+	return s.SolveQualityRandom(n, to)
 }
 
 // SolveQualityRandom solves the §VI-B random-delay model: path delays are

@@ -67,13 +67,8 @@ type resolveState struct {
 	// re-solve.
 	dense *columns
 
-	// CG dispatch: the persistent column pool and pricing oracle.
-	pool   *colSet
-	pricer *pricer
-	// rnd holds the random-delay pair tables (objRandom, either
-	// dispatch); its buffers are reused across re-solves, the values
-	// re-tabulated each time.
-	rnd *randomObjective
+	// CG dispatch: the persistent column pool.
+	pool *colSet
 
 	// basis is the previous CG solve's optimal LP basis, captured over
 	// the whole pool. Dense re-solves solve their master cold and leave
@@ -86,33 +81,6 @@ type resolveState struct {
 
 // reset invalidates the warm state.
 func (rs *resolveState) reset() { *rs = resolveState{} }
-
-// The storage policy of the solve engine lives in the two helpers
-// below. A Resolve passes its warm state and gets its reused buffers; a
-// one-shot solve passes a nil state and gets fresh ones, which its
-// Solution then owns.
-
-// pricerFor returns the branch-and-bound oracle bound to m.
-func (rs *resolveState) pricerFor(m *model) *pricer {
-	if rs == nil {
-		return newPricer(m)
-	}
-	if rs.pricer == nil {
-		rs.pricer = newPricer(m)
-	} else {
-		rs.pricer.bind(m)
-	}
-	return rs.pricer
-}
-
-// randomTables tabulates the Eqs. 27–30 pair tables for m.
-func (rs *resolveState) randomTables(m *model, to *Timeouts) *randomObjective {
-	if rs == nil {
-		return newRandomObjective(m, to, nil)
-	}
-	rs.rnd = newRandomObjective(m, to, rs.rnd)
-	return rs.rnd
-}
 
 // resolveReq carries one solve's objective and its parameters.
 type resolveReq struct {
@@ -245,15 +213,15 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // generation above it. rs is the warm state a Resolve primes (warm
 // false) or re-solves from (warm true): the run reuses its buffers and
 // leaves in it what the next re-solve needs. A one-shot solve passes a
-// nil rs: every buffer is fresh and owned by the returned Solution, and
+// nil rs: every buffer its Solution keeps is fresh and owned by it, and
 // no basis is captured. Only column generation keeps a basis: the dense
 // dispatch solves its master cold on every call.
 //
-// The LP workspace — the master and the revised simplex, for either
-// dispatch — is borrowed from its pool for the solve and returned when
-// it ends. A solve that panics never returns it: the workspace may be
-// mid-pivot, so it is dropped with the panic, the way serving
-// quarantines a panicked session's warm state.
+// The workspace — the master, the revised simplex, the pricing oracle,
+// the pair tables and the digit buffer — is borrowed from its pool for
+// the solve and returned when it ends. A solve that panics never
+// returns it: the workspace may be mid-pivot, so it is dropped with the
+// panic, the way serving quarantines a panicked session's warm state.
 func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	s.work = lpPool.Get().(*lpWork)
 	var sol *Solution
@@ -301,7 +269,8 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 	}
 	var ev columnEvaluator = m
 	if req.obj == objRandom {
-		ev = rs.randomTables(m, req.to)
+		s.work.rnd.load(m, req.to)
+		ev = &s.work.rnd
 	}
 	var cols *columns
 	if warm {
@@ -309,9 +278,9 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		if cols == nil || cols.len() != m.nVars {
 			return nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
 		}
-		m.computeColumnsInto(cols, s.scratch(m.m), ev)
+		m.computeColumnsInto(cols, s.work.scratch(m.m), ev)
 	} else {
-		cols = m.computeColumns(s.scratch(m.m), ev)
+		cols = m.computeColumns(s.work.scratch(m.m), ev)
 	}
 
 	spec := masterSpec{costRow: true} // objQuality and objRandom share the Eq. 10 master
@@ -366,14 +335,18 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 	if err != nil {
 		return nil, err
 	}
+	w := s.work
 	var obj cgObjective
 	switch req.obj {
 	case objRandom:
-		obj = rs.randomTables(m, req.to)
+		w.rnd.load(m, req.to)
+		obj = &w.rnd
 	case objMinCost:
-		obj = &minCostObjective{m: m, pr: rs.pricerFor(m), minQuality: req.minQuality}
+		w.pr.bind(m)
+		obj = &minCostObjective{m: m, pr: &w.pr, minQuality: req.minQuality}
 	default:
-		obj = &qualityObjective{m: m, pr: rs.pricerFor(m), costRow: true}
+		w.pr.bind(m)
+		obj = &qualityObjective{m: m, pr: &w.pr, costRow: true}
 	}
 
 	var cs *colSet
@@ -390,12 +363,12 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 		cs.reevaluate(m, obj)
 		basis = rs.basis
 		if cs.cols.len() > cgTrimTrigger {
-			cs, basis = s.trimPool(m, basis, req)
+			cs, basis = s.trimPool(m, obj.master(), basis)
 		}
 		certTol, hits = cgCertTolWarm, cs.cols.len()
 	} else {
 		cs = newColSet()
-		obj.seed(cs, s.scratch(m.m))
+		obj.seed(cs, w.scratch(m.m))
 	}
 
 	var (
@@ -431,26 +404,26 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 }
 
 // trimPool compacts the warm column pool to the cgTrimKeep columns with
-// the best pricing gain under the previous master's duals (evaluated on
-// the already-repriced drifted columns), always keeping the basic ones.
-// Returns the compact pool and the basis remapped onto it (nil when a
-// basic column could not be preserved, which sends the master down the
-// cold-LP path but keeps the pool win).
-func (s *Solver) trimPool(m *model, basis *lp.Basis, req resolveReq) (*colSet, *lp.Basis) {
+// the best pricing gain under the previous master's duals, always
+// keeping the basic ones. The gain is read off the master itself: the
+// repriced pool is loaded into the workspace master, whose rows are
+// those the duals came from, and column j scores its reduced cost
+// cⱼ − yᵀaⱼ, negated for a minimization. Returns the compact pool and
+// the basis remapped onto it (nil when a basic column could not be
+// preserved, which sends the master down the cold-LP path but keeps
+// the pool win).
+func (s *Solver) trimPool(m *model, spec masterSpec, basis *lp.Basis) (*colSet, *lp.Basis) {
 	cs := s.rs.pool
-	duals := s.rs.duals
 	n := cs.cols.len()
-	if n <= cgTrimKeep || duals == nil || len(duals) < m.base {
-		return cs, basis
+	sp := &s.work.master.sp
+	s.work.master.load(m, spec, &cs.cols)
+	sign := 1.0
+	if spec.minCost {
+		sign = -1
 	}
-	score := s.poolScore(m, duals, req)
-	if score == nil {
-		return cs, basis
-	}
-
 	rc := make([]float64, n)
-	for j := 0; j < n; j++ {
-		rc[j] = score(j)
+	for j := range rc {
+		rc[j] = sign * sp.ReducedCost(j, s.rs.duals)
 	}
 
 	keep := make([]bool, n)
@@ -505,50 +478,4 @@ func (s *Solver) trimPool(m *model, basis *lp.Basis, req resolveReq) (*colSet, *
 		basis = basis.Remap(out.cols.len(), perm)
 	}
 	return out, basis
-}
-
-// poolScore returns the per-column pricing gain under the previous
-// master's duals for the request's objective (higher = more worth
-// keeping), or nil when the dual vector does not match the expected
-// layout.
-func (s *Solver) poolScore(m *model, duals []float64, req resolveReq) func(j int) float64 {
-	cs := s.rs.pool
-	λ := m.net.Rate
-	base := m.base
-	yBW := duals[:base-1]
-	if req.obj == objMinCost {
-		// Layout: bandwidth rows, quality floor, conservation.
-		if len(duals) < base+1 {
-			return nil
-		}
-		yQ, y0 := duals[base-1], duals[base]
-		return func(j int) float64 {
-			v := yQ*cs.cols.delivery[j] - λ*cs.cols.costs[j] + y0
-			shares := cs.cols.shares[j*base : (j+1)*base]
-			for i := 1; i < base; i++ {
-				v += λ * yBW[i-1] * shares[i]
-			}
-			return v
-		}
-	}
-	// Layout: bandwidth rows, the cost row when the budget is finite,
-	// conservation.
-	next := base - 1
-	yCost := 0.0
-	if !math.IsInf(m.net.CostBound, 1) {
-		yCost = duals[next]
-		next++
-	}
-	if len(duals) <= next {
-		return nil
-	}
-	y0 := duals[next]
-	return func(j int) float64 {
-		v := cs.cols.delivery[j] - λ*yCost*cs.cols.costs[j] - y0
-		shares := cs.cols.shares[j*base : (j+1)*base]
-		for i := 1; i < base; i++ {
-			v -= λ * yBW[i-1] * shares[i]
-		}
-		return v
-	}
 }

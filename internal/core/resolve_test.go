@@ -324,3 +324,73 @@ func TestResolveConcurrentSolvers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestResolveTrimsPoolOnDriftRing replays a 40×4 drift ring — the same
+// rounds revisited, as a served session's estimates wander — through
+// warm quality and min-cost solvers until their pools pass
+// cgTrimTrigger. Every re-solve after a pool that large must trim it to
+// cgTrimKeep columns, scored by the master's own reduced costs, and
+// still match a cold solve to 1e-6.
+func TestResolveTrimsPoolOnDriftRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CG-scale trajectory is slow under -short")
+	}
+	rng := rand.New(rand.NewPCG(2, 40))
+	ring := []*Network{diffRandomNetwork(rng, 40, 4)}
+	for len(ring) < 8 {
+		ring = append(ring, driftNetwork(rng, ring[len(ring)-1], 0.1))
+	}
+	// A min-cost floor within 0.1% of the ring's lowest quality optimum
+	// keeps cost-reduced pricing growing the pool; fleet-cg's floors, at
+	// 90% of it, leave 40×4 min-cost pools at a few hundred columns.
+	floor := 1.0
+	for _, n := range ring {
+		sol, err := SolveQuality(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floor = min(floor, 0.999*sol.Quality)
+	}
+	for _, tc := range []struct {
+		name       string
+		warm, cold func(*Solver, *Network) (*Solution, error)
+		value      func(*Solution) float64
+	}{
+		{"quality", (*Solver).Resolve, (*Solver).SolveQuality, func(s *Solution) float64 { return s.Quality }},
+		{"mincost",
+			func(s *Solver, n *Network) (*Solution, error) { return s.ResolveMinCost(n, floor) },
+			func(s *Solver, n *Network) (*Solution, error) { return s.SolveMinCost(n, floor) },
+			func(s *Solution) float64 { return s.Cost() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm, cold := NewSolver(), NewSolver()
+			pool, trims := 0, 0
+			for step := 0; step < 6*len(ring) && trims < 3; step++ {
+				n := ring[step%len(ring)]
+				wsol, err := tc.warm(warm, n)
+				if err != nil {
+					t.Fatalf("step %d: warm: %v", step, err)
+				}
+				if pool > cgTrimTrigger {
+					if !wsol.Stats.Warm || wsol.Stats.PoolHits > cgTrimKeep {
+						t.Fatalf("step %d: a %d-column pool re-solved with %d pool hits (warm %v), want a trim to ≤ %d",
+							step, pool, wsol.Stats.PoolHits, wsol.Stats.Warm, cgTrimKeep)
+					}
+					trims++
+				}
+				pool = wsol.Stats.Columns
+				csol, err := tc.cold(cold, n)
+				if err != nil {
+					t.Fatalf("step %d: cold: %v", step, err)
+				}
+				w, c := tc.value(wsol), tc.value(csol)
+				if gap := abs64(w - c); gap > 1e-6*(1+abs64(c)) {
+					t.Fatalf("step %d: warm %.12g vs cold %.12g", step, w, c)
+				}
+			}
+			if trims == 0 {
+				t.Fatalf("pool never passed %d columns: nothing trimmed", cgTrimTrigger)
+			}
+		})
+	}
+}

@@ -16,22 +16,21 @@ import (
 // and every cold one but wide m = 2 spaces (README, "Scaling").
 const DefaultDenseThreshold = 2048
 
-// Solver is a reusable solve context: it owns the combination-
-// enumeration scratch and the Resolve warm state (the dense column
-// table; the CG pool, pricing oracle and LP basis). Only column
+// Solver is a reusable solve context: it owns the Resolve warm state
+// (the dense column table; the CG pool and LP basis). Only column
 // generation re-installs a basis: a dense re-solve solves its master
-// cold. The LP workspace is not part of it: each solve borrows the
-// master and the revised simplex (lp.Revised) that solves it from a
-// process-wide pool and returns them when the solve ends, so an idle
-// Solver — one per served session — holds neither.
+// cold. Everything else a solve needs is its workspace: the master, the
+// revised simplex (lp.Revised) that solves it, the pricing oracle, the
+// random objective's pair tables and the digit buffer. Each solve
+// borrows one from a process-wide pool and returns it when the solve
+// ends, so an idle Solver — one per served session — holds none of it.
 // A Solver is NOT safe for concurrent use: use one per goroutine, the
-// package-level one-shot solves (which draw from a pool of Solvers), or
-// a WarmPool (one Solver per session key).
+// package-level one-shot solves, or a WarmPool (one Solver per session
+// key).
 type Solver struct {
-	// work is the LP workspace borrowed for the solve in progress; nil
+	// work is the workspace borrowed for the solve in progress; nil
 	// between solves.
-	work   *lpWork
-	digits []int
+	work *lpWork
 
 	// rs is the persistent incremental re-solve state behind Resolve;
 	// SolveQuality and the other one-shot entry points never touch it.
@@ -68,20 +67,20 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 	return DispatchDense
 }
 
-// solverPool backs the package-level SolveQuality/SolveMinCost/
-// SolveQualityRandom wrappers, so one-shot callers still reuse solver
-// memory across calls.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// lpWork is the LP workspace of one solve, for either dispatch: the
-// master, built in place, and the revised simplex that solves it. Both
-// allocate their buffers on first use.
+// lpWork is the workspace of one solve, for either dispatch: the
+// master, built in place, the revised simplex that solves it, and the
+// per-solve scratch — the pricing oracle, the random objective's pair
+// tables and the combination digit buffer. Each allocates its buffers
+// on first use and grows them to the shape at hand.
 type lpWork struct {
 	master cgMaster
 	rev    lp.Revised
+	pr     pricer
+	rnd    randomObjective
+	digits []int
 }
 
-// lpPool holds the LP workspaces every Solver borrows for the length of
+// lpPool holds the workspaces every Solver borrows for the length of
 // one solve. A workspace carries nothing from one solve to the next —
 // each starts with a fresh load, and lp.Revised.Append only continues
 // within one column-generation loop — so any workspace serves any
@@ -89,11 +88,12 @@ type lpWork struct {
 // instead of one per Solver.
 var lpPool = sync.Pool{New: func() any { return new(lpWork) }}
 
-func (s *Solver) scratch(m int) []int {
-	if cap(s.digits) < m {
-		s.digits = make([]int, m)
+// scratch returns the workspace's digit buffer, sized for m digits.
+func (w *lpWork) scratch(m int) []int {
+	if cap(w.digits) < m {
+		w.digits = make([]int, m)
 	}
-	return s.digits[:m]
+	return w.digits[:m]
 }
 
 // SolveQuality solves the deterministic-delay quality maximization

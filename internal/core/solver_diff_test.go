@@ -152,8 +152,7 @@ func TestSolverReuseIsDeterministic(t *testing.T) {
 // TestSolveQualityConcurrent hammers the package-level SolveQuality
 // from several goroutines at once, each fanning a fleet across
 // GOMAXPROCS workers — run under -race (the CI test target does) this
-// is the data-race check for the shared solver and LP workspace pools
-// (solverPool, lpPool).
+// is the data-race check for the shared workspace pool (lpPool).
 func TestSolveQualityConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 42))
 	nets := make([]*Network, 24)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"weak"
 
 	"dmc/internal/dist"
 )
@@ -16,19 +18,32 @@ import (
 // re-solves under λ/µ/loss drift (§VIII-A) can reuse the table for free
 // while a delay-estimate change recomputes exactly the affected key.
 //
+// The cache holds its tables weakly: a table stays cached while some
+// caller still references it — a serve session keeps the table of its
+// latest request — and its entry goes once the garbage collector frees
+// it. Drifting delay estimates make a new key per drift, so a cache
+// that held its tables itself would keep every table a long-running
+// daemon ever computed; this one holds no more than its callers do.
+//
 // Cached tables are shared between callers and must be treated as
 // read-only (do not call Timeouts.Set on them). A TimeoutCache is safe
 // for concurrent use.
 type TimeoutCache struct {
 	mu      sync.Mutex
-	entries map[string]*Timeouts
+	entries map[string]weak.Pointer[Timeouts]
 	hits    int64
 	misses  int64
 }
 
+// timeoutEntry names one stored table for the cleanup that removes it.
+type timeoutEntry struct {
+	key string
+	wp  weak.Pointer[Timeouts]
+}
+
 // NewTimeoutCache returns an empty cache.
 func NewTimeoutCache() *TimeoutCache {
-	return &TimeoutCache{entries: make(map[string]*Timeouts)}
+	return &TimeoutCache{entries: make(map[string]weak.Pointer[Timeouts])}
 }
 
 // OptimalTimeouts returns the Eq. 34 timeout table for the network,
@@ -49,7 +64,7 @@ func (c *TimeoutCache) OptimalTimeouts(n *Network, opts TimeoutOptions) (*Timeou
 	}
 
 	c.mu.Lock()
-	if to, hit := c.entries[key]; hit {
+	if to := c.entries[key].Value(); to != nil {
 		c.hits++
 		c.mu.Unlock()
 		return to, nil
@@ -65,10 +80,22 @@ func (c *TimeoutCache) OptimalTimeouts(n *Network, opts TimeoutOptions) (*Timeou
 	if err != nil {
 		return nil, err
 	}
+	e := timeoutEntry{key: key, wp: weak.Make(to)}
 	c.mu.Lock()
-	c.entries[key] = to
+	c.entries[key] = e.wp
 	c.mu.Unlock()
+	runtime.AddCleanup(to, c.forget, e)
 	return to, nil
+}
+
+// forget removes a freed table's entry, unless a later store has
+// replaced it.
+func (c *TimeoutCache) forget(e timeoutEntry) {
+	c.mu.Lock()
+	if c.entries[e.key] == e.wp {
+		delete(c.entries, e.key)
+	}
+	c.mu.Unlock()
 }
 
 // Stats returns how many lookups hit and missed the cache.
@@ -78,7 +105,8 @@ func (c *TimeoutCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of cached tables.
+// Len returns the number of cached tables. A table no caller holds
+// any more counts until a garbage collection has freed it.
 func (c *TimeoutCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -98,12 +99,17 @@ func TestTimeoutCacheMissesOnDelayChange(t *testing.T) {
 	// Lifetime and search options are part of the key too.
 	shorter := *n
 	shorter.Lifetime = 400 * time.Millisecond
-	if _, err := c.OptimalTimeouts(&shorter, coarseOpts()); err != nil {
+	third, err := c.OptimalTimeouts(&shorter, coarseOpts())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("cache holds %d tables, want 3", c.Len())
 	}
+	// The cache holds its tables weakly: keep all three alive to here.
+	runtime.KeepAlive(first)
+	runtime.KeepAlive(second)
+	runtime.KeepAlive(third)
 }
 
 // unkeyableDelay is a Delay implementation the cache cannot identify.
@@ -143,12 +149,17 @@ func TestTimeoutCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			net := *n
 			net.Rate *= 1 + float64(w)/10 // λ drift only: same key
+			// Each worker holds its latest table, as a serve session does.
+			var held *Timeouts
 			for i := 0; i < 3; i++ {
-				if _, err := c.OptimalTimeouts(&net, coarseOpts()); err != nil {
+				to, err := c.OptimalTimeouts(&net, coarseOpts())
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				held = to
 			}
+			runtime.KeepAlive(held)
 		}(w)
 	}
 	wg.Wait()
@@ -158,5 +169,52 @@ func TestTimeoutCacheConcurrent(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no concurrent lookup ever hit")
+	}
+}
+
+// TestTimeoutCacheBounded: drifting delays make a new key per lookup. A
+// caller that keeps only its latest table, as a serve session does,
+// leaves only that table cached once the collector has run; the held
+// table still hits, Stats counts every lookup, and once the caller lets
+// go of it too the cache is empty.
+func TestTimeoutCacheBounded(t *testing.T) {
+	c := NewTimeoutCache()
+	n := NewNetwork(10*Mbps, 500*time.Millisecond, Path{Bandwidth: 20 * Mbps})
+	const stores = 64
+	var held *Timeouts
+	for k := range stores {
+		n.Paths[0].Delay = 100*time.Millisecond + time.Duration(k)*time.Microsecond
+		var err error
+		if held, err = c.OptimalTimeouts(n, coarseOpts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCacheLen(t, c, 1)
+	again, err := c.OptimalTimeouts(n, coarseOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != held {
+		t.Fatal("the held table was not the one cached")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != stores {
+		t.Fatalf("hits=%d misses=%d, want 1 and %d (the held table must hit)", hits, misses, stores)
+	}
+	// Nothing holds the table past its last use above.
+	waitCacheLen(t, c, 0)
+}
+
+// waitCacheLen runs the collector until c holds want tables: a freed
+// table's entry is removed by a cleanup that runs after the collection
+// that freed it.
+func waitCacheLen(t *testing.T, c *TimeoutCache, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Len() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("cache holds %d tables, want %d", c.Len(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -92,26 +92,6 @@ func (p *WarmPool) DropSession(key string) {
 	p.smu.Unlock()
 }
 
-// QuarantineSession discards the session's warm solver after a solver
-// panic: the poisoned warm state (columns, CG pool, basis) is dropped,
-// so the session's next solve re-primes cold on a fresh solver and later
-// solves warm up again on clean state. The panicked solve's LP
-// workspace never went back to its pool either (Solver.solve).
-// Quarantining an unknown or dropped key is a no-op. Callers must not
-// hold the session's solve in progress (the panic has already unwound
-// it).
-func (p *WarmPool) QuarantineSession(key string) {
-	p.smu.Lock()
-	slot := p.sessions[key]
-	p.smu.Unlock()
-	if slot == nil {
-		return
-	}
-	slot.mu.Lock()
-	slot.sv = nil
-	slot.mu.Unlock()
-}
-
 // Sessions returns the number of live session keys.
 func (p *WarmPool) Sessions() int {
 	p.smu.Lock()

@@ -9,7 +9,6 @@ import (
 	"weak"
 
 	"dmc/internal/conc"
-	"dmc/internal/fault"
 )
 
 // driftFleet returns a fleet of networks plus rounds of drifted copies
@@ -372,88 +371,4 @@ func TestWarmPoolSessionChurnRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestWarmPoolQuarantineSession: a panic mid-Resolve poisons a
-// session's warm solver; after QuarantineSession the next solve must
-// run cold on a fresh solver and match a fresh reference to 1e-6, and
-// later drift solves must warm back up on that clean solver.
-func TestWarmPoolQuarantineSession(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0x9005, 1))
-	pool := NewWarmPool()
-	const key = "quarantine-me"
-	net := diffRandomNetwork(rng, 3, 2)
-
-	// Prime the session warm over a couple of drift rounds.
-	if _, err := pool.SolveSession(key, net); err != nil {
-		t.Fatal(err)
-	}
-	net = driftNetwork(rng, net, 0.08)
-	sol, err := pool.SolveSession(key, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Stats.Warm {
-		t.Fatal("session did not warm up before the fault")
-	}
-
-	// Inject a panic at the warm re-solve seam.
-	fault.Activate(&fault.Plan{Seed: 1, Points: map[string][]fault.Spec{
-		"core.resolve.warm": {{Kind: fault.Panic, Prob: 1}},
-	}})
-	net = driftNetwork(rng, net, 0.08)
-	func() {
-		defer fault.Deactivate()
-		defer func() {
-			pv, ok := recover().(*fault.PanicValue)
-			if !ok || pv.Point != "core.resolve.warm" {
-				t.Fatalf("recovered %v, want injected panic at core.resolve.warm", pv)
-			}
-		}()
-		pool.SolveSession(key, net)
-		t.Fatal("injected panic did not surface from SolveSession")
-	}()
-
-	pool.QuarantineSession(key)
-
-	// Next solve: cold, and correct against a fresh solver.
-	sol, err = pool.SolveSession(key, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Stats.Warm {
-		t.Fatal("post-quarantine solve reported warm; poisoned state survived")
-	}
-	ref, err := NewSolver().Resolve(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap := abs64(sol.Quality - ref.Quality); gap > 1e-6 {
-		t.Fatalf("post-quarantine quality %v vs fresh solver %v", sol.Quality, ref.Quality)
-	}
-
-	// Drift again: the session warms back up on the clean solver.
-	net = driftNetwork(rng, net, 0.08)
-	sol, err = pool.SolveSession(key, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Stats.Warm {
-		t.Fatal("session did not re-warm after quarantine")
-	}
-	if err := checkAgainst(NewSolver(), net, sol); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// checkAgainst verifies sol matches a reference solve of net to 1e-6.
-func checkAgainst(ref *Solver, net *Network, sol *Solution) error {
-	r, err := ref.Resolve(net)
-	if err != nil {
-		return err
-	}
-	if gap := abs64(sol.Quality - r.Quality); gap > 1e-6 {
-		return fmt.Errorf("quality %v vs reference %v", sol.Quality, r.Quality)
-	}
-	return nil
 }

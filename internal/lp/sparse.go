@@ -92,6 +92,17 @@ func (p *Sparse) column(j int) ([]int, []float64) {
 	return p.rowIdx[lo:hi], p.val[lo:hi]
 }
 
+// ReducedCost returns column j's reduced cost cⱼ − yᵀaⱼ under the row
+// multipliers y, one per row in row order (a Solution's Dual).
+func (p *Sparse) ReducedCost(j int, y []float64) float64 {
+	rows, vals := p.column(j)
+	rc := p.obj[j]
+	for k, r := range rows {
+		rc -= y[r] * vals[k]
+	}
+	return rc
+}
+
 // value returns the objective value of x.
 func (p *Sparse) value(x []float64) float64 {
 	var v float64

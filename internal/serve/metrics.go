@@ -258,7 +258,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeSec: now.Sub(s.start).Seconds(),
 		Shards:    make([]ShardMetrics, len(s.shards)),
 	}
-	// Sessions count from the serve registry, not the shard pools: an
+	// Sessions count from the serve registry, not from warm solvers: an
 	// estimator session solves on its Adaptor's own solver, and a
 	// restored one has no warm solver until its first solve.
 	perShard := make([]int, len(s.shards))

@@ -1,17 +1,17 @@
-// Package serve implements the dmcd online solver service: N sharded
-// core.WarmPools serving session-keyed solve/re-solve requests, each
-// shard drained by a fixed set of workers, per-session §VIII-A
-// estimator feeds (estimate.Adaptor) driving warm re-solves on drift,
-// admission control with backpressure, and per-shard metrics. The
-// HTTP/JSON wire schema lives in internal/scenario; cmd/dmcd wraps this
-// package in a binary.
+// Package serve implements the dmcd online solver service: sessions,
+// each with its own warm core.Solver, served through N sharded admission
+// queues drained by fixed worker sets, per-session §VIII-A estimator
+// feeds (estimate.Adaptor) driving warm re-solves on drift, admission
+// control with backpressure, and per-shard metrics. The HTTP/JSON wire
+// schema lives in internal/scenario; cmd/dmcd wraps this package in a
+// binary.
 //
 // Request flow: a session ID hashes onto a shard, whose bounded queue
 // either admits the task or rejects it (HTTP 429 + Retry-After). Each of
 // the shard's GOMAXPROCS workers takes the next admitted task as soon
-// as it is free and re-solves it on the session's warm solver (basis and
-// column affinity survive fleet churn because the pool is keyed by
-// session); the session mutex orders each session's solves. No task
+// as it is free and re-solves it on the session's own warm solver (basis
+// and column affinity survive fleet churn because the solver lives on
+// the session); the session mutex orders each session's solves. No task
 // waits for another session's solve. Estimator sessions route through
 // their Adaptor instead, which re-solves only when the fed estimates
 // drift.
@@ -42,8 +42,8 @@ var fpExec = fault.Register("serve.exec")
 
 // Config tunes a Server. The zero value selects production defaults.
 type Config struct {
-	// Shards is the number of independent WarmPool shards (sessions
-	// hash onto one by ID). Zero means GOMAXPROCS.
+	// Shards is the number of shards (admission queue, workers, circuit
+	// breaker); sessions hash onto one by ID. Zero means GOMAXPROCS.
 	Shards int
 	// MaxQueue bounds each shard's admitted-task queue; a full queue
 	// rejects with 429 + Retry-After. Zero means 1024.
@@ -165,7 +165,7 @@ var errAbandoned = errors.New("serve: request abandoned by client")
 // SolverPanic is the typed error a recovered solver panic becomes: the
 // client sees a 500 with the panic value, the stack goes to the log
 // (first occurrence) and the panics metric, and the session's warm
-// solver is quarantined.
+// solver is quarantined (dropped; the next solve starts cold).
 type SolverPanic struct {
 	// Session is the poisoned session's ID ("" for one-shot solves).
 	Session string
@@ -230,18 +230,26 @@ type taskResult struct {
 	err      error
 }
 
-// session is the serve-level state of one session ID: its shard, and —
-// for estimator sessions — the §VIII-A adaptor feed. The mutex
-// serializes everything per session: solves (so result extraction can
-// never race a same-session re-solve clobbering solver storage),
-// estimator observations, and drop.
+// session is the serve-level state of one session ID: its shard, its
+// warm solver and — for estimator sessions — the §VIII-A adaptor feed.
+// The mutex serializes everything per session: solves (so result
+// extraction can never race a same-session re-solve clobbering solver
+// storage), estimator observations, and drop.
 type session struct {
 	id string
 	sh *shard
 
-	mu      sync.Mutex
-	adaptor *estimate.Adaptor
-	dropped bool
+	mu sync.Mutex
+	// solver is the session's warm solver for explicit solves, created
+	// by its first one. A panic quarantines it and a drop frees it (both
+	// set it nil); an estimator bind leaves it, so a session that goes
+	// back to explicit solves re-solves warm.
+	solver *core.Solver
+	// timeouts is the table of the latest explicit solve if it was
+	// random; Server.tcache holds tables weakly, so this keeps it cached.
+	timeouts *core.Timeouts
+	adaptor  *estimate.Adaptor
+	dropped  bool
 	// lastGood is the session's most recent successful wire result, the
 	// stale answer ServeDegraded falls back to while the shard's
 	// breaker is open. It is a self-contained copy (NewSolveResult
@@ -272,11 +280,9 @@ func (se *session) lastGoodResult() *scenario.SolveResult {
 	return se.lastGood
 }
 
-// shard is one WarmPool plus its admission queue, workers, and circuit
-// breaker.
+// shard is one admission queue plus its workers and circuit breaker.
 type shard struct {
 	idx  int
-	pool *core.WarmPool
 	reqs chan *task
 	stop chan struct{}
 	// busy counts the shard's workers holding a task; a 0 → 1 step
@@ -335,14 +341,15 @@ func (s *Server) logPanic(sp *SolverPanic) {
 	})
 }
 
-// New starts a Server: cfg.Shards WarmPool shards, each drained by
-// GOMAXPROCS workers. With Config.StateDir set it first replays the state
-// dir's snapshot + journal and re-registers every durable session —
-// estimator feeds resume from their restored counters, degraded serving
-// resumes from the restored last-good strategies, and the first solve
-// per session re-primes its warm solver (solver warmth is deliberately
-// not persisted; it returns after one solve). New fails when the state
-// dir is unusable or holds records from a newer schema version.
+// New starts a Server: cfg.Shards shards, each an admission queue
+// drained by GOMAXPROCS workers. With Config.StateDir set it first
+// replays the state dir's snapshot + journal and re-registers every
+// durable session — estimator feeds resume from their restored
+// counters, degraded serving resumes from the restored last-good
+// strategies, and the first solve per session re-primes its warm solver
+// (solver warmth is deliberately not persisted; it returns after one
+// solve). New fails when the state dir is unusable or holds records
+// from a newer schema version.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -356,7 +363,6 @@ func New(cfg Config) (*Server, error) {
 	for i := range s.shards {
 		sh := &shard{
 			idx:  i,
-			pool: core.NewWarmPool(),
 			reqs: make(chan *task, cfg.MaxQueue),
 			stop: make(chan struct{}),
 			brk:  breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
@@ -425,7 +431,7 @@ func (s *Server) Restored() int { return s.restored }
 
 // restoreSession re-registers one session from its durable record. The
 // registration is cheap — no solver work happens until the session's
-// first request, whose solve re-primes the warm pool from the restored
+// first request, whose solve re-primes a warm solver from the restored
 // estimates.
 func (s *Server) restoreSession(st *scenario.SessionState) error {
 	binding := st.Solve
@@ -586,8 +592,7 @@ func (s *Server) compact() {
 }
 
 // shardFor hashes a session ID onto its shard. Stable by construction:
-// the same ID always lands on the same shard (and so the same WarmPool
-// session solver) for the server's lifetime.
+// the same ID always lands on the same shard for the server's lifetime.
 func (s *Server) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
@@ -644,7 +649,7 @@ func (s *Server) DropSession(id string) error {
 	se.mu.Lock()
 	if !se.dropped {
 		se.dropped = true
-		se.adaptor = nil
+		se.solver, se.timeouts, se.adaptor = nil, nil, nil
 		if s.persist != nil && se.binding != nil {
 			// Seq is assigned inside the critical section so the drop orders
 			// after any in-flight capture of this session; the append itself
@@ -660,7 +665,6 @@ func (s *Server) DropSession(id string) error {
 	}
 	rec := se.dropRec
 	se.mu.Unlock()
-	se.sh.pool.DropSession(id)
 	if rec != nil {
 		if err := s.appendDurable(rec); err != nil {
 			se.sh.brk.onFault()
@@ -945,8 +949,8 @@ func (s *Server) exec(sh *shard, t *task) {
 	t.deliver(r)
 }
 
-// solveTask executes a task against its session's warm solver (or the
-// package-level pooled solvers for one-shots). The wire result is
+// solveTask executes a task against its session's warm solver (or a
+// fresh, cold one for a session-less task). The wire result is
 // extracted while the session lock is held, so a same-session re-solve
 // can never rebuild the solver storage under the extraction. Successful
 // session solves also return the session's durable-state capture (nil
@@ -960,8 +964,8 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 		}
 	}
 	if t.sess == nil {
-		res, resolved, err = oneShot(t, to)
-		return res, resolved, nil, err
+		res, err = solveOn(core.NewSolver(), t, to)
+		return res, err == nil, nil, err
 	}
 	se := t.sess
 	se.mu.Lock()
@@ -969,13 +973,11 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 	// Registered after the unlock defer, so this recover runs FIRST
 	// (LIFO) — while se.mu is still held. A panic anywhere in the
 	// session solve leaves the warm solver in an unknown state:
-	// quarantine it (next solve re-primes cold on a fresh solver) and
-	// detach any estimator feed whose adaptor shared the lineage. The
-	// slot mutex inside QuarantineSession is free by now — the panic
-	// already unwound solveSession's critical section.
+	// quarantine it (the next solve re-primes cold on a fresh solver)
+	// and detach any estimator feed whose adaptor shared the lineage.
 	defer func() {
 		if p := recover(); p != nil {
-			se.sh.pool.QuarantineSession(se.id)
+			se.solver = nil
 			se.adaptor = nil
 			res, resolved, rec = scenario.SolveResult{}, false, nil
 			err = &SolverPanic{Session: se.id, Value: p, Stack: debug.Stack()}
@@ -1000,9 +1002,10 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 
 	if t.estimator {
 		// (Re)bind the estimator feed to this network and solve through
-		// it: the adaptor owns the session's warm solver lineage from
-		// here, and /v1/observe drives it. Estimator state starts fresh
-		// per the §VIII-A bootstrap (0% loss until observations arrive).
+		// it: the adaptor's own solver carries the feed's re-solves from
+		// here, and /v1/observe drives it. se.solver stays for a later
+		// explicit solve. Estimator state starts fresh per the §VIII-A
+		// bootstrap (0% loss until observations arrive).
 		ad, err := estimate.NewAdaptor(t.net)
 		if err != nil {
 			return scenario.SolveResult{}, false, nil, err
@@ -1022,22 +1025,36 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 	// An explicit plain solve supersedes any estimator feed: the client
 	// has switched to driving re-solves itself.
 	se.adaptor = nil
-
-	var sol *core.Solution
-	switch t.objective {
-	case scenario.ObjectiveMinCost:
-		sol, err = se.sh.pool.SolveSessionMinCost(se.id, t.net, t.minQuality)
-	case scenario.ObjectiveRandom:
-		sol, err = se.sh.pool.SolveSessionRandom(se.id, t.net, to)
-	default:
-		sol, err = se.sh.pool.SolveSession(se.id, t.net)
+	se.timeouts = to
+	if se.solver == nil {
+		se.solver = core.NewSolver()
 	}
+	out, err := solveOn(se.solver, t, to)
 	if err != nil {
 		return scenario.SolveResult{}, false, nil, err
 	}
-	out := scenario.NewSolveResult(sol, to)
 	s.keepLocked(se, out, t.wire)
 	return out, true, s.captureLocked(se), nil
+}
+
+// solveOn re-solves the task's objective on sv — a session's warm
+// solver, or a fresh one, which solves cold — and extracts the wire
+// result before sv can solve again.
+func solveOn(sv *core.Solver, t *task, to *core.Timeouts) (scenario.SolveResult, error) {
+	var sol *core.Solution
+	var err error
+	switch t.objective {
+	case scenario.ObjectiveMinCost:
+		sol, err = sv.ResolveMinCost(t.net, t.minQuality)
+	case scenario.ObjectiveRandom:
+		sol, err = sv.ResolveQualityRandom(t.net, to)
+	default:
+		sol, err = sv.Resolve(t.net)
+	}
+	if err != nil {
+		return scenario.SolveResult{}, err
+	}
+	return scenario.NewSolveResult(sol, to), nil
 }
 
 // keepLocked stores what a later read needs from a successful session
@@ -1053,23 +1070,4 @@ func (s *Server) keepLocked(se *session, res scenario.SolveResult, wire *scenari
 	if s.persist != nil && wire != nil {
 		se.binding = wire
 	}
-}
-
-// oneShot solves a session-less task on the package-level pooled
-// solvers.
-func oneShot(t *task, to *core.Timeouts) (scenario.SolveResult, bool, error) {
-	var sol *core.Solution
-	var err error
-	switch t.objective {
-	case scenario.ObjectiveMinCost:
-		sol, err = core.SolveMinCost(t.net, t.minQuality)
-	case scenario.ObjectiveRandom:
-		sol, err = core.SolveQualityRandom(t.net, to)
-	default:
-		sol, err = core.SolveQuality(t.net)
-	}
-	if err != nil {
-		return scenario.SolveResult{}, false, err
-	}
-	return scenario.NewSolveResult(sol, to), true, nil
 }

@@ -427,6 +427,81 @@ func TestServeEstimator(t *testing.T) {
 	}
 }
 
+// TestEstimatorBindKeepsSessionSolver: a session that goes plain →
+// estimator → plain on one network shape re-solves warm when it
+// returns to plain solves — an estimator bind leaves the session's own
+// solver in place — and the warm answer matches a cold solve.
+func TestEstimatorBindKeepsSessionSolver(t *testing.T) {
+	_, base := newTestServer(t, Config{Shards: 1})
+	rng := rand.New(rand.NewPCG(0xe5, 7))
+	wire := testNetwork(rng, 3)
+	solve := func(w scenario.Network, estimator bool) scenario.SolveResponse {
+		t.Helper()
+		return solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: w}, SessionID: "swap", Estimator: estimator})
+	}
+	if got := solve(wire, false); got.Result.Warm {
+		t.Fatal("first plain solve reported warm")
+	}
+	wire = driftWire(rng, wire, 0.05)
+	solve(wire, true)
+	wire = driftWire(rng, wire, 0.05)
+	got := solve(wire, false)
+	if !got.Result.Warm {
+		t.Fatal("plain solve after an estimator bind ran cold: the bind dropped the session's solver")
+	}
+	if want := mustQuality(t, toCore(t, wire)); math.Abs(got.Result.Quality-want) > 1e-6 {
+		t.Fatalf("warm quality %.9f, cold %.9f", got.Result.Quality, want)
+	}
+}
+
+// TestRandomSessionsKeepTheirTimeouts: the server's timeout cache holds
+// its tables weakly and each random-objective session holds the table
+// of its latest request, so every session's re-solves under
+// loss/bandwidth drift hit the cache across collections, however many
+// sessions there are, and dropping the sessions lets their tables go.
+func TestRandomSessionsKeepTheirTimeouts(t *testing.T) {
+	srv, base := newTestServer(t, Config{Shards: 1})
+	rng := rand.New(rand.NewPCG(0x7c, 3))
+	spec := scenario.TimeoutSpec{GridStepMs: 25, RefineLevels: 1, ConvolutionNodes: 200}
+	wires := make([]scenario.Network, 4)
+	for k := range wires {
+		w := testNetwork(rng, 2)
+		for i := range w.Paths {
+			w.Paths[i].DelayMs = 0
+			w.Paths[i].DelayGamma = &scenario.Gamma{LocMs: 10 + float64(k) + 5*float64(i), Shape: 2, ScaleMs: 6}
+		}
+		wires[k] = w
+	}
+	const rounds = 3
+	for range rounds {
+		runtime.GC()
+		for k, w := range wires {
+			solveOK(t, base, scenario.SolveRequest{
+				Solve:     scenario.Solve{Network: w, Objective: scenario.ObjectiveRandom, Timeout: &spec},
+				SessionID: fmt.Sprintf("rnd-%d", k),
+			})
+			wires[k] = driftWire(rng, w, 0.05)
+		}
+	}
+	sessions := int64(len(wires))
+	if hits, misses := srv.tcache.Stats(); hits != (rounds-1)*sessions || misses != sessions {
+		t.Fatalf("hits=%d misses=%d, want %d and %d: a held table left the cache", hits, misses, (rounds-1)*sessions, sessions)
+	}
+	for k := range wires {
+		if err := srv.DropSession(fmt.Sprintf("rnd-%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.tcache.Len() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tables still cached after every session was dropped", srv.tcache.Len())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeObserveHugeCounts checks observation counts fold in O(1):
 // an unauthenticated body with astronomically large sent/lost counts
 // must answer immediately (not spin a core under the session mutex)

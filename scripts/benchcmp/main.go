@@ -1,11 +1,23 @@
 // Command benchcmp diffs `go test -bench` output against a JSON baseline
-// snapshot (BENCH_baseline.json style) and flags ns/op regressions.
+// snapshot (BENCH_baseline.json style) and flags ns/op regressions, or,
+// with -ab, runs paired A/B comparisons of two root test binaries.
 //
 // Usage:
 //
 //	go test -run='^$' -bench=. -benchmem . | go run ./scripts/benchcmp \
 //	    -baseline BENCH_baseline.json [-threshold 25] [-critical regexp] \
 //	    [-write BENCH_new.json]
+//
+//	go run ./scripts/benchcmp -ab [-pairs 10] [-benchtime 200ms] \
+//	    [-threshold 25] [-critical regexp] ref.test cur.test
+//
+// The -ab mode (behind `make bench-ab`) runs the -critical set on both
+// binaries in alternating pairs, with -benchmem on 2 CPUs, and fails
+// when a benchmark's median per-pair ns/op ratio exceeds
+// 1 + threshold/100 or its allocs/op exceed REF's by more than
+// max(2, 10%). Both sides run on the same machine in the same minutes,
+// so the verdict does not depend on the day's speed of the machine, as
+// a comparison against a recorded baseline does.
 //
 // Bench output is read from stdin (or -in). Exit status is 1 only when
 // a benchmark matching -critical regresses by more than -threshold
@@ -110,11 +122,20 @@ func main() {
 	threshold := flag.Float64("threshold", 25, "ns/op regression percentage that fails the run")
 	critical := flag.String("critical", defaultCritical, "regexp of benchmarks whose regressions fail the run (others only warn)")
 	write := flag.String("write", "", "also write the parsed results as a new JSON snapshot")
+	ab := flag.Bool("ab", false, "run the -critical set on two test binaries, REF's then the current tree's (positional arguments), in alternating pairs")
+	pairs := flag.Int("pairs", 10, "-ab: alternating pairs to run")
+	benchtime := flag.String("benchtime", "200ms", "-ab: -test.benchtime of every run")
 	flag.Parse()
 
 	criticalRe, err := regexp.Compile(*critical)
 	if err != nil {
 		fatal(fmt.Errorf("bad -critical regexp: %w", err))
+	}
+	if *ab {
+		if flag.NArg() != 2 {
+			fatal(fmt.Errorf("-ab takes two test binaries, REF's and the current tree's"))
+		}
+		os.Exit(runAB(flag.Arg(0), flag.Arg(1), *pairs, *benchtime, *critical, *threshold))
 	}
 
 	var src io.Reader = os.Stdin
