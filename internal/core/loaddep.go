@@ -152,6 +152,7 @@ func SolveQualityLoadAware(n *Network, models []LoadModel, opts LoadAwareOptions
 	}
 
 	util := make([]float64, len(n.Paths))
+	var rates []float64
 	var sol *Solution
 	eff := *n
 	damping := opts.Damping
@@ -176,8 +177,9 @@ func SolveQualityLoadAware(n *Network, models []LoadModel, opts LoadAwareOptions
 		}
 
 		maxDelta := 0.0
+		rates = sol.SentRates(rates)
 		for i, p := range n.Paths {
-			newU := sol.SentRate(i) / p.Bandwidth
+			newU := rates[i] / p.Bandwidth
 			if newU > 1 {
 				newU = 1
 			}

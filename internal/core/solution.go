@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,11 +124,11 @@ func (s *Solution) ActiveCombos(minFraction float64) []ComboShare {
 			out = append(out, ComboShare{Combo: s.combos[l], Fraction: x, DeliveryProb: s.delivery[l]})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Fraction != out[b].Fraction {
-			return out[a].Fraction > out[b].Fraction
+	slices.SortFunc(out, func(a, b ComboShare) int {
+		if c := cmp.Compare(b.Fraction, a.Fraction); c != 0 {
+			return c
 		}
-		return s.m.packKey(out[a].Combo) < s.m.packKey(out[b].Combo)
+		return cmp.Compare(s.m.packKey(a.Combo), s.m.packKey(b.Combo))
 	})
 	return out
 }
@@ -144,6 +145,27 @@ func (s *Solution) SentRate(i int) float64 {
 		}
 	}
 	return rate * s.Network.Rate
+}
+
+// SentRates returns Sᵢ for every real path in one pass over the traffic
+// split, reusing dst's storage when it is large enough. Each path sums
+// in SentRate's order, so SentRates(nil)[i] equals SentRate(i) bit for
+// bit.
+func (s *Solution) SentRates(dst []float64) []float64 {
+	base := s.m.base
+	dst = slices.Grow(dst[:0], base-1)[:base-1]
+	clear(dst)
+	for l, x := range s.X {
+		if x != 0 {
+			for i, sh := range s.shares[l*base+1 : (l+1)*base] {
+				dst[i] += x * sh
+			}
+		}
+	}
+	for i := range dst {
+		dst[i] *= s.Network.Rate
+	}
+	return dst
 }
 
 // DropRate returns the bit rate deliberately discarded via the blackhole

@@ -7,15 +7,34 @@ import (
 	"testing"
 )
 
+// networkSeeds seed FuzzLoadNetwork, and FuzzSolveWire both as they are
+// and as a request's network.
+var networkSeeds = []string{
+	tableIIIJSON,
+	`{"rate_mbps": 1, "lifetime_ms": 1, "paths": [{"bandwidth_mbps": 1}]}`,
+	`{"rate_mbps": -5}`,
+	`{"paths": [{"delay_gamma": {"loc_ms": -1, "shape": 0, "scale_ms": 0}}]}`,
+	`[]`,
+	`{"rate_mbps": 1e308, "lifetime_ms": 1e308, "paths": [{"bandwidth_mbps": 1e308, "delay_ms": 1e308}]}`,
+}
+
+// solveSeeds seed FuzzSolveRoundTrip and FuzzSolveWire.
+var solveSeeds = []string{
+	`{"network": ` + tableIIIJSON + `}`,
+	`{"network": ` + tableIIIJSON + `, "objective": "mincost", "min_quality": 0.95}`,
+	`{"network": ` + tableIIIJSON + `, "objective": "random",
+		"timeout": {"grid_step_ms": 2, "refine_levels": 3, "convolution_nodes": 500}}`,
+	`{"network": ` + tableIIIJSON + `, "session_id": "sess-1", "estimator": true}`,
+	`{"network": {"rate_mbps": 1, "lifetime_ms": 1, "cost_bound": 3, "transmissions": 3,
+		"paths": [{"bandwidth_mbps": 1, "delay_gamma": {"loc_ms": 5, "shape": 2, "scale_ms": 1}}]}}`,
+}
+
 // FuzzLoadNetwork ensures arbitrary JSON never panics the loader or the
 // model conversion — errors are the only acceptable failure mode.
 func FuzzLoadNetwork(f *testing.F) {
-	f.Add(tableIIIJSON)
-	f.Add(`{"rate_mbps": 1, "lifetime_ms": 1, "paths": [{"bandwidth_mbps": 1}]}`)
-	f.Add(`{"rate_mbps": -5}`)
-	f.Add(`{"paths": [{"delay_gamma": {"loc_ms": -1, "shape": 0, "scale_ms": 0}}]}`)
-	f.Add(`[]`)
-	f.Add(`{"rate_mbps": 1e308, "lifetime_ms": 1e308, "paths": [{"bandwidth_mbps": 1e308, "delay_ms": 1e308}]}`)
+	for _, seed := range networkSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		var n Network
 		if err := Load(strings.NewReader(input), &n); err != nil {
@@ -38,13 +57,9 @@ func FuzzLoadNetwork(f *testing.F) {
 // fixed point. A field the marshaller drops or renames breaks daemon
 // clients silently, which is exactly what this target exists to catch.
 func FuzzSolveRoundTrip(f *testing.F) {
-	f.Add(`{"network": ` + tableIIIJSON + `}`)
-	f.Add(`{"network": ` + tableIIIJSON + `, "objective": "mincost", "min_quality": 0.95}`)
-	f.Add(`{"network": ` + tableIIIJSON + `, "objective": "random",
-		"timeout": {"grid_step_ms": 2, "refine_levels": 3, "convolution_nodes": 500}}`)
-	f.Add(`{"network": ` + tableIIIJSON + `, "session_id": "sess-1", "estimator": true}`)
-	f.Add(`{"network": {"rate_mbps": 1, "lifetime_ms": 1, "cost_bound": 3, "transmissions": 3,
-		"paths": [{"bandwidth_mbps": 1, "delay_gamma": {"loc_ms": 5, "shape": 2, "scale_ms": 1}}]}}`)
+	for _, seed := range solveSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		var req SolveRequest
 		if err := Load(strings.NewReader(input), &req); err != nil {

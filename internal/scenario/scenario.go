@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"dmc/internal/core"
@@ -252,22 +253,31 @@ type SolveResult struct {
 // NewSolveResult extracts a wire result from a solved strategy. to is
 // the random objective's timeout table (nil otherwise).
 func NewSolveResult(sol *core.Solution, to *core.Timeouts) SolveResult {
+	active := sol.ActiveCombos(1e-9)
 	out := SolveResult{
-		Quality:  sol.Quality,
-		Shares:   []Share{},
-		Dispatch: string(sol.Stats.Dispatch),
-		Warm:     sol.Stats.Warm,
+		Quality:       sol.Quality,
+		Shares:        make([]Share, len(active)),
+		PathRatesMbps: sol.SentRates(nil),
+		Dispatch:      string(sol.Stats.Dispatch),
+		Warm:          sol.Stats.Warm,
 	}
-	for _, cs := range sol.ActiveCombos(1e-9) {
-		out.Shares = append(out.Shares, Share{
-			Combo:        append([]int(nil), cs.Combo...),
+	// Every share's combination has one entry per transmission: copy
+	// them all into one backing array.
+	var combos []int
+	if len(active) > 0 {
+		combos = make([]int, 0, len(active)*len(active[0].Combo))
+	}
+	for i, cs := range active {
+		start := len(combos)
+		combos = append(combos, cs.Combo...)
+		out.Shares[i] = Share{
+			Combo:        slices.Clip(combos[start:]),
 			Fraction:     cs.Fraction,
 			DeliveryProb: cs.DeliveryProb,
-		})
+		}
 	}
-	out.PathRatesMbps = make([]float64, len(sol.Network.Paths))
-	for i := range sol.Network.Paths {
-		out.PathRatesMbps[i] = sol.SentRate(i) / core.Mbps
+	for i := range out.PathRatesMbps {
+		out.PathRatesMbps[i] /= core.Mbps
 	}
 	if drop := sol.DropRate(); drop > 0 {
 		out.DropRateMbps = drop / core.Mbps
@@ -351,8 +361,18 @@ type Simulation struct {
 	AckWindow          int      `json:"ack_window,omitempty"`
 }
 
-// Load parses a JSON document into dst, rejecting unknown fields.
+// Load parses a JSON document into dst, rejecting unknown fields. For a
+// *SolveRequest it first reads r to EOF, up to 64 KB, and parses that by
+// hand (see wire.go), with the same results as encoding/json.
 func Load(r io.Reader, dst any) error {
+	if req, ok := dst.(*SolveRequest); ok {
+		return loadSolveRequest(r, req)
+	}
+	return decodeJSON(r, dst)
+}
+
+// decodeJSON is Load by encoding/json.
+func decodeJSON(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {

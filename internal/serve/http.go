@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dmc/internal/core"
@@ -39,10 +40,41 @@ func (s *Server) Handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	writeBody(w, status, append(b, '\n'), err)
+}
+
+// answerBufs holds the buffers solve answers are encoded into.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAnswer writes a solve, observe or degraded answer with 200.
+func writeAnswer(w http.ResponseWriter, resp scenario.SolveResponse) {
+	bp := answerBufs.Get().(*[]byte)
+	b, err := scenario.AppendSolveResponse((*bp)[:0], &resp)
+	b = append(b, '\n')
+	writeBody(w, http.StatusOK, b, err)
+	if cap(b) <= 64<<10 {
+		*bp = b
+		answerBufs.Put(bp)
+	}
+}
+
+// writeBody writes a JSON body that ends in a newline, as json.Encoder
+// ends one. The body is encoded before the status is written, so a
+// value that cannot be encoded (a NaN or infinite number) answers 500
+// naming the error instead of an empty 200.
+func writeBody(w http.ResponseWriter, status int, b []byte, err error) {
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "serve: encoding the answer: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	// Without a Content-Length, a body past net/http's 2 KB response
+	// buffer goes out chunked.
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(b) // a failed write means the client is gone
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -201,7 +233,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// solve while the shard recovers.
 		if lg := t.sess.lastGoodResult(); lg != nil {
 			sh.met.degraded.Add(1)
-			writeJSON(w, http.StatusOK, scenario.SolveResponse{
+			writeAnswer(w, scenario.SolveResponse{
 				SessionID: req.SessionID,
 				Resolved:  false,
 				Result:    lg,
@@ -214,7 +246,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveErr(w, sh, res.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, scenario.SolveResponse{
+	writeAnswer(w, scenario.SolveResponse{
 		SessionID: req.SessionID,
 		Resolved:  res.resolved,
 		Result:    &res.res,
@@ -279,7 +311,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveErr(w, se.sh, res.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, scenario.SolveResponse{
+	writeAnswer(w, scenario.SolveResponse{
 		SessionID: req.SessionID,
 		Resolved:  res.resolved,
 		Result:    &res.res,

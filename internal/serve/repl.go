@@ -844,7 +844,7 @@ func (f *Follower) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "serve: follower has no replicated answer for session %q", req.SessionID)
 		return
 	}
-	writeJSON(w, http.StatusOK, scenario.SolveResponse{
+	writeAnswer(w, scenario.SolveResponse{
 		SessionID: req.SessionID,
 		Resolved:  false,
 		Result:    st.LastGood,

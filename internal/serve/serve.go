@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -721,8 +722,13 @@ func (s *Server) enqueue(sh *shard, t *task) error {
 // are disabled (negative MaxBudget) and the request asked for nothing.
 func (s *Server) deadlineFor(budgetMs float64) time.Time {
 	budget := s.cfg.MaxBudget
-	if d := time.Duration(budgetMs * float64(time.Millisecond)); budgetMs > 0 && (d < budget || budget < 0) {
-		budget = d
+	// Compare in milliseconds: from about 9.2e12 ms a budget overflows
+	// a Duration, which then holds the longest one.
+	if budgetMs > 0 && (budget < 0 || budgetMs < float64(budget)/float64(time.Millisecond)) {
+		budget = math.MaxInt64
+		if ns := budgetMs * float64(time.Millisecond); ns < math.MaxInt64 {
+			budget = time.Duration(ns)
+		}
 	}
 	if budget < 0 {
 		return time.Time{}
