@@ -71,15 +71,31 @@ type cgObjective interface {
 }
 
 // colSet is the dynamically grown column pool of the restricted master,
-// deduplicated by packed combination key.
+// deduplicated by packed combination key. lastBasic[j] is the count of
+// the last state-keeping solve whose final master had column j basic
+// (0: none yet). Only the pool's retention reads and extends it
+// (retainPool), so a one-shot solve never grows it, and columns past
+// its end were priced after its last extension.
 type colSet struct {
-	cols columns
-	keys []uint64
-	pos  map[uint64]int
+	cols      columns
+	keys      []uint64
+	lastBasic []int
+	pos       map[uint64]int
 }
 
 func newColSet() *colSet {
 	return &colSet{pos: make(map[uint64]int)}
+}
+
+// newColSetOf returns a pool of n columns of base shares and trans
+// digits, exactly sized, for set to fill.
+func newColSetOf(n, base, trans int) *colSet {
+	return &colSet{
+		cols:      *newColumns(n, base, trans),
+		keys:      make([]uint64, n),
+		lastBasic: make([]int, n),
+		pos:       make(map[uint64]int, n),
+	}
 }
 
 // add evaluates combo's column under the objective and appends it,
@@ -93,6 +109,16 @@ func (cs *colSet) add(m *model, obj cgObjective, combo []int) bool {
 	cs.keys = append(cs.keys, key)
 	cs.cols.appendColumn(m.base, obj, combo)
 	return true
+}
+
+// set copies column j of src, its digits and its stamp included, into
+// slot l of a pool built by newColSetOf.
+func (cs *colSet) set(l int, src *colSet, j, base int) {
+	key := src.keys[j]
+	cs.keys[l], cs.pos[key], cs.lastBasic[l] = key, l, src.lastBasic[j]
+	cs.cols.delivery[l], cs.cols.costs[l] = src.cols.delivery[j], src.cols.costs[j]
+	copy(cs.cols.shares[l*base:(l+1)*base], src.cols.shares[j*base:(j+1)*base])
+	copy(cs.cols.combos[l], src.cols.combos[j])
 }
 
 // reevaluate re-prices every pooled column in place against a drifted
@@ -229,8 +255,9 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 // runCG alternates restricted-master LP solves over the column set with
 // exact pricing until no combination prices above certTol (which bounds
 // the optimality gap), returning the final master LP solution — the LP
-// workspace's master then holds the final master — plus the iteration
-// count and whether the first master solve warm-started.
+// workspace's master then holds the final master. Every master solve
+// counts into st: one CG iteration and its simplex pivots each, and the
+// first one sets PhaseISkipped.
 //
 // The master is built once, from the pool as it stands, and solved on
 // the revised simplex — warm-started from basis when non-nil (the
@@ -256,7 +283,7 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 //
 // A master that comes back infeasible returns errMasterInfeasible
 // (possible only for the min-cost objective's first master).
-func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool) (*lp.Solution, int, bool, error) {
+func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool, st *SolveStats) (*lp.Solution, error) {
 	chain := basis != nil
 	spec := obj.master()
 	cm, rev := &s.work.master, &s.work.rev
@@ -265,12 +292,12 @@ func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, c
 
 	var lpSol *lp.Solution
 	var err error
-	iters, firstWarm := 0, false
+	iters := 0
 	appended, refreshed := false, false
 	for {
 		iters++
 		if iters > cgMaxIterations {
-			return nil, 0, false, fmt.Errorf("core: column generation did not converge within %d iterations", cgMaxIterations)
+			return nil, fmt.Errorf("core: column generation did not converge within %d iterations", cgMaxIterations)
 		}
 		solved := false
 		if appended {
@@ -285,18 +312,20 @@ func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, c
 			}
 			lpSol, err = rev.SolveWith(sp, opts)
 			if err != nil {
-				return nil, 0, false, fmt.Errorf("core: solving restricted master: %w", err)
+				return nil, fmt.Errorf("core: solving restricted master: %w", err)
 			}
 		}
+		st.CGIterations++
+		st.LPPivots += lpSol.Iterations
 		switch lpSol.Status {
 		case lp.Optimal:
 		case lp.Infeasible:
-			return lpSol, iters, firstWarm, errMasterInfeasible
+			return lpSol, errMasterInfeasible
 		default:
-			return nil, 0, false, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
+			return nil, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
 		}
 		if iters == 1 {
-			firstWarm = lpSol.PhaseISkipped
+			st.PhaseISkipped = lpSol.PhaseISkipped
 		}
 		if chain {
 			basis = lpSol.Basis
@@ -334,7 +363,7 @@ func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, c
 		scale = max(scale, cm.add(m, spec, &cs.cols, n0))
 		appended = true
 	}
-	return lpSol, iters, firstWarm, nil
+	return lpSol, nil
 }
 
 // seedColumns primes the restricted master: the all-blackhole column

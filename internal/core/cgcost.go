@@ -43,11 +43,11 @@ func (o *minCostObjective) price(floor float64) [][]int { return o.pr.price(floo
 
 func (o *minCostObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs, o, scratch) }
 
-// grow resizes a float64 workspace, reusing capacity. Contents are
-// unspecified; callers overwrite every entry they read.
-func grow(buf []float64, n int) []float64 {
+// grow resizes a workspace, reusing capacity. Contents are unspecified;
+// callers overwrite every entry they read.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n, n+n/2)
+		return make([]T, n, n+n/2)
 	}
 	return buf[:n]
 }
@@ -62,45 +62,31 @@ func grow(buf []float64, n int) []float64 {
 // the floor last time), the feasibility stage is tried only if the
 // min-cost master actually comes back infeasible under the drifted
 // coefficients. Both stages build their master in the solve's LP
-// workspace, which ends holding the min-cost master. Returns the
-// solution and the final master LP solution (whose duals the resolve
-// path stashes for pool trimming).
-func (s *Solver) solveMinCostCG(m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, capture, skipFeasStage bool) (*Solution, *lp.Solution, error) {
-	feasIters := 0
+// workspace, which ends holding the min-cost master, and count every
+// master they solve into st. Returns the final master LP solution.
+func (s *Solver) solveMinCostCG(m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, capture, skipFeasStage bool, st *SolveStats) (*lp.Solution, error) {
 	if !skipFeasStage {
-		var err error
-		feasIters, err = s.growPoolToQualityFloor(m, cs, mo, certTol)
-		if err != nil {
-			return nil, nil, err
+		if err := s.growPoolToQualityFloor(m, cs, mo, certTol, st); err != nil {
+			return nil, err
 		}
 	}
-	lpSol, iters, firstWarm, err := s.runCG(m, cs, mo, basis, certTol, capture, nil)
+	lpSol, err := s.runCG(m, cs, mo, basis, certTol, capture, nil, st)
 	if errors.Is(err, errMasterInfeasible) && skipFeasStage {
 		// The drift pushed the floor beyond the retained pool: grow it
 		// and retry once (cold master — the basis belongs to the old,
 		// now-infeasible restricted problem).
-		feasIters, err = s.growPoolToQualityFloor(m, cs, mo, certTol)
-		if err != nil {
-			return nil, nil, err
+		if err := s.growPoolToQualityFloor(m, cs, mo, certTol, st); err != nil {
+			return nil, err
 		}
-		lpSol, iters, firstWarm, err = s.runCG(m, cs, mo, nil, certTol, capture, nil)
+		lpSol, err = s.runCG(m, cs, mo, nil, certTol, capture, nil, st)
 	}
 	if errors.Is(err, errMasterInfeasible) {
 		// The pool provably reaches the floor's neighborhood, yet the
 		// master's own Phase I rejects it: the floor sits right at the
 		// feasibility boundary. Side with the authoritative Phase I.
-		return nil, nil, fmt.Errorf("core: quality %v unattainable on this network: %w", mo.minQuality, ErrInfeasible)
+		return nil, fmt.Errorf("core: quality %v unattainable on this network: %w", mo.minQuality, ErrInfeasible)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	sol := m.newSolution(mo.master(), &cs.cols, lpSol.X, achievedQuality(lpSol.X, cs.cols.delivery), cs.pos)
-	sol.Stats = SolveStats{
-		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: feasIters + iters,
-		PhaseISkipped: firstWarm,
-	}
-	return sol, lpSol, nil
+	return lpSol, err
 }
 
 // achievedQuality is p·x, the quality a min-cost master's solution
@@ -118,19 +104,18 @@ func achievedQuality(x, delivery []float64) float64 {
 // moment the master's optimal quality clears it (no certification
 // needed — the pool is then provably sufficient). If the rounds instead
 // certify the true quality optimum below the floor, no strategy over
-// the full combination space can meet it: ErrInfeasible. Returns the
-// master-solve count.
-func (s *Solver) growPoolToQualityFloor(m *model, cs *colSet, mo *minCostObjective, certTol float64) (int, error) {
+// the full combination space can meet it: ErrInfeasible.
+func (s *Solver) growPoolToQualityFloor(m *model, cs *colSet, mo *minCostObjective, certTol float64, st *SolveStats) error {
 	minQ := mo.minQuality
 	qo := &qualityObjective{m: m, pr: mo.pr, costRow: false}
 	stop := func(sol *lp.Solution) bool { return sol.Objective >= minQ }
-	qSol, iters, _, err := s.runCG(m, cs, qo, nil, certTol, false, stop)
+	qSol, err := s.runCG(m, cs, qo, nil, certTol, false, stop, st)
 	if err != nil {
-		return iters, fmt.Errorf("core: min-cost feasibility stage: %w", err)
+		return fmt.Errorf("core: min-cost feasibility stage: %w", err)
 	}
 	if qSol.Objective < minQ-minCostFeasSlack*(1+minQ) {
-		return iters, fmt.Errorf("core: quality %v unattainable on this network (maximum %v): %w",
+		return fmt.Errorf("core: quality %v unattainable on this network (maximum %v): %w",
 			minQ, clamp01(qSol.Objective), ErrInfeasible)
 	}
-	return iters, nil
+	return nil
 }

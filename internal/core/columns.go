@@ -130,13 +130,3 @@ func (c *columns) appendColumn(base int, ev columnEvaluator, combo []int) {
 	c.costs = append(c.costs, cost)
 	c.combos = append(c.combos, append(Combo(nil), combo...))
 }
-
-// appendFrom copies column l of src, including the combination digits —
-// sharing the Combo header would keep src's backing array reachable for
-// the copy's lifetime.
-func (c *columns) appendFrom(src *columns, l, base int) {
-	c.delivery = append(c.delivery, src.delivery[l])
-	c.costs = append(c.costs, src.costs[l])
-	c.shares = append(c.shares, src.shares[l*base:(l+1)*base]...)
-	c.combos = append(c.combos, append(Combo(nil), src.combos[l]...))
-}

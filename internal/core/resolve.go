@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dmc/internal/fault"
 	"dmc/internal/lp"
@@ -18,22 +19,31 @@ var (
 	fpCGReprice   = fault.Register("core.cg.reprice")
 )
 
-// Pool-retention parameters of the warm CG path. Every re-solve can add
-// freshly priced columns; on a long drift trajectory the pool would
-// otherwise grow without bound and the restricted master would slow past
-// the cold solve it is meant to beat. Above cgTrimTrigger columns the
-// warm path trims the pool down to the cgTrimKeep columns with the best
-// reduced cost under the previous duals (always keeping the basic ones).
-// A threshold-based trim does not work here: the master is massively
-// degenerate — hundreds of combinations price within 1e-3 of zero — so
-// ranking, not thresholding, is what bounds the pool. Columns a later
-// drift genuinely needs are re-discovered by the pricing oracle.
-// cgMaxPoolColumns is the hard backstop past which the warm state is
-// dropped entirely (defensive; trimming keeps pools far below it).
+// Pool-retention parameters of the CG path. Every solve can add freshly
+// priced columns; on a long drift trajectory the pool would otherwise
+// grow without bound and the restricted master would slow past the cold
+// solve it is meant to beat. So every CG solve that keeps state — a
+// cold prime or a warm re-solve — ends by stamping the columns basic in
+// its final master with its number and, once the pool holds more than
+// cgTrimTrigger columns, trimming it to cgTrimKeep, kept in order: the
+// all-blackhole column, the final basis, the columns basic in any of
+// the last cgRecentSolves solves, then the best reduced cost under the
+// final master's duals. The bound is hard but for the basis, which is
+// always kept whole: a master of more than cgTrimKeep rows (paths) can
+// have a larger one.
+//
+// The recent columns are the ones a drifting session comes back to: its
+// estimates wander around their true values, so earlier states recur,
+// and duals that know only the latest state would rank their columns
+// low and leave the oracle to price them back in. Reduced cost, not a
+// threshold, fills the rest: the master is massively degenerate —
+// hundreds of combinations price within 1e-3 of zero — so ranking is
+// what bounds the pool. Columns a later drift genuinely needs are
+// re-discovered by the pricing oracle.
 const (
-	cgTrimTrigger    = 512
-	cgTrimKeep       = 256
-	cgMaxPoolColumns = 8192
+	cgTrimTrigger  = 512
+	cgTrimKeep     = 256
+	cgRecentSolves = 8
 )
 
 // solveObjective names which optimization a persistent re-solve state
@@ -70,13 +80,12 @@ type resolveState struct {
 	// CG dispatch: the persistent column pool.
 	pool *colSet
 
-	// basis is the previous CG solve's optimal LP basis, captured over
-	// the whole pool. Dense re-solves solve their master cold and leave
-	// it nil.
+	// basis is the previous CG solve's optimal LP basis over the pool.
+	// Dense re-solves solve their master cold and leave it nil.
 	basis *lp.Basis
-	// duals is the previous master's dual vector (CG dispatch), used to
-	// score pooled columns for trimming.
-	duals []float64
+	// solves counts the CG solves that kept this state; each stamps the
+	// columns basic in its final master with its count.
+	solves int
 }
 
 // reset invalidates the warm state.
@@ -112,7 +121,9 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 //     for bit,
 //   - the column-generation pool is retained and repriced, so the
 //     branch-and-bound pricing oracle only searches for columns the
-//     drift actually made attractive,
+//     drift actually made attractive; each solve ends by bounding the
+//     pool, keeping the columns its recent solves used (see the
+//     retention parameters above),
 //   - for column generation, the previous optimal simplex basis is
 //     re-installed, skipping LP Phase I whenever it is still feasible
 //     for the perturbed coefficients (otherwise repair columns and a
@@ -127,7 +138,7 @@ func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool 
 // On a shape change — or any failure of the warm path — Resolve falls
 // back to a cold solve transparently and re-primes the state.
 //
-// The returned Solution shares column storage with the Solver's warm
+// The returned Solution may share column storage with the Solver's warm
 // state: it is valid until the next Resolve call on the same Solver,
 // which rebuilds that storage in place. Callers that need a solution to
 // outlive the next re-solve must extract what they need first (or use
@@ -296,7 +307,7 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		quality = achievedQuality(lpSol.X, cols.delivery)
 	}
 	out := m.newSolution(spec, cols, lpSol.X, quality, nil)
-	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), Warm: warm}
+	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), LPPivots: lpSol.Iterations, Warm: warm}
 	if rs != nil {
 		rs.dense = cols
 	}
@@ -329,7 +340,8 @@ func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solu
 // seed columns, or — on a re-solve — over the warm pool, repriced in
 // place (every pooled column a pricing-oracle call saved) and continued
 // from the previous optimal basis, with newly priced columns appended
-// to the sparse master in place.
+// to the sparse master in place. A solve that keeps state ends by
+// retaining its pool for the next re-solve (retainPool).
 func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	m, err := newRequestModel(n, req, false)
 	if err != nil {
@@ -353,129 +365,140 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 	var basis *lp.Basis
 	certTol, hits := cgPriceTol, 0
 	if warm {
-		cs = rs.pool
-		if cs.cols.len() > cgMaxPoolColumns {
-			return nil, fmt.Errorf("core: warm column pool exceeded %d columns", cgMaxPoolColumns)
-		}
 		if err := fpCGReprice.Hit(); err != nil {
 			return nil, err
 		}
+		cs, basis = rs.pool, rs.basis
 		cs.reevaluate(m, obj)
-		basis = rs.basis
-		if cs.cols.len() > cgTrimTrigger {
-			cs, basis = s.trimPool(m, obj.master(), basis)
-		}
 		certTol, hits = cgCertTolWarm, cs.cols.len()
 	} else {
 		cs = newColSet()
 		obj.seed(cs, w.scratch(m.m))
 	}
 
-	var (
-		sol   *Solution
-		lpSol *lp.Solution
-	)
+	st := SolveStats{Dispatch: DispatchCG}
 	capture := rs != nil
+	var lpSol *lp.Solution
 	if mo, ok := obj.(*minCostObjective); ok {
-		sol, lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm)
+		lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm, &st)
 	} else {
-		var (
-			iters     int
-			firstWarm bool
-		)
-		lpSol, iters, firstWarm, err = s.runCG(m, cs, obj, basis, certTol, capture, nil)
-		if err == nil {
-			sol = m.newSolution(obj.master(), &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-			sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters, PhaseISkipped: firstWarm}
-		}
+		lpSol, err = s.runCG(m, cs, obj, basis, certTol, capture, nil, &st)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if rs == nil {
-		return sol, nil // a one-shot has no pool to report on or keep
+	spec := obj.master()
+	quality := lpSol.Objective
+	if spec.minCost {
+		quality = achievedQuality(lpSol.X, cs.cols.delivery)
 	}
-	sol.Stats.Warm = warm
-	sol.Stats.PoolHits = hits
-	sol.Stats.PoolAdded = cs.cols.len() - hits
-	rs.pool, rs.basis = cs, lpSol.Basis
-	rs.duals = append(rs.duals[:0], lpSol.Dual...)
+	sol := m.newSolution(spec, &cs.cols, lpSol.X, quality, cs.pos)
+	st.Columns = cs.cols.len()
+	if rs != nil {
+		st.Warm, st.PoolHits, st.PoolAdded = warm, hits, cs.cols.len()-hits
+		s.retainPool(rs, m, spec, cs, lpSol)
+	}
+	sol.Stats = st
 	return sol, nil
 }
 
-// trimPool compacts the warm column pool to the cgTrimKeep columns with
-// the best pricing gain under the previous master's duals, always
-// keeping the basic ones. The gain is read off the master itself: the
-// repriced pool is loaded into the workspace master, whose rows are
-// those the duals came from, and column j scores its reduced cost
-// cⱼ − yᵀaⱼ, negated for a minimization. Returns the compact pool and
-// the basis remapped onto it (nil when a basic column could not be
-// preserved, which sends the master down the cold-LP path but keeps
-// the pool win).
-func (s *Solver) trimPool(m *model, spec masterSpec, basis *lp.Basis) (*colSet, *lp.Basis) {
-	cs := s.rs.pool
+// retainPool leaves in rs the pool and basis the next re-solve starts
+// from. It stamps the columns basic in the final master with this
+// solve's count, and once the pool holds more than cgTrimTrigger
+// columns, it trims it to cgTrimKeep in the order the retention
+// parameters give: the all-blackhole column, the final basis, the
+// recently basic columns, then the best reduced cost cⱼ − yᵀaⱼ (negated
+// for a minimization) under the final master's duals, read off that
+// master, which is still loaded in the workspace. Ties go to the lower
+// index, so the trim is deterministic. The kept columns, in pool order,
+// move into fresh, exactly sized tables — the solve's Solution indexes
+// the old ones, so the new pool never aliases it — and the basis is
+// remapped onto them.
+func (s *Solver) retainPool(rs *resolveState, m *model, spec masterSpec, cs *colSet, final *lp.Solution) {
+	rs.solves++
 	n := cs.cols.len()
-	sp := &s.work.master.sp
-	s.work.master.load(m, spec, &cs.cols)
+	cs.lastBasic = append(cs.lastBasic, make([]int, n-len(cs.lastBasic))...)
+	basic := final.Basis.StructuralCols()
+	for _, c := range basic {
+		if c >= 0 {
+			cs.lastBasic[c] = rs.solves
+		}
+	}
+	if n <= cgTrimTrigger {
+		rs.pool, rs.basis = cs, final.Basis
+		return
+	}
+
+	// perm[j] is ≥ 0 for a kept column: first a mark, then its index in
+	// the trimmed pool.
+	w := s.work
+	w.perm, w.rc, w.order = grow(w.perm, n), grow(w.rc, n), grow(w.order, n)
+	perm, rc := w.perm, w.rc
+	for j := range perm {
+		perm[j] = -1
+	}
+	kept := 0
+	keep := func(j int) {
+		if perm[j] < 0 {
+			perm[j] = 0
+			kept++
+		}
+	}
+	// The all-blackhole column (packed key 0) keeps the master feasible
+	// under ANY bandwidth/cost drift — x′_blackhole = 1 uses no
+	// constrained resource. Trimming it could leave the restricted
+	// master genuinely infeasible after a hostile drift.
+	if j, ok := cs.pos[0]; ok {
+		keep(j)
+	}
+	for _, c := range basic {
+		if c >= 0 {
+			keep(c)
+		}
+	}
 	sign := 1.0
 	if spec.minCost {
 		sign = -1
 	}
-	rc := make([]float64, n)
-	for j := range rc {
-		rc[j] = sign * sp.ReducedCost(j, s.rs.duals)
-	}
-
-	keep := make([]bool, n)
-	kept := 0
-	// The all-blackhole column (packed key 0) is what keeps the master
-	// feasible under ANY bandwidth/cost drift — x′_blackhole = 1 uses no
-	// constrained resource. Trimming it can leave the restricted master
-	// genuinely infeasible after a hostile drift, killing the warm state.
-	for j := 0; j < n; j++ {
-		if cs.keys[j] == 0 {
-			keep[j] = true
-			kept++
-			break
+	sp := &w.master.sp
+	order := w.order[:0]
+	for j := range n {
+		if perm[j] < 0 {
+			rc[j] = sign * sp.ReducedCost(j, final.Dual)
+			order = append(order, j)
 		}
 	}
-	if basis != nil {
-		for _, c := range basis.StructuralCols() {
-			if c >= 0 && c < n && !keep[c] {
-				keep[c] = true
-				kept++
+	recent := func(j int) bool {
+		return cs.lastBasic[j] > 0 && rs.solves-cs.lastBasic[j] < cgRecentSolves
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if ra, rb := recent(a), recent(b); ra != rb {
+			if ra {
+				return -1
 			}
+			return 1
 		}
-	}
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool { return rc[order[a]] > rc[order[b]] })
+		if c := cmp.Compare(rc[b], rc[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	for _, j := range order {
 		if kept >= cgTrimKeep {
 			break
 		}
-		if !keep[j] {
-			keep[j] = true
-			kept++
-		}
+		keep(j)
 	}
 
-	out := newColSet()
-	perm := make([]int, n)
-	for j := 0; j < n; j++ {
-		if !keep[j] {
-			perm[j] = -1
+	out := newColSetOf(kept, m.base, m.m)
+	next := 0
+	for j := range perm {
+		if perm[j] < 0 {
 			continue
 		}
-		perm[j] = out.cols.len()
-		out.pos[cs.keys[j]] = out.cols.len()
-		out.keys = append(out.keys, cs.keys[j])
-		out.cols.appendFrom(&cs.cols, j, m.base)
+		perm[j] = next
+		out.set(next, cs, j, m.base)
+		next++
 	}
-	if basis != nil {
-		basis = basis.Remap(out.cols.len(), perm)
-	}
-	return out, basis
+	rs.pool, rs.basis = out, final.Basis.Remap(kept, perm)
 }

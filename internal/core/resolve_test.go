@@ -328,9 +328,10 @@ func TestResolveConcurrentSolvers(t *testing.T) {
 // TestResolveTrimsPoolOnDriftRing replays a 40×4 drift ring — the same
 // rounds revisited, as a served session's estimates wander — through
 // warm quality and min-cost solvers until their pools pass
-// cgTrimTrigger. Every re-solve after a pool that large must trim it to
-// cgTrimKeep columns, scored by the master's own reduced costs, and
-// still match a cold solve to 1e-6.
+// cgTrimTrigger. The solve that grows a pool that large must trim it to
+// cgTrimKeep columns before it returns, so the next re-solve starts from
+// at most that many, and every re-solve must still match a cold solve to
+// 1e-6.
 func TestResolveTrimsPoolOnDriftRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CG-scale trajectory is slow under -short")

@@ -31,6 +31,11 @@ type SolveStats struct {
 	// CGIterations counts restricted-master solves (0 unless column
 	// generation ran).
 	CGIterations int
+	// LPPivots counts the simplex pivots of every master the solve ran
+	// (the sum of their lp.Solution.Iterations): the dense master, or
+	// each restricted master of column generation, the min-cost
+	// feasibility stage's and refresh re-solves' included.
+	LPPivots int
 	// Warm reports the solve ran incrementally from a Solver's
 	// persistent re-solve state (Solver.Resolve with a matching network
 	// shape): columns were rebuilt in place and, for column generation,
@@ -118,9 +123,19 @@ func (s *Solution) Fraction(c Combo) float64 {
 // ActiveCombos returns the combinations carrying at least minFraction of
 // the traffic, sorted by decreasing share (ties by combination key).
 func (s *Solution) ActiveCombos(minFraction float64) []ComboShare {
-	var out []ComboShare
+	active := func(x float64) bool { return x >= minFraction && x > 0 }
+	n := 0
+	for _, x := range s.X {
+		if active(x) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ComboShare, 0, n)
 	for l, x := range s.X {
-		if x >= minFraction && x > 0 {
+		if active(x) {
 			out = append(out, ComboShare{Combo: s.combos[l], Fraction: x, DeliveryProb: s.delivery[l]})
 		}
 	}

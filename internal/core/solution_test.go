@@ -53,3 +53,24 @@ func TestSentRatesMatchesSentRate(t *testing.T) {
 		t.Error("SentRates reallocated a dst large enough to hold the rates")
 	}
 }
+
+// TestActiveCombosAllocatesOnce pins ActiveCombos at one allocation, the
+// result, on a dense 3×2 solve with a few active combinations and a
+// column-generation 40×4 solve with dozens.
+func TestActiveCombosAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xac7e, 1))
+	for _, shape := range []struct{ paths, trans int }{{3, 2}, {40, 4}} {
+		sol, err := SolveQuality(diffRandomNetwork(rng, shape.paths, shape.trans))
+		if err != nil {
+			t.Fatal(err)
+		}
+		active := len(sol.ActiveCombos(1e-9))
+		if active == 0 {
+			t.Fatalf("%d×%d: no active combination", shape.paths, shape.trans)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sol.ActiveCombos(1e-9) }); allocs != 1 {
+			t.Errorf("%d×%d: ActiveCombos over %d active combinations made %v allocations, want 1",
+				shape.paths, shape.trans, active, allocs)
+		}
+	}
+}

@@ -17,13 +17,14 @@ import (
 const DefaultDenseThreshold = 2048
 
 // Solver is a reusable solve context: it owns the Resolve warm state
-// (the dense column table; the CG pool and LP basis). Only column
-// generation re-installs a basis: a dense re-solve solves its master
-// cold. Everything else a solve needs is its workspace: the master, the
-// revised simplex (lp.Revised) that solves it, the pricing oracle, the
-// random objective's pair tables and the digit buffer. Each solve
-// borrows one from a process-wide pool and returns it when the solve
-// ends, so an idle Solver — one per served session — holds none of it.
+// (the dense column table; the CG pool, its basic-column stamps and the
+// LP basis). Only column generation re-installs a basis: a dense
+// re-solve solves its master cold. Everything else a solve needs is its
+// workspace: the master, the revised simplex (lp.Revised) that solves
+// it, the pricing oracle, the random objective's pair tables and the
+// digit buffer. Each solve borrows one from a process-wide pool and
+// returns it when the solve ends, so an idle Solver — one per served
+// session — holds none of it.
 // A Solver is NOT safe for concurrent use: use one per goroutine, the
 // package-level one-shot solves, or a WarmPool (one Solver per session
 // key).
@@ -70,14 +71,18 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 // lpWork is the workspace of one solve, for either dispatch: the
 // master, built in place, the revised simplex that solves it, and the
 // per-solve scratch — the pricing oracle, the random objective's pair
-// tables and the combination digit buffer. Each allocates its buffers
-// on first use and grows them to the shape at hand.
+// tables, the combination digit buffer and the pool trim's marks,
+// reduced costs and ranking. Each allocates its buffers on first use
+// and grows them to the shape at hand.
 type lpWork struct {
 	master cgMaster
 	rev    lp.Revised
 	pr     pricer
 	rnd    randomObjective
 	digits []int
+	perm   []int
+	rc     []float64
+	order  []int
 }
 
 // lpPool holds the workspaces every Solver borrows for the length of

@@ -54,6 +54,7 @@ func (n Network) ToNetwork() (*core.Network, error) {
 		out.CostBound = *n.CostBound
 	}
 	out.Transmissions = n.Transmissions
+	out.Paths = make([]core.Path, 0, len(n.Paths))
 	for _, p := range n.Paths {
 		cp := core.Path{
 			Name:      p.Name,

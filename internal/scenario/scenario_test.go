@@ -40,6 +40,23 @@ func TestLoadAndConvert(t *testing.T) {
 	}
 }
 
+// TestToNetworkAllocs pins the conversion at two allocations, the
+// network and its path slice, however many paths it carries.
+func TestToNetworkAllocs(t *testing.T) {
+	for _, paths := range []int{3, 40} {
+		n := Network{RateMbps: 90, LifetimeMs: 800, Transmissions: 2}
+		for i := range paths {
+			n.Paths = append(n.Paths, Path{BandwidthMbps: 20, DelayMs: float64(100 + i), Loss: 0.1})
+		}
+		if _, err := n.ToNetwork(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { n.ToNetwork() }); allocs != 2 {
+			t.Errorf("%d paths: ToNetwork made %v allocations, want 2", paths, allocs)
+		}
+	}
+}
+
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	var n Network
 	err := Load(strings.NewReader(`{"rate_mbps": 1, "lifetime_ms": 1, "bogus": 2, "paths": []}`), &n)
