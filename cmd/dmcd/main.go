@@ -27,11 +27,12 @@
 // and column-pool affinity across re-solves); "estimator": true attaches
 // a §VIII-A estimator feed that /v1/observe measurements drive, warm
 // re-solving only when the estimates drift. Sessions hash onto -shards
-// shards; each shard runs GOMAXPROCS workers, and a free worker takes
-// the next admitted request at once, so a quick solve never waits for
-// another session's slow one. A full shard queue (-queue) answers 429
-// with a Retry-After hint. SIGINT/SIGTERM shut down gracefully:
-// admitted solves drain before the process exits.
+// shards; each shard has GOMAXPROCS execution slots, and a request runs
+// on its own goroutine as soon as a slot is free, in arrival order, so
+// a quick solve never waits for another session's slow one. A shard
+// with -queue requests already waiting answers 429 with a Retry-After
+// hint. SIGINT/SIGTERM shut down gracefully: admitted solves drain
+// before the process exits.
 //
 // -state-dir makes sessions durable: acknowledged session state (the
 // scenario/objective binding, estimator counters, last good strategy)
@@ -103,8 +104,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dmcd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":7117", "listen address")
-		shards      = fs.Int("shards", 0, "warm-pool shards (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 0, "admitted-task queue bound per shard (0 = 1024)")
+		shards      = fs.Int("shards", 0, "admission shards, each with GOMAXPROCS execution slots (0 = GOMAXPROCS)")
+		queue       = fs.Int("queue", 0, "bound on admitted tasks waiting for an execution slot per shard (0 = 1024)")
 		estTol      = fs.Float64("est-tol", 0, "estimator re-solve drift tolerance (0 = adaptor default)")
 		maxBudget   = fs.Duration("max-budget", 0, "deadline-budget cap and default (0 = 30s, negative = no default)")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive solver faults tripping a shard breaker (0 = 8, negative = off)")

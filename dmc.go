@@ -56,7 +56,7 @@
 // Serving: NewServer runs the online solver service behind cmd/dmcd —
 // sessions, each holding its own warm Solver, answering session-keyed
 // HTTP/JSON solve requests through sharded admission queues, each shard
-// drained by GOMAXPROCS workers that take requests as they arrive, with
+// running up to GOMAXPROCS requests at once in arrival order, with
 // per-session estimator feeds, admission control, and per-shard metrics.
 //
 // The underlying implementations live in internal/ packages; this package
@@ -227,7 +227,7 @@ type (
 	// ServeConfig tunes a served solver fleet: shard count, admission
 	// queue bound, deadline budgets, circuit breakers, durability and
 	// replication, and the estimator feeds' drift tolerance. Each shard
-	// runs GOMAXPROCS workers. The zero value selects production
+	// has GOMAXPROCS execution slots. The zero value selects production
 	// defaults.
 	ServeConfig = serve.Config
 	// Server is the online solver service: sessions, each holding its
@@ -374,7 +374,7 @@ func LinksFromNetwork(n *Network, queueLimit int) []LinkConfig {
 func NewAdaptor(base *Network) (*Adaptor, error) { return estimate.NewAdaptor(base) }
 
 // NewServer starts the online solver service (a warm Solver per
-// session, sharded admission queues each drained by GOMAXPROCS workers,
+// session, sharded admission queues each with GOMAXPROCS execution slots,
 // estimator feeds, admission control, and — with ServeConfig.StateDir
 // set — crash-safe session durability). Serve its Handler over HTTP — cmd/dmcd is the ready-made
 // binary — and Close it to drain gracefully. The error is non-nil only when a configured

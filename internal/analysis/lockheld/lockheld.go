@@ -15,7 +15,7 @@
 // (the `mu.Lock(); defer mu.Unlock()` idiom holds to function end) and
 // flags, inside a region: channel sends and receives,
 // selects without a default (a select WITH default is the sanctioned
-// non-blocking idiom — enqueue's bounded-queue send), ranges over
+// non-blocking idiom — admit's bounded-queue send), ranges over
 // channels, time.Sleep, WaitGroup/Cond waits, calls into net and
 // net/http, file IO (*os.File methods and the os package's filesystem
 // calls — a journal append or fsync under a registry mutex stalls every

@@ -219,3 +219,38 @@ func TestDispatchThresholds(t *testing.T) {
 		}
 	}
 }
+
+// TestCGPoolAllocatesCombosInChunks: a cold 40×4 quality solve pools
+// 769–1,000 columns on these seeds, and carving their combinations from
+// shared chunks keeps the whole solve under one allocation per four
+// columns. The carved combinations must stay distinct.
+func TestCGPoolAllocatesCombosInChunks(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("CG-scale solves are slow under -short; -race pools drop at random")
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		n := diffRandomNetwork(rand.New(rand.NewPCG(seed, 40)), 40, 4)
+		var sol *Solution
+		allocs := testing.AllocsPerRun(2, func() {
+			var err error
+			if sol, err = SolveQuality(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		cols := sol.Stats.Columns
+		if sol.Stats.Dispatch != DispatchCG || cols < 512 {
+			t.Fatalf("seed %d: %v dispatch over %d columns, want CG over at least 512", seed, sol.Stats.Dispatch, cols)
+		}
+		if allocs > float64(cols)/4 {
+			t.Errorf("seed %d: %.0f allocations for %d columns, want at most %d", seed, allocs, cols, cols/4)
+		}
+		seen := make(map[[4]int]bool, cols)
+		for _, c := range sol.Combos() {
+			k := [4]int(c)
+			if seen[k] {
+				t.Fatalf("seed %d: combination %v pooled twice", seed, c)
+			}
+			seen[k] = true
+		}
+	}
+}

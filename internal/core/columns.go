@@ -15,8 +15,16 @@ type columns struct {
 	delivery []float64 // p_l (Eq. 12)
 	costs    []float64 // r_l (Eq. 16)
 	shares   []float64 // nCols × base, row-major
-	combos   []Combo   // headers into one backing array (dense) or owned slices
+	combos   []Combo   // headers into one backing array (dense) or into chunks (appendColumn)
+	// free is the unused tail of the chunk appendColumn carves pooled
+	// combinations from. A chunk is never rewritten, so a Solution can
+	// keep sharing the combinations carved from it.
+	free []int
 }
+
+// comboChunk is how many combinations appendColumn carves from one
+// allocation.
+const comboChunk = 64
 
 // len returns the number of columns currently held.
 func (c *columns) len() int { return len(c.delivery) }
@@ -121,12 +129,20 @@ func (m *model) computeColumnsInto(cols *columns, digits []int, ev columnEvaluat
 }
 
 // appendColumn evaluates combo's column via ev and appends it, copying
-// the digits — the dynamically grown column pool of column generation.
+// the digits into the current chunk — the dynamically grown column pool
+// of column generation.
 func (c *columns) appendColumn(base int, ev columnEvaluator, combo []int) {
 	start := len(c.shares)
 	c.shares = append(c.shares, make([]float64, base)...)
 	delivery, cost := ev.evalColumn(combo, c.shares[start:start+base])
 	c.delivery = append(c.delivery, delivery)
 	c.costs = append(c.costs, cost)
-	c.combos = append(c.combos, append(Combo(nil), combo...))
+	k := len(combo)
+	if len(c.free) < k {
+		c.free = make([]int, comboChunk*k)
+	}
+	dst := Combo(c.free[:k:k])
+	c.free = c.free[k:]
+	copy(dst, combo)
+	c.combos = append(c.combos, dst)
 }

@@ -317,6 +317,76 @@ func TestAbandonedTasksShed(t *testing.T) {
 	}
 }
 
+// TestAbandonedWaitFreesItsPlace: a client that leaves while its task
+// waits for an execution slot gives its place in the queue up at once,
+// so the next request on a full shard is admitted rather than turned
+// away with 429 until a slot comes free.
+func TestAbandonedWaitFreesItsPlace(t *testing.T) {
+	defer fault.Deactivate()
+	const workers = 2
+	const hold = time.Second
+	srv, base := newPinnedServer(t, workers, Config{Shards: 1, MaxQueue: 1})
+	rng := rand.New(rand.NewPCG(0xfa07, 1))
+	wire := testNetwork(rng, 2)
+	queueDepth := func() int { return srv.Metrics().Shards[0].QueueDepth }
+
+	fault.Activate(always("serve.exec", fault.Latency, hold))
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			postJSONAsync(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: fmt.Sprintf("slow-%d", i)})
+		}(i)
+	}
+	waitHits(t, "serve.exec", workers) // both slots are held for hold
+
+	// This request takes the one place in the queue, then its client
+	// walks away.
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/solve",
+		strings.NewReader(mustJSON(t, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "gone"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	gone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hreq)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for queueDepth() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiting request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("abandoned request unexpectedly completed")
+	}
+	// The server sees the client leave within moments; the slots stay
+	// held for hold, so a place freed only by a slot would come too late.
+	deadline = time.Now().Add(hold / 2)
+	for queueDepth() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	fault.Deactivate()
+
+	status, body := postJSON(t, base+"/v1/solve", scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "next"})
+	if status != http.StatusOK {
+		t.Fatalf("request after the abandoned one: status %d (%s), want 200", status, body)
+	}
+	if n := sumShards(srv.Metrics(), func(sm ShardMetrics) uint64 { return sm.Abandoned }); n != 1 {
+		t.Errorf("abandoned = %d, want 1", n)
+	}
+}
+
 // TestBudgetValidation rejects malformed budget_ms values up front.
 func TestBudgetValidation(t *testing.T) {
 	_, base := newTestServer(t, Config{Shards: 1})

@@ -91,36 +91,47 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// submit admits the task (or replies 429) and waits for its result (or
-// the client's departure). A nil result means the response is already
-// written.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, sh *shard, t *task) *taskResult {
-	t.done = make(chan taskResult, 1)
+// submit admits the task (or replies 429), waits for an execution slot
+// (or the client's departure) and executes the task on the request's
+// own goroutine. ok false means the response is already written, or
+// nobody is left to read it.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, sh *shard, t *task) (res taskResult, ok bool) {
 	t.enq = time.Now()
-	switch err := s.enqueue(sh, t); {
+	switch err := s.admit(sh); {
 	case err == nil:
 	case errors.Is(err, errClosed):
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
-		return nil
+		return taskResult{}, false
 	case errors.Is(err, errBreakerOpen):
 		// Hand the breaker verdict back as a result so the handler can
 		// choose between 503 + Retry-After and a degraded last-good
 		// answer.
-		return &taskResult{err: errBreakerOpen}
+		return taskResult{err: errBreakerOpen}, true
 	default:
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(sh)))
 		writeErr(w, http.StatusTooManyRequests, "serve: shard %d queue full", sh.idx)
-		return nil
+		return taskResult{}, false
 	}
+	defer s.wg.Done()
+	defer func() { <-sh.admitted }()
 	select {
-	case res := <-t.done:
-		return &res
-	case <-r.Context().Done():
-		// The client is gone: mark the task so the worker sheds it without
-		// solver work. The buffered done send cannot block either way.
-		t.abandoned.Store(true)
-		return nil
+	case sh.running <- struct{}{}:
+	default:
+		// Every slot is taken: wait in line (a channel's blocked senders
+		// go in arrival order), unless the client leaves first. Only this
+		// path asks for the context's Done channel, which is made on
+		// first use.
+		select {
+		case sh.running <- struct{}{}:
+		case <-r.Context().Done():
+			// The client is gone: give its place up without solver work.
+			sh.met.abandonedTasks.Add(1)
+			sh.brk.onSkip()
+			return taskResult{}, false
+		}
 	}
+	defer func() { <-sh.running }()
+	return s.exec(sh, t), true
 }
 
 // solveStatus maps a solve error to its HTTP status. Only verdicts the
@@ -222,8 +233,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	} else {
 		sh = s.shards[s.oneShotRR.Add(1)%uint64(len(s.shards))]
 	}
-	res := s.submit(w, r, sh, t)
-	if res == nil {
+	res, ok := s.submit(w, r, sh, t)
+	if !ok {
 		return
 	}
 	if errors.Is(res.err, errBreakerOpen) && s.cfg.ServeDegraded && t.sess != nil {
@@ -272,8 +283,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Feed the observations before enqueuing the poll, so the poll's
-	// drift check sees them no matter how workers interleave.
+	// Feed the observations before submitting the poll, so the poll's
+	// drift check sees them no matter how requests interleave.
 	se.mu.Lock()
 	ad := se.adaptor
 	if ad == nil || se.dropped {
@@ -303,8 +314,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	se.mu.Unlock()
 
-	res := s.submit(w, r, se.sh, &task{kind: taskPoll, sess: se, deadline: s.deadlineFor(0)})
-	if res == nil {
+	res, ok := s.submit(w, r, se.sh, &task{kind: taskPoll, sess: se, deadline: s.deadlineFor(0)})
+	if !ok {
 		return
 	}
 	if res.err != nil {

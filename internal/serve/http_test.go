@@ -114,3 +114,53 @@ func TestDeadlineForCapsHugeBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestServedSolveAllocs pins the allocations of one warm 3×2 session
+// solve served through Handler(), from the body's decode to the
+// answer's write. The request and its writer are reused, so only the
+// server's own allocations count.
+func TestServedSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race pools drop at random")
+	}
+	const budget = 25
+	srv, err := New(Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	body := mustJSON(t, scenario.SolveRequest{
+		Solve:     scenario.Solve{Network: testNetwork(rand.New(rand.NewPCG(32, 1)), 3)},
+		SessionID: "allocs",
+	})
+	rd := strings.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", io.NopCloser(rd))
+	w := &discardWriter{header: http.Header{}}
+	serve := func() {
+		rd.Reset(body)
+		w.status = 0
+		h.ServeHTTP(w, req)
+	}
+	serve() // primes the session's solver
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d", w.status)
+	}
+	if allocs := testing.AllocsPerRun(200, serve); allocs > budget {
+		t.Errorf("a warm served solve makes %.1f allocations, want at most %d", allocs, budget)
+	}
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d", w.status)
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps the status
+// and drops the body.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }

@@ -150,7 +150,7 @@ type ShardMetrics struct {
 	// sessions and restored, not yet solved ones included.
 	Sessions int `json:"sessions"`
 	// QueueDepth is the number of admitted tasks waiting for a free
-	// worker (tasks a worker holds are not counted).
+	// execution slot (executing tasks are not counted).
 	QueueDepth int `json:"queue_depth"`
 	// Solves counts completed tasks (including failed ones); Waves
 	// counts busy periods: the times the shard went from no executing
@@ -165,12 +165,13 @@ type ShardMetrics struct {
 	// Rejected counts tasks turned away by admission control (HTTP 429).
 	Rejected uint64 `json:"rejected"`
 	// Panics counts recovered solver panics (each one a 500 + a
-	// quarantined session solver); the shard's workers survived them
+	// quarantined session solver); the shard kept serving through them
 	// all.
 	Panics uint64 `json:"panics"`
 	// ShedExpired counts tasks shed because their deadline budget ran
 	// out while queued (HTTP 504); Abandoned counts tasks dropped
-	// because their client disconnected before a worker reached them.
+	// because their client disconnected before an execution slot came
+	// free.
 	ShedExpired uint64 `json:"shed_expired"`
 	Abandoned   uint64 `json:"abandoned"`
 	// BreakerState is the shard circuit breaker's current position
@@ -273,7 +274,7 @@ func (s *Server) Metrics() Metrics {
 		sm := ShardMetrics{
 			Shard:            i,
 			Sessions:         perShard[i],
-			QueueDepth:       len(sh.reqs),
+			QueueDepth:       sh.waiting(),
 			Solves:           solves,
 			Waves:            m.waves.Load(),
 			WarmSolves:       m.warm.Load(),

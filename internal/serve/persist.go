@@ -320,7 +320,7 @@ type seqShadow = map[string]uint64
 // within a file is append order, but a crash between a snapshot rename
 // and the journal reset leaves stale lower-Seq journal records behind,
 // and two same-session records can land in the journal slightly out of
-// capture order when their workers raced — Seq, assigned under the
+// capture order when their requests raced — Seq, assigned under the
 // session lock, is the authority. It also raises the persister's Seq
 // and epoch high-water marks past every record folded.
 func (p *persister) fold(state map[string]*scenario.SessionState, shadow seqShadow, recs ...*scenario.SnapshotRecord) {

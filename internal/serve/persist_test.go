@@ -353,14 +353,14 @@ func TestPersisterFaultPoints(t *testing.T) {
 // identical sequence).
 func TestRetryAfterJitter(t *testing.T) {
 	mkShard := func() *shard {
-		sh := &shard{reqs: make(chan *task, 256)}
+		sh := &shard{admitted: make(chan struct{}, 256), running: make(chan struct{}, 1)}
 		for i := 0; i < 200; i++ {
-			sh.reqs <- &task{}
+			sh.admitted <- struct{}{}
 			sh.met.observe(80*time.Millisecond, true, false)
 		}
 		return sh
 	}
-	s := &Server{workers: 1}
+	s := &Server{}
 	sh := mkShard()
 	seen := map[int]bool{}
 	seq := make([]int, 64)

@@ -1,20 +1,21 @@
 // Package serve implements the dmcd online solver service: sessions,
 // each with its own warm core.Solver, served through N sharded admission
-// queues drained by fixed worker sets, per-session §VIII-A estimator
-// feeds (estimate.Adaptor) driving warm re-solves on drift, admission
-// control with backpressure, and per-shard metrics. The HTTP/JSON wire
-// schema lives in internal/scenario; cmd/dmcd wraps this package in a
-// binary.
+// gates with a fixed number of execution slots each, per-session §VIII-A
+// estimator feeds (estimate.Adaptor) driving warm re-solves on drift,
+// admission control with backpressure, and per-shard metrics. The
+// HTTP/JSON wire schema lives in internal/scenario; cmd/dmcd wraps this
+// package in a binary.
 //
-// Request flow: a session ID hashes onto a shard, whose bounded queue
-// either admits the task or rejects it (HTTP 429 + Retry-After). Each of
-// the shard's GOMAXPROCS workers takes the next admitted task as soon
-// as it is free and re-solves it on the session's own warm solver (basis
-// and column affinity survive fleet churn because the solver lives on
-// the session); the session mutex orders each session's solves. No task
-// waits for another session's solve. Estimator sessions route through
-// their Adaptor instead, which re-solves only when the fed estimates
-// drift.
+// Request flow: a session ID hashes onto a shard, which either admits
+// the request or rejects it (HTTP 429 + Retry-After) when MaxQueue
+// admitted requests already wait there. Each shard has GOMAXPROCS
+// execution slots; the request's own goroutine waits for a free one, in
+// arrival order, and then re-solves on the session's own warm solver
+// (basis and column affinity survive fleet churn because the solver
+// lives on the session); the session mutex orders each session's
+// solves. No task waits for another session's solve. Estimator sessions
+// route through their Adaptor instead, which re-solves only when the
+// fed estimates drift.
 package serve
 
 import (
@@ -37,17 +38,19 @@ import (
 
 // fpExec fires in exec just before the solve, the serving stack's own
 // injection seam: errors surface as 500s (and count against the shard
-// breaker), panics exercise the full containment path, latency holds a
-// worker busy so later tasks queue behind it.
+// breaker), panics exercise the full containment path, latency holds an
+// execution slot so later tasks queue behind it.
 var fpExec = fault.Register("serve.exec")
 
 // Config tunes a Server. The zero value selects production defaults.
 type Config struct {
-	// Shards is the number of shards (admission queue, workers, circuit
-	// breaker); sessions hash onto one by ID. Zero means GOMAXPROCS.
+	// Shards is the number of shards (admission queue, GOMAXPROCS
+	// execution slots, circuit breaker); sessions hash onto one by ID.
+	// Zero means GOMAXPROCS.
 	Shards int
-	// MaxQueue bounds each shard's admitted-task queue; a full queue
-	// rejects with 429 + Retry-After. Zero means 1024.
+	// MaxQueue bounds how many admitted tasks wait for an execution slot
+	// on each shard; a full queue rejects with 429 + Retry-After. Zero
+	// means 1024.
 	MaxQueue int
 	// EstimatorRelTol overrides the estimator feeds' re-solve drift
 	// tolerance (estimate.Adaptor.RelTol). Zero keeps the adaptor
@@ -159,10 +162,6 @@ var errExpired = errors.New("serve: deadline budget expired in queue")
 // is open (HTTP 503 + Retry-After); they never occupy the queue.
 var errBreakerOpen = errors.New("serve: shard circuit breaker open")
 
-// errAbandoned marks tasks whose client disconnected while they queued;
-// nobody reads the result, the error only keeps the ledger honest.
-var errAbandoned = errors.New("serve: request abandoned by client")
-
 // SolverPanic is the typed error a recovered solver panic becomes: the
 // client sees a 500 with the panic value, the stack goes to the log
 // (first occurrence) and the panics metric, and the session's warm
@@ -188,7 +187,7 @@ const (
 	taskPoll
 )
 
-// task is one admitted unit of work waiting for (or held by) a worker.
+// task is one unit of work, waiting for an execution slot or executing.
 type task struct {
 	kind      taskKind
 	sess      *session // nil for stateless one-shot solves
@@ -203,26 +202,10 @@ type task struct {
 	// without re-deriving the wire form from the model network.
 	wire *scenario.Solve
 
-	done chan taskResult // buffered(1): exec never blocks on a gone client
-	enq  time.Time
-
-	// deadline is when the task's budget expires (zero = none): a worker
-	// reaching it after expiry sheds the task without solver work.
+	enq time.Time
+	// deadline is when the task's budget expires (zero = none): a task
+	// whose slot comes after expiry is shed without solver work.
 	deadline time.Time
-	// abandoned is set by submit when the client disconnects, so the
-	// worker drops the task cheaply instead of solving for nobody.
-	abandoned atomic.Bool
-	// delivered guards done so the normal path and the worker's panic
-	// net can both try to deliver without double-sending.
-	delivered atomic.Bool
-}
-
-// deliver sends the task's result exactly once; later deliveries are
-// dropped on the floor.
-func (t *task) deliver(r taskResult) {
-	if t.delivered.CompareAndSwap(false, true) {
-		t.done <- r
-	}
 }
 
 type taskResult struct {
@@ -281,16 +264,26 @@ func (se *session) lastGoodResult() *scenario.SolveResult {
 	return se.lastGood
 }
 
-// shard is one admission queue plus its workers and circuit breaker.
+// shard is one admission queue plus its execution slots and circuit
+// breaker. A task holds an admitted token from admission until it
+// finishes and a running token while it executes; admitted has room for
+// MaxQueue tokens beyond the slots, so at most MaxQueue tasks wait.
 type shard struct {
-	idx  int
-	reqs chan *task
-	stop chan struct{}
-	// busy counts the shard's workers holding a task; a 0 → 1 step
-	// starts a busy period (the Waves metric).
+	idx      int
+	admitted chan struct{}
+	running  chan struct{} // capacity GOMAXPROCS: the execution slots
+	// busy counts the shard's executing tasks; a 0 → 1 step starts a
+	// busy period (the Waves metric).
 	busy atomic.Int32
 	met  shardMetrics
 	brk  breaker
+}
+
+// waiting returns how many admitted tasks wait for an execution slot.
+// The two lengths are read apart, so a task passing between them can
+// make the difference negative for a moment.
+func (sh *shard) waiting() int {
+	return max(len(sh.admitted)-len(sh.running), 0)
 }
 
 // Server is the online solver service. Create with New, serve HTTP via
@@ -298,18 +291,18 @@ type shard struct {
 type Server struct {
 	cfg    Config
 	shards []*shard
-	// workers is each shard's worker count, GOMAXPROCS at New.
-	workers int
-	tcache  *core.TimeoutCache
-	start   time.Time
+	tcache *core.TimeoutCache
+	start  time.Time
 
 	smu      sync.RWMutex
 	sessions map[string]*session
 
 	oneShotRR atomic.Uint64 // round-robin shard pick for session-less solves
 	closed    atomic.Bool
-	admitMu   sync.RWMutex // held shared across enqueue's closed-check + send; exclusively by Close's barrier
-	wg        sync.WaitGroup
+	admitMu   sync.RWMutex // held shared across admit's closed check and wg.Add; exclusively by Close's barrier
+	// wg counts admitted tasks and running compactions; Close waits for
+	// it to drain.
+	wg sync.WaitGroup
 
 	// persist is the durability layer (nil without Config.StateDir);
 	// stateSeq orders its records (seeded past the replayed maximum so
@@ -342,8 +335,8 @@ func (s *Server) logPanic(sp *SolverPanic) {
 	})
 }
 
-// New starts a Server: cfg.Shards shards, each an admission queue
-// drained by GOMAXPROCS workers. With Config.StateDir set it first
+// New starts a Server: cfg.Shards shards, each an admission queue in
+// front of GOMAXPROCS execution slots. With Config.StateDir set it first
 // replays the state dir's snapshot + journal and re-registers every
 // durable session — estimator feeds resume from their restored
 // counters, degraded serving resumes from the restored last-good
@@ -356,19 +349,18 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		shards:   make([]*shard, cfg.Shards),
-		workers:  runtime.GOMAXPROCS(0),
 		tcache:   core.NewTimeoutCache(),
 		start:    time.Now(),
 		sessions: make(map[string]*session),
 	}
+	slots := runtime.GOMAXPROCS(0)
 	for i := range s.shards {
-		sh := &shard{
-			idx:  i,
-			reqs: make(chan *task, cfg.MaxQueue),
-			stop: make(chan struct{}),
-			brk:  breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
+		s.shards[i] = &shard{
+			idx:      i,
+			admitted: make(chan struct{}, cfg.MaxQueue+slots),
+			running:  make(chan struct{}, slots),
+			brk:      breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
 		}
-		s.shards[i] = sh
 	}
 	if cfg.ReplAck != ReplAckAsync && cfg.ReplAck != ReplAckSync {
 		return nil, fmt.Errorf("serve: unknown replication ack mode %q (want %q or %q)", cfg.ReplAck, ReplAckAsync, ReplAckSync)
@@ -399,12 +391,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.restored = len(state)
-	}
-	for _, sh := range s.shards {
-		for range s.workers {
-			s.wg.Add(1)
-			go s.runWorker(sh)
-		}
 	}
 	if cfg.Promote {
 		// Make the epoch bump durable before the first request: the
@@ -569,7 +555,7 @@ func (s *Server) snapshotNow() error {
 // request whose append crossed the journal threshold is acknowledged as
 // soon as its own record is durable instead of bearing the whole
 // fleet's capture + snapshot IO inside its deadline budget. Singleflight:
-// workers on every shard can cross the threshold at once, one spawn wins
+// tasks on every shard can cross the threshold at once, one spawn wins
 // and the rest skip. The goroutine rides s.wg, so Close/crash wait it
 // out before the final snapshot and the journal close; once closed is
 // set it stands down — Close's own snapshotNow compacts. Failure is
@@ -687,15 +673,15 @@ func (s *Server) Sessions() int {
 	return len(s.sessions)
 }
 
-// enqueue admits a task onto the shard's bounded queue. errSaturated
-// means the caller should reply 429 with retryAfter; errClosed means
-// the server is (or began) shutting down. Holding admitMu shared across
-// the closed check and the send guarantees no task slips in after
-// Close's drain: Close flips the flag and then takes admitMu
-// exclusively, so every task that passed the check here is already in
-// the queue — where the stop-drain loop still executes it — before the
-// workers are told to stop.
-func (s *Server) enqueue(sh *shard, t *task) error {
+// admit takes a place on the shard for one task, which the caller then
+// executes (submit) and releases with s.wg.Done and an admitted token.
+// errSaturated means the caller should reply 429 with retryAfter;
+// errClosed means the server is (or began) shutting down. Holding
+// admitMu shared across the closed check and wg.Add guarantees no task
+// slips in after Close's drain: Close flips the flag and then takes
+// admitMu exclusively, so every task that passed the check here counts
+// in s.wg before Close waits on it.
+func (s *Server) admit(sh *shard) error {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.closed.Load() {
@@ -705,7 +691,8 @@ func (s *Server) enqueue(sh *shard, t *task) error {
 		return errBreakerOpen
 	}
 	select {
-	case sh.reqs <- t:
+	case sh.admitted <- struct{}{}:
+		s.wg.Add(1)
 		return nil
 	default:
 		// A half-open probe slot granted by allow must be returned, or a
@@ -738,16 +725,16 @@ func (s *Server) deadlineFor(budgetMs float64) time.Time {
 
 // retryAfter estimates how long a rejected caller should back off: the
 // queue's expected drain time at the shard's median latency across its
-// workers, plus bounded jitter — every client shed in the same burst
-// sees the same queue depth and p50, and identical hints would march
-// them back as one synchronized retry storm. The jitter is
+// execution slots, plus bounded jitter — every client shed in the same
+// burst sees the same queue depth and p50, and identical hints would
+// march them back as one synchronized retry storm. The jitter is
 // deterministic (a counter-keyed hash stream, not a clock or RNG), so
 // the nth rejection on a shard always backs off the same amount and
 // chaos runs replay exactly. Clamped to [1s, 30s] whole seconds.
 func (s *Server) retryAfter(sh *shard) int {
 	var base time.Duration
 	if p50 := sh.met.quantile(0.50); p50 > 0 {
-		base = time.Duration(len(sh.reqs)) * p50 / time.Duration(s.workers)
+		base = time.Duration(sh.waiting()) * p50 / time.Duration(cap(sh.running))
 	}
 	// Jitter spans [0, base/2 + 1s): proportional spread under load, at
 	// least a second of spread when the queue is empty.
@@ -773,7 +760,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Close stops the server gracefully: every already-admitted task is
-// still solved (the shard queues drain), then the shard workers exit.
+// still solved (the shard queues drain) before Close returns.
 // With persistence on, the drain ends with a final full snapshot so a
 // graceful restart is lossless by construction. Requests arriving after
 // Close begin fail with 503. Close is idempotent and safe to call
@@ -806,7 +793,7 @@ func (s *Server) QuiesceReplication() {
 }
 
 // crash is the hard-stop half of Close that durability tests use to
-// simulate kill -9: workers still stop and drain (the goroutine-leak
+// simulate kill -9: admitted tasks still drain (the goroutine-leak
 // detector must stay clean), but no final snapshot runs and nothing is
 // flushed beyond what append already made durable — recovery must work
 // from exactly the acknowledged journal.
@@ -819,17 +806,16 @@ func (s *Server) crash() {
 	}
 }
 
-// stop flips closed, waits out in-flight admissions, and drains the
-// shard workers. Reports false if the server was already stopped.
+// stop flips closed, waits out in-flight admissions, and then every
+// admitted task. Reports false if the server was already stopped.
 func (s *Server) stop() bool {
 	if !s.closed.CompareAndSwap(false, true) {
 		return false
 	}
-	// Admission barrier: wait out every enqueue that passed the closed
+	// Admission barrier: wait out every admit that passed the closed
 	// check before the flag flipped (each holds admitMu shared until its
-	// task is in the queue). After this, nothing new can enter a shard
-	// queue, so the workers' stop-drain loops see every admitted task
-	// and no caller is ever left waiting on an unexecuted one.
+	// task counts in s.wg). After this nothing new is admitted, so
+	// s.wg.Wait sees every admitted task answered.
 	s.admitMu.Lock()
 	s.admitMu.Unlock()
 	// Release sync-mode acknowledgement waiters before draining: a
@@ -840,96 +826,52 @@ func (s *Server) stop() bool {
 	if s.repl != nil {
 		s.repl.shutdown()
 	}
-	for _, sh := range s.shards {
-		close(sh.stop)
-	}
 	s.wg.Wait()
 	return true
 }
 
-// runWorker is one of a shard's workers: take the next admitted task,
-// execute it, repeat. On stop it drains everything already admitted
-// before exiting — graceful shutdown never abandons an admitted task.
-func (s *Server) runWorker(sh *shard) {
-	defer s.wg.Done()
-	for {
-		select {
-		case t := <-sh.reqs:
-			s.safeExec(sh, t)
-		case <-sh.stop:
-			for {
-				select {
-				case t := <-sh.reqs:
-					s.safeExec(sh, t)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// safeExec is the worker's last line of defense: exec recovers solver
-// panics itself, so nothing should escape it — but if something does
-// (a panic in the journal append or the bookkeeping around the solve),
-// the worker must not die with the caller parked on t.done. The task
-// gets the panic as its error, and the worker loop continues.
-func (s *Server) safeExec(sh *shard, t *task) {
+// exec runs one task on its caller's goroutine, which holds one of the
+// shard's execution slots, and returns its result. An expired budget is
+// shed here, after queueing and before solver work, for the cost of the
+// check. Any panic below — injected or real — is contained to this
+// task: the session path quarantines its solver in solveTask's recover,
+// everything else is caught here, and either way the caller gets a
+// typed 500.
+func (s *Server) exec(sh *shard, t *task) (r taskResult) {
 	if sh.busy.Add(1) == 1 {
 		sh.met.waves.Add(1)
 	}
 	defer sh.busy.Add(-1)
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		sp := &SolverPanic{Value: p, Stack: debug.Stack()}
-		sh.met.panics.Add(1)
-		s.logPanic(sp)
-		t.deliver(taskResult{err: sp})
-	}()
-	s.exec(sh, t)
-}
-
-// exec runs one task and delivers its result. Shedding happens here,
-// after queueing and before solver work: abandoned tasks (client gone)
-// and expired budgets cost nothing but the check. Any panic below —
-// injected or real — is contained to this task: the session path
-// quarantines its solver in solveTask's recover, everything else is
-// caught by the outer recover, and either way the caller gets a typed
-// 500 and the worker moves on.
-func (s *Server) exec(sh *shard, t *task) {
-	if t.abandoned.Load() {
-		sh.met.abandonedTasks.Add(1)
-		sh.brk.onSkip()
-		t.deliver(taskResult{err: errAbandoned})
-		return
-	}
 	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
 		sh.met.shedExpired.Add(1)
 		sh.brk.onSkip()
-		t.deliver(taskResult{err: errExpired})
-		return
+		return taskResult{err: errExpired}
 	}
-	var r taskResult
-	var rec *scenario.SnapshotRecord
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				if sp, ok := p.(*SolverPanic); ok {
-					r = taskResult{err: sp}
-					return
-				}
-				r = taskResult{err: &SolverPanic{Value: p, Stack: debug.Stack()}}
+	defer func() {
+		if p := recover(); p != nil {
+			sp, ok := p.(*SolverPanic)
+			if !ok {
+				sp = &SolverPanic{Value: p, Stack: debug.Stack()}
 			}
-		}()
-		if err := fpExec.Hit(); err != nil {
-			r.err = fmt.Errorf("serve: exec: %w", err)
-			return
+			r = taskResult{err: sp}
 		}
-		r.res, r.resolved, rec, r.err = s.solveTask(sh, t)
+		var sp *SolverPanic
+		if errors.As(r.err, &sp) {
+			sh.met.panics.Add(1)
+			s.logPanic(sp)
+		}
+		if isServerFault(r.err) {
+			sh.brk.onFault()
+		} else {
+			sh.brk.onSuccess()
+		}
+		sh.met.observe(time.Since(t.enq), r.res.Warm, r.err != nil)
 	}()
+	if err := fpExec.Hit(); err != nil {
+		return taskResult{err: fmt.Errorf("serve: exec: %w", err)}
+	}
+	var rec *scenario.SnapshotRecord
+	r.res, r.resolved, rec, r.err = s.solveTask(sh, t)
 	if r.err == nil && rec != nil {
 		// Durability before acknowledgement: a solve whose state capture
 		// cannot be journaled fails — answering 200 and then forgetting
@@ -941,18 +883,7 @@ func (s *Server) exec(sh *shard, t *task) {
 			s.compact()
 		}
 	}
-	var sp *SolverPanic
-	if errors.As(r.err, &sp) {
-		sh.met.panics.Add(1)
-		s.logPanic(sp)
-	}
-	if isServerFault(r.err) {
-		sh.brk.onFault()
-	} else {
-		sh.brk.onSuccess()
-	}
-	sh.met.observe(time.Since(t.enq), r.res.Warm, r.err != nil)
-	t.deliver(r)
+	return r
 }
 
 // solveTask executes a task against its session's warm solver (or a

@@ -130,8 +130,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, ts.URL
 }
 
-// newPinnedServer is newTestServer with exactly workers workers per
-// shard on any machine: New sizes each shard's worker set from
+// newPinnedServer is newTestServer with exactly workers execution slots
+// per shard on any machine: New sizes each shard's slots from
 // GOMAXPROCS, so it is pinned around the call.
 func newPinnedServer(t *testing.T, workers int, cfg Config) (*Server, string) {
 	t.Helper()
@@ -142,7 +142,7 @@ func newPinnedServer(t *testing.T, workers int, cfg Config) (*Server, string) {
 
 // waitHits blocks until the named injection point has been hit at
 // least n times under the active plan. With latency armed on
-// serve.exec, n hits means n tasks are holding a worker.
+// serve.exec, n hits means n tasks are holding an execution slot.
 func waitHits(t *testing.T, point string, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -574,18 +574,32 @@ func TestSolveStatus(t *testing.T) {
 	}
 }
 
-// TestEnqueueAfterClose checks the admission gate: an enqueue racing
+// TestAdmitAfterClose checks the admission gate: an admission racing
 // past a handler's closed check still fails with errClosed once Close
-// has run, rather than parking a task no worker will ever execute.
-func TestEnqueueAfterClose(t *testing.T) {
+// has run, rather than admitting a task after Close stopped waiting.
+func TestAdmitAfterClose(t *testing.T) {
 	srv, err := New(Config{Shards: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	srv.Close()
-	tk := &task{done: make(chan taskResult, 1)}
-	if err := srv.enqueue(srv.shards[0], tk); err != errClosed {
-		t.Fatalf("enqueue after Close: err=%v, want errClosed", err)
+	if err := srv.admit(srv.shards[0]); err != errClosed {
+		t.Fatalf("admit after Close: err=%v, want errClosed", err)
+	}
+}
+
+// TestIdleServerStartsNoGoroutines: a shard is an admission gate and
+// its execution slots, and requests run on their own goroutines, so New
+// starts no goroutine for any shard.
+func TestIdleServerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := New(Config{Shards: 16})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("New with 16 shards started %d goroutines", after-before)
 	}
 }
 
@@ -619,9 +633,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// queue, not abandon it.
 	waitHits(t, "serve.exec", workers)
 	deadline := time.Now().Add(10 * time.Second)
-	for len(srv.shards[0].reqs) < n-workers {
+	for srv.shards[0].waiting() < n-workers {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests queued", len(srv.shards[0].reqs), n-workers)
+			t.Fatalf("only %d of %d requests queued", srv.shards[0].waiting(), n-workers)
 		}
 		time.Sleep(time.Millisecond)
 	}
