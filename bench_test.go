@@ -258,6 +258,93 @@ func BenchmarkWarmResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionFootprint measures what an idle warm session holds,
+// the memory a daemon keeps per served session: each op primes 16
+// Solvers (256 at 3×2), each on the first round of its own 8-round
+// drift ring, and re-solves each 16 rounds in ping-pong order (0, 1,
+// …, 7, 6, …), the order dmcbench's sessions drift in; the reported
+// kB/session is the live heap the Solvers hold, read after runtime.GC
+// with their Solutions dropped. Shapes: fleet-cg's 40×4 quality and min-cost
+// sessions (floors at 90% of the ring's lowest quality optimum) and
+// sweep-tiny's dense 3×2. Its ns/op is a whole fleet's solves, and it
+// stays out of scripts/benchcmp's -critical set.
+func BenchmarkSessionFootprint(b *testing.B) {
+	for _, tc := range []struct {
+		name                   string
+		paths, trans, sessions int
+		minCost                bool
+	}{
+		{"quality/paths=40/trans=4", 40, 4, 16, false},
+		{"mincost/paths=40/trans=4", 40, 4, 16, true},
+		{"quality/paths=3/trans=2", 3, 2, 256, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const rounds, resolves = 8, 16
+			rings := make([][]*core.Network, tc.sessions)
+			floors := make([]float64, tc.sessions)
+			for s := range rings {
+				rng := rand.New(rand.NewPCG(uint64(s)+1, uint64(tc.paths)))
+				rings[s] = []*core.Network{experiments.RandomNetwork(rng, tc.paths, tc.trans)}
+				for len(rings[s]) < rounds {
+					rings[s] = append(rings[s], experiments.DriftNetwork(rng, rings[s][len(rings[s])-1], 0.1))
+				}
+				floors[s] = 1
+				if tc.minCost {
+					for _, n := range rings[s] {
+						opt, err := core.SolveQuality(n)
+						if err != nil {
+							b.Fatal(err)
+						}
+						floors[s] = min(floors[s], 0.9*opt.Quality)
+					}
+				}
+			}
+			liveHeap := func() float64 {
+				runtime.GC()
+				runtime.GC() // frees what sync.Pool's victim cache held
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return float64(ms.HeapAlloc)
+			}
+			var perSession float64
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				solvers := make([]*core.Solver, tc.sessions)
+				before := liveHeap()
+				b.StartTimer()
+				for s := range solvers {
+					sv := core.NewSolver()
+					for k := range resolves + 1 {
+						// Ping-pong over the ring: 0, 1, …, 7, 6, …, 1, 0, 1, …
+						r := k % (2 * (rounds - 1))
+						if r >= rounds {
+							r = 2*(rounds-1) - r
+						}
+						var err error
+						if tc.minCost {
+							_, err = sv.ResolveMinCost(rings[s][r], floors[s])
+						} else {
+							_, err = sv.Resolve(rings[s][r])
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					solvers[s] = sv
+				}
+				b.StopTimer()
+				perSession = (liveHeap() - before) / float64(tc.sessions)
+				runtime.KeepAlive(solvers)
+				b.StartTimer()
+			}
+			runtime.KeepAlive(rings)
+			runtime.KeepAlive(floors)
+			b.ReportMetric(perSession/1000, "kB/session")
+		})
+	}
+}
+
 // BenchmarkMinCostCG measures the §VI-A min-cost solve at the ROADMAP's
 // CG-scale target (40 paths × 4 transmissions, 2.8M combinations —
 // beyond the old dense-only cap): the two-stage column generation with

@@ -15,7 +15,7 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 		return nil, err
 	}
 	var cm cgMaster
-	cm.load(m, masterSpec{costRow: true}, m.computeColumns(make([]int, m.m), m))
+	cm.load(m, masterSpec{costRow: true}, m.computeColumns(m))
 	return cm.sp.Dense(), nil
 }
 

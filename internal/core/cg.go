@@ -83,15 +83,16 @@ type colSet struct {
 	pos       map[uint64]int
 }
 
-func newColSet() *colSet {
-	return &colSet{pos: make(map[uint64]int)}
+// newColSet returns an empty pool of trans-attempt columns.
+func newColSet(trans int) *colSet {
+	return &colSet{cols: columns{trans: trans}, pos: make(map[uint64]int)}
 }
 
-// newColSetOf returns a pool of n columns of base shares and trans
-// digits, exactly sized, for set to fill.
-func newColSetOf(n, base, trans int) *colSet {
+// newColSetOf returns a pool of n columns of trans attempts, exactly
+// sized, for set to fill.
+func newColSetOf(n, trans int) *colSet {
 	return &colSet{
-		cols:      *newColumns(n, base, trans),
+		cols:      *newColumns(n, trans),
 		keys:      make([]uint64, n),
 		lastBasic: make([]int, n),
 		pos:       make(map[uint64]int, n),
@@ -107,31 +108,20 @@ func (cs *colSet) add(m *model, obj cgObjective, combo []int) bool {
 	}
 	cs.pos[key] = cs.cols.len()
 	cs.keys = append(cs.keys, key)
-	cs.cols.appendColumn(m.base, obj, combo)
+	cs.cols.appendColumn(obj, combo)
 	return true
 }
 
 // set copies column j of src, its digits and its stamp included, into
 // slot l of a pool built by newColSetOf.
-func (cs *colSet) set(l int, src *colSet, j, base int) {
+func (cs *colSet) set(l int, src *colSet, j int) {
 	key := src.keys[j]
 	cs.keys[l], cs.pos[key], cs.lastBasic[l] = key, l, src.lastBasic[j]
 	cs.cols.delivery[l], cs.cols.costs[l] = src.cols.delivery[j], src.cols.costs[j]
-	copy(cs.cols.shares[l*base:(l+1)*base], src.cols.shares[j*base:(j+1)*base])
-	copy(cs.cols.combos[l], src.cols.combos[j])
-}
-
-// reevaluate re-prices every pooled column in place against a drifted
-// model of the same shape (path count and transmissions unchanged, so
-// the packed keys stay valid). This is the warm-resolve pool hit: the
-// expensive part of a pooled column — discovering it via the pricing
-// oracle — is reused; only the cheap evalColumn pass repeats.
-func (cs *colSet) reevaluate(m *model, obj cgObjective) {
-	base := m.base
-	clear(cs.cols.shares)
-	for l, combo := range cs.cols.combos {
-		cs.cols.delivery[l], cs.cols.costs[l] = obj.evalColumn(combo, cs.cols.shares[l*base:(l+1)*base])
-	}
+	digits, weights := cs.cols.attempts(l)
+	srcDigits, srcWeights := src.cols.attempts(j)
+	copy(digits, srcDigits)
+	copy(weights, srcWeights)
 }
 
 // qualityObjective is the Eq. 10 deterministic-delay quality
@@ -149,8 +139,8 @@ type qualityObjective struct {
 
 func (o *qualityObjective) master() masterSpec { return masterSpec{costRow: o.costRow} }
 
-func (o *qualityObjective) evalColumn(combo []int, share []float64) (float64, float64) {
-	return o.m.evalColumn(combo, share)
+func (o *qualityObjective) evalColumn(combo []int, weights []float64) (float64, float64) {
+	return o.m.evalColumn(combo, weights)
 }
 
 // reprice unpacks the master duals. Dual layout follows cgMaster.load's
@@ -188,9 +178,11 @@ func (spec masterSpec) budgetRow(m *model) bool {
 
 // cgMaster is a solve's master — the dense dispatch's full master or
 // column generation's restricted one — as the sparse LP it is built
-// and grown in place in.
+// and grown in place in, with the scratch its columns' path shares are
+// merged in.
 type cgMaster struct {
-	sp lp.Sparse
+	sp     lp.Sparse
+	shares []pathShare
 }
 
 // load resets the master to the given columns and returns the largest
@@ -217,9 +209,10 @@ func (cm *cgMaster) load(m *model, spec masterSpec, cols *columns) float64 {
 }
 
 // add appends columns from index from on to the master — each touches
-// its paths' bandwidth rows (Eqs. 14–15/29), the quality floor (§VI-A)
-// or the cost row (Eq. 16/30), and the conservation row (Eq. 18) — and
-// returns the largest objective magnitude among them.
+// its paths' bandwidth rows (Eqs. 14–15/29), in increasing path order,
+// the quality floor (§VI-A) or the cost row (Eq. 16/30), and the
+// conservation row (Eq. 18) — and returns the largest objective
+// magnitude among them.
 func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) float64 {
 	λ := m.net.Rate
 	base := m.base
@@ -232,8 +225,9 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 			obj = λ * cols.costs[l] // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
 		}
 		sp.AddColumn(obj, nil, nil)
-		for i, sh := range cols.shares[l*base+1 : (l+1)*base] {
-			sp.AddEntry(i, λ*sh)
+		cm.shares = cols.pathShares(l, cm.shares[:0])
+		for _, ps := range cm.shares {
+			sp.AddEntry(ps.path-1, λ*ps.share)
 		}
 		next := base - 1
 		switch {

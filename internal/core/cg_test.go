@@ -221,9 +221,10 @@ func TestDispatchThresholds(t *testing.T) {
 }
 
 // TestCGPoolAllocatesCombosInChunks: a cold 40×4 quality solve pools
-// 769–1,000 columns on these seeds, and carving their combinations from
-// shared chunks keeps the whole solve under one allocation per four
-// columns. The carved combinations must stay distinct.
+// 769–1,000 columns on these seeds, and the pool's flat tables, whose
+// path digits hold every combination, grow by amortized appends, which
+// keeps the whole solve under one allocation per four columns. The
+// pooled combinations must stay distinct.
 func TestCGPoolAllocatesCombosInChunks(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("CG-scale solves are slow under -short; -race pools drop at random")

@@ -28,8 +28,8 @@ func (o *minCostObjective) master() masterSpec {
 	return masterSpec{minCost: true, floor: o.minQuality}
 }
 
-func (o *minCostObjective) evalColumn(combo []int, share []float64) (float64, float64) {
-	return o.m.evalColumn(combo, share)
+func (o *minCostObjective) evalColumn(combo []int, weights []float64) (float64, float64) {
+	return o.m.evalColumn(combo, weights)
 }
 
 // reprice unpacks the min-cost master duals: bandwidth rows first, then

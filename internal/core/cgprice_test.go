@@ -95,10 +95,15 @@ type pricingDuals struct {
 	scale float64   // bound on any one term's magnitude
 }
 
-// gain prices combo from its evaluated column: α·p_l − Σᵢ wᵢ·shareₗ[i] − y₀.
+// gain prices combo from its evaluated column: α·p_l − Σᵢ wᵢ·shareₗ[i] − y₀,
+// with shareₗ[i] its attempts' weights on path i summed in attempt order.
 func (g *pricingDuals) gain(combo []int) float64 {
+	weights := make([]float64, len(combo))
+	delivery, _ := g.m.evalColumn(combo, weights)
 	share := make([]float64, g.m.base)
-	delivery, _ := g.m.evalColumn(combo, share)
+	for k, i := range combo {
+		share[i] += weights[k]
+	}
 	v := g.alpha*delivery - g.y0
 	for i := 1; i < g.m.base; i++ {
 		v -= g.w[i] * share[i]

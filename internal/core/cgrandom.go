@@ -16,8 +16,8 @@ import (
 // pricing read the tables in O(1) per pair. The pricing oracle is a
 // plain exact scan of the (n+1)² pair space: no branch-and-bound is
 // needed at m = 2, and the scan materializes nothing, which is the
-// point — the dense path's nVars×base share matrix is what stops
-// fitting past the cap.
+// point — the dense path's table of every pair is what stops fitting
+// past the cap.
 type randomObjective struct {
 	m *model
 
@@ -92,27 +92,28 @@ func (o *randomObjective) load(m *model, to *Timeouts) {
 // evalColumn evaluates a pair's Eqs. 27–30 column (formulas on
 // SolveQualityRandom) from the tables. It is the only evaluation of
 // those columns: dense enumeration runs it over every pair, column
-// generation over the pool.
-func (o *randomObjective) evalColumn(combo []int, share []float64) (float64, float64) {
+// generation over the pool. The first attempt carries the whole pair's
+// traffic, the second its retransmission probability.
+func (o *randomObjective) evalColumn(combo []int, weights []float64) (float64, float64) {
 	i, j := combo[0], combo[1]
+	weights[0] = 1
 	if o.m.isBlackhole(i) {
 		// Dropped on arrival at the sender: nothing delivered, nothing
 		// retransmitted, no cost.
-		share[0] = 1
+		weights[1] = 0
 		return 0, 0
 	}
 	pi := &o.m.paths[i]
 	delivery := o.firstDeliver[i]
-	share[i] += 1
 	cost := pi.Cost
 	if o.m.isBlackhole(j) {
 		// Drop after first failure; charge the blackhole nominally.
-		share[0] += o.pDrop[i]
+		weights[1] = o.pDrop[i]
 		return clamp01(delivery), cost
 	}
 	at := (i-1)*(o.m.base-1) + (j - 1)
 	pR := o.pRetr[at]
-	share[j] += pR
+	weights[1] = pR
 	cost += pR * o.m.paths[j].Cost
 	return clamp01(delivery + pR*o.pDeliver[at]), cost
 }

@@ -72,7 +72,7 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 	}
 	var ro randomObjective
 	ro.load(m, to)
-	cols := m.computeColumns(make([]int, m.m), &ro)
+	cols := m.computeColumns(&ro)
 	nVars, base := cols.len(), m.base
 	λ := new(big.Rat).SetFloat64(n.Rate)
 
@@ -81,12 +81,20 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 		obj[l] = new(big.Rat).SetFloat64(p)
 	}
 	prob := ratlp.NewProblem(lp.Maximize, obj)
+	bw := make([][]*big.Rat, base)
 	for i := 1; i < base; i++ {
-		row := make([]*big.Rat, nVars)
-		for l := 0; l < nVars; l++ {
-			row[l] = new(big.Rat).Mul(λ, new(big.Rat).SetFloat64(cols.shares[l*base+i]))
+		bw[i] = make([]*big.Rat, nVars)
+		for l := range bw[i] {
+			bw[i][l] = new(big.Rat)
 		}
-		prob.AddConstraint(row, lp.LE, new(big.Rat).SetFloat64(m.paths[i].Bandwidth))
+	}
+	for l := 0; l < nVars; l++ {
+		for _, ps := range cols.pathShares(l, nil) {
+			bw[ps.path][l].Mul(λ, new(big.Rat).SetFloat64(ps.share))
+		}
+	}
+	for i := 1; i < base; i++ {
+		prob.AddConstraint(bw[i], lp.LE, new(big.Rat).SetFloat64(m.paths[i].Bandwidth))
 	}
 	if !math.IsInf(n.CostBound, 1) {
 		row := make([]*big.Rat, nVars)

@@ -2,74 +2,124 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
 // columns holds the per-combination LP coefficient columns of Eq. 10 in
-// flat form: one delivery probability and cost per combination, plus the
-// send-share matrix stored row-major (combination l's share of model path
-// i at shares[l*base+i]). A columns value is computed in a single pass
-// over the combination space and is shared between the LP build and the
-// returned Solution, so it must not be mutated after construction.
+// flat form: one delivery probability and cost per combination, plus its
+// trans attempts. Attempt k of column l sends on model path
+// digits[l*trans+k] with survival mass weights[l*trans+k] — the share of
+// the combination's traffic that attempt carries, 0 once the blackhole
+// dropped the data or nothing is left to send. A column's share of a
+// path (its Eqs. 14–15 bandwidth-row coefficient over λ) is the sum of
+// the weights of its attempts on that path (pathShares), so a column
+// stores trans shares, not one per path. A columns value is shared
+// between the LP build and the returned Solution, so it must not be
+// mutated after construction but by the re-solve that owns it.
 type columns struct {
+	trans    int       // attempts per column
 	delivery []float64 // p_l (Eq. 12)
 	costs    []float64 // r_l (Eq. 16)
-	shares   []float64 // nCols × base, row-major
-	combos   []Combo   // headers into one backing array (dense) or into chunks (appendColumn)
-	// free is the unused tail of the chunk appendColumn carves pooled
-	// combinations from. A chunk is never rewritten, so a Solution can
-	// keep sharing the combinations carved from it.
-	free []int
+	digits   []int     // nCols × trans: attempt k's model path
+	weights  []float64 // nCols × trans: attempt k's survival mass
 }
-
-// comboChunk is how many combinations appendColumn carves from one
-// allocation.
-const comboChunk = 64
 
 // len returns the number of columns currently held.
 func (c *columns) len() int { return len(c.delivery) }
 
+// attempts returns column l's path digits and attempt weights.
+func (c *columns) attempts(l int) (digits []int, weights []float64) {
+	lo, hi := l*c.trans, (l+1)*c.trans
+	return c.digits[lo:hi:hi], c.weights[lo:hi:hi]
+}
+
+// combo returns column l's combination as a header into the digits.
+func (c *columns) combo(l int) Combo {
+	digits, _ := c.attempts(l)
+	return Combo(digits)
+}
+
 // newColumns allocates the flat column tables for nVars combinations of
-// trans path digits: one backing array carries every Combo, so the whole
-// structure costs five allocations regardless of nVars.
-func newColumns(nVars, base, trans int) *columns {
-	cols := &columns{
+// trans attempts: four allocations regardless of nVars.
+func newColumns(nVars, trans int) *columns {
+	return &columns{
+		trans:    trans,
 		delivery: make([]float64, nVars),
 		costs:    make([]float64, nVars),
-		shares:   make([]float64, nVars*base),
-		combos:   make([]Combo, nVars),
+		digits:   make([]int, nVars*trans),
+		weights:  make([]float64, nVars*trans),
 	}
-	backing := make([]int, nVars*trans)
-	for l := 0; l < nVars; l++ {
-		cols.combos[l] = Combo(backing[l*trans : (l+1)*trans])
+}
+
+// pathShare is one column's send share of one real path.
+type pathShare struct {
+	path  int // model path index, ≥ 1
+	share float64
+}
+
+// pathShares appends column l's send shares to dst, one per real path
+// its attempts carry traffic on, in increasing path order, and returns
+// the extended slice. Each share sums the weights of the column's
+// attempts on that path in attempt order: bit for bit what a base-wide
+// share row, accumulated attempt by attempt, would hold. The blackhole
+// has no bandwidth row and is left out, and so are attempts of weight
+// 0, which add nothing to any row.
+func (c *columns) pathShares(l int, dst []pathShare) []pathShare {
+	digits, weights := c.attempts(l)
+	start := len(dst)
+	dst = slices.Grow(dst, len(digits))
+	for k, i := range digits {
+		w := weights[k]
+		if i == 0 || w == 0 {
+			continue
+		}
+		// Insertion sort: j ends past the last share of a path ≤ i.
+		j := len(dst)
+		for j > start && dst[j-1].path > i {
+			j--
+		}
+		if j > start && dst[j-1].path == i {
+			dst[j-1].share += w
+			continue
+		}
+		dst = dst[:len(dst)+1]
+		for n := len(dst) - 1; n > j; n-- {
+			dst[n] = dst[n-1]
+		}
+		dst[j] = pathShare{i, w}
 	}
-	return cols
+	return dst
 }
 
 // columnEvaluator computes one combination's LP column — delivery
-// probability, expected cost, and per-path send shares — into share (a
-// zeroed slice of length base). The deterministic model evaluates its
-// attempt schedule; the random-delay objective reads its Eq. 27–30 pair
-// tables. Dense enumeration and column generation share it, so both
-// build bit-identical columns.
+// probability, expected cost, and the survival mass of each attempt,
+// written to every slot of weights (one per digit of combo). The
+// deterministic model evaluates its attempt schedule; the random-delay
+// objective reads its Eq. 27–30 pair tables. Dense enumeration and
+// column generation share it, so both build bit-identical columns.
 type columnEvaluator interface {
-	evalColumn(combo []int, share []float64) (delivery, cost float64)
+	evalColumn(combo []int, weights []float64) (delivery, cost float64)
 }
 
 // evalColumn evaluates one combination's deterministic-delay LP column
 // in a single fused pass over its attempts.
-func (m *model) evalColumn(combo []int, share []float64) (delivery, cost float64) {
+func (m *model) evalColumn(combo []int, weights []float64) (delivery, cost float64) {
 	δ := m.net.Lifetime
 	surv := 1.0
 	var t time.Duration
-	for _, i := range combo {
-		p := &m.paths[i]
-		share[i] += surv
+	for k, i := range combo {
+		weights[k] = surv
+		if surv == 0 {
+			continue
+		}
 		if i == 0 {
 			// Blackhole: the data is deliberately dropped; later
 			// attempts never happen and cost nothing.
-			break
+			surv = 0
+			continue
 		}
+		p := &m.paths[i]
 		cost += surv * p.Cost
 		arrival := t + p.Delay
 		if arrival >= 0 && arrival <= δ { // guard overflow
@@ -81,68 +131,58 @@ func (m *model) evalColumn(combo []int, share []float64) (delivery, cost float64
 		}
 		t = next
 		surv *= p.Loss
-		if surv == 0 {
-			break
-		}
 	}
 	return delivery, cost
 }
 
 // computeColumns enumerates every combination once with an odometer over
 // the little-endian path digits (Eq. 13) and evaluates each column via
-// ev — the allocation-light dense enumeration. digits is caller-provided
-// scratch of length ≥ m.
-func (m *model) computeColumns(digits []int, ev columnEvaluator) *columns {
-	cols := newColumns(m.nVars, m.base, m.m)
-	m.computeColumnsInto(cols, digits, ev)
+// ev — the allocation-light dense enumeration.
+func (m *model) computeColumns(ev columnEvaluator) *columns {
+	base, trans := m.base, m.m
+	cols := newColumns(m.nVars, trans)
+	for l := 1; l < m.nVars; l++ {
+		// Odometer increment of the previous column's little-endian
+		// digits.
+		prev, digits := cols.digits[(l-1)*trans:l*trans], cols.digits[l*trans:(l+1)*trans]
+		carry := true
+		for k, d := range prev {
+			if carry {
+				if d++; d == base {
+					d = 0
+				} else {
+					carry = false
+				}
+			}
+			digits[k] = d
+		}
+	}
+	cols.evaluate(ev)
 	return cols
 }
 
-// computeColumnsInto re-evaluates the dense column tables in place for a
-// model whose coefficients (λ, µ, loss, delay, timeouts) drifted but
-// whose shape (path count, transmissions) did not: cols must have been
-// built by computeColumns for the same (nVars, base, trans). Every entry
-// is overwritten, so no allocation survives a re-solve — the heart of
-// the incremental warm path. Callers holding a Solution that shares cols
-// see it change underneath them; Solver.Resolve documents that contract.
-func (m *model) computeColumnsInto(cols *columns, digits []int, ev columnEvaluator) {
-	base, trans, nVars := m.base, m.m, m.nVars
-	clear(cols.shares)
-	digits = digits[:trans]
-	for k := range digits {
-		digits[k] = 0
-	}
-	for l := 0; l < nVars; l++ {
-		combo := cols.combos[l]
-		copy(combo, digits)
-		cols.delivery[l], cols.costs[l] = ev.evalColumn(combo, cols.shares[l*base:(l+1)*base])
-
-		// Odometer increment of the little-endian digits.
-		for k := 0; k < trans; k++ {
-			digits[k]++
-			if digits[k] < base {
-				break
-			}
-			digits[k] = 0
-		}
+// evaluate (re-)evaluates every column in place via ev. Evaluators write
+// every slot, so nothing is cleared first, and the digits — the
+// combinations themselves — are only read. This is the heart of the
+// incremental warm path: a model whose coefficients (λ, µ, loss, delay,
+// timeouts) drifted but whose shape (path count, transmissions) did not
+// reuses its dense table or its column-generation pool without an
+// allocation. Callers holding a Solution that shares the tables see it
+// change underneath them; Solver.Resolve documents that contract.
+func (c *columns) evaluate(ev columnEvaluator) {
+	for l := range c.delivery {
+		digits, weights := c.attempts(l)
+		c.delivery[l], c.costs[l] = ev.evalColumn(digits, weights)
 	}
 }
 
-// appendColumn evaluates combo's column via ev and appends it, copying
-// the digits into the current chunk — the dynamically grown column pool
-// of column generation.
-func (c *columns) appendColumn(base int, ev columnEvaluator, combo []int) {
-	start := len(c.shares)
-	c.shares = append(c.shares, make([]float64, base)...)
-	delivery, cost := ev.evalColumn(combo, c.shares[start:start+base])
+// appendColumn appends combo's digits and its column as ev evaluates it
+// — the dynamically grown column pool of column generation.
+func (c *columns) appendColumn(ev columnEvaluator, combo []int) {
+	start := len(c.digits)
+	c.digits = append(c.digits, combo...)
+	c.weights = slices.Grow(c.weights, len(combo))[:len(c.digits)]
+	delivery, cost := ev.evalColumn(c.digits[start:], c.weights[start:])
 	c.delivery = append(c.delivery, delivery)
 	c.costs = append(c.costs, cost)
-	k := len(combo)
-	if len(c.free) < k {
-		c.free = make([]int, comboChunk*k)
-	}
-	dst := Combo(c.free[:k:k])
-	c.free = c.free[k:]
-	copy(dst, combo)
-	c.combos = append(c.combos, dst)
 }

@@ -399,6 +399,7 @@ func (m *model) deliveryProb(c Combo) float64 {
 }
 
 // The send-share (Eq. 15) and cost (Eq. 16) column coefficients are
-// computed alongside delivery probability in the fused single pass of
-// computeColumns (columns.go); deliveryProb/attemptSchedule above remain
-// for QualityUpperBound and per-combination inspection.
+// computed alongside delivery probability in evalColumn's fused single
+// pass (columns.go), the shares as per-attempt survival masses;
+// deliveryProb/attemptSchedule above remain for QualityUpperBound and
+// per-combination inspection.

@@ -289,9 +289,9 @@ func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm b
 		if cols == nil || cols.len() != m.nVars {
 			return nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
 		}
-		m.computeColumnsInto(cols, s.work.scratch(m.m), ev)
+		cols.evaluate(ev)
 	} else {
-		cols = m.computeColumns(s.work.scratch(m.m), ev)
+		cols = m.computeColumns(ev)
 	}
 
 	spec := masterSpec{costRow: true} // objQuality and objRandom share the Eq. 10 master
@@ -368,11 +368,16 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 		if err := fpCGReprice.Hit(); err != nil {
 			return nil, err
 		}
+		// The pool hit: every pooled column is re-evaluated in place
+		// against the drifted model of the same shape (path count and
+		// transmissions unchanged, so the packed keys stay valid). The
+		// expensive part of a pooled column, its discovery by the pricing
+		// oracle, is reused; only the cheap evalColumn pass repeats.
 		cs, basis = rs.pool, rs.basis
-		cs.reevaluate(m, obj)
+		cs.cols.evaluate(obj)
 		certTol, hits = cgCertTolWarm, cs.cols.len()
 	} else {
-		cs = newColSet()
+		cs = newColSet(m.m)
 		obj.seed(cs, w.scratch(m.m))
 	}
 
@@ -490,14 +495,14 @@ func (s *Solver) retainPool(rs *resolveState, m *model, spec masterSpec, cs *col
 		keep(j)
 	}
 
-	out := newColSetOf(kept, m.base, m.m)
+	out := newColSetOf(kept, m.m)
 	next := 0
 	for j := range perm {
 		if perm[j] < 0 {
 			continue
 		}
 		perm[j] = next
-		out.set(next, cs, j, m.base)
+		out.set(next, cs, j)
 		next++
 	}
 	rs.pool, rs.basis = out, final.Basis.Remap(kept, perm)

@@ -109,9 +109,9 @@ func (s *Solution) RiskReport(packetBytes int) (*RiskReport, error) {
 	// Size by the solution's own column tables, not m.nVars:
 	// column-generated solutions carry a subset of the dense space (and
 	// sparse models have no dense count at all).
-	probs := make([][]float64, len(s.combos))
-	for l := range s.combos {
-		probs[l] = m.attemptProbs(s.combos[l])
+	probs := make([][]float64, s.cols.len())
+	for l := range probs {
+		probs[l] = m.attemptProbs(s.cols.combo(l))
 	}
 
 	rep := &RiskReport{
@@ -124,7 +124,7 @@ func (s *Solution) RiskReport(packetBytes int) (*RiskReport, error) {
 			if x <= 0 {
 				continue
 			}
-			mu, m2 := m.pathUsageMoments(s.combos[l], probs[l], i+1)
+			mu, m2 := m.pathUsageMoments(s.cols.combo(l), probs[l], i+1)
 			mean += x * mu
 			second += x * m2
 		}
@@ -141,7 +141,7 @@ func (s *Solution) RiskReport(packetBytes int) (*RiskReport, error) {
 			if x <= 0 {
 				continue
 			}
-			mu, m2 := m.costMoments(s.combos[l], probs[l])
+			mu, m2 := m.costMoments(s.cols.combo(l), probs[l])
 			mean += x * mu
 			second += x * m2
 		}

@@ -75,13 +75,11 @@ type Solution struct {
 	m *model
 	// spec is the shape of the master the solution solved, over the
 	// column tables below; Problem rebuilds the LP from the two.
-	spec     masterSpec
-	combos   []Combo
-	delivery []float64
-	// shares is the send-share matrix in flat row-major form:
-	// combination l's share of model path i at shares[l*base+i].
-	shares []float64
-	costs  []float64
+	spec masterSpec
+	// cols are the column tables, parallel to X: per combination its
+	// delivery probability, its cost and the path and survival mass of
+	// each of its attempts, whose sums per path are its send shares.
+	cols columns
 	// colIndex maps a combination's packed key to its position in the
 	// tables above; nil means the dense enumeration order.
 	colIndex map[uint64]int
@@ -136,7 +134,7 @@ func (s *Solution) ActiveCombos(minFraction float64) []ComboShare {
 	out := make([]ComboShare, 0, n)
 	for l, x := range s.X {
 		if active(x) {
-			out = append(out, ComboShare{Combo: s.combos[l], Fraction: x, DeliveryProb: s.delivery[l]})
+			out = append(out, ComboShare{Combo: s.cols.combo(l), Fraction: x, DeliveryProb: s.cols.delivery[l]})
 		}
 	}
 	slices.SortFunc(out, func(a, b ComboShare) int {
@@ -152,11 +150,15 @@ func (s *Solution) ActiveCombos(minFraction float64) []ComboShare {
 // i (0-based index into Network.Paths).
 func (s *Solution) SentRate(i int) float64 {
 	model := i + 1 // shift past the blackhole
-	base := s.m.base
 	var rate float64
+	var buf [8]pathShare
 	for l, x := range s.X {
 		if x != 0 { // most of a column-generation pool carries no traffic
-			rate += x * s.shares[l*base+model]
+			for _, ps := range s.cols.pathShares(l, buf[:0]) {
+				if ps.path == model {
+					rate += x * ps.share
+				}
+			}
 		}
 	}
 	return rate * s.Network.Rate
@@ -170,10 +172,11 @@ func (s *Solution) SentRates(dst []float64) []float64 {
 	base := s.m.base
 	dst = slices.Grow(dst[:0], base-1)[:base-1]
 	clear(dst)
+	var buf [8]pathShare
 	for l, x := range s.X {
 		if x != 0 {
-			for i, sh := range s.shares[l*base+1 : (l+1)*base] {
-				dst[i] += x * sh
+			for _, ps := range s.cols.pathShares(l, buf[:0]) {
+				dst[ps.path-1] += x * ps.share
 			}
 		}
 	}
@@ -188,7 +191,7 @@ func (s *Solution) SentRates(dst []float64) []float64 {
 func (s *Solution) DropRate() float64 {
 	var rate float64
 	for l, x := range s.X {
-		if x != 0 && s.combos[l][0] == 0 {
+		if x != 0 && s.cols.digits[l*s.cols.trans] == 0 {
 			rate += x
 		}
 	}
@@ -203,7 +206,7 @@ func (s *Solution) Cost() float64 {
 	var c float64
 	for l, x := range s.X {
 		if x != 0 {
-			c += x * s.costs[l]
+			c += x * s.cols.costs[l]
 		}
 	}
 	return c * s.Network.Rate
@@ -229,17 +232,25 @@ func (s *Solution) Timeouts(margin time.Duration) []time.Duration {
 // tables are rewritten by the next Resolve on the same Solver.
 func (s *Solution) Problem() *lp.Problem {
 	var cm cgMaster
-	cm.load(s.m, s.spec, &columns{delivery: s.delivery, costs: s.costs, shares: s.shares, combos: s.combos})
+	cm.load(s.m, s.spec, &s.cols)
 	return cm.sp.Dense()
 }
 
-// Combos returns every path combination in variable order (parallel to X).
-// The slice is shared; callers must not mutate it.
-func (s *Solution) Combos() []Combo { return s.combos }
+// Combos returns every path combination in variable order (parallel to
+// X). Each call allocates the returned slice; its combinations are
+// headers into the solution's shared digit table, which callers must
+// not mutate.
+func (s *Solution) Combos() []Combo {
+	out := make([]Combo, s.cols.len())
+	for l := range out {
+		out[l] = s.cols.combo(l)
+	}
+	return out
+}
 
 // DeliveryProbs returns p_l per combination in variable order (parallel to
 // X). The slice is shared; callers must not mutate it.
-func (s *Solution) DeliveryProbs() []float64 { return s.delivery }
+func (s *Solution) DeliveryProbs() []float64 { return s.cols.delivery }
 
 // String renders the strategy like the paper's Table IV rows.
 func (s *Solution) String() string {

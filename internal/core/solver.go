@@ -176,10 +176,7 @@ func (m *model) newSolution(spec masterSpec, cols *columns, x []float64, quality
 		Quality:  clamp01(quality),
 		m:        m,
 		spec:     spec,
-		combos:   cols.combos,
-		delivery: cols.delivery,
-		shares:   cols.shares,
-		costs:    cols.costs,
+		cols:     *cols,
 		colIndex: colIndex,
 	}
 }

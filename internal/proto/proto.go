@@ -224,12 +224,13 @@ func NewSession(sim *netsim.Simulator, cfg Config) (*Session, error) {
 	if cfg.FastRetransmitDups < 0 || cfg.AckWindow < 0 {
 		return nil, errors.New("proto: negative extension parameters")
 	}
+	combos := cfg.Solution.Combos()
 	needsTimeouts := false
 	for l, x := range cfg.Solution.X {
 		if x <= 0 {
 			continue
 		}
-		c := cfg.Solution.Combos()[l]
+		c := combos[l]
 		for k := 0; k+1 < len(c); k++ {
 			if c[k] != 0 && c[k+1] != 0 {
 				needsTimeouts = true
@@ -243,7 +244,7 @@ func NewSession(sim *netsim.Simulator, cfg Config) (*Session, error) {
 	s := &Session{
 		sim:       sim,
 		cfg:       cfg,
-		combos:    cfg.Solution.Combos(),
+		combos:    combos,
 		lifetime:  n.Lifetime,
 		interval:  float64(cfg.MessageBytes*8) / n.Rate * 1e9,
 		pending:   make(map[uint64]*msgState),

@@ -326,7 +326,8 @@ type PathObservation struct {
 	// Sent and Lost are transmission/loss counts since the last report.
 	Sent int `json:"sent,omitempty"`
 	Lost int `json:"lost,omitempty"`
-	// RTTMs lists acknowledged round-trip samples in milliseconds.
+	// RTTMs lists acknowledged round-trip samples in milliseconds. dmcd
+	// takes samples in [0, 1e12) and rejects a report holding any other.
 	RTTMs []float64 `json:"rtt_ms,omitempty"`
 }
 

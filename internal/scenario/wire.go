@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -516,11 +517,13 @@ func (e *wireEncoder) ints(ns []int) {
 // string appends s quoted. Printable ASCII other than the characters
 // encoding/json escapes (quote, backslash, and <, > and & for HTML)
 // is copied as is; any other string is rare on this wire and is
-// quoted by encoding/json itself.
+// quoted by encoding/json itself. That path hands json.Marshal a copy:
+// boxing s itself would make escape analysis move every response this
+// encoder writes, and the caller's result holding it, to the heap.
 func (e *wireEncoder) string(s string) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
+			q, _ := json.Marshal(strings.Clone(s)) // a string always encodes
 			e.b = append(e.b, q...)
 			return
 		}

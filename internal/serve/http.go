@@ -264,6 +264,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxRTTMs bounds the RTT samples /v1/observe accepts: at or above it a
+// request is rejected. A sample below 1e12 ms (about 32 years) converts
+// to a time.Duration of under 1e18 ns without overflow, and the
+// estimator's SRTT and RTTVAR then stay below 1e9 s, so its RTO, SRTT +
+// 4·RTTVAR, stays below 5e18 ns, inside time.Duration's range.
+const maxRTTMs = 1e12
+
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
@@ -292,6 +299,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "serve: session %q has no estimator feed (solve with \"estimator\": true first)", req.SessionID)
 		return
 	}
+	// Every entry is checked before any folds: a rejected request
+	// changes no estimate, so a client's retry does not count twice.
 	nPaths := len(ad.EstimatedNetwork().Paths)
 	for _, p := range req.Paths {
 		if p.Path < 0 || p.Path >= nPaths {
@@ -304,6 +313,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "serve: path %d needs 0 <= lost <= sent, got sent=%d lost=%d", p.Path, p.Sent, p.Lost)
 			return
 		}
+		for _, ms := range p.RTTMs {
+			if !(ms >= 0 && ms < maxRTTMs) {
+				se.mu.Unlock()
+				writeErr(w, http.StatusBadRequest, "serve: path %d needs 0 <= rtt_ms < %g, got %g", p.Path, maxRTTMs, ms)
+				return
+			}
+		}
+	}
+	for _, p := range req.Paths {
 		// Counts fold in O(1): client-supplied magnitudes must never
 		// buy per-unit work while se.mu is held.
 		ad.ObserveSends(p.Path, p.Sent)

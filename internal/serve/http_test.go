@@ -123,7 +123,7 @@ func TestServedSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race pools drop at random")
 	}
-	const budget = 25
+	const budget = 24
 	srv, err := New(Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -552,6 +553,49 @@ func TestServeObserveHugeCounts(t *testing.T) {
 	}
 	if math.Abs(got.Result.Quality-refSol.Quality) > 1e-6 {
 		t.Errorf("quality %.9f, reference %.9f", got.Result.Quality, refSol.Quality)
+	}
+}
+
+// TestRejectedObserveFoldsNothing: a /v1/observe report is checked
+// whole before any of it folds in. A report whose second entry names a
+// path the session lacks, one whose RTT sample (1e13 ms) overflows
+// time.Duration, and one with a negative RTT sample after a valid one
+// each answer 400 and leave the session's estimates as they were; a
+// valid report then folds in exactly once.
+func TestRejectedObserveFoldsNothing(t *testing.T) {
+	srv, base := newTestServer(t, Config{Shards: 1})
+	wire := testNetwork(rand.New(rand.NewPCG(23, 1)), 2)
+	solveOK(t, base, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "strict", Estimator: true})
+	se := srv.lookupSession("strict")
+	state := func() []estimate.PathState {
+		se.mu.Lock()
+		defer se.mu.Unlock()
+		return se.adaptor.State()
+	}
+	before := state()
+	valid := scenario.PathObservation{Path: 0, Sent: 100, Lost: 50, RTTMs: []float64{40}}
+	for _, tc := range []struct {
+		name  string
+		paths []scenario.PathObservation
+	}{
+		{"unknown path", []scenario.PathObservation{valid, {Path: 99, Sent: 1}}},
+		{"overflowing rtt", []scenario.PathObservation{{Path: 0, Sent: 100, Lost: 50, RTTMs: []float64{1e13}}}},
+		{"negative rtt", []scenario.PathObservation{{Path: 1, Sent: 10, RTTMs: []float64{40, -1}}}},
+	} {
+		status, body := postJSON(t, base+"/v1/observe", scenario.ObserveRequest{SessionID: "strict", Paths: tc.paths})
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", tc.name, status, body)
+		}
+		if got := state(); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: a rejected report changed the estimates from %+v to %+v", tc.name, before, got)
+		}
+	}
+	status, body := postJSON(t, base+"/v1/observe", scenario.ObserveRequest{SessionID: "strict", Paths: []scenario.PathObservation{valid}})
+	if status != http.StatusOK {
+		t.Fatalf("valid report: status %d: %s", status, body)
+	}
+	if got := state()[0]; got.Sent != 100 || got.Lost != 50 || got.SRTT != 0.04 || got.RTTSamples != 1 {
+		t.Fatalf("after one valid report, path 0 holds %+v, want 100 sent, 50 lost and one 40 ms sample", got)
 	}
 }
 

@@ -22,9 +22,10 @@ const (
 // root test binaries, REF's and the working tree's, and reports each
 // benchmark's median per-pair ns/op ratio, the pairs in which the
 // current tree was faster, REF's interquartile range and both sides'
-// median allocs/op. It returns the exit status: 1 when
-// a median ratio exceeds 1 + threshold/100 or allocs/op exceed the
-// allocation gate, else 0. Which side runs first alternates by pair, so
+// median allocs/op and B/op. B/op is reported only; it gates nothing.
+// It returns the exit status: 1 when a median ratio exceeds
+// 1 + threshold/100 or allocs/op exceed the allocation gate, else 0.
+// Which side runs first alternates by pair, so
 // a machine that speeds up or slows down during the run does not favour
 // either.
 func runAB(refBin, curBin string, pairs int, benchtime string, critical string, threshold float64) int {
@@ -60,19 +61,21 @@ func runAB(refBin, curBin string, pairs int, benchtime string, critical string, 
 	}
 
 	fmt.Printf("%d alternating pairs; ratio = current/REF ns/op per pair\n\n", pairs)
-	fmt.Printf("%-52s %7s %6s %-24s %8s %8s\n", "benchmark", "ratio", "faster", "REF ns/op IQR", "allocs", "REF")
+	fmt.Printf("%-52s %7s %6s %-24s %8s %8s %10s %10s\n", "benchmark", "ratio", "faster", "REF ns/op IQR", "allocs", "REF", "B/op", "REF")
 	slow, fat := 0, 0
 	for _, name := range order {
-		var ratios, refNs, refAllocs, curAllocs []float64
+		var ratios, refNs, refAllocs, curAllocs, refBytes, curBytes []float64
 		for i := range pairs {
 			r, rok := ref[i][name]
 			c, cok := cur[i][name]
 			if rok {
 				refNs = append(refNs, r.NsPerOp)
 				refAllocs = append(refAllocs, r.AllocsPerOp)
+				refBytes = append(refBytes, r.BPerOp)
 			}
 			if cok {
 				curAllocs = append(curAllocs, c.AllocsPerOp)
+				curBytes = append(curBytes, c.BPerOp)
 			}
 			if rok && cok && r.NsPerOp > 0 {
 				ratios = append(ratios, c.NsPerOp/r.NsPerOp)
@@ -103,7 +106,8 @@ func runAB(refBin, curBin string, pairs int, benchtime string, critical string, 
 			fat++
 		}
 		iqr := fmt.Sprintf("%.0f–%.0f", quantile(refNs, 0.25), quantile(refNs, 0.75))
-		fmt.Printf("%-52s %7.3f %6s %-24s %8.0f %8.0f%s\n", name, ratio, fmt.Sprintf("%d/%d", faster, len(ratios)), iqr, ca, ra, mark)
+		fmt.Printf("%-52s %7.3f %6s %-24s %8.0f %8.0f %10.0f %10.0f%s\n", name, ratio, fmt.Sprintf("%d/%d", faster, len(ratios)), iqr, ca, ra,
+			quantile(curBytes, 0.5), quantile(refBytes, 0.5), mark)
 	}
 	status := 0
 	if slow > 0 {

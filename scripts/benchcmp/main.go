@@ -15,7 +15,8 @@
 // binaries in alternating pairs, with -benchmem on 2 CPUs, and fails
 // when a benchmark's median per-pair ns/op ratio exceeds
 // 1 + threshold/100 or its allocs/op exceed REF's by more than
-// max(2, 10%). Both sides run on the same machine in the same minutes,
+// max(2, 10%). It also prints both sides' median B/op, which gates
+// nothing. Both sides run on the same machine in the same minutes,
 // so the verdict does not depend on the day's speed of the machine, as
 // a comparison against a recorded baseline does.
 //
