@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,15 +192,43 @@ func BenchmarkScalabilitySolve(b *testing.B) {
 			rng := rand.New(rand.NewPCG(7, uint64(size.paths*10+size.trans)))
 			n := experiments.RandomNetwork(rng, size.paths, size.trans)
 			solver := core.NewSolver()
+			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveQuality(n); err != nil {
+				sol, err := solver.SolveQuality(n)
+				if err != nil {
 					b.Fatal(err)
 				}
+				work.add(sol.Stats)
 			}
+			work.report(b)
 		})
 	}
+}
+
+// workCounts sums the solve core's work over a benchmark's timed solves
+// and reports it per op from Solution.Stats: CG iterations, the columns
+// each solve's master held, and LP pivots. The solve core is
+// deterministic, so these counts repeat exactly from run to run and
+// show a change in its work where ns/op sits near its noise. It is safe
+// for concurrent use, and a nil *workCounts counts nothing.
+type workCounts struct{ iters, cols, pivots atomic.Int64 }
+
+func (w *workCounts) add(st dmc.SolveStats) {
+	if w == nil {
+		return
+	}
+	w.iters.Add(int64(st.CGIterations))
+	w.cols.Add(int64(st.Columns))
+	w.pivots.Add(int64(st.LPPivots))
+}
+
+func (w *workCounts) report(b *testing.B) {
+	n := float64(b.N)
+	b.ReportMetric(float64(w.iters.Load())/n, "cg-iters/op")
+	b.ReportMetric(float64(w.cols.Load())/n, "cols/op")
+	b.ReportMetric(float64(w.pivots.Load())/n, "pivots/op")
 }
 
 // warmResolveRing returns a base instance plus a ring of successively
@@ -237,23 +266,31 @@ func BenchmarkWarmResolve(b *testing.B) {
 			if _, err := solver.Resolve(base); err != nil {
 				b.Fatal(err)
 			}
+			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Resolve(ring[i%len(ring)]); err != nil {
+				sol, err := solver.Resolve(ring[i%len(ring)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				work.add(sol.Stats)
 			}
+			work.report(b)
 		})
 		b.Run(fmt.Sprintf("paths=%d/trans=%d/cold", size.paths, size.trans), func(b *testing.B) {
 			solver := dmc.NewSolver()
+			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveQuality(ring[i%len(ring)]); err != nil {
+				sol, err := solver.SolveQuality(ring[i%len(ring)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				work.add(sol.Stats)
 			}
+			work.report(b)
 		})
 	}
 }
@@ -359,6 +396,7 @@ func BenchmarkMinCostCG(b *testing.B) {
 		b.Fatal(err)
 	}
 	floor := qsol.Quality * 0.9
+	var work workCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -369,7 +407,9 @@ func BenchmarkMinCostCG(b *testing.B) {
 		if sol.Stats.Dispatch != core.DispatchCG {
 			b.Fatalf("dispatch %v", sol.Stats.Dispatch)
 		}
+		work.add(sol.Stats)
 	}
+	work.report(b)
 }
 
 // BenchmarkRandomCG measures the §VI-B random-delay solve at a path
@@ -384,6 +424,7 @@ func BenchmarkRandomCG(b *testing.B) {
 		b.Fatal(err)
 	}
 	solver := core.NewSolver()
+	var work workCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -394,7 +435,9 @@ func BenchmarkRandomCG(b *testing.B) {
 		if sol.Stats.Dispatch != core.DispatchCG {
 			b.Fatalf("dispatch %v", sol.Stats.Dispatch)
 		}
+		work.add(sol.Stats)
 	}
+	work.report(b)
 }
 
 // solveManyFleet builds a 64-network fleet plus a ring of per-round
@@ -426,19 +469,27 @@ func sessionKeys(n int) []string {
 }
 
 // solveSessions re-solves one fleet round on the pool, network i on
-// session keys[i], fanned across GOMAXPROCS workers.
-func solveSessions(pool *dmc.WarmPool, keys []string, nets []*dmc.Network) error {
+// session keys[i], fanned across GOMAXPROCS workers, and counts the
+// solves' work into w.
+func solveSessions(pool *dmc.WarmPool, keys []string, nets []*dmc.Network, w *workCounts) error {
 	return conc.ForEach(len(nets), func(i int) error {
-		_, err := pool.SolveSession(keys[i], nets[i])
+		sol, err := pool.SolveSession(keys[i], nets[i])
+		if err == nil {
+			w.add(sol.Stats)
+		}
 		return err
 	})
 }
 
 // solveCold solves every network one-shot with the package-level
-// SolveQuality, fanned across GOMAXPROCS workers.
-func solveCold(nets []*dmc.Network) error {
+// SolveQuality, fanned across GOMAXPROCS workers, and counts the
+// solves' work into w.
+func solveCold(nets []*dmc.Network, w *workCounts) error {
 	return conc.ForEach(len(nets), func(i int) error {
-		_, err := dmc.SolveQuality(nets[i])
+		sol, err := dmc.SolveQuality(nets[i])
+		if err == nil {
+			w.add(sol.Stats)
+		}
 		return err
 	})
 }
@@ -454,24 +505,28 @@ func BenchmarkSolveManyWarm(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		pool := dmc.NewWarmPool()
 		keys := sessionKeys(len(fleets[0]))
-		if err := solveSessions(pool, keys, fleets[0]); err != nil {
+		if err := solveSessions(pool, keys, fleets[0], nil); err != nil {
 			b.Fatal(err)
 		}
+		var work workCounts
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := solveSessions(pool, keys, fleets[i%len(fleets)]); err != nil {
+			if err := solveSessions(pool, keys, fleets[i%len(fleets)], &work); err != nil {
 				b.Fatal(err)
 			}
 		}
+		work.report(b)
 	})
 	b.Run("cold", func(b *testing.B) {
+		var work workCounts
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := solveCold(fleets[i%len(fleets)]); err != nil {
+			if err := solveCold(fleets[i%len(fleets)], &work); err != nil {
 				b.Fatal(err)
 			}
 		}
+		work.report(b)
 	})
 }
 
@@ -696,7 +751,7 @@ func BenchmarkSolveMany(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := solveCold(nets); err != nil {
+		if err := solveCold(nets, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -806,12 +861,12 @@ func BenchmarkServeSaturation(b *testing.B) {
 		b.Run(fmt.Sprintf("sessions=%d/library", size.sessions), func(b *testing.B) {
 			pool := dmc.NewWarmPool()
 			keys := sessionKeys(size.sessions)
-			if err := solveSessions(pool, keys, fleets[0]); err != nil {
+			if err := solveSessions(pool, keys, fleets[0], nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := solveSessions(pool, keys, fleets[i%len(fleets)]); err != nil {
+				if err := solveSessions(pool, keys, fleets[i%len(fleets)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -96,6 +96,33 @@ func TestCGLargeNetwork(t *testing.T) {
 		sol.Quality, sol.Stats.CGIterations, sol.Stats.Columns, elapsed)
 }
 
+// TestCGConvergesAtScale: cold quality column generation must certify
+// its optimum within cgMaxIterations on 450- and 500-path m = 2
+// networks. An oracle that returned the 32 best combinations of a round
+// whatever their first attempt ran past the cap on exactly these
+// instances, which /v1/solve, having no path-count limit, answered with
+// a 500; one winner per first path converges in 70–90 rounds.
+func TestCGConvergesAtScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("500-path masters are slow under -short and -race")
+	}
+	for _, tc := range []struct {
+		paths int
+		seed  uint64
+	}{{450, 1}, {500, 1}, {500, 2}} {
+		n := diffRandomNetwork(rand.New(rand.NewPCG(tc.seed, uint64(tc.paths))), tc.paths, 2)
+		sol, err := SolveQuality(n)
+		if err != nil {
+			t.Fatalf("%d×2 seed %d: %v", tc.paths, tc.seed, err)
+		}
+		if sol.Stats.Dispatch != DispatchCG || sol.Quality <= 0 || sol.Quality > 1 {
+			t.Fatalf("%d×2 seed %d: %v dispatch, quality %v", tc.paths, tc.seed, sol.Stats.Dispatch, sol.Quality)
+		}
+		t.Logf("%d×2 seed %d: quality %.9f in %d iterations over %d columns",
+			tc.paths, tc.seed, sol.Quality, sol.Stats.CGIterations, sol.Stats.Columns)
+	}
+}
+
 // TestCGWorstCaseInTimeTree: when every path is fast enough that every
 // combination is in time, the pricing tree has no lateness pruning —
 // the bound alone must keep the oracle tractable (the 41^5 ≈ 115M
@@ -220,8 +247,8 @@ func TestDispatchThresholds(t *testing.T) {
 	}
 }
 
-// TestCGPoolAllocatesCombosInChunks: a cold 40×4 quality solve pools
-// 769–1,000 columns on these seeds, and the pool's flat tables, whose
+// TestCGPoolAllocatesCombosInChunks: a cold 80×4 quality solve pools
+// 644–801 columns on these seeds, and the pool's flat tables, whose
 // path digits hold every combination, grow by amortized appends, which
 // keeps the whole solve under one allocation per four columns. The
 // pooled combinations must stay distinct.
@@ -230,7 +257,7 @@ func TestCGPoolAllocatesCombosInChunks(t *testing.T) {
 		t.Skip("CG-scale solves are slow under -short; -race pools drop at random")
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
-		n := diffRandomNetwork(rand.New(rand.NewPCG(seed, 40)), 40, 4)
+		n := diffRandomNetwork(rand.New(rand.NewPCG(seed, 40)), 80, 4)
 		var sol *Solution
 		allocs := testing.AllocsPerRun(2, func() {
 			var err error

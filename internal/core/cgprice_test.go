@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -13,11 +15,14 @@ import (
 // each priced from evalColumn's column and the duals: the result is
 // empty exactly when no combination prices above the floor, every
 // returned combination prices above it, none repeats, and the best
-// returned one attains the maximum. Networks have 1–6 paths and 1–4
-// transmissions, with delays and deadlines drawn so that chains run out
-// of time at different depths (sometimes landing exactly on δ); duals
-// are random for both gain forms — quality with and without the cost
-// row, and min-cost with the clamps repriceMinCost applies.
+// returned one attains the maximum. It checks the partition too: no
+// two returned combinations share a first attempt, and when at most
+// cgColumnsPerIter first paths that lead a subproblem reach the floor,
+// each one's enumerated best is returned. Networks have 1–6 paths and
+// 1–4 transmissions, with delays and deadlines drawn so that chains run
+// out of time at different depths (sometimes landing exactly on δ);
+// duals are random for both gain forms — quality with and without the
+// cost row, and min-cost with the clamps repriceMinCost applies.
 func FuzzPricerMatchesEnumeration(f *testing.F) {
 	for shape := range 24 {
 		f.Add(uint64(shape)*0x9e3779b97f4a7c15+1, uint8(shape))
@@ -33,15 +38,201 @@ func FuzzPricerMatchesEnumeration(f *testing.F) {
 		pr.bind(m)
 		for draw := range 6 {
 			g := drawPricingDuals(rng, m, pr, draw%3)
-			best := math.Inf(-1)
-			for l := range m.nVars {
-				best = max(best, g.gain(m.combo(l)))
+			e := enumeratePricing(m.base, m.nVars, m.combo, g.gain, 1e-12*g.scale)
+			// A first attempt leads a subproblem when it is in time and
+			// gains: alone, it prices above the all-blackhole column.
+			empty := g.gain(make([]int, m.m))
+			for i := 1; i < m.base; i++ {
+				single := make([]int, m.m)
+				single[0] = i
+				e.leads[i] = g.gain(single)-empty > e.tol
 			}
-			for _, floor := range []float64{cgPriceTol, best - 1e-3*g.scale, best - 1e-9*g.scale, best + 1e-9*g.scale, math.Inf(-1)} {
-				checkPricerAgainstEnumeration(t, m, pr, g, floor, best)
+			for _, floor := range []float64{cgPriceTol, e.best - 1e-3*g.scale, e.best - 1e-9*g.scale, e.best + 1e-9*g.scale, math.Inf(-1)} {
+				e.check(t, m.m, pr.price(floor), floor)
 			}
 		}
 	})
+}
+
+// TestRandomPricerMatchesEnumeration checks the random-delay objective's
+// pricing scan against brute force over all (n+1)² pairs, each priced
+// from evalColumn's column and the duals, with the oracle contract and
+// the partition checks of FuzzPricerMatchesEnumeration. The scan solves
+// every first path's subproblem, so every first path leads one.
+// Networks have 1–40 paths, mixed gamma and deterministic delays, and
+// timeout tables with undefined pairs; duals are random, with and
+// without the cost row.
+func TestRandomPricerMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x5ca2, 2))
+	var ro randomObjective
+	for trial := range 60 {
+		paths := 1 + trial%8
+		if trial%4 == 3 {
+			paths = 20 + rng.IntN(21)
+		}
+		n := randomDelayNetwork(rng, paths)
+		m, err := newModel(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro.load(m, randomTimeouts(rng, n))
+		λ := n.Rate
+		w := make([]float64, m.base) // per model path: the price of one unit of share
+		for draw := range 4 {
+			duals := make([]float64, 0, m.base+1)
+			for range paths {
+				y := 0.0
+				if rng.IntN(2) == 0 {
+					y = rng.Float64() / λ
+				}
+				duals = append(duals, y)
+			}
+			yCost := 0.0
+			if !math.IsInf(n.CostBound, 1) {
+				yCost = rng.Float64() / λ
+				duals = append(duals, yCost)
+			}
+			y0 := rng.Float64()*2 - 1
+			ro.reprice(append(duals, y0))
+			wmax := 0.0
+			for i := 1; i < m.base; i++ {
+				w[i] = λ * (duals[i-1] + yCost*m.paths[i].Cost)
+				wmax = max(wmax, w[i])
+			}
+			gain := func(c []int) float64 {
+				weights := make([]float64, 2)
+				delivery, _ := ro.evalColumn(c, weights)
+				v := delivery - y0
+				for k, i := range c {
+					v -= w[i] * weights[k]
+				}
+				return v
+			}
+			scale := 1 + math.Abs(y0) + 2*wmax
+			e := enumeratePricing(m.base, m.nVars, m.combo, gain, 1e-12*scale)
+			e.what = fmt.Sprintf("trial %d (%d paths) draw %d: ", trial, paths, draw)
+			for i := range e.leads {
+				e.leads[i] = true
+			}
+			for _, floor := range []float64{cgPriceTol, e.best - 1e-3*scale, e.best - 1e-9*scale, e.best + 1e-9*scale, e.kth(cgColumnsPerIter / 2), math.Inf(-1)} {
+				e.check(t, 2, ro.price(floor), floor)
+			}
+		}
+	}
+}
+
+// pricingEnum is a brute force's view of one dual draw: each first
+// attempt's best gain over the combinations it leads, and whether the
+// oracle must solve that first attempt's subproblem (the all-blackhole
+// first attempt always).
+type pricingEnum struct {
+	what      string // prefixes failure messages
+	gain      func([]int) float64
+	firstBest []float64
+	leads     []bool
+	best, tol float64
+}
+
+// enumeratePricing prices all nVars combinations of base digits.
+func enumeratePricing(base, nVars int, combo func(int) Combo, gain func([]int) float64, tol float64) *pricingEnum {
+	e := &pricingEnum{gain: gain, firstBest: make([]float64, base), leads: make([]bool, base), best: math.Inf(-1), tol: tol}
+	for i := range e.firstBest {
+		e.firstBest[i] = math.Inf(-1)
+	}
+	for l := range nVars {
+		c := combo(l)
+		v := gain(c)
+		e.firstBest[c[0]] = max(e.firstBest[c[0]], v)
+		e.best = max(e.best, v)
+	}
+	e.leads[0] = true
+	return e
+}
+
+// kth returns the k-th best gain among the first attempts that lead a
+// subproblem (−∞ when fewer lead): a floor that about k winners clear.
+func (e *pricingEnum) kth(k int) float64 {
+	var bests []float64
+	for i, ok := range e.leads {
+		if ok {
+			bests = append(bests, e.firstBest[i])
+		}
+	}
+	slices.Sort(bests)
+	if k > len(bests) {
+		return math.Inf(-1)
+	}
+	return bests[len(bests)-k]
+}
+
+// check holds an oracle's answer got at floor against the enumeration.
+func (e *pricingEnum) check(t *testing.T, width int, got [][]int, floor float64) {
+	t.Helper()
+	tol := e.tol
+	if len(got) == 0 {
+		if e.best > floor+tol {
+			t.Fatalf("%sfloor %v: oracle found nothing, enumeration reaches %v", e.what, floor, e.best)
+		}
+		return
+	}
+	if e.best <= floor-tol {
+		t.Fatalf("%sfloor %v: enumeration max %v, yet the oracle returned %d combinations", e.what, floor, e.best, len(got))
+	}
+	if len(got) > cgColumnsPerIter {
+		t.Fatalf("%sfloor %v: %d combinations, want at most %d", e.what, floor, len(got), cgColumnsPerIter)
+	}
+	base := len(e.firstBest)
+	seen := make(map[string]bool, len(got))
+	byFirst := make(map[int][]int, len(got))
+	top := math.Inf(-1)
+	for _, c := range got {
+		if len(c) != width {
+			t.Fatalf("%scombination %v has %d digits, want %d", e.what, c, len(c), width)
+		}
+		for _, i := range c {
+			if i < 0 || i >= base {
+				t.Fatalf("%scombination %v: digit outside [0, %d)", e.what, c, base)
+			}
+		}
+		if key := fmt.Sprint(c); seen[key] {
+			t.Fatalf("%scombination %v returned twice", e.what, c)
+		} else {
+			seen[key] = true
+		}
+		if d, ok := byFirst[c[0]]; ok {
+			t.Fatalf("%sfloor %v: combinations %v and %v share their first attempt", e.what, floor, d, c)
+		}
+		byFirst[c[0]] = c
+		v := e.gain(c)
+		if v <= floor-tol {
+			t.Fatalf("%sfloor %v: combination %v prices %v", e.what, floor, c, v)
+		}
+		top = max(top, v)
+	}
+	if math.Abs(top-e.best) > tol {
+		t.Fatalf("%sfloor %v: best returned gain %v, enumeration max %v", e.what, floor, top, e.best)
+	}
+	reaching := 0
+	for i, ok := range e.leads {
+		if ok && e.firstBest[i] > floor-tol {
+			reaching++
+		}
+	}
+	if reaching > cgColumnsPerIter {
+		return
+	}
+	for i, ok := range e.leads {
+		if !ok || e.firstBest[i] <= floor+tol {
+			continue
+		}
+		c, found := byFirst[i]
+		if !found {
+			t.Fatalf("%sfloor %v: %d first paths reach it, yet none returned starts with %d (its best prices %v)", e.what, floor, reaching, i, e.firstBest[i])
+		}
+		if v := e.gain(c); v < e.firstBest[i]-tol {
+			t.Fatalf("%sfloor %v: %v prices %v, its first path's best %v", e.what, floor, c, v, e.firstBest[i])
+		}
+	}
 }
 
 // pricerTestNetwork draws a network whose delays straddle the deadline:
@@ -153,49 +344,6 @@ func drawPricingDuals(rng *rand.Rand, m *model, pr *pricer, form int) *pricingDu
 	}
 	g.scale = max(1, math.Abs(g.y0)+float64(m.m)*(g.alpha+wmax))
 	return g
-}
-
-func checkPricerAgainstEnumeration(t *testing.T, m *model, pr *pricer, g *pricingDuals, floor, best float64) {
-	t.Helper()
-	tol := 1e-12 * g.scale
-	got := pr.price(floor)
-	if len(got) == 0 {
-		if best > floor+tol {
-			t.Fatalf("floor %v: oracle found nothing, enumeration reaches %v", floor, best)
-		}
-		return
-	}
-	if best <= floor-tol {
-		t.Fatalf("floor %v: enumeration max %v, yet the oracle returned %d combinations", floor, best, len(got))
-	}
-	if len(got) > cgColumnsPerIter {
-		t.Fatalf("floor %v: %d combinations, want at most %d", floor, len(got), cgColumnsPerIter)
-	}
-	seen := make(map[uint64]bool, len(got))
-	top := math.Inf(-1)
-	for _, c := range got {
-		if len(c) != m.m {
-			t.Fatalf("combination %v has %d digits, want %d", c, len(c), m.m)
-		}
-		for _, i := range c {
-			if i < 0 || i >= m.base {
-				t.Fatalf("combination %v: digit outside [0, %d)", c, m.base)
-			}
-		}
-		if key := m.packKey(c); seen[key] {
-			t.Fatalf("combination %v returned twice", c)
-		} else {
-			seen[key] = true
-		}
-		v := g.gain(c)
-		if v <= floor-tol {
-			t.Fatalf("floor %v: combination %v prices %v", floor, c, v)
-		}
-		top = max(top, v)
-	}
-	if math.Abs(top-best) > tol {
-		t.Fatalf("floor %v: best returned gain %v, enumeration max %v", floor, top, best)
-	}
 }
 
 // TestScratchReuseAcrossShapes: one pooled workspace serves solves of

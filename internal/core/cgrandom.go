@@ -133,8 +133,12 @@ func (o *randomObjective) reprice(duals []float64) {
 	o.y0 = duals[next]
 }
 
-// price scans every pair exactly. rc(i,j) decomposes into a first-leg
-// term aᵢ = firstDeliverᵢ − λ(yᵢ + y_c·cᵢ) − y₀ plus, for a real
+// price scans every pair exactly and keeps each first path's best
+// partner: the pairs split by their first attempt into one pricing
+// subproblem per real path, as the deterministic oracle's do, and the
+// cgColumnsPerIter best winners above the floor are returned, no two
+// with the same first attempt. rc(i,j) decomposes into a first-leg term
+// aᵢ = firstDeliverᵢ − λ(yᵢ + y_c·cᵢ) − y₀ plus, for a real
 // retransmission leg, pRᵢⱼ·(pDᵢⱼ − λ(yⱼ + y_c·cⱼ)); blackhole shares
 // never enter a constraint row. The result is headers into the
 // objective's storage, valid until its next price call.
@@ -151,13 +155,12 @@ func (o *randomObjective) price(floor float64) [][]int {
 	}
 	// price per real path: w_i = λ(yᵢ + y_c·cᵢ). The delivery sum is
 	// priced exactly as evalColumn computes it — including the Eq. 28
-	// clamp at 1 — or clamped pairs would carry inflated reduced costs,
-	// crowd the top-K, and stall the loop on permanent duplicates.
+	// clamp at 1 — or clamped pairs would carry inflated reduced costs
+	// and stall the loop on permanent duplicates.
 	for i := 1; i < base; i++ {
 		wi := λ * (o.yBW[i-1] + o.yCost*o.m.paths[i].Cost)
-		if rc := o.firstDeliver[i] - wi - o.y0; rc > o.top.floor {
-			o.top.push(rc, []int{i})
-		}
+		pair := [2]int{i, 0} // drop after the first attempt
+		best := o.firstDeliver[i] - wi - o.y0
 		row := o.pRetr[(i-1)*real : i*real]
 		del := o.pDeliver[(i-1)*real : i*real]
 		for j := 1; j < base; j++ {
@@ -167,10 +170,12 @@ func (o *randomObjective) price(floor float64) [][]int {
 			if d > 1 {
 				d = 1
 			}
-			rc := d - wi - pR*wj - o.y0
-			if rc > o.top.floor {
-				o.top.push(rc, []int{i, j})
+			if rc := d - wi - pR*wj - o.y0; rc > best {
+				pair[1], best = j, rc
 			}
+		}
+		if best > o.top.floor {
+			o.top.push(best, pair[:])
 		}
 	}
 	return o.top.combos()

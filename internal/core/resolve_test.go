@@ -325,7 +325,7 @@ func TestResolveConcurrentSolvers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestResolveTrimsPoolOnDriftRing replays a 40×4 drift ring — the same
+// TestResolveTrimsPoolOnDriftRing replays a 120×2 drift ring — the same
 // rounds revisited, as a served session's estimates wander — through
 // warm quality and min-cost solvers until their pools pass
 // cgTrimTrigger. The solve that grows a pool that large must trim it to
@@ -337,8 +337,8 @@ func TestResolveTrimsPoolOnDriftRing(t *testing.T) {
 		t.Skip("CG-scale trajectory is slow under -short")
 	}
 	rng := rand.New(rand.NewPCG(2, 40))
-	ring := []*Network{diffRandomNetwork(rng, 40, 4)}
-	for len(ring) < 8 {
+	ring := []*Network{diffRandomNetwork(rng, 120, 2)}
+	for len(ring) < 4 {
 		ring = append(ring, driftNetwork(rng, ring[len(ring)-1], 0.1))
 	}
 	// A min-cost floor within 0.1% of the ring's lowest quality optimum

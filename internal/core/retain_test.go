@@ -28,7 +28,7 @@ func driftRing(rng *rand.Rand, paths, trans, rounds int) []*Network {
 }
 
 // TestColdPrimeTrimsPool checks the end-of-solve trim on the solve that
-// grows a pool most: a cold 40×4 quality prime prices 650–1,100 columns
+// grows a pool most: a cold 80×3 quality prime prices 692–866 columns
 // on these seeds, and the Solver must keep at most cgTrimKeep of them —
 // the all-blackhole column among them — with the final basis remapped
 // onto the kept columns, while the returned Solution still reads the
@@ -39,7 +39,7 @@ func TestColdPrimeTrimsPool(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 40))
-		n := diffRandomNetwork(rng, 40, 4)
+		n := diffRandomNetwork(rng, 80, 3)
 		sv := NewSolver()
 		sol, err := sv.Resolve(n)
 		if err != nil {
@@ -118,7 +118,7 @@ func TestTrimKeepsAWideBasis(t *testing.T) {
 	}
 }
 
-// TestResolveFixedPointIsFree re-solves an unchanged 40×4 network warm
+// TestResolveFixedPointIsFree re-solves an unchanged 100×2 network warm
 // right after its cold prime, for quality and for min-cost. The kept
 // basis is still optimal and the pricing oracle finds nothing, so the
 // re-solve must take one master solve with no simplex pivot and no new
@@ -132,7 +132,7 @@ func TestResolveFixedPointIsFree(t *testing.T) {
 	trimmed := map[string]int{}
 	for seed := uint64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 44))
-		n := diffRandomNetwork(rng, 40, 4)
+		n := diffRandomNetwork(rng, 100, 2)
 		opt, err := SolveQuality(n)
 		if err != nil {
 			t.Fatal(err)
@@ -182,13 +182,13 @@ func TestResolveFixedPointIsFree(t *testing.T) {
 }
 
 // TestResolveKeepsRecentColumnsOnDriftRing replays 16 drift rings of
-// 40×4 quality sessions in ping-pong order, the way a served session's
+// 80×3 quality sessions in ping-pong order, the way a served session's
 // estimates wander around their true values. Once a ring has been
 // walked through once, every state it visits has been solved before,
 // and the columns basic there were stamped: the trim must keep them, so
 // the re-solves after the first cycle price (almost) nothing back in.
 // Ranking by the latest duals alone dropped those columns and re-priced
-// a mean of 12–17 per re-solve.
+// a mean of 4.8 per re-solve.
 func TestResolveKeepsRecentColumnsOnDriftRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CG-scale trajectories are slow under -short")
@@ -201,7 +201,7 @@ func TestResolveKeepsRecentColumnsOnDriftRing(t *testing.T) {
 	)
 	added, resolves, trims := 0, 0, 0
 	for seed := uint64(1); seed <= rings; seed++ {
-		ring := driftRing(rand.New(rand.NewPCG(seed, 40)), 40, 4, rounds)
+		ring := driftRing(rand.New(rand.NewPCG(seed, 40)), 80, 3, rounds)
 		sv := NewSolver()
 		sol, err := sv.Resolve(ring[0])
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // The allocation gate: allocs/op does not depend on the machine, so a
@@ -22,7 +23,9 @@ const (
 // root test binaries, REF's and the working tree's, and reports each
 // benchmark's median per-pair ns/op ratio, the pairs in which the
 // current tree was faster, REF's interquartile range and both sides'
-// median allocs/op and B/op. B/op is reported only; it gates nothing.
+// median allocs/op and B/op, with each extra metric the benchmark
+// reports (such as cg-iters/op) on a line below it. B/op and the extra
+// metrics are reported only; they gate nothing.
 // It returns the exit status: 1 when a median ratio exceeds
 // 1 + threshold/100 or allocs/op exceed the allocation gate, else 0.
 // Which side runs first alternates by pair, so
@@ -108,6 +111,9 @@ func runAB(refBin, curBin string, pairs int, benchtime string, critical string, 
 		iqr := fmt.Sprintf("%.0f–%.0f", quantile(refNs, 0.25), quantile(refNs, 0.75))
 		fmt.Printf("%-52s %7.3f %6s %-24s %8.0f %8.0f %10.0f %10.0f%s\n", name, ratio, fmt.Sprintf("%d/%d", faster, len(ratios)), iqr, ca, ra,
 			quantile(curBytes, 0.5), quantile(refBytes, 0.5), mark)
+		if extras := extraMedians(name, cur, ref); extras != "" {
+			fmt.Printf("    %s\n", extras)
+		}
 	}
 	status := 0
 	if slow > 0 {
@@ -122,6 +128,40 @@ func runAB(refBin, curBin string, pairs int, benchtime string, critical string, 
 		fmt.Printf("\nno median ratio above %.2f and no allocation regressions\n", 1+threshold/100)
 	}
 	return status
+}
+
+// extraMedians formats the median of each extra metric of benchmark
+// name over the current runs, with REF's median beside it ("–" where
+// REF does not report it), in unit order; "" when there are none.
+func extraMedians(name string, cur, ref []map[string]entry) string {
+	medians := func(runs []map[string]entry) map[string]float64 {
+		vals := map[string][]float64{}
+		for _, run := range runs {
+			for unit, v := range run[name].Extra {
+				vals[unit] = append(vals[unit], v)
+			}
+		}
+		out := make(map[string]float64, len(vals))
+		for unit, vs := range vals {
+			out[unit] = quantile(vs, 0.5)
+		}
+		return out
+	}
+	c, r := medians(cur), medians(ref)
+	units := make([]string, 0, len(c))
+	for unit := range c {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	var b strings.Builder
+	for _, unit := range units {
+		refV := "–"
+		if v, ok := r[unit]; ok {
+			refV = fmt.Sprintf("%.4g", v)
+		}
+		fmt.Fprintf(&b, "%s %.4g (REF %s)   ", unit, c[unit], refV)
+	}
+	return strings.TrimSpace(b.String())
 }
 
 // runBench runs one test binary's benchmarks matching pattern, with

@@ -16,7 +16,9 @@
 // when a benchmark's median per-pair ns/op ratio exceeds
 // 1 + threshold/100 or its allocs/op exceed REF's by more than
 // max(2, 10%). It also prints both sides' median B/op, which gates
-// nothing. Both sides run on the same machine in the same minutes,
+// nothing, and, on a line below each benchmark, the median of every
+// metric the benchmark reports itself (b.ReportMetric), REF's beside
+// the current tree's, which gate nothing either. Both sides run on the same machine in the same minutes,
 // so the verdict does not depend on the day's speed of the machine, as
 // a comparison against a recorded baseline does.
 //
@@ -50,6 +52,9 @@ type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      float64 `json:"B_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Extra holds the benchmark's own b.ReportMetric values by unit,
+	// such as the solve benchmarks' cg-iters/op.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // baseline mirrors BENCH_baseline.json.
@@ -97,6 +102,11 @@ func parseBench(r io.Reader) (map[string]entry, []string, error) {
 				e.BPerOp = v
 			case "allocs/op":
 				e.AllocsPerOp = v
+			default:
+				if e.Extra == nil {
+					e.Extra = map[string]float64{}
+				}
+				e.Extra[mm[2]] = v
 			}
 		}
 		if _, seen := out[m[1]]; !seen {
