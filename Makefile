@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke bench bench-ab run-dmcd ci
+.PHONY: all build vet lint fmt-check test test-norace chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke bench bench-ab run-dmcd ci
 
 all: build vet lint fmt-check test
 
@@ -34,6 +34,13 @@ fmt-check:
 
 test:
 	$(GO) test -race ./...
+
+# The same suite without the race detector. Allocation pins and
+# CG-scale solves skip under -race (TestSessionFootprint,
+# TestServedSolveAllocs, TestCGPoolAllocatesCombosInChunks,
+# TestCGConvergesAtScale), so this is the run that checks them.
+test-norace:
+	$(GO) test ./...
 
 # The serving stack's chaos drill: the fault-storm invariant test
 # (internal/serve TestChaosFleetSurvivesFaultStorms) at full length —
@@ -129,4 +136,4 @@ DMCD_FLAGS ?= -addr :7117
 run-dmcd:
 	$(GO) run ./cmd/dmcd $(DMCD_FLAGS)
 
-ci: all chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke
+ci: all test-norace chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke

@@ -177,16 +177,18 @@ func BenchmarkFigure4Solve(b *testing.B) {
 
 // BenchmarkScalabilitySolve measures the scalable dispatch past
 // Figure 4's sizes: column generation on combination spaces from 4,096
-// (paths=15/trans=3, just past the dense threshold) up to 2.8M
-// (paths=40/trans=4), which dense enumeration cannot reasonably
-// materialize. One fixed random instance per size, solved with a
-// reusable solver.
+// (paths=15/trans=3, just past the dense threshold) up to 4.75 billion
+// (paths=40/trans=6), which dense enumeration cannot reasonably
+// materialize, and on a 120-path m = 2 space. One fixed random instance
+// per size, solved with a reusable solver.
 func BenchmarkScalabilitySolve(b *testing.B) {
 	for _, size := range []struct{ paths, trans int }{
-		{15, 3}, // 4096 combos: column generation
-		{10, 4}, // 14641: column generation
-		{20, 4}, // 194481: column generation
-		{40, 4}, // 2.8M: column generation
+		{15, 3},  // 4096 combos: column generation
+		{10, 4},  // 14641: column generation
+		{20, 4},  // 194481: column generation
+		{40, 4},  // 2.8M: column generation
+		{40, 6},  // 4.75G: column generation, pricing-bound
+		{120, 2}, // 14641: column generation at m = 2, with no send-time grid
 	} {
 		b.Run(fmt.Sprintf("paths=%d/trans=%d", size.paths, size.trans), func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(7, uint64(size.paths*10+size.trans)))
@@ -209,11 +211,12 @@ func BenchmarkScalabilitySolve(b *testing.B) {
 
 // workCounts sums the solve core's work over a benchmark's timed solves
 // and reports it per op from Solution.Stats: CG iterations, the columns
-// each solve's master held, and LP pivots. The solve core is
-// deterministic, so these counts repeat exactly from run to run and
-// show a change in its work where ns/op sits near its noise. It is safe
-// for concurrent use, and a nil *workCounts counts nothing.
-type workCounts struct{ iters, cols, pivots atomic.Int64 }
+// each solve's master held, LP pivots, and the pricing oracle's search
+// nodes. The solve core is deterministic, so these counts repeat
+// exactly from run to run and show a change in its work where ns/op
+// sits near its noise. It is safe for concurrent use, and a nil
+// *workCounts counts nothing.
+type workCounts struct{ iters, cols, pivots, nodes atomic.Int64 }
 
 func (w *workCounts) add(st dmc.SolveStats) {
 	if w == nil {
@@ -222,6 +225,7 @@ func (w *workCounts) add(st dmc.SolveStats) {
 	w.iters.Add(int64(st.CGIterations))
 	w.cols.Add(int64(st.Columns))
 	w.pivots.Add(int64(st.LPPivots))
+	w.nodes.Add(int64(st.PriceNodes))
 }
 
 func (w *workCounts) report(b *testing.B) {
@@ -229,6 +233,7 @@ func (w *workCounts) report(b *testing.B) {
 	b.ReportMetric(float64(w.iters.Load())/n, "cg-iters/op")
 	b.ReportMetric(float64(w.cols.Load())/n, "cols/op")
 	b.ReportMetric(float64(w.pivots.Load())/n, "pivots/op")
+	b.ReportMetric(float64(w.nodes.Load())/n, "price-nodes/op")
 }
 
 // warmResolveRing returns a base instance plus a ring of successively

@@ -435,20 +435,48 @@ func (m *model) seedColumns(cs *colSet, obj cgObjective, scratch []int) {
 // so some maximizer uses only in-time attempts with gain > 0 — the
 // search expands exactly those.
 //
-// Bound. load keeps the positive-gain paths in order, fastest first,
-// and tabulates, with gⱼ and τⱼ the gain and loss of order[j],
+// Bound. load keeps the positive-gain paths that arrive in time when
+// sent first, fastest first, so the paths in time at a send time t are
+// a prefix order[:q(t)]. An attempt on path j sent at t sends the next
+// one at t + sⱼ, sⱼ = dⱼ + d_min, so the most r more attempts, the
+// first sent at t, add per unit of survival mass is
 //
-//	ub[0][q] = 0
-//	ub[r][q] = max(0, max_{j<q} gⱼ + τⱼ·ub[r−1][q])
+//	V(0, t) = 0
+//	V(r, t) = max(0, max_{j<q(t)} gⱼ + τⱼ·V(r−1, t + sⱼ))
 //
-// for r = 0..m and q = 0..len(order). Send times only grow along a
-// chain, so when only order[:q] can still arrive in time at a node,
-// every later attempt of any chain below it also lies in order[:q]; by
-// induction on r (ub is nondecreasing in both r and q, and an attempt
-// outside order[:q] adds at most 0 and scales the survival mass by
-// τ ≤ 1), r more attempts add at most surv·ub[r][q]. Over non-binding
-// paths alone (gain 1 − τ) ub[r][q] = 1 − τ_min^r, which r in-time
-// attempts on the least lossy of them attain.
+// with gⱼ and τⱼ the gain and loss of order[j]. V never rises as t
+// grows: fewer paths are in time and every later send moves later too.
+// A child with survival mass s, accumulated gain a and r attempts left
+// below it is pruned when a + s·V̂ − y₀′, with V̂ ≥ V(r, its send time),
+// cannot beat the subtree's best so far.
+//
+// With one attempt left below the child (r = 1), V(1, t) = pmax[q(t)],
+// the prefix maximum of the gains, read at the child's exact in-time
+// count: the bound is then exactly the child's best leaf. The leaves
+// themselves are not scanned: rc grows with the gain, so leaf
+// binary-searches pmax for the first path whose rounded rc reaches the
+// maximum, the one a scan keeping strict improvements records.
+//
+// With r ≥ 2 left, load tabulates V̂ on a grid of send-time cells of
+// width Δ, from 0 past the latest in-time send, with cⱼ = ⌊sⱼ/Δ⌋:
+//
+//	V̂(1, g) = pmax[q(g·Δ)]
+//	V̂(r, g) = max(0, max_{j<q(g·Δ)} gⱼ + τⱼ·V̂(r−1, g + cⱼ))
+//
+// and a child reads the cell its send time rounds down to. Rounding a
+// send time down only adds in-time paths and moves every later send
+// earlier, so by induction on r, V̂(r, g) ≥ V(r, t) for every t ≥ g·Δ.
+// Past the grid nothing is in time, and V̂ is 0.
+//
+// The grid has as many cells as gridCells allows for the pass's kept
+// paths, so no pass fills more table entries or takes more steps than
+// the per-path-count table this bound replaced, and m ≤ 2 fills none.
+// Each path's step splits into whole cells and a remainder once per
+// pass, so neither the table nor the search divides per child. The
+// r ≥ 2 test keeps a margin (slack) of 1e-12 of the pass's largest gain
+// magnitude, far below the certification floor, so that rounding in
+// the tabulated recurrence cannot prune a column the search would
+// record.
 //
 // Partition. The combinations split by their first attempt into
 // pricing subproblems. By the argument above only the in-time first
@@ -469,9 +497,10 @@ func (m *model) seedColumns(cs *colSet, obj cgObjective, scratch []int) {
 // Traversal. search walks order[:q] — the in-time paths — fastest first.
 // A child's send time grows with its path's delay, so its in-time count
 // shrinks along the walk and a cursor that only moves down yields it in
-// amortized O(1). A child is pruned before the call when its
-// accumulated gain plus its survival mass times ub cannot beat the
-// subtree's best so far.
+// amortized O(1). Below the first attempt the cursor moves only for
+// children that pass a cheaper test first: with r = 1, the bound at the
+// node's own in-time count, pmax[q] ≥ pmax[nq], which alone pruned 87%
+// of them in cold 40×4 quality solves; with r ≥ 2, the grid bound.
 //
 // Storage. The winners live in a topK heap over fixed storage; price
 // returns headers into it, valid until the next price call.
@@ -482,8 +511,17 @@ type pricer struct {
 	trans int
 
 	order []pricedPath
-	ub    []float64 // (trans+1) × (len(order)+1): ub[r][q] at r*(len(order)+1)+q
+	pmax  []float64 // pmax[q]: the largest gain in order[:q], 0 at q = 0
+	// The send-time grid: grid cells of width dt, and V̂(r, g) for
+	// r = 1..trans−1 at vhat[(r−1)·(grid+1)+g], each row ending in a 0
+	// at g = grid for every cell past the latest in-time send.
+	dt    time.Duration
+	grid  int
+	vhat  []float64
 	y0    float64
+	slack float64 // the r ≥ 2 pruning margin
+
+	nodes int // search nodes expanded since bind (SolveStats.PriceNodes)
 
 	digits []int // the search's committed attempts
 	// The current subtree's best column so far: its gain and its
@@ -494,14 +532,19 @@ type pricer struct {
 	top     topK
 }
 
-// pricedPath is a real path with positive pricing gain, as the search
-// reads it.
+// pricedPath is a real path with positive pricing gain that is in time
+// when sent first, as the search reads it.
 type pricedPath struct {
 	i      int           // model path index
 	gain   float64       // α(1−τᵢ) − wᵢ: an in-time attempt's gain per unit of survival mass
 	loss   float64       // τᵢ
 	step   time.Duration // dᵢ + d_min, saturating: the next attempt's send-time offset
-	latest time.Duration // δ − dᵢ: the latest send time that still arrives in time
+	latest time.Duration // δ − dᵢ ≥ 0: the latest send time that still arrives in time
+	// On the send-time grid: step is cells whole cells plus rem (cells
+	// at most grid), and last is the last cell the path is in time in.
+	cells int
+	rem   time.Duration
+	last  int
 }
 
 // bind points the pricer at m and sizes its buffers for m's shape, so
@@ -512,10 +555,12 @@ func (p *pricer) bind(m *model) {
 	if cap(p.order) < m.base {
 		p.order = make([]pricedPath, 0, m.base)
 	}
-	p.ub = grow(p.ub, (m.m+1)*m.base)
+	p.pmax = grow(p.pmax, m.base)
+	p.vhat = grow(p.vhat, max(m.m-1, 0)*m.base)
 	if cap(p.digits) < m.m {
 		p.digits, p.win = make([]int, m.m), make([]int, m.m)
 	}
+	p.nodes = 0
 }
 
 // repriceQuality loads a quality-master dual vector: yBW has one
@@ -556,13 +601,17 @@ func (p *pricer) repriceMinCost(yBW []float64, yQ, y0 float64) {
 
 // load computes the per-path pricing gains α(1−τᵢ) − w(i) and the
 // constant y0 subtracted from every combination's accumulated gain,
-// keeps the positive-gain paths in order, fastest first, and rebuilds
-// the ub table.
+// keeps the positive-gain paths that are in time when sent first, in
+// order, fastest first, and rebuilds the bound: the prefix maxima and,
+// at m ≥ 3, the send-time grid's rows.
 func (p *pricer) load(alpha float64, w func(int, *Path) float64, y0 float64) {
 	p.y0 = y0
 	p.order = p.order[:0]
 	for i := 1; i < p.m.base; i++ {
 		path := &p.m.paths[i]
+		if path.Delay > p.δ {
+			continue // late even when sent first
+		}
 		if g := alpha*(1-path.Loss) - w(i, path); g > 0 {
 			step := path.Delay + p.dmin
 			if step < path.Delay { // overflow
@@ -578,19 +627,66 @@ func (p *pricer) load(alpha float64, w func(int, *Path) float64, y0 float64) {
 			p.order[b], p.order[b-1] = p.order[b-1], p.order[b]
 		}
 	}
-	w1 := len(p.order) + 1
-	ub := p.ub[:(p.trans+1)*w1]
-	clear(ub[:w1])
-	for r := 1; r <= p.trans; r++ {
-		prev, row := ub[(r-1)*w1:r*w1], ub[r*w1:(r+1)*w1]
-		for q := range row {
-			best := 0.0
-			for _, c := range p.order[:q] {
-				best = max(best, c.gain+c.loss*prev[q])
+	paths := len(p.order)
+	pmax := p.pmax[:paths+1]
+	pmax[0] = 0
+	for q, c := range p.order {
+		pmax[q+1] = max(pmax[q], c.gain)
+	}
+	p.slack = 1e-12 * (math.Abs(y0) + float64(p.trans)*pmax[paths])
+	p.grid = 0
+	if p.trans < 3 || paths == 0 {
+		return
+	}
+
+	// The grid: cells of width dt from 0, grid·dt past order[0].latest.
+	p.grid = gridCells(paths, p.trans)
+	p.dt = p.order[0].latest/time.Duration(p.grid) + 1
+	for k := range p.order {
+		c := &p.order[k]
+		c.cells = int(min(c.step/p.dt, time.Duration(p.grid)))
+		c.rem = c.step % p.dt
+		c.last = int(c.latest / p.dt)
+	}
+	row := p.row(1)
+	q := paths
+	for g := range p.grid {
+		for q > 0 && p.order[q-1].last < g {
+			q--
+		}
+		row[g] = pmax[q]
+	}
+	row[p.grid] = 0
+	for r := 2; r < p.trans; r++ {
+		prev := row
+		row = p.row(r)
+		clear(row)
+		for _, c := range p.order {
+			for g := range c.last + 1 {
+				if v := c.gain + c.loss*prev[min(g+c.cells, p.grid)]; v > row[g] {
+					row[g] = v
+				}
 			}
-			row[q] = best
 		}
 	}
+}
+
+// row returns V̂(r, ·) on the send-time grid, padding cell included.
+func (p *pricer) row(r int) []float64 {
+	w := p.grid + 1
+	return p.vhat[(r-1)*w : r*w]
+}
+
+// gridCells returns the send-time grid's cell count for a pass that
+// keeps paths paths at trans attempts. Filling the rows r = 2..trans−1
+// takes at most paths steps per cell each, and the r = 1 row one per
+// cell and per path; the count is the most that keeps the whole fill
+// within the trans·paths·(paths+1)/2 steps of the per-path-count table
+// this grid replaced (paths cells up to trans = 4, about 3/4 of that at
+// trans = 6), and never more cells than paths.
+func gridCells(paths, trans int) int {
+	budget := trans*paths*(paths+1)/2 - paths
+	return max(1, min(paths, budget/((trans-2)*paths+1)))
 }
 
 // price returns up to cgColumnsPerIter combinations with pricing gain
@@ -602,13 +698,20 @@ func (p *pricer) price(floor float64) [][]int {
 	if rc := -p.y0; rc > p.top.floor {
 		p.top.push(rc, nil) // the all-blackhole column
 	}
-	q := p.inTime(0, len(p.order))
-	w1 := len(p.order) + 1
-	ub := p.ub[(p.trans-1)*w1 : p.trans*w1]
-	for _, c := range p.order[:q] {
+	r := p.trans - 1 // attempts left below a first attempt
+	nq := len(p.order)
+	for _, c := range p.order { // every kept path is in time sent first
 		next := c.step // sent at 0
-		nq := p.inTime(next, q)
-		if c.gain+c.loss*ub[nq]-p.y0 <= p.top.floor {
+		nq = p.inTime(next, nq)
+		bound, slack := c.gain, 0.0
+		switch {
+		case r == 1:
+			bound += c.loss * p.pmax[nq]
+		case r >= 2:
+			bound += c.loss * p.row(r)[c.cells]
+			slack = p.slack
+		}
+		if bound-p.y0 <= p.top.floor-slack {
 			continue // the heap is full of better winners, or nothing clears the floor
 		}
 		p.best, p.bestLen = p.top.floor, 0
@@ -637,39 +740,81 @@ func (p *pricer) inTime(t time.Duration, q int) int {
 // recorded in p.win when it beats p.best. A node with no survival mass
 // left has nothing to add: every extension is the same column.
 func (p *pricer) search(k int, t time.Duration, q int, surv, acc float64) {
+	p.nodes++
 	if rc := acc - p.y0; rc > p.best {
 		p.record(rc, k)
 	}
-	if k == p.trans || surv == 0 {
+	if k == p.trans || surv == 0 || q == 0 {
 		return
 	}
-	r := p.trans - k - 1 // attempts left below a child
-	if r == 0 {
-		// The children are leaves: each is its own bound.
+	switch r := p.trans - k - 1; r { // attempts left below a child
+	case 0:
+		p.leaf(k, q, surv, acc)
+	case 1:
+		nq, most := q, p.pmax[q]
 		for _, c := range p.order[:q] {
-			if rc := acc + surv*c.gain - p.y0; rc > p.best {
-				p.digits[k] = c.i
-				p.record(rc, k+1)
+			s, a := surv*c.loss, acc+surv*c.gain
+			if a+s*most-p.y0 <= p.best {
+				continue // not even the node's best leaf path would do
 			}
+			next := sendAfter(t, c.step)
+			nq = p.inTime(next, nq)
+			if a+s*p.pmax[nq]-p.y0 <= p.best {
+				continue
+			}
+			p.digits[k] = c.i
+			p.search(k+1, next, nq, s, a)
 		}
+	default:
+		row := p.row(r)
+		cell, rem := int(min(t/p.dt, time.Duration(p.grid))), t%p.dt
+		nq := q
+		for _, c := range p.order[:q] {
+			at := cell + c.cells // the cell of t + c.step
+			if c.rem >= p.dt-rem {
+				at++
+			}
+			s, a := surv*c.loss, acc+surv*c.gain
+			if a+s*row[min(at, p.grid)]-p.y0 <= p.best-p.slack {
+				continue
+			}
+			next := sendAfter(t, c.step)
+			nq = p.inTime(next, nq)
+			p.digits[k] = c.i
+			p.search(k+1, next, nq, s, a)
+		}
+	}
+}
+
+// leaf resolves the last attempt below the prefix p.digits[:k]. rc grows
+// with the gain, so the best leaf prices acc + surv·pmax[q] − y₀′, and
+// the first path of order[:q] whose rc rounds to that value — the
+// winner of a scan that records strict improvements — is the first
+// prefix maximum that does, found by binary search.
+func (p *pricer) leaf(k, q int, surv, acc float64) {
+	rc := acc + surv*p.pmax[q] - p.y0
+	if rc <= p.best {
 		return
 	}
-	w1 := len(p.order) + 1
-	ub := p.ub[r*w1 : (r+1)*w1]
-	nq := q
-	for _, c := range p.order[:q] {
-		next := t + c.step
-		if next < t { // overflow
-			next = time.Duration(math.MaxInt64)
+	lo, hi := 0, q-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if acc+surv*p.pmax[mid+1]-p.y0 >= rc {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		nq = p.inTime(next, nq)
-		s, a := surv*c.loss, acc+surv*c.gain
-		if a+s*ub[nq]-p.y0 <= p.best {
-			continue
-		}
-		p.digits[k] = c.i
-		p.search(k+1, next, nq, s, a)
 	}
+	p.digits[k] = p.order[lo].i
+	p.record(rc, k+1)
+}
+
+// sendAfter returns t + step, saturating at the largest duration.
+func sendAfter(t, step time.Duration) time.Duration {
+	if next := t + step; next >= t {
+		return next
+	}
+	return time.Duration(math.MaxInt64)
 }
 
 // record makes the committed prefix p.digits[:k], of gain rc, the

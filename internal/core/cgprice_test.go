@@ -18,18 +18,24 @@ import (
 // returned one attains the maximum. It checks the partition too: no
 // two returned combinations share a first attempt, and when at most
 // cgColumnsPerIter first paths that lead a subproblem reach the floor,
-// each one's enumerated best is returned. Networks have 1–6 paths and
-// 1–4 transmissions, with delays and deadlines drawn so that chains run
-// out of time at different depths (sometimes landing exactly on δ);
-// duals are random for both gain forms — quality with and without the
-// cost row, and min-cost with the clamps repriceMinCost applies.
+// each one's enumerated best is returned. Every draw's send-time grid
+// must bound the enumerated continuations too (checkGridBound).
+// Networks have 1–6 paths and 1–4 transmissions, or 1–4 paths and 5–6
+// transmissions, with delays and deadlines drawn so that chains run out
+// of time at different depths (sometimes landing exactly on δ); duals
+// are random for both gain forms — quality with and without the cost
+// row, and min-cost with the clamps repriceMinCost applies.
 func FuzzPricerMatchesEnumeration(f *testing.F) {
-	for shape := range 24 {
+	for shape := range 36 {
 		f.Add(uint64(shape)*0x9e3779b97f4a7c15+1, uint8(shape))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
 		rng := rand.New(rand.NewPCG(seed, uint64(shape)))
-		n := pricerTestNetwork(rng, 1+int(shape)%6, 1+int(shape/6)%4)
+		paths, trans := 1+int(shape)%6, 1+int(shape/6)%6
+		if trans >= 5 {
+			paths = 1 + int(shape)%4 // at most 5^6 combinations to enumerate
+		}
+		n := pricerTestNetwork(rng, paths, trans)
 		m, err := newModel(n)
 		if err != nil {
 			t.Fatal(err)
@@ -38,6 +44,7 @@ func FuzzPricerMatchesEnumeration(f *testing.F) {
 		pr.bind(m)
 		for draw := range 6 {
 			g := drawPricingDuals(rng, m, pr, draw%3)
+			checkGridBound(t, pr)
 			e := enumeratePricing(m.base, m.nVars, m.combo, g.gain, 1e-12*g.scale)
 			// A first attempt leads a subproblem when it is in time and
 			// gains: alone, it prices above the all-blackhole column.
@@ -52,6 +59,92 @@ func FuzzPricerMatchesEnumeration(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPricerGridBound checks the bound the pricing search reads with
+// two or more attempts left below a child: on every pass, each
+// tabulated V̂(r, g) is at least the best continuation of up to r more
+// attempts from the cell's send time g·Δ, enumerated chain by chain
+// (checkGridBound). Networks have 1–7 paths and 3–6 transmissions, with
+// the deadlines of FuzzPricerMatchesEnumeration, plus 20×5 and 12×6
+// networks of the differential suites (diffRandomNetwork).
+func TestPricerGridBound(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x6b1d, 3))
+	pr := new(pricer)
+	for trial := range 240 {
+		var n *Network
+		switch trial % 8 {
+		case 6:
+			n = diffRandomNetwork(rng, 20, 5)
+		case 7:
+			n = diffRandomNetwork(rng, 12, 6)
+		default:
+			n = pricerTestNetwork(rng, 1+rng.IntN(7), 3+trial%4)
+		}
+		m, err := newSparseModel(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.bind(m)
+		for draw := range 3 {
+			drawPricingDuals(rng, m, pr, draw)
+			checkGridBound(t, pr)
+		}
+	}
+}
+
+// TestGridCellsWithinBudget: the send-time grid never has more cells
+// than the pass keeps paths, and filling its rows takes no more steps
+// than the trans·L·(L+1)/2 of the per-path-count table the grid
+// replaced, for every path count L up to the model's limit.
+func TestGridCellsWithinBudget(t *testing.T) {
+	for trans := 3; trans <= MaxTransmissions; trans++ {
+		for paths := 1; paths <= 1600; paths++ {
+			g := gridCells(paths, trans)
+			steps := (trans-2)*paths*g + g + paths // rows r ≥ 2, then the r = 1 sweep
+			if g < 1 || g > paths || steps > trans*paths*(paths+1)/2 {
+				t.Fatalf("%d paths, %d transmissions: %d cells, %d steps", paths, trans, g, steps)
+			}
+		}
+	}
+}
+
+// checkGridBound holds the pricer's loaded send-time grid against brute
+// force: for r = 1..trans−1 and every cell g, V̂(r, g) must be at least
+// bestContinuation from g·Δ, within the search's pruning margin, and
+// the padding cell past the grid must hold 0.
+func checkGridBound(t *testing.T, pr *pricer) {
+	t.Helper()
+	for r := 1; r < pr.trans && pr.grid > 0; r++ {
+		row := pr.row(r)
+		for g := range pr.grid {
+			send := time.Duration(g) * pr.dt
+			if best := bestContinuation(pr, r, send, 1, 0); row[g] < best-pr.slack {
+				t.Fatalf("%d paths, %d transmissions: V̂(%d, cell %d at %v) = %v, below the best continuation %v",
+					len(pr.order), pr.trans, r, g, send, row[g], best)
+			}
+		}
+		if row[pr.grid] != 0 {
+			t.Fatalf("V̂(%d) past the grid is %v, want 0", r, row[pr.grid])
+		}
+	}
+}
+
+// bestContinuation returns the largest accumulated gain of any chain of
+// up to r more in-time attempts on the pricer's kept paths, the first
+// sent at t, starting from survival mass surv and accumulated gain acc
+// and valued the way search accumulates it.
+func bestContinuation(pr *pricer, r int, t time.Duration, surv, acc float64) float64 {
+	best := acc
+	if r == 0 {
+		return best
+	}
+	for _, c := range pr.order {
+		if t <= c.latest {
+			best = max(best, bestContinuation(pr, r-1, sendAfter(t, c.step), surv*c.loss, acc+surv*c.gain))
+		}
+	}
+	return best
 }
 
 // TestRandomPricerMatchesEnumeration checks the random-delay objective's

@@ -33,6 +33,10 @@ type randomObjective struct {
 	pRetr    []float64
 	pDeliver []float64
 
+	// delays holds each real path's delay distribution (model index),
+	// taken once per load; cleared when load returns.
+	delays []dist.Delay
+
 	// Current duals (loaded by reprice).
 	yBW   []float64
 	yCost float64
@@ -54,10 +58,14 @@ func (o *randomObjective) load(m *model, to *Timeouts) {
 	o.pRetr = grow(o.pRetr, real*real)
 	o.pDeliver = grow(o.pDeliver, real*real)
 
-	ack := n.Paths[n.AckPathIndex()].delayDist()
+	o.delays = grow(o.delays, m.base)
+	for i := 1; i < m.base; i++ {
+		o.delays[i] = n.Paths[i-1].delayDist()
+	}
+	ack := o.delays[n.AckPathIndex()+1]
 	for i := 1; i < m.base; i++ {
 		pi := n.Paths[i-1]
-		di := pi.delayDist()
+		di := o.delays[i]
 		o.firstDeliver[i] = di.CDF(δ) * (1 - pi.Loss)
 		// rtt is the distribution of dᵢ + d_min (1-based model index i
 		// corresponds to Paths[i-1]).
@@ -76,7 +84,7 @@ func (o *randomObjective) load(m *model, to *Timeouts) {
 					lastT, lastCDF = t, rtt.CDF(t)
 				}
 				o.pRetr[at] = 1 - lastCDF*(1-pi.Loss)
-				o.pDeliver[at] = pj.delayDist().CDF(δ-t) * (1 - pj.Loss)
+				o.pDeliver[at] = o.delays[j].CDF(δ-t) * (1 - pj.Loss)
 			} else {
 				// No timeout makes the retransmission useful; a sender
 				// assigned this combination would wait until the
@@ -87,6 +95,7 @@ func (o *randomObjective) load(m *model, to *Timeouts) {
 			}
 		}
 	}
+	clear(o.delays) // the workspace outlives the network
 }
 
 // evalColumn evaluates a pair's Eqs. 27–30 column (formulas on

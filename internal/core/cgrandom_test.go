@@ -254,3 +254,26 @@ func TestRandomCGExperiment2(t *testing.T) {
 		t.Errorf("cg %v vs dense %v (diff %v)", s.Quality, dense.Quality, diff)
 	}
 }
+
+// TestRandomLoadAllocsLinear: randomObjective.load takes each path's
+// delay distribution once, so tabulating a 120-path network's 14,400
+// pairs allocates in proportion to its paths, not to its pairs. Boxing
+// one deterministic delay per pair made about 14,400 allocations here.
+func TestRandomLoadAllocsLinear(t *testing.T) {
+	const paths = 120
+	n := diffRandomNetwork(rand.New(rand.NewPCG(7, paths)), paths, 2)
+	to, err := DeterministicTimeouts(n, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newSparseModel(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ro randomObjective
+	allocs := testing.AllocsPerRun(3, func() { ro.load(m, to) })
+	if allocs > 4*paths {
+		t.Fatalf("load of %d paths made %.0f allocations, want at most %d", paths, allocs, 4*paths)
+	}
+	t.Logf("%d paths: %.0f allocations per load", paths, allocs)
+}

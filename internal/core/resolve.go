@@ -399,6 +399,9 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 	}
 	sol := m.newSolution(spec, &cs.cols, lpSol.X, quality, cs.pos)
 	st.Columns = cs.cols.len()
+	if req.obj != objRandom {
+		st.PriceNodes = w.pr.nodes
+	}
 	if rs != nil {
 		st.Warm, st.PoolHits, st.PoolAdded = warm, hits, cs.cols.len()-hits
 		s.retainPool(rs, m, spec, cs, lpSol)

@@ -52,6 +52,11 @@ type SolveStats struct {
 	// outside the CG dispatch.
 	PoolHits  int
 	PoolAdded int
+	// PriceNodes counts the search nodes the deterministic-delay pricing
+	// oracle expanded over every pricing pass of the solve, each node
+	// once. It is zero on the dense dispatch and for the random-delay
+	// objective, whose oracle scans pairs without a search.
+	PriceNodes int
 }
 
 // Solution is an optimal sending strategy: the fraction of application
