@@ -37,8 +37,10 @@ test:
 
 # The same suite without the race detector. Allocation pins and
 # CG-scale solves skip under -race (TestSessionFootprint,
-# TestServedSolveAllocs, TestCGPoolAllocatesCombosInChunks,
-# TestCGConvergesAtScale), so this is the run that checks them.
+# TestServedSolveAllocs, TestCGPoolAllocationsPerColumn,
+# TestCGConvergesAtScale, and the allocation checks that end
+# TestQualityUpperBound and TestRiskReportMatchesSolution), so this is
+# the run that checks them.
 test-norace:
 	$(GO) test ./...
 

@@ -463,8 +463,7 @@ func solveManyFleet(paths, trans, size, rounds int) [][]*dmc.Network {
 	return out
 }
 
-// sessionKeys precomputes one session key per fleet slot, so the
-// session fan-outs below format no strings inside the timed loop.
+// sessionKeys returns one session ID per fleet slot.
 func sessionKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
@@ -473,12 +472,22 @@ func sessionKeys(n int) []string {
 	return keys
 }
 
-// solveSessions re-solves one fleet round on the pool, network i on
-// session keys[i], fanned across GOMAXPROCS workers, and counts the
+// newSessions returns one Solver per fleet slot: the library's fleet,
+// one warm Solver per session.
+func newSessions(n int) []*dmc.Solver {
+	svs := make([]*dmc.Solver, n)
+	for i := range svs {
+		svs[i] = dmc.NewSolver()
+	}
+	return svs
+}
+
+// solveSessions re-solves one fleet round, network i on session i's
+// Solver (Resolve), fanned across GOMAXPROCS workers, and counts the
 // solves' work into w.
-func solveSessions(pool *dmc.WarmPool, keys []string, nets []*dmc.Network, w *workCounts) error {
+func solveSessions(svs []*dmc.Solver, nets []*dmc.Network, w *workCounts) error {
 	return conc.ForEach(len(nets), func(i int) error {
-		sol, err := pool.SolveSession(keys[i], nets[i])
+		sol, err := svs[i].Resolve(nets[i])
 		if err == nil {
 			w.add(sol.Stats)
 		}
@@ -501,23 +510,22 @@ func solveCold(nets []*dmc.Network, w *workCounts) error {
 
 // BenchmarkSolveManyWarm measures fleet-scale re-solves of 64 drifting
 // 20-path × 4-transmission networks (194k-combination CG dispatch
-// each): one WarmPool session per network, re-solved warm as the fleet
-// drifts, against one-shot cold solves of the identical fleets. Both
-// fan out across GOMAXPROCS workers. The warm/cold per-op ratio is the
-// fleet re-solve artifact; ≥5× is the acceptance bar.
+// each): one warm Solver per network, re-solved as the fleet drifts,
+// against one-shot cold solves of the identical fleets. Both fan out
+// across GOMAXPROCS workers. The warm/cold per-op ratio is the fleet
+// re-solve artifact; ≥5× is the acceptance bar.
 func BenchmarkSolveManyWarm(b *testing.B) {
 	fleets := solveManyFleet(20, 4, 64, 8)
 	b.Run("warm", func(b *testing.B) {
-		pool := dmc.NewWarmPool()
-		keys := sessionKeys(len(fleets[0]))
-		if err := solveSessions(pool, keys, fleets[0], nil); err != nil {
+		svs := newSessions(len(fleets[0]))
+		if err := solveSessions(svs, fleets[0], nil); err != nil {
 			b.Fatal(err)
 		}
 		var work workCounts
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := solveSessions(pool, keys, fleets[i%len(fleets)], &work); err != nil {
+			if err := solveSessions(svs, fleets[i%len(fleets)], &work); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -847,11 +855,11 @@ func serveSweep(url string, bodies [][]byte) error {
 
 // BenchmarkServeSaturation measures the daemon under fleet re-solve
 // sweeps (one whole drifting fleet round per op) against the same
-// sweeps on a library WarmPool directly (one session per network,
-// fanned across GOMAXPROCS workers), in two regimes. sessions=64
+// sweeps on the library directly (one warm Solver per network, fanned
+// across GOMAXPROCS workers), in two regimes. sessions=64
 // is CG-scale (20 paths × 4 transmissions per session): per-solve work
 // dominates, and the daemon/library per-op ratio is the serving tax —
-// HTTP, admission queueing, and session registry on top of identical keyed
+// HTTP, admission queueing, and session registry on top of identical
 // warm solves; within 2× is the acceptance bar. sessions=10240 is the
 // admission sweep (tiny dense solves, transport-bound): its artifact is
 // that backpressure never drops a session — any 429 fails the
@@ -864,14 +872,13 @@ func BenchmarkServeSaturation(b *testing.B) {
 		fleets := solveManyFleet(size.paths, size.trans, size.sessions, size.rounds)
 
 		b.Run(fmt.Sprintf("sessions=%d/library", size.sessions), func(b *testing.B) {
-			pool := dmc.NewWarmPool()
-			keys := sessionKeys(size.sessions)
-			if err := solveSessions(pool, keys, fleets[0], nil); err != nil {
+			svs := newSessions(size.sessions)
+			if err := solveSessions(svs, fleets[0], nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := solveSessions(pool, keys, fleets[i%len(fleets)], nil); err != nil {
+				if err := solveSessions(svs, fleets[i%len(fleets)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -89,6 +89,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		printSolution(stdout, n, sol)
+		printTimeouts(stdout, sol)
 		return nil
 
 	case "mincost":
@@ -97,6 +98,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		printSolution(stdout, n, sol)
+		printTimeouts(stdout, sol)
 		fmt.Fprintf(stdout, "total cost: %.4g per second (quality floor %.2f%%)\n", sol.Cost(), *minQuality*100)
 		return nil
 
@@ -135,14 +137,19 @@ func printSolution(w io.Writer, n *core.Network, sol *core.Solution) {
 	if drop := sol.DropRate(); drop > 0 {
 		fmt.Fprintf(w, "  dropped  %.4g Mbps via blackhole\n", drop/core.Mbps)
 	}
-	if timeouts := sol.Timeouts(0); len(timeouts) > 0 {
-		fmt.Fprintf(w, "retransmission timeouts (Eq. 4, no margin): ")
-		for i, t := range timeouts {
-			if i > 0 {
-				fmt.Fprint(w, ", ")
-			}
-			fmt.Fprintf(w, "t%d=%v", i+1, t.Round(time.Millisecond))
+}
+
+// printTimeouts prints the Eq. 4 retransmission timeouts a
+// deterministic-delay solution assumes. A random-delay solution was
+// solved with its own optimized table, printed above it, so it gets
+// none.
+func printTimeouts(w io.Writer, sol *core.Solution) {
+	fmt.Fprintf(w, "retransmission timeouts (Eq. 4, no margin): ")
+	for i, t := range sol.Timeouts(0) {
+		if i > 0 {
+			fmt.Fprint(w, ", ")
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "t%d=%v", i+1, t.Round(time.Millisecond))
 	}
+	fmt.Fprintln(w)
 }

@@ -74,6 +74,10 @@ func TestRandomObjective(t *testing.T) {
 	if !strings.Contains(s, "optimized timeouts") || !strings.Contains(s, "93.3") {
 		t.Errorf("random output:\n%s", s)
 	}
+	// The solution was solved with the optimized table, not with Eq. 4's.
+	if strings.Contains(s, "Eq. 4") {
+		t.Errorf("random output prints Eq. 4 timeouts its solution does not use:\n%s", s)
+	}
 }
 
 func TestInputFile(t *testing.T) {

@@ -38,9 +38,10 @@
 // master cold, so it equals a cold solve bit for bit; a
 // column-generation re-solve reprices its retained pool, reuses the LP
 // basis and appends newly priced columns to the sparse master in place.
-// NewWarmPool keeps one such warm Solver per session key for fleets of
-// sessions re-solving as their estimates drift. SolveQualityExact solves
-// with exact rational arithmetic, as the paper's CGAL setup.
+// A fleet of sessions re-solving as their estimates drift holds one such
+// warm Solver per session, as the sessions behind NewServer do.
+// SolveQualityExact solves with exact rational arithmetic, as the
+// paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
 // solved split to per-packet decisions.
@@ -118,8 +119,8 @@ type (
 	// cold, while under column generation the pool is retained and
 	// repriced and the previous LP basis warm-starts the simplex —
 	// typically ≥5× faster than a cold solve at CG scale, with identical
-	// optima. Not safe for concurrent use; use one per goroutine, or a
-	// WarmPool (one Solver per session key).
+	// optima. Not safe for concurrent use: a fleet holds one Solver per
+	// session, each re-solved by one goroutine at a time.
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
@@ -128,12 +129,6 @@ type (
 	// as a re-solve loop keeps the table it is using, and leaves at a
 	// garbage collection once none does. Safe for concurrent use.
 	TimeoutCache = core.TimeoutCache
-	// WarmPool keeps incremental re-solve state (column tables; the CG
-	// pool and LP basis) per session: a map from session key to one warm
-	// Solver, solved through SolveSession, SolveSessionMinCost, and
-	// SolveSessionRandom and released by DropSession. Safe for
-	// concurrent use; see NewWarmPool.
-	WarmPool = core.WarmPool
 	// SolveStats records which solve core ran (dense enumeration or
 	// column generation) and what it cost.
 	SolveStats = core.SolveStats
@@ -287,15 +282,6 @@ func NewSolver() *Solver { return core.NewSolver() }
 // bandwidths, so adaptive re-solves under rate/budget/loss drift hit the
 // cache for free.
 func NewTimeoutCache() *TimeoutCache { return core.NewTimeoutCache() }
-
-// NewWarmPool returns an empty session-keyed warm-solver pool. Its
-// methods (SolveSession, SolveSessionMinCost, SolveSessionRandom) pin a
-// caller-supplied key to its own warm solver, keeping basis and
-// column-pool affinity as the fleet reorders, grows, and shrinks around
-// it; DropSession releases the key's solver. They share the
-// Solver.Resolve result-invalidation contract: a Solution's slices are
-// valid until the next solve on the same session key.
-func NewWarmPool() *WarmPool { return core.NewWarmPool() }
 
 // SolveMinCost minimizes cost subject to a quality floor (§VI-A) with
 // the same dispatch as SolveQuality. Past the dense threshold, column

@@ -40,17 +40,23 @@ func clamp01(v float64) float64 {
 
 // QualityUpperBound returns the best achievable quality ignoring bandwidth
 // and cost limits: the delivery probability of the best feasible single
-// combination. Useful as a sanity bound in tests and reports.
+// combination. Useful as a sanity bound in tests and reports. Each
+// combination is evaluated as a solve's column is, so the bound is the
+// largest DeliveryProbs entry of a dense SolveQuality, bit for bit.
 func QualityUpperBound(n *Network) (float64, error) {
 	m, err := newModel(n)
 	if err != nil {
 		return 0, err
 	}
+	var digits [MaxTransmissions]int
+	var weights [MaxTransmissions]float64
+	combo := digits[:m.m]
 	best := 0.0
-	for l := 0; l < m.nVars; l++ {
-		if p := m.deliveryProb(m.combo(l)); p > best {
+	for range m.nVars {
+		if p, _ := m.evalColumn(combo, weights[:m.m]); p > best {
 			best = p
 		}
+		m.nextCombo(combo)
 	}
 	return best, nil
 }

@@ -45,12 +45,12 @@ const (
 // and either grows the pool or certifies ErrInfeasible.
 var errMasterInfeasible = errors.New("core: restricted master infeasible over the current column pool")
 
-// cgObjective abstracts the objective-specific pieces of the
-// column-generation engine — what the restricted master optimizes, how a
-// combination's LP column is evaluated, and how new columns are priced
-// from the master's duals — so one runCG loop serves quality
-// maximization (Eq. 10), §VI-A cost minimization under a quality floor,
-// and the §VI-B random-delay columns alike.
+// cgObjective is a solve's objective: what its master optimizes, how a
+// combination's LP column is evaluated, and, for column generation, how
+// new columns are priced from the master's duals. The dense dispatch
+// reads only the first two, so both dispatches, and one runCG loop,
+// serve quality maximization (Eq. 10), §VI-A cost minimization under a
+// quality floor, and the §VI-B random-delay columns alike.
 type cgObjective interface {
 	// master names the restricted master's shape.
 	master() masterSpec

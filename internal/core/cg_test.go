@@ -247,12 +247,12 @@ func TestDispatchThresholds(t *testing.T) {
 	}
 }
 
-// TestCGPoolAllocatesCombosInChunks: a cold 80×4 quality solve pools
+// TestCGPoolAllocationsPerColumn: a cold 80×4 quality solve pools
 // 644–801 columns on these seeds, and the pool's flat tables, whose
 // path digits hold every combination, grow by amortized appends, which
-// keeps the whole solve under one allocation per four columns. The
-// pooled combinations must stay distinct.
-func TestCGPoolAllocatesCombosInChunks(t *testing.T) {
+// keeps the whole solve under one allocation per four pooled columns.
+// The pooled combinations must stay distinct.
+func TestCGPoolAllocationsPerColumn(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("CG-scale solves are slow under -short; -race pools drop at random")
 	}

@@ -107,7 +107,9 @@ func achievedQuality(x, delivery []float64) float64 {
 // the full combination space can meet it: ErrInfeasible.
 func (s *Solver) growPoolToQualityFloor(m *model, cs *colSet, mo *minCostObjective, certTol float64, st *SolveStats) error {
 	minQ := mo.minQuality
-	qo := &qualityObjective{m: m, pr: mo.pr, costRow: false}
+	// The workspace's quality objective is free during a min-cost solve.
+	qo := &s.work.quality
+	*qo = qualityObjective{m: m, pr: mo.pr}
 	stop := func(sol *lp.Solution) bool { return sol.Objective >= minQ }
 	qSol, err := s.runCG(m, cs, qo, nil, certTol, false, stop, st)
 	if err != nil {

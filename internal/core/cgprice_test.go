@@ -45,7 +45,7 @@ func FuzzPricerMatchesEnumeration(f *testing.F) {
 		for draw := range 6 {
 			g := drawPricingDuals(rng, m, pr, draw%3)
 			checkGridBound(t, pr)
-			e := enumeratePricing(m.base, m.nVars, m.combo, g.gain, 1e-12*g.scale)
+			e := enumeratePricing(m, g.gain, 1e-12*g.scale)
 			// A first attempt leads a subproblem when it is in time and
 			// gains: alone, it prices above the all-blackhole column.
 			empty := g.gain(make([]int, m.m))
@@ -202,7 +202,7 @@ func TestRandomPricerMatchesEnumeration(t *testing.T) {
 				return v
 			}
 			scale := 1 + math.Abs(y0) + 2*wmax
-			e := enumeratePricing(m.base, m.nVars, m.combo, gain, 1e-12*scale)
+			e := enumeratePricing(m, gain, 1e-12*scale)
 			e.what = fmt.Sprintf("trial %d (%d paths) draw %d: ", trial, paths, draw)
 			for i := range e.leads {
 				e.leads[i] = true
@@ -226,17 +226,18 @@ type pricingEnum struct {
 	best, tol float64
 }
 
-// enumeratePricing prices all nVars combinations of base digits.
-func enumeratePricing(base, nVars int, combo func(int) Combo, gain func([]int) float64, tol float64) *pricingEnum {
-	e := &pricingEnum{gain: gain, firstBest: make([]float64, base), leads: make([]bool, base), best: math.Inf(-1), tol: tol}
+// enumeratePricing prices all combinations of the dense model m.
+func enumeratePricing(m *model, gain func([]int) float64, tol float64) *pricingEnum {
+	e := &pricingEnum{gain: gain, firstBest: make([]float64, m.base), leads: make([]bool, m.base), best: math.Inf(-1), tol: tol}
 	for i := range e.firstBest {
 		e.firstBest[i] = math.Inf(-1)
 	}
-	for l := range nVars {
-		c := combo(l)
+	c := make([]int, m.m)
+	for range m.nVars {
 		v := gain(c)
 		e.firstBest[c[0]] = max(e.firstBest[c[0]], v)
 		e.best = max(e.best, v)
+		m.nextCombo(c)
 	}
 	e.leads[0] = true
 	return e

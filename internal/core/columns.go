@@ -135,30 +135,30 @@ func (m *model) evalColumn(combo []int, weights []float64) (delivery, cost float
 	return delivery, cost
 }
 
-// computeColumns enumerates every combination once with an odometer over
-// the little-endian path digits (Eq. 13) and evaluates each column via
-// ev — the allocation-light dense enumeration.
+// computeColumns enumerates every combination once in Eq. 13 order and
+// evaluates each column via ev — the allocation-light dense enumeration.
 func (m *model) computeColumns(ev columnEvaluator) *columns {
-	base, trans := m.base, m.m
+	trans := m.m
 	cols := newColumns(m.nVars, trans)
 	for l := 1; l < m.nVars; l++ {
-		// Odometer increment of the previous column's little-endian
-		// digits.
-		prev, digits := cols.digits[(l-1)*trans:l*trans], cols.digits[l*trans:(l+1)*trans]
-		carry := true
-		for k, d := range prev {
-			if carry {
-				if d++; d == base {
-					d = 0
-				} else {
-					carry = false
-				}
-			}
-			digits[k] = d
-		}
+		digits := cols.digits[l*trans : (l+1)*trans]
+		copy(digits, cols.digits[(l-1)*trans:l*trans])
+		m.nextCombo(digits)
 	}
 	cols.evaluate(ev)
 	return cols
+}
+
+// nextCombo advances digits to the next combination in Eq. 13 order: an
+// odometer increment of the little-endian path digits, which wraps from
+// the last combination to the all-blackhole one.
+func (m *model) nextCombo(digits []int) {
+	for k := range digits {
+		if digits[k]++; digits[k] < m.base {
+			return
+		}
+		digits[k] = 0
+	}
 }
 
 // evaluate (re-)evaluates every column in place via ev. Evaluators write

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -156,6 +158,48 @@ func TestQualityUpperBound(t *testing.T) {
 	s := solveQ(t, n)
 	if s.Quality > ub+1e-9 {
 		t.Error("quality exceeds upper bound")
+	}
+
+	// The bound evaluates combinations as the solve's columns are: it is
+	// the largest delivery probability of a dense solve, bit for bit.
+	rng := randv2.New(randv2.NewPCG(0x0b, 0x34))
+	for trial := 0; trial < 60; trial++ {
+		paths, trans := 1+rng.IntN(12), 1+rng.IntN(5)
+		if _, ok := combinationCount(paths+1, trans, DefaultDenseThreshold); !ok {
+			continue
+		}
+		n := diffRandomNetwork(rng, paths, trans)
+		if trial%3 == 0 {
+			n.Lifetime /= 3 // late attempts
+		}
+		ub, err := QualityUpperBound(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol := solveQ(t, n)
+		if sol.Stats.Dispatch != DispatchDense {
+			t.Fatalf("trial %d: %d×%d solved by %v, want dense", trial, paths, trans, sol.Stats.Dispatch)
+		}
+		if best := slices.Max(sol.DeliveryProbs()); ub != best {
+			t.Errorf("trial %d: %d×%d upper bound %v, dense solve's best column %v", trial, paths, trans, ub, best)
+		}
+	}
+
+	// One reused digit and weight buffer: the allocations do not grow
+	// with the combination count (3² against 11⁴).
+	if raceEnabled {
+		return
+	}
+	small, large := diffRandomNetwork(rng, 2, 2), diffRandomNetwork(rng, 10, 4)
+	allocs := func(n *Network) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := QualityUpperBound(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b || b > 2 {
+		t.Errorf("QualityUpperBound allocates %v times over 9 combinations and %v over 14641, want the same count, at most 2", a, b)
 	}
 }
 

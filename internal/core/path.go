@@ -296,7 +296,7 @@ func newSparseModel(n *Network) (*model, error) {
 	}
 	m := &model{
 		net:   n,
-		paths: append([]Path{blackholePath()}, n.Paths...),
+		paths: append(append(make([]Path, 0, len(n.Paths)+1), blackholePath()), n.Paths...),
 		m:     n.transmissions(),
 		dmin:  n.MinDelay(),
 	}
@@ -333,73 +333,5 @@ func (m *model) packKey(c []int) uint64 {
 	return key
 }
 
-// combo unpacks variable index l into its per-transmission path digits
-// (little-endian, Eq. 13 generalized).
-func (m *model) combo(l int) Combo {
-	c := make(Combo, m.m)
-	for k := 0; k < m.m; k++ {
-		c[k] = l % m.base
-		l /= m.base
-	}
-	return c
-}
-
 // isBlackhole reports whether model path index i is the virtual path.
 func (m *model) isBlackhole(i int) bool { return i == 0 }
-
-// attemptSchedule returns, for combination c, each attempt's send time
-// (Eq. 4 generalized: attempt k goes out after the retransmission timeouts
-// t = dᵢ + d_min of all earlier attempts) and whether it meets the
-// deadline. An earlier blackhole attempt never times out, so everything
-// after it is unreachable.
-func (m *model) attemptSchedule(c Combo) (sendAt []time.Duration, inTime []bool) {
-	sendAt = make([]time.Duration, len(c))
-	inTime = make([]bool, len(c))
-	var t time.Duration
-	reachable := true
-	for k, i := range c {
-		sendAt[k] = t
-		p := m.paths[i]
-		if reachable && !m.isBlackhole(i) {
-			arrival := t + p.Delay
-			inTime[k] = arrival >= 0 && arrival <= m.net.Lifetime // guard overflow
-		}
-		if m.isBlackhole(i) {
-			reachable = false
-			t = time.Duration(math.MaxInt64)
-		} else if reachable {
-			next := t + p.Delay + m.dmin
-			if next < t { // overflow
-				next = time.Duration(math.MaxInt64)
-			}
-			t = next
-		}
-	}
-	return sendAt, inTime
-}
-
-// deliveryProb returns p_l (Eq. 12 generalized): the probability that
-// combination c delivers its data before the deadline, Σ_k [attempt k in
-// time]·(1−τ_k)·Π_{r<k} τ_r.
-func (m *model) deliveryProb(c Combo) float64 {
-	_, inTime := m.attemptSchedule(c)
-	var p, surv float64
-	surv = 1
-	for k, i := range c {
-		path := m.paths[i]
-		if inTime[k] {
-			p += surv * (1 - path.Loss)
-		}
-		surv *= path.Loss
-		if surv == 0 {
-			break
-		}
-	}
-	return p
-}
-
-// The send-share (Eq. 15) and cost (Eq. 16) column coefficients are
-// computed alongside delivery probability in evalColumn's fused single
-// pass (columns.go), the shares as per-attempt survival masses;
-// deliveryProb/attemptSchedule above remain for QualityUpperBound and
-// per-combination inspection.

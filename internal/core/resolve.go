@@ -228,23 +228,56 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // no basis is captured. Only column generation keeps a basis: the dense
 // dispatch solves its master cold on every call.
 //
-// The workspace — the master, the revised simplex, the pricing oracle,
-// the pair tables and the digit buffer — is borrowed from its pool for
-// the solve and returned when it ends. A solve that panics never
-// returns it: the workspace may be mid-pivot, so it is dropped with the
-// panic, the way serving quarantines a panicked session's warm state.
+// The workspace — the master, the revised simplex, the request's
+// objective, the pricing oracle, the pair tables and the digit buffer —
+// is borrowed from its pool for the solve and returned when it ends. A
+// solve that panics never returns it: the workspace may be mid-pivot,
+// so it is dropped with the panic, the way serving quarantines a
+// panicked session's warm state.
 func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
 	s.work = lpPool.Get().(*lpWork)
-	var sol *Solution
-	var err error
-	if s.dispatchFor(n) == DispatchDense {
-		sol, err = s.solveDense(n, req, rs, warm)
-	} else {
-		sol, err = s.solveCG(n, req, rs, warm)
-	}
+	sol, err := s.solveIn(n, req, rs, warm)
 	lpPool.Put(s.work)
 	s.work = nil
 	return sol, err
+}
+
+// solveIn runs a solve in the borrowed workspace. It builds the
+// request's model and objective once; either dispatch evaluates its
+// columns through that objective and solves the master it names, and
+// one tail reads the achieved quality off that master's solution and
+// assembles the Solution, before the workspace that holds the objective
+// goes back to its pool.
+func (s *Solver) solveIn(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	st := SolveStats{Dispatch: s.dispatchFor(n), Warm: warm}
+	m, err := newRequestModel(n, req, st.Dispatch == DispatchDense)
+	if err != nil {
+		return nil, err
+	}
+	obj := s.work.objective(m, req)
+	var cols *columns
+	var colIndex map[uint64]int // nil: the dense enumeration order
+	var lpSol *lp.Solution
+	if st.Dispatch == DispatchDense {
+		cols, lpSol, err = s.solveDense(m, obj, rs, warm, &st)
+	} else {
+		var cs *colSet
+		if cs, lpSol, err = s.solveCG(m, obj, rs, warm, &st); err == nil {
+			cols, colIndex = &cs.cols, cs.pos
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	spec := obj.master()
+	quality := lpSol.Objective
+	if spec.minCost {
+		quality = achievedQuality(lpSol.X, cols.delivery)
+	}
+	st.Columns = cols.len()
+	sol := m.newSolution(spec, cols, lpSol.X, quality, colIndex)
+	sol.Stats = st
+	return sol, nil
 }
 
 // newRequestModel builds the request's model — dense (the combination space
@@ -271,47 +304,47 @@ func newRequestModel(n *Network, req resolveReq, dense bool) (*model, error) {
 	return m, nil
 }
 
-// solveDense evaluates the request's dense column table — freshly, or
-// in place over the warm state's table — and solves the master cold.
-func (s *Solver) solveDense(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
-	m, err := newRequestModel(n, req, true)
-	if err != nil {
-		return nil, err
+// objective builds the request's objective over m in the workspace, for
+// either dispatch, so no solve allocates one. The random objective
+// tabulates its pair coefficients here; the deterministic ones point at
+// the workspace's pricing oracle, which only column generation binds.
+func (w *lpWork) objective(m *model, req resolveReq) cgObjective {
+	switch req.obj {
+	case objRandom:
+		w.rnd.load(m, req.to)
+		return &w.rnd
+	case objMinCost:
+		w.minCost = minCostObjective{m: m, pr: &w.pr, minQuality: req.minQuality}
+		return &w.minCost
+	default:
+		w.quality = qualityObjective{m: m, pr: &w.pr, costRow: true}
+		return &w.quality
 	}
-	var ev columnEvaluator = m
-	if req.obj == objRandom {
-		s.work.rnd.load(m, req.to)
-		ev = &s.work.rnd
-	}
+}
+
+// solveDense evaluates the dense column table through the objective —
+// freshly, or in place over the warm state's table — and solves the
+// objective's master over it cold.
+func (s *Solver) solveDense(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*columns, *lp.Solution, error) {
 	var cols *columns
 	if warm {
 		cols = rs.dense
 		if cols == nil || cols.len() != m.nVars {
-			return nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
+			return nil, nil, fmt.Errorf("core: warm state shape mismatch (cached table does not hold %d columns)", m.nVars)
 		}
-		cols.evaluate(ev)
+		cols.evaluate(obj)
 	} else {
-		cols = m.computeColumns(ev)
+		cols = m.computeColumns(obj)
 	}
-
-	spec := masterSpec{costRow: true} // objQuality and objRandom share the Eq. 10 master
-	if req.obj == objMinCost {
-		spec = masterSpec{minCost: true, floor: req.minQuality}
-	}
-	lpSol, err := s.denseMaster(m, spec, cols)
+	lpSol, err := s.denseMaster(m, obj.master(), cols)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	quality := lpSol.Objective
-	if spec.minCost {
-		quality = achievedQuality(lpSol.X, cols.delivery)
-	}
-	out := m.newSolution(spec, cols, lpSol.X, quality, nil)
-	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len(), LPPivots: lpSol.Iterations, Warm: warm}
+	st.LPPivots = lpSol.Iterations
 	if rs != nil {
 		rs.dense = cols
 	}
-	return out, nil
+	return cols, lpSol, nil
 }
 
 // denseMaster builds the master of the given spec over the dense
@@ -336,37 +369,22 @@ func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solu
 	return lpSol, nil
 }
 
-// solveCG runs the request's column generation: from the objective's
-// seed columns, or — on a re-solve — over the warm pool, repriced in
-// place (every pooled column a pricing-oracle call saved) and continued
-// from the previous optimal basis, with newly priced columns appended
-// to the sparse master in place. A solve that keeps state ends by
-// retaining its pool for the next re-solve (retainPool).
-func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
-	m, err := newRequestModel(n, req, false)
-	if err != nil {
-		return nil, err
-	}
+// solveCG runs the objective's column generation: from its seed
+// columns, or — on a re-solve — over the warm pool, repriced in place
+// (every pooled column a pricing-oracle call saved) and continued from
+// the previous optimal basis, with newly priced columns appended to the
+// sparse master in place. It returns the pool the final master ran
+// over. A solve that keeps state ends by retaining its pool for the
+// next re-solve (retainPool).
+func (s *Solver) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*colSet, *lp.Solution, error) {
 	w := s.work
-	var obj cgObjective
-	switch req.obj {
-	case objRandom:
-		w.rnd.load(m, req.to)
-		obj = &w.rnd
-	case objMinCost:
-		w.pr.bind(m)
-		obj = &minCostObjective{m: m, pr: &w.pr, minQuality: req.minQuality}
-	default:
-		w.pr.bind(m)
-		obj = &qualityObjective{m: m, pr: &w.pr, costRow: true}
-	}
-
+	w.pr.bind(m)
 	var cs *colSet
 	var basis *lp.Basis
 	certTol, hits := cgPriceTol, 0
 	if warm {
 		if err := fpCGReprice.Hit(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The pool hit: every pooled column is re-evaluated in place
 		// against the drifted model of the same shape (path count and
@@ -381,33 +399,23 @@ func (s *Solver) solveCG(n *Network, req resolveReq, rs *resolveState, warm bool
 		obj.seed(cs, w.scratch(m.m))
 	}
 
-	st := SolveStats{Dispatch: DispatchCG}
 	capture := rs != nil
 	var lpSol *lp.Solution
+	var err error
 	if mo, ok := obj.(*minCostObjective); ok {
-		lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm, &st)
+		lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm, st)
 	} else {
-		lpSol, err = s.runCG(m, cs, obj, basis, certTol, capture, nil, &st)
+		lpSol, err = s.runCG(m, cs, obj, basis, certTol, capture, nil, st)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	spec := obj.master()
-	quality := lpSol.Objective
-	if spec.minCost {
-		quality = achievedQuality(lpSol.X, cs.cols.delivery)
-	}
-	sol := m.newSolution(spec, &cs.cols, lpSol.X, quality, cs.pos)
-	st.Columns = cs.cols.len()
-	if req.obj != objRandom {
-		st.PriceNodes = w.pr.nodes
-	}
+	st.PriceNodes = w.pr.nodes // 0 for the random objective, whose scan never searches
 	if rs != nil {
-		st.Warm, st.PoolHits, st.PoolAdded = warm, hits, cs.cols.len()-hits
-		s.retainPool(rs, m, spec, cs, lpSol)
+		st.PoolHits, st.PoolAdded = hits, cs.cols.len()-hits
+		s.retainPool(rs, m, obj.master(), cs, lpSol)
 	}
-	sol.Stats = st
-	return sol, nil
+	return cs, lpSol, nil
 }
 
 // retainPool leaves in rs the pool and basis the next re-solve starts

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // RiskReport holds the §IX-C exceedance probabilities of a solution: the
@@ -32,57 +33,68 @@ func (r *RiskReport) Max() float64 {
 	return max
 }
 
-// attemptProbs returns, for combination c, the probability that each
-// transmission attempt occurs (attempt k fires iff every earlier attempt
-// was lost; nothing fires after a blackhole).
-func (m *model) attemptProbs(c Combo) []float64 {
-	probs := make([]float64, len(c))
-	surv := 1.0
-	for k, i := range c {
-		probs[k] = surv
-		if m.isBlackhole(i) {
-			surv = 0
-		} else {
-			surv *= m.paths[i].Loss
+// riskMoments returns the per-packet first and second moments of the
+// transmissions the solution places on each real path, into mean and
+// second (one entry per path), and of the cost per bit it incurs. It
+// reads each column's attempts off the solution's own tables: attempt k
+// on path iₖ fires with the column's attempt mass wₖ, the probability
+// its LP rows charge. Each sum runs column by column, in column order.
+func (s *Solution) riskMoments(mean, second []float64) (costMean, costSecond float64) {
+	for l, x := range s.X {
+		if x <= 0 {
+			continue
 		}
+		digits, weights := s.cols.attempts(l)
+		for k, i := range digits {
+			if i == 0 || slices.Contains(digits[:k], i) {
+				continue // the blackhole, or a path already counted
+			}
+			mu, m2 := pathUsageMoments(digits[k:], weights[k:], i)
+			mean[i-1] += x * mu
+			second[i-1] += x * m2
+		}
+		mu, m2 := s.m.costMoments(digits, weights)
+		costMean += x * mu
+		costSecond += x * m2
 	}
-	return probs
+	return costMean, costSecond
 }
 
 // pathUsageMoments returns the per-packet mean and second moment of the
-// number of transmissions combination c places on model path i. The
-// attempt indicators are nested (a later attempt implies all earlier
-// ones), so E[X_r·X_s] = P(attempt max(r,s)).
-func (m *model) pathUsageMoments(c Combo, probs []float64, path int) (mean, second float64) {
-	var positions []int
-	for k, i := range c {
+// number of transmissions a column's attempts place on model path i.
+// The attempt indicators are nested (a later attempt implies all
+// earlier ones), so E[X_r·X_s] = P(attempt max(r,s)) = w_max(r,s).
+func pathUsageMoments(digits []int, weights []float64, path int) (mean, second float64) {
+	for r, i := range digits {
 		if i == path {
-			positions = append(positions, k)
+			mean += weights[r]
 		}
 	}
-	for _, r := range positions {
-		mean += probs[r]
-		second += probs[r]
-	}
-	for a := 0; a < len(positions); a++ {
-		for b := a + 1; b < len(positions); b++ {
-			second += 2 * probs[positions[b]]
+	second = mean
+	for a, i := range digits {
+		if i != path {
+			continue
+		}
+		for b := a + 1; b < len(digits); b++ {
+			if digits[b] == path {
+				second += 2 * weights[b]
+			}
 		}
 	}
 	return mean, second
 }
 
 // costMoments returns the per-packet mean and second moment of the cost
-// (per bit) combination c incurs.
-func (m *model) costMoments(c Combo, probs []float64) (mean, second float64) {
+// (per bit) a column's attempts incur.
+func (m *model) costMoments(digits []int, weights []float64) (mean, second float64) {
 	// cost = Σ_r c_r·X_r with nested indicators:
-	// E[(Σ c_r X_r)²] = Σ c_r² q_r + 2 Σ_{r<s} c_r c_s q_s.
-	for r, i := range c {
+	// E[(Σ c_r X_r)²] = Σ c_r² w_r + 2 Σ_{r<s} c_r c_s w_s.
+	for r, i := range digits {
 		cr := m.paths[i].Cost
-		mean += cr * probs[r]
-		second += cr * cr * probs[r]
-		for s := r + 1; s < len(c); s++ {
-			second += 2 * cr * m.paths[c[s]].Cost * probs[s]
+		mean += cr * weights[r]
+		second += cr * cr * weights[r]
+		for s := r + 1; s < len(digits); s++ {
+			second += 2 * cr * m.paths[digits[s]].Cost * weights[s]
 		}
 	}
 	return mean, second
@@ -94,63 +106,42 @@ func (m *model) costMoments(c Combo, probs []float64) (mean, second float64) {
 // treated as independent draws from X — the weighted-random scheduling
 // model; the deterministic Algorithm 1 selector has strictly lower
 // variance, so these probabilities are conservative for it. Gaussian
-// (CLT) approximation over λ/(8·packetBytes) packets per second.
+// (CLT) approximation over λ/(8·packetBytes) packets per second. A
+// transmission attempt fires with the probability the solution's LP
+// charges it: the loss of the earlier attempts under deterministic
+// delays, and Eq. 27's P(retransᵢⱼ) under the §VI-B random-delay model.
 func (s *Solution) RiskReport(packetBytes int) (*RiskReport, error) {
 	if packetBytes <= 0 {
 		return nil, fmt.Errorf("core: packet size %d must be positive", packetBytes)
 	}
-	m := s.m
 	bitsPerPacket := float64(packetBytes) * 8
 	pps := s.Network.Rate / bitsPerPacket
 	if pps < 1 {
 		return nil, fmt.Errorf("core: rate %v yields under one packet/s for %d-byte packets", s.Network.Rate, packetBytes)
 	}
-
-	// Size by the solution's own column tables, not m.nVars:
-	// column-generated solutions carry a subset of the dense space (and
-	// sparse models have no dense count at all).
-	probs := make([][]float64, s.cols.len())
-	for l := range probs {
-		probs[l] = m.attemptProbs(s.cols.combo(l))
+	// exceeds is the Gaussian P(realized total per second > limit) of a
+	// quantity with the given per-packet, per-bit moments.
+	exceeds := func(mean, second, limit float64) float64 {
+		return gaussianExceedance(
+			pps*mean*bitsPerPacket,
+			pps*(second-mean*mean)*bitsPerPacket*bitsPerPacket,
+			limit,
+		)
 	}
 
+	n := len(s.Network.Paths)
+	moments := make([]float64, 2*n)
+	mean, second := moments[:n], moments[n:]
+	costMean, costSecond := s.riskMoments(mean, second)
 	rep := &RiskReport{
-		Bandwidth:        make([]float64, len(s.Network.Paths)),
+		Bandwidth:        make([]float64, n),
 		PacketsPerSecond: pps,
 	}
-	for i := range s.Network.Paths {
-		var mean, second float64
-		for l, x := range s.X {
-			if x <= 0 {
-				continue
-			}
-			mu, m2 := m.pathUsageMoments(s.cols.combo(l), probs[l], i+1)
-			mean += x * mu
-			second += x * m2
-		}
-		variance := second - mean*mean
-		rep.Bandwidth[i] = gaussianExceedance(
-			pps*mean*bitsPerPacket,
-			pps*variance*bitsPerPacket*bitsPerPacket,
-			s.Network.Paths[i].Bandwidth,
-		)
+	for i, p := range s.Network.Paths {
+		rep.Bandwidth[i] = exceeds(mean[i], second[i], p.Bandwidth)
 	}
 	if !math.IsInf(s.Network.CostBound, 1) {
-		var mean, second float64
-		for l, x := range s.X {
-			if x <= 0 {
-				continue
-			}
-			mu, m2 := m.costMoments(s.cols.combo(l), probs[l])
-			mean += x * mu
-			second += x * m2
-		}
-		variance := second - mean*mean
-		rep.Cost = gaussianExceedance(
-			pps*mean*bitsPerPacket,
-			pps*variance*bitsPerPacket*bitsPerPacket,
-			s.Network.CostBound,
-		)
+		rep.Cost = exceeds(costMean, costSecond, s.Network.CostBound)
 	}
 	return rep, nil
 }

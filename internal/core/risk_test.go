@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 	"time"
+
+	"dmc/internal/dist"
 )
 
 func TestRiskReportTightSolutionExceedsHalfTheTime(t *testing.T) {
@@ -173,5 +177,107 @@ func TestRiskReportMonteCarlo(t *testing.T) {
 	mc := float64(exceed2) / windows
 	if math.Abs(mc-rep.Bandwidth[1]) > 0.12 {
 		t.Errorf("Monte-Carlo exceedance %v vs Gaussian %v", mc, rep.Bandwidth[1])
+	}
+}
+
+// TestRiskReportMatchesSolution: the Gaussian behind RiskReport is
+// centred on the solution's own expected usage. Its per-path mean is
+// SentRate(i) and its mean cost is Cost(), for quality, min-cost and
+// random-delay solutions on both dispatches: an attempt fires with the
+// mass the LP rows charge it, which under random delays is Eq. 27's
+// P(retransᵢⱼ), not the first attempt's loss. Neither the report nor
+// its moments allocate per column.
+func TestRiskReportMatchesSolution(t *testing.T) {
+	rng := randv2.New(randv2.NewPCG(0x71, 0x5c))
+	type solveCase struct {
+		name  string
+		solve func(*Solver) (*Solution, error)
+	}
+	var cases []solveCase
+	for k, shape := range [][2]int{{3, 2}, {4, 3}, {6, 2}, {5, 4}} {
+		n := diffRandomNetwork(rng, shape[0], shape[1])
+		if k%2 == 1 {
+			n.CostBound *= 0.2 // a binding budget
+		}
+		cases = append(cases,
+			solveCase{fmt.Sprintf("quality/%dx%d", shape[0], shape[1]), func(s *Solver) (*Solution, error) { return s.SolveQuality(n) }},
+			solveCase{fmt.Sprintf("mincost/%dx%d", shape[0], shape[1]), func(s *Solver) (*Solution, error) {
+				q, err := s.SolveQuality(n)
+				if err != nil {
+					return nil, err
+				}
+				return s.SolveMinCost(n, 0.9*q.Quality)
+			}})
+	}
+	// Two gamma-delay paths under Eq. 4 timeouts: the LP loads path 2 to
+	// its 20 Mbps cap with retransmissions whose P(retransᵢⱼ) exceeds
+	// path 1's 20% loss.
+	gamma := NewNetwork(90*Mbps, 750*time.Millisecond,
+		Path{Bandwidth: 80 * Mbps, Loss: 0.2, RandDelay: dist.ShiftedGamma{Loc: 400 * time.Millisecond, Shape: 10, Scale: 4 * time.Millisecond}},
+		Path{Bandwidth: 20 * Mbps, RandDelay: dist.ShiftedGamma{Loc: 100 * time.Millisecond, Shape: 5, Scale: 2 * time.Millisecond}},
+	)
+	gamma.CostBound = 1e9
+	gamma.Paths[0].Cost, gamma.Paths[1].Cost = 1, 2
+	gammaTO, err := DeterministicTimeouts(gamma, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, solveCase{"random/gamma-2x2", func(s *Solver) (*Solution, error) { return s.SolveQualityRandom(gamma, gammaTO) }})
+	for k := range 4 {
+		n := randomDelayNetwork(rng, 2+2*k)
+		to := randomTimeouts(rng, n)
+		cases = append(cases, solveCase{fmt.Sprintf("random/%dx2", len(n.Paths)), func(s *Solver) (*Solution, error) { return s.SolveQualityRandom(n, to) }})
+	}
+
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-12*math.Max(math.Abs(got), math.Abs(want))
+	}
+	for _, c := range cases {
+		for _, d := range []struct {
+			name string
+			s    *Solver
+		}{{"dense", forceDense()}, {"cg", forceCG()}} {
+			sol, err := c.solve(d.s)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, d.name, err)
+			}
+			np := len(sol.Network.Paths)
+			mean, second := make([]float64, np), make([]float64, np)
+			costMean, _ := sol.riskMoments(mean, second)
+			rate := sol.Network.Rate
+			for i := range np {
+				if got, want := mean[i]*rate, sol.SentRate(i); !near(got, want) {
+					t.Errorf("%s/%s: path %d mean usage %v, SentRate %v", c.name, d.name, i+1, got, want)
+				}
+			}
+			if got, want := costMean*rate, sol.Cost(); !near(got, want) {
+				t.Errorf("%s/%s: mean cost %v, Cost() %v", c.name, d.name, got, want)
+			}
+		}
+	}
+
+	// The report allocates the same few times over 16 dense columns as
+	// over a 40×4 column-generation pool.
+	if raceEnabled {
+		return
+	}
+	small, err := forceDense().SolveQuality(diffRandomNetwork(rng, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := forceCG().SolveQuality(diffRandomNetwork(rng, 40, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(sol *Solution) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := sol.RiskReport(1024); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b || b > 3 {
+		t.Errorf("RiskReport allocates %v times over %d columns and %v over %d, want the same count, at most 3",
+			a, small.Stats.Columns, b, large.Stats.Columns)
 	}
 }

@@ -21,13 +21,14 @@ const DefaultDenseThreshold = 2048
 // LP basis). Only column generation re-installs a basis: a dense
 // re-solve solves its master cold. Everything else a solve needs is its
 // workspace: the master, the revised simplex (lp.Revised) that solves
-// it, the pricing oracle, the random objective's pair tables and the
-// digit buffer. Each solve borrows one from a process-wide pool and
-// returns it when the solve ends, so an idle Solver — one per served
-// session — holds none of it.
-// A Solver is NOT safe for concurrent use: use one per goroutine, the
-// package-level one-shot solves, or a WarmPool (one Solver per session
-// key).
+// it, the request's objective with the random objective's pair tables,
+// the pricing oracle and the digit buffer. Each solve borrows one from
+// a process-wide pool and returns it when the solve ends, so an idle
+// Solver — one per served session — holds none of it.
+// A Solver is NOT safe for concurrent use: use one per goroutine, or
+// the package-level one-shot solves. A fleet of sessions re-solving as
+// their estimates drift holds one Solver per session, as serve's
+// sessions do.
 type Solver struct {
 	// work is the workspace borrowed for the solve in progress; nil
 	// between solves.
@@ -69,20 +70,22 @@ func (s *Solver) dispatchFor(n *Network) Dispatch {
 }
 
 // lpWork is the workspace of one solve, for either dispatch: the
-// master, built in place, the revised simplex that solves it, and the
-// per-solve scratch — the pricing oracle, the random objective's pair
-// tables, the combination digit buffer and the pool trim's marks,
-// reduced costs and ranking. Each allocates its buffers on first use
-// and grows them to the shape at hand.
+// master, built in place, the revised simplex that solves it, the
+// request's objective (objective builds one of the three), and the
+// per-solve scratch — the pricing oracle, the combination digit buffer
+// and the pool trim's marks, reduced costs and ranking. Each allocates
+// its buffers on first use and grows them to the shape at hand.
 type lpWork struct {
-	master cgMaster
-	rev    lp.Revised
-	pr     pricer
-	rnd    randomObjective
-	digits []int
-	perm   []int
-	rc     []float64
-	order  []int
+	master  cgMaster
+	rev     lp.Revised
+	quality qualityObjective
+	minCost minCostObjective
+	rnd     randomObjective
+	pr      pricer
+	digits  []int
+	perm    []int
+	rc      []float64
+	order   []int
 }
 
 // lpPool holds the workspaces every Solver borrows for the length of

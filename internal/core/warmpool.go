@@ -10,12 +10,14 @@ type sessionSlot struct {
 	sv *Solver
 }
 
-// WarmPool keeps one warm Solver per session key. The §VIII-A adaptive
-// loop re-solves one session at a time as its estimates drift, so each
-// session keeps its column tables and, under column generation, its
-// pool and LP basis across its own solves, however the surrounding
-// fleet reorders, grows, or shrinks. Distinct keys solve concurrently; calls on the same key
-// serialize.
+// WarmPool keeps one warm Solver per session key: each session keeps
+// its column tables and, under column generation, its pool and LP basis
+// across its own solves. Distinct keys solve concurrently; calls on the
+// same key serialize.
+//
+// The library's fleet API is one Solver per session, held by whoever
+// owns the session, as dmcd's sessions hold theirs. WarmPool remains
+// only for dmcbench: its replay check and its warmpool rung.
 //
 // A returned Solution shares storage with its session's warm state: the
 // session's next solve rebuilds that storage in place, invalidating it.
@@ -53,14 +55,6 @@ func (p *WarmPool) SolveSessionMinCost(key string, n *Network, minQuality float6
 	})
 }
 
-// SolveSessionRandom is SolveSession for the §VI-B random-delay model
-// with the given timeout table (Solver.ResolveQualityRandom).
-func (p *WarmPool) SolveSessionRandom(key string, n *Network, to *Timeouts) (*Solution, error) {
-	return p.solveSession(key, func(sv *Solver) (*Solution, error) {
-		return sv.ResolveQualityRandom(n, to)
-	})
-}
-
 func (p *WarmPool) solveSession(key string, run func(sv *Solver) (*Solution, error)) (*Solution, error) {
 	p.smu.Lock()
 	if p.sessions == nil {
@@ -79,22 +73,4 @@ func (p *WarmPool) solveSession(key string, run func(sv *Solver) (*Solution, err
 		slot.sv = NewSolver()
 	}
 	return run(slot.sv)
-}
-
-// DropSession removes the session key. Its warm solver becomes garbage
-// once no solve holds it: a solve already waiting on the key finishes
-// on it, and the key's next solve starts a fresh, cold one. Dropping a
-// key that was never solved is a no-op. Solutions the session returned
-// stay readable.
-func (p *WarmPool) DropSession(key string) {
-	p.smu.Lock()
-	delete(p.sessions, key)
-	p.smu.Unlock()
-}
-
-// Sessions returns the number of live session keys.
-func (p *WarmPool) Sessions() int {
-	p.smu.Lock()
-	defer p.smu.Unlock()
-	return len(p.sessions)
 }

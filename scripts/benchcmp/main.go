@@ -120,12 +120,11 @@ func parseBench(r io.Reader) (map[string]entry, []string, error) {
 // defaultCritical matches the solve-core benchmarks: regressions here
 // fail the run, regressions in sweeps/simulations only warn. SolveMany
 // (a one-shot fleet fan-out) also covers SolveManyWarm (the same
-// fan-out re-solving one WarmPool session per network);
-// MinCostCG is the §VI-A column-generation solve core. ServeSaturation
-// gates the cmd/dmcd serving tax over the same warm fleet re-solves.
-// RandomCG stays warn-only: its per-op time is dominated by
-// delay-distribution table builds, too noisy to gate.
-const defaultCritical = `^Benchmark(Figure1Scenario|Figure4Solve|ScalabilitySolve|WarmResolve|SolveMany|MinCostCG|LPLargeAspect|SolverAblation|ServeSaturation)`
+// fan-out re-solving one warm Solver per network); MinCostCG and
+// RandomCG are the §VI-A and §VI-B column-generation solve cores.
+// ServeSaturation gates the cmd/dmcd serving tax over the same warm
+// fleet re-solves.
+const defaultCritical = `^Benchmark(Figure1Scenario|Figure4Solve|ScalabilitySolve|WarmResolve|SolveMany|MinCostCG|RandomCG|LPLargeAspect|SolverAblation|ServeSaturation)`
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline JSON snapshot to compare against")
