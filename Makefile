@@ -19,10 +19,15 @@ vet:
 
 # The project's own analyzer suite (cmd/dmclint): faultpoint, lockheld,
 # poolescape, atomicmix — see the "Static analysis" section of the
-# README. staticcheck and govulncheck run when installed (CI installs
-# them; offline checkouts skip without failing).
+# README. It runs twice: standalone, which adds the module-global
+# checks, and as go vet's -vettool, which adds the test files; the tool
+# binary is built under .bench_build. staticcheck and govulncheck run
+# when installed (CI installs them; offline checkouts skip without
+# failing).
 lint:
 	$(GO) run ./cmd/dmclint ./...
+	$(GO) build -o .bench_build/dmclint ./cmd/dmclint
+	$(GO) vet -vettool=$(CURDIR)/.bench_build/dmclint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed; skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

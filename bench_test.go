@@ -204,17 +204,21 @@ func BenchmarkScalabilitySolve(b *testing.B) {
 				}
 				work.add(sol.Stats)
 			}
-			work.report(b)
+			work.report(b, b.N)
 		})
 	}
 }
 
-// workCounts sums the solve core's work over a benchmark's timed solves
+// workCounts sums the solve core's work over a fixed sequence of solves
 // and reports it per op from Solution.Stats: CG iterations, the columns
 // each solve's master held, LP pivots, and the pricing oracle's search
-// nodes. The solve core is deterministic, so these counts repeat
-// exactly from run to run and show a change in its work where ns/op
-// sits near its noise. It is safe for concurrent use, and a nil
+// nodes. The solve core is deterministic, so over a fixed sequence these
+// counts repeat exactly from run to run and show a change in its work
+// where ns/op sits near its noise. A benchmark that repeats one solve
+// counts its timed loop. One that cycles through a ring of drifted
+// networks reports an untimed replay of one pass instead (replayCounts):
+// which networks its timed loop covers, and the warm state it carries,
+// depend on where b.N stops. It is safe for concurrent use, and a nil
 // *workCounts counts nothing.
 type workCounts struct{ iters, cols, pivots, nodes atomic.Int64 }
 
@@ -228,12 +232,32 @@ func (w *workCounts) add(st dmc.SolveStats) {
 	w.nodes.Add(int64(st.PriceNodes))
 }
 
-func (w *workCounts) report(b *testing.B) {
-	n := float64(b.N)
+// report reports the counts per op, over ops operations.
+func (w *workCounts) report(b *testing.B, ops int) {
+	n := float64(ops)
 	b.ReportMetric(float64(w.iters.Load())/n, "cg-iters/op")
 	b.ReportMetric(float64(w.cols.Load())/n, "cols/op")
 	b.ReportMetric(float64(w.pivots.Load())/n, "pivots/op")
 	b.ReportMetric(float64(w.nodes.Load())/n, "price-nodes/op")
+}
+
+// replayCounts returns a report of the counts of one untimed replay of
+// ops operations, per op: pass runs them from a fresh start, primed as
+// the timed loop is, and counts them into its argument. The replay runs
+// once, at the first report, however often the benchmark runs.
+func replayCounts(ops int, pass func(*workCounts) error) func(*testing.B) {
+	counts := sync.OnceValues(func() (*workCounts, error) {
+		var w workCounts
+		return &w, pass(&w)
+	})
+	return func(b *testing.B) {
+		b.StopTimer()
+		w, err := counts()
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.report(b, ops)
+	}
 }
 
 // warmResolveRing returns a base instance plus a ring of successively
@@ -266,36 +290,55 @@ func BenchmarkWarmResolve(b *testing.B) {
 		{40, 4}, // 2.8M: column generation with persistent pool
 	} {
 		base, ring := warmResolveRing(size.paths, size.trans, 32)
+		warmCounts := replayCounts(len(ring), func(w *workCounts) error {
+			solver := dmc.NewSolver()
+			if _, err := solver.Resolve(base); err != nil {
+				return err
+			}
+			for _, n := range ring {
+				sol, err := solver.Resolve(n)
+				if err != nil {
+					return err
+				}
+				w.add(sol.Stats)
+			}
+			return nil
+		})
+		coldCounts := replayCounts(len(ring), func(w *workCounts) error {
+			solver := dmc.NewSolver()
+			for _, n := range ring {
+				sol, err := solver.SolveQuality(n)
+				if err != nil {
+					return err
+				}
+				w.add(sol.Stats)
+			}
+			return nil
+		})
 		b.Run(fmt.Sprintf("paths=%d/trans=%d/warm", size.paths, size.trans), func(b *testing.B) {
 			solver := dmc.NewSolver()
 			if _, err := solver.Resolve(base); err != nil {
 				b.Fatal(err)
 			}
-			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := solver.Resolve(ring[i%len(ring)])
-				if err != nil {
+				if _, err := solver.Resolve(ring[i%len(ring)]); err != nil {
 					b.Fatal(err)
 				}
-				work.add(sol.Stats)
 			}
-			work.report(b)
+			warmCounts(b)
 		})
 		b.Run(fmt.Sprintf("paths=%d/trans=%d/cold", size.paths, size.trans), func(b *testing.B) {
 			solver := dmc.NewSolver()
-			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := solver.SolveQuality(ring[i%len(ring)])
-				if err != nil {
+				if _, err := solver.SolveQuality(ring[i%len(ring)]); err != nil {
 					b.Fatal(err)
 				}
-				work.add(sol.Stats)
 			}
-			work.report(b)
+			coldCounts(b)
 		})
 	}
 }
@@ -389,8 +432,8 @@ func BenchmarkSessionFootprint(b *testing.B) {
 
 // BenchmarkMinCostCG measures the §VI-A min-cost solve at the ROADMAP's
 // CG-scale target (40 paths × 4 transmissions, 2.8M combinations —
-// beyond the old dense-only cap): the two-stage column generation with
-// incremental simplex appends, on a reusable solver. Gated critical in
+// beyond the old dense-only cap): column generation with incremental
+// simplex appends, on a reusable solver. Gated critical in
 // scripts/benchcmp.
 func BenchmarkMinCostCG(b *testing.B) {
 	rng := rand.New(rand.NewPCG(7, 4010))
@@ -414,7 +457,7 @@ func BenchmarkMinCostCG(b *testing.B) {
 		}
 		work.add(sol.Stats)
 	}
-	work.report(b)
+	work.report(b, b.N)
 }
 
 // BenchmarkRandomCG measures the §VI-B random-delay solve at a path
@@ -442,7 +485,7 @@ func BenchmarkRandomCG(b *testing.B) {
 		}
 		work.add(sol.Stats)
 	}
-	work.report(b)
+	work.report(b, b.N)
 }
 
 // solveManyFleet builds a 64-network fleet plus a ring of per-round
@@ -516,30 +559,48 @@ func solveCold(nets []*dmc.Network, w *workCounts) error {
 // re-solve artifact; ≥5× is the acceptance bar.
 func BenchmarkSolveManyWarm(b *testing.B) {
 	fleets := solveManyFleet(20, 4, 64, 8)
+	warmCounts := replayCounts(len(fleets), func(w *workCounts) error {
+		svs := newSessions(len(fleets[0]))
+		if err := solveSessions(svs, fleets[0], nil); err != nil {
+			return err
+		}
+		for _, fleet := range fleets {
+			if err := solveSessions(svs, fleet, w); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	coldCounts := replayCounts(len(fleets), func(w *workCounts) error {
+		for _, fleet := range fleets {
+			if err := solveCold(fleet, w); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	b.Run("warm", func(b *testing.B) {
 		svs := newSessions(len(fleets[0]))
 		if err := solveSessions(svs, fleets[0], nil); err != nil {
 			b.Fatal(err)
 		}
-		var work workCounts
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := solveSessions(svs, fleets[i%len(fleets)], &work); err != nil {
+			if err := solveSessions(svs, fleets[i%len(fleets)], nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-		work.report(b)
+		warmCounts(b)
 	})
 	b.Run("cold", func(b *testing.B) {
-		var work workCounts
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := solveCold(fleets[i%len(fleets)], &work); err != nil {
+			if err := solveCold(fleets[i%len(fleets)], nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-		work.report(b)
+		coldCounts(b)
 	})
 }
 

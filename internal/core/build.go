@@ -15,7 +15,7 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 		return nil, err
 	}
 	var cm cgMaster
-	cm.load(m, masterSpec{costRow: true}, m.computeColumns(m))
+	cm.load(m, masterSpec{}, m.computeColumns(m))
 	return cm.sp.Dense(), nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -38,16 +37,10 @@ const (
 	cgCertTolWarm = 1e-7
 )
 
-// errMasterInfeasible marks a restricted master that admits no solution
-// over its current column pool. Unreachable for the quality objectives
-// (the all-blackhole seed keeps their masters feasible); the min-cost
-// driver interprets it as "the pool cannot reach the quality floor yet"
-// and either grows the pool or certifies ErrInfeasible.
-var errMasterInfeasible = errors.New("core: restricted master infeasible over the current column pool")
-
 // cgObjective is a solve's objective: what its master optimizes, how a
 // combination's LP column is evaluated, and, for column generation, how
-// new columns are priced from the master's duals. The dense dispatch
+// new columns are priced from the master's duals, or from its Farkas
+// certificate while it is infeasible. The dense dispatch
 // reads only the first two, so both dispatches, and one runCG loop,
 // serve quality maximization (Eq. 10), §VI-A cost minimization under a
 // quality floor, and the §VI-B random-delay columns alike.
@@ -59,6 +52,13 @@ type cgObjective interface {
 	// reprice loads the master's dual vector (in its row order) into the
 	// pricing oracle.
 	reprice(duals []float64)
+	// farkas loads an infeasible master's Farkas certificate y (its
+	// Dual, in row order) into the pricing oracle, so that price's gain
+	// is −y·a, and reports whether the objective prices certificates at
+	// all. Only a min-cost master can be infeasible: the quality and
+	// random-delay masters always hold the all-blackhole column, a
+	// feasible point, and decline.
+	farkas(ray []float64) bool
 	// price returns up to cgColumnsPerIter combinations whose pricing
 	// gain exceeds floor (reduced cost above floor for maximizations,
 	// below −floor for minimizations): the best of each first attempt's
@@ -70,7 +70,7 @@ type cgObjective interface {
 	// its next price call; colSet.add copies the ones it pools.
 	price(floor float64) [][]int
 	// seed primes an empty pool with the objective's starting columns
-	// (always including the all-blackhole column, which keeps the
+	// (always including the all-blackhole column, which keeps a quality
 	// master feasible at every iteration). scratch is a digit buffer of
 	// length ≥ the transmission count.
 	seed(cs *colSet, scratch []int)
@@ -132,35 +132,24 @@ func (cs *colSet) set(l int, src *colSet, j int) {
 
 // qualityObjective is the Eq. 10 deterministic-delay quality
 // maximization: the master maximizes delivery over bandwidth rows, the
-// cost row when the budget is finite and costRow is set, and the
-// conservation row; pricing runs the branch-and-bound oracle.
+// cost row when the budget is finite, and the conservation row; pricing
+// runs the branch-and-bound oracle.
 type qualityObjective struct {
 	m  *model
 	pr *pricer
-	// costRow includes the Eq. 16 budget row when the network's bound is
-	// finite. The min-cost driver's feasibility stage turns it off: the
-	// §VI-A formulation replaces the budget µ with the quality floor.
-	costRow bool
 }
 
-func (o *qualityObjective) master() masterSpec { return masterSpec{costRow: o.costRow} }
+func (o *qualityObjective) master() masterSpec { return masterSpec{} }
 
 func (o *qualityObjective) evalColumn(combo []int, weights []float64) (float64, float64) {
 	return o.m.evalColumn(combo, weights)
 }
 
-// reprice unpacks the master duals. Dual layout follows cgMaster.load's
-// row order: one bandwidth row per real path, the cost row when
-// present, the conservation row last.
 func (o *qualityObjective) reprice(duals []float64) {
-	yCost := 0.0
-	next := o.m.base - 1
-	if o.costRow && !math.IsInf(o.m.net.CostBound, 1) {
-		yCost = duals[next]
-		next++
-	}
-	o.pr.repriceQuality(duals[:o.m.base-1], yCost, duals[next])
+	o.pr.repriceQuality(o.master().split(o.m, duals))
 }
+
+func (o *qualityObjective) farkas([]float64) bool { return false }
 
 func (o *qualityObjective) price(floor float64) [][]int { return o.pr.price(floor) }
 
@@ -169,17 +158,35 @@ func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs,
 // masterSpec is the shape of a restricted master: the §VI-A min-cost
 // master (minimize λ·cost under the quality floor row, no cost row), or
 // a quality master (maximize delivery, with the Eq. 16 budget row when
-// costRow is set and the budget is finite). Both carry one bandwidth row
-// per real path first and the conservation row last.
+// the budget is finite). Both carry one bandwidth row per real path
+// first and the conservation row last.
 type masterSpec struct {
 	floor   float64 // the §VI-A quality floor (minCost)
 	minCost bool
-	costRow bool
 }
 
 // budgetRow reports whether the master carries the Eq. 16 budget row.
 func (spec masterSpec) budgetRow(m *model) bool {
-	return !spec.minCost && spec.costRow && !math.IsInf(m.net.CostBound, 1)
+	return !spec.minCost && !math.IsInf(m.net.CostBound, 1)
+}
+
+// split unpacks a vector over the master's rows — its duals or a Farkas
+// certificate — in cgMaster.load's row order: the bandwidth rows, the
+// quality floor's or the budget row's entry (0 when the master has
+// neither), and the conservation row's.
+func (spec masterSpec) split(m *model, y []float64) (bw []float64, mid, y0 float64) {
+	next := m.base - 1
+	if spec.minCost || spec.budgetRow(m) {
+		mid = y[next]
+		next++
+	}
+	return y[:m.base-1], mid, y[next]
+}
+
+// unattainable is the error of a min-cost master certified infeasible:
+// no sending strategy meets its quality floor.
+func (spec masterSpec) unattainable() error {
+	return fmt.Errorf("core: quality %v unattainable on this network: %w", spec.floor, ErrInfeasible)
 }
 
 // cgMaster is a solve's master — the dense dispatch's full master or
@@ -222,7 +229,7 @@ func (cm *cgMaster) load(m *model, spec masterSpec, cols *columns) float64 {
 func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) float64 {
 	λ := m.net.Rate
 	base := m.base
-	costRow := spec.budgetRow(m)
+	budget := spec.budgetRow(m)
 	sp := &cm.sp
 	objMax := 0.0
 	for l := from; l < cols.len(); l++ {
@@ -240,7 +247,7 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 		case spec.minCost:
 			sp.AddEntry(next, cols.delivery[l])
 			next++
-		case costRow:
+		case budget:
 			sp.AddEntry(next, λ*cols.costs[l])
 			next++
 		}
@@ -277,13 +284,18 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 // second, around 1e9 at the paper's rates, where an absolute 1e-9 is
 // below float64 resolution.
 //
-// stop, when non-nil, is checked after every master solve and ends the
-// loop early without certification — the min-cost feasibility stage
-// uses it to grow the pool just until the quality floor is reachable.
-//
-// A master that comes back infeasible returns errMasterInfeasible
-// (possible only for the min-cost objective's first master).
-func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, stop func(*lp.Solution) bool, st *SolveStats) (*lp.Solution, error) {
+// A master that comes back infeasible — a min-cost master whose pool
+// cannot reach its quality floor yet — is grown by Farkas pricing
+// (Lübbecke & Desrosiers, "Selected Topics in Column Generation"): the
+// oracle prices the solve's certificate y (obj.farkas), so its winners
+// are the columns with −y·a above the floor, the ones Phase I would
+// enter, and Append resumes Phase I from the infeasible basis. The
+// certificate is in Phase I units, whatever the objective's scale, so
+// its floor is certTol itself. A certificate that prices nothing past
+// the refresh rule below proves the floor unattainable over the whole
+// combination space, warm or cold, since the oracle is exact:
+// ErrInfeasible.
+func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, st *SolveStats) (*lp.Solution, error) {
 	chain := basis != nil
 	spec := obj.master()
 	cm, rev := &s.work.master, &s.work.rev
@@ -317,28 +329,25 @@ func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, c
 		}
 		st.CGIterations++
 		st.LPPivots += lpSol.Iterations
-		switch lpSol.Status {
-		case lp.Optimal:
-		case lp.Infeasible:
-			return lpSol, errMasterInfeasible
-		default:
-			return nil, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
-		}
 		if iters == 1 {
 			st.PhaseISkipped = lpSol.PhaseISkipped
 		}
+		floor := certTol * scale
+		switch {
+		case lpSol.Status == lp.Optimal:
+			obj.reprice(lpSol.Dual)
+		case lpSol.Status == lp.Infeasible && obj.farkas(lpSol.Dual):
+			floor = certTol
+		default:
+			return nil, fmt.Errorf("core: restricted master unexpectedly %v", lpSol.Status)
+		}
 		if chain {
-			basis = lpSol.Basis
+			basis = lpSol.Basis // nil while infeasible: a refresh then solves cold
 		}
 
-		if stop != nil && stop(lpSol) {
-			break
-		}
-
-		obj.reprice(lpSol.Dual)
 		n0 := cs.cols.len()
 		added, priced := 0, 0
-		for _, cand := range obj.price(certTol * scale) {
+		for _, cand := range obj.price(floor) {
 			priced++
 			if cs.add(m, obj, cand) {
 				added++
@@ -356,6 +365,9 @@ func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, c
 				refreshed, appended = true, false
 				scale = max(1, cm.load(m, spec, &cs.cols))
 				continue
+			}
+			if lpSol.Status == lp.Infeasible {
+				return nil, spec.unattainable()
 			}
 			break // oracle certifies: no combination prices above certTol
 		}

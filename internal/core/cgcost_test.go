@@ -212,8 +212,8 @@ func TestMinCostCGQualityOne(t *testing.T) {
 }
 
 // TestMinCostCGImpossibleFloorOnLossyNetwork: a network that cannot
-// reach quality 1 must certify infeasibility through the CG feasibility
-// stage, not loop or mis-certify.
+// reach quality 1 must certify infeasibility through the CG master's
+// Farkas certificate, not loop or mis-certify.
 func TestMinCostCGImpossibleFloorOnLossyNetwork(t *testing.T) {
 	_, cg := minCostSolvers()
 	n := NewNetwork(10*Mbps, 800*time.Millisecond,

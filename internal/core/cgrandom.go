@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"dmc/internal/dist"
@@ -127,19 +126,12 @@ func (o *randomObjective) evalColumn(combo []int, weights []float64) (float64, f
 	return clamp01(delivery + pR*o.pDeliver[at]), cost
 }
 
-func (o *randomObjective) master() masterSpec { return masterSpec{costRow: true} }
+func (o *randomObjective) master() masterSpec { return masterSpec{} }
 
-// reprice stores the master duals (bandwidth rows, the cost row when
-// the budget is finite, the conservation row).
+func (o *randomObjective) farkas([]float64) bool { return false }
+
 func (o *randomObjective) reprice(duals []float64) {
-	o.yBW = duals[:o.m.base-1]
-	next := o.m.base - 1
-	o.yCost = 0
-	if !math.IsInf(o.m.net.CostBound, 1) {
-		o.yCost = duals[next]
-		next++
-	}
-	o.y0 = duals[next]
+	o.yBW, o.yCost, o.y0 = o.master().split(o.m, duals)
 }
 
 // price scans every pair exactly and keeps each first path's best

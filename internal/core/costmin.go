@@ -10,7 +10,7 @@ import (
 // quality (Eq. 22's constraint, implemented as p·x ≥ minQuality; the
 // paper writes the negated form — see DESIGN.md erratum #3).
 //
-// Returns lp.Infeasible wrapped in an error when the requested quality is
+// Returns an error wrapping ErrInfeasible when the requested quality is
 // unattainable on the given network.
 func SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
 	var s Solver

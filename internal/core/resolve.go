@@ -153,8 +153,10 @@ func (s *Solver) Resolve(n *Network) (*Solution, error) {
 // reuse, result-invalidation contract, and cold fallback as Resolve.
 // The floor itself may drift between calls — it is a constraint bound,
 // not part of the network shape. A genuinely unattainable floor returns
-// ErrInfeasible (the verdict is always certified cold) and re-primes
-// the state on the next call.
+// ErrInfeasible and re-primes the state on the next call. Under column
+// generation the warm path certifies that verdict itself: a warm master
+// the drift made infeasible is grown by pricing its Farkas certificate,
+// which is exact over the whole combination space, as a cold solve's is.
 func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, error) {
 	if err := checkFloor(minQuality); err != nil {
 		return nil, err
@@ -181,8 +183,8 @@ func (s *Solver) resolve(n *Network, req resolveReq) (*Solution, error) {
 		}
 		// Either way the warm state is dropped: the next call re-primes.
 		s.rs.reset()
-		// An infeasible quality floor is a genuine, cold-certified
-		// verdict — not a warm-state failure. Report it.
+		// An infeasible quality floor is a genuine, certified verdict —
+		// not a warm-state failure. Report it.
 		if errors.Is(err, ErrInfeasible) {
 			return nil, err
 		}
@@ -317,7 +319,7 @@ func (w *lpWork) objective(m *model, req resolveReq) cgObjective {
 		w.minCost = minCostObjective{m: m, pr: &w.pr, minQuality: req.minQuality}
 		return &w.minCost
 	default:
-		w.quality = qualityObjective{m: m, pr: &w.pr, costRow: true}
+		w.quality = qualityObjective{m: m, pr: &w.pr}
 		return &w.quality
 	}
 }
@@ -360,7 +362,7 @@ func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solu
 	case lp.Optimal:
 	case lp.Infeasible:
 		if spec.minCost {
-			return nil, fmt.Errorf("core: quality %v unattainable on this network: %w", spec.floor, ErrInfeasible)
+			return nil, spec.unattainable()
 		}
 		fallthrough
 	default:
@@ -399,14 +401,7 @@ func (s *Solver) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool,
 		obj.seed(cs, w.scratch(m.m))
 	}
 
-	capture := rs != nil
-	var lpSol *lp.Solution
-	var err error
-	if mo, ok := obj.(*minCostObjective); ok {
-		lpSol, err = s.solveMinCostCG(m, cs, mo, basis, certTol, capture, warm, st)
-	} else {
-		lpSol, err = s.runCG(m, cs, obj, basis, certTol, capture, nil, st)
-	}
+	lpSol, err := s.runCG(m, cs, obj, basis, certTol, rs != nil, st)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -125,25 +125,41 @@ func TestResolveMinCostDifferentialCG(t *testing.T) {
 }
 
 // TestResolveMinCostInfeasibleDrift: a floor that drifts infeasible must
-// report ErrInfeasible from the warm path (cold-certified), then
-// re-prime transparently when it becomes feasible again.
+// report ErrInfeasible from the warm path, then re-prime transparently
+// when it becomes feasible again — on the dense dispatch, and under
+// column generation, where the warm master over the primed pool comes
+// back infeasible and pricing its Farkas certificate over the whole
+// combination space certifies the verdict.
 func TestResolveMinCostInfeasibleDrift(t *testing.T) {
-	warm := NewSolver()
-	n := costedNetwork() // qmax = 1 at base rate
-	if _, err := warm.ResolveMinCost(n, 0.99); err != nil {
-		t.Fatal(err)
-	}
-	over := *n
-	over.Rate = 200 * Mbps // capacity 100 Mbps: quality 1 impossible, 0.99 too
-	if _, err := warm.ResolveMinCost(&over, 0.99); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("want ErrInfeasible after drift, got %v", err)
-	}
-	sol, err := warm.ResolveMinCost(n, 0.99)
-	if err != nil {
-		t.Fatalf("re-prime after infeasible: %v", err)
-	}
-	if sol.Quality < 0.99-1e-9 {
-		t.Fatalf("re-primed quality %v", sol.Quality)
+	dense, cg := minCostSolvers()
+	for _, c := range []struct {
+		warm     *Solver
+		dispatch Dispatch
+	}{{dense, DispatchDense}, {cg, DispatchCG}} {
+		warm := c.warm
+		n := costedNetwork() // qmax = 1 at base rate
+		prime, err := warm.ResolveMinCost(n, 0.99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prime.Stats.Dispatch != c.dispatch {
+			t.Fatalf("dispatch %v, want %v", prime.Stats.Dispatch, c.dispatch)
+		}
+		over := *n
+		over.Rate = 200 * Mbps // capacity 100 Mbps: quality 1 impossible, 0.99 too
+		if _, err := warm.ResolveMinCost(&over, 0.99); !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%v: want ErrInfeasible after drift, got %v", c.dispatch, err)
+		}
+		sol, err := warm.ResolveMinCost(n, 0.99)
+		if err != nil {
+			t.Fatalf("%v: re-prime after infeasible: %v", c.dispatch, err)
+		}
+		if sol.Quality < 0.99-1e-9 {
+			t.Fatalf("%v: re-primed quality %v", c.dispatch, sol.Quality)
+		}
+		if sol.Stats.Warm || sol.Stats.Dispatch != c.dispatch {
+			t.Fatalf("%v: the call after ErrInfeasible did not re-prime cold: %+v", c.dispatch, sol.Stats)
+		}
 	}
 }
 

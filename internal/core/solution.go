@@ -33,8 +33,8 @@ type SolveStats struct {
 	CGIterations int
 	// LPPivots counts the simplex pivots of every master the solve ran
 	// (the sum of their lp.Solution.Iterations): the dense master, or
-	// each restricted master of column generation, the min-cost
-	// feasibility stage's and refresh re-solves' included.
+	// each restricted master of column generation, infeasible min-cost
+	// masters and refresh re-solves included.
 	LPPivots int
 	// Warm reports the solve ran incrementally from a Solver's
 	// persistent re-solve state (Solver.Resolve with a matching network

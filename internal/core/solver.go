@@ -130,10 +130,11 @@ func (s *Solver) SolveQuality(n *Network) (*Solution, error) {
 // is unattainable on the given network.
 //
 // Dispatch and storage ownership follow SolveQuality. Column generation
-// runs in two stages over one pool: quality pricing grows it until the
-// floor is provably reachable (or certifies ErrInfeasible at the true
-// quality optimum), then cost-reduced pricing runs to the certified
-// minimum.
+// runs the one loop every objective runs: while the restricted master
+// misses the floor, its Farkas certificate is priced, which grows the
+// pool with the columns that close the gap or certifies ErrInfeasible
+// over the whole combination space; from the first feasible master on,
+// cost-reduced pricing runs to the certified minimum.
 func (s *Solver) SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
 	if err := checkFloor(minQuality); err != nil {
 		return nil, err

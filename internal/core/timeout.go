@@ -105,17 +105,6 @@ func OptimalTimeouts(n *Network, opts TimeoutOptions) (*Timeouts, error) {
 	return out, nil
 }
 
-// RetransmitSuccessProb returns P(t_{i,j} + d_j ≤ δ): the probability that
-// a retransmission issued at the timeout still meets the deadline (the
-// second factor of Eq. 34 and part of Eq. 28).
-func RetransmitSuccessProb(n *Network, to *Timeouts, i, j int) float64 {
-	t, ok := to.Get(i, j)
-	if !ok {
-		return 0
-	}
-	return n.Paths[j].delayDist().CDF(n.Lifetime - t)
-}
-
 // logCDF evaluates ln P(D ≤ x) with full relative precision on both ends:
 // via the direct tail when the CDF is close to 1, via the CDF itself
 // otherwise.

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"dmc/internal/conc"
 	"dmc/internal/core"
 	"dmc/internal/lp"
 )
@@ -26,12 +25,6 @@ type Figure4Config struct {
 	Seed uint64
 	// MaxPaths bounds the sweep; 0 means the paper's 10.
 	MaxPaths int
-	// Parallel fans the grid points across GOMAXPROCS workers. Off by
-	// default: Figure 4's artifact IS the per-solve wall time, and
-	// concurrent neighbors inflate it (memory bandwidth, clock-down) on
-	// loaded multi-core hosts. Turn it on when only the relative n/m
-	// scaling shape matters and wall-clock budget does.
-	Parallel bool
 }
 
 func (c Figure4Config) runs() int {
@@ -72,23 +65,13 @@ func RandomNetwork(rng *rand.Rand, paths, transmissions int) *core.Network {
 // Figure4 measures mean solve times for n ∈ {2…MaxPaths} paths and
 // m ∈ {2,3} transmissions (the paper's axes; blackhole excluded from the
 // path count). Each run draws a fresh random instance with a reusable
-// per-point solver. Timing stays sequential unless cfg.Parallel asks
-// for the GOMAXPROCS fan-out (see Figure4Config.Parallel).
+// per-point solver. The points run one after another: Figure 4's
+// artifact is the per-solve wall time, which concurrent neighbors
+// inflate (memory bandwidth, clock-down) on loaded multi-core hosts.
 func Figure4(cfg Figure4Config) ([]Fig4Point, error) {
 	sizes := cfg.maxPaths() - 1
 	out := make([]Fig4Point, 2*sizes)
-	forEach := func(n int, fn func(i int) error) error {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if cfg.Parallel {
-		forEach = conc.ForEach
-	}
-	err := forEach(len(out), func(i int) error {
+	for i := range out {
 		m := 2 + i/sizes
 		n := 2 + i%sizes
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n*100+m)))
@@ -100,7 +83,7 @@ func Figure4(cfg Figure4Config) ([]Fig4Point, error) {
 			start := time.Now()
 			sol, err := solver.SolveQuality(net)
 			if err != nil {
-				return fmt.Errorf("experiments: figure 4 n=%d m=%d: %w", n, m, err)
+				return nil, fmt.Errorf("experiments: figure 4 n=%d m=%d: %w", n, m, err)
 			}
 			total += time.Since(start)
 			vars = len(sol.X)
@@ -111,10 +94,6 @@ func Figure4(cfg Figure4Config) ([]Fig4Point, error) {
 			MeanSolve:     total / time.Duration(cfg.runs()),
 			Variables:     vars,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -106,15 +106,19 @@ func TestAppendSolveMatchesCold(t *testing.T) {
 }
 
 // TestAppendSolveMinimize covers the Minimize sense (the min-cost
-// master): appended columns must carry the sign-adjusted objective.
+// master): appended columns must carry the sign-adjusted objective. Its
+// ≥ row is too tight for some first masters, as a min-cost quality floor
+// can be: their Dual must certify the infeasibility, and Append must
+// resume Phase I from it, reaching a cold solve's optimum when the new
+// columns restore feasibility and a fresh certificate when they do not.
 func TestAppendSolveMinimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x317))
-	appended := 0
+	var fromOptimal, restored, stillInfeasible int
 	for trial := 0; trial < 60; trial++ {
 		solver := NewRevised()
 		nVars := 2 + rng.Intn(5)
 		p := NewProblem(Minimize, randVec(rng, nVars, 0.1, 2))
-		p.AddConstraint(randVec(rng, nVars, 0.2, 2), GE, 0.5+rng.Float64())
+		p.AddConstraint(randVec(rng, nVars, 0.2, 2), GE, 0.5+1.5*rng.Float64())
 		ones := make([]float64, nVars)
 		for j := range ones {
 			ones[j] = 1
@@ -122,8 +126,13 @@ func TestAppendSolveMinimize(t *testing.T) {
 		p.AddConstraint(ones, EQ, 1)
 		sp := new(Sparse).setProblem(p)
 		sol, err := solver.SolveWith(sp, Options{CaptureBasis: true})
-		if err != nil || sol.Status != Optimal {
-			continue // a too-tight GE row can be infeasible; skip
+		if err != nil || sol.Status == Unbounded {
+			t.Fatalf("trial %d: first solve: %v / %+v", trial, err, sol)
+		}
+		if sol.Status == Infeasible {
+			if v := certificateViolation(sp, sol.Dual, 1e-9); v != "" {
+				t.Fatalf("trial %d: first solve's certificate: %s", trial, v)
+			}
 		}
 		oldN := p.NumVars()
 		ext := NewProblem(Minimize, append(append([]float64(nil), p.Objective...), randVec(rng, 2, 0.1, 2)...))
@@ -137,20 +146,38 @@ func TestAppendSolveMinimize(t *testing.T) {
 		appendColumnsFrom(sp, ext, oldN)
 		got, err := solver.Append(sp)
 		if err != nil {
-			t.Fatalf("trial %d: append: %v", trial, err)
+			t.Fatalf("trial %d: append onto %v: %v", trial, sol.Status, err)
 		}
 		ref := mustSolve(t, ext)
+		if got.Status != ref.Status {
+			t.Fatalf("trial %d: append onto %v %v, cold %v", trial, sol.Status, got.Status, ref.Status)
+		}
+		switch {
+		case got.Status == Infeasible:
+			if v := certificateViolation(sp, got.Dual, 1e-9); v != "" {
+				t.Fatalf("trial %d: appended certificate: %s", trial, v)
+			}
+			stillInfeasible++
+			continue
+		case sol.Status == Infeasible:
+			restored++
+		default:
+			fromOptimal++
+		}
 		if math.Abs(got.Objective-ref.Objective) > 1e-7*(1+math.Abs(ref.Objective)) {
 			t.Fatalf("trial %d: append min %v vs cold %v", trial, got.Objective, ref.Objective)
 		}
-		appended++
+		if v := Verify(ext, got.X, 1e-7); len(v) != 0 {
+			t.Fatalf("trial %d: appended answer infeasible: %v", trial, v)
+		}
 	}
-	if appended == 0 {
-		t.Fatal("no minimization ever appended")
+	if fromOptimal == 0 || restored == 0 || stillInfeasible == 0 {
+		t.Fatalf("appends from an optimum %d, restoring feasibility %d, staying infeasible %d: want each > 0",
+			fromOptimal, restored, stillInfeasible)
 	}
 }
 
-// TestAppendSolveGuards: a solver with no optimal solve, another
+// TestAppendSolveGuards: a solver that has solved nothing, another
 // problem, a rebuilt problem with fewer columns, and one with a changed
 // row must all be refused (the caller then solves in full) instead of
 // producing answers for a problem that was never loaded.

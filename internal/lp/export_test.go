@@ -3,9 +3,10 @@ package lp
 // The generators of FuzzRevisedMatchesExact's instances, for the external
 // test package, which imports ratlp (and ratlp imports lp).
 var (
-	RandomSparseLP = randomSparseLP
-	DriftSparse    = driftSparse
-	DriftRHS       = driftRHS
+	RandomSparseLP       = randomSparseLP
+	DriftSparse          = driftSparse
+	DriftRHS             = driftRHS
+	CertificateViolation = certificateViolation
 )
 
 // Column returns column j's entries in their stored order.

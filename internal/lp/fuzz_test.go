@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,8 +48,10 @@ func FuzzSolveSmallLP(f *testing.F) {
 }
 
 // randomSparseLP draws FuzzRevisedMatchesExact's LP: small integer data,
-// so the verdicts are not numerically borderline. It and the drifts below
-// reach that external test through export_test.go.
+// so the verdicts are not numerically borderline. With bit 14 of shape
+// set, every fourth ≤ or ≥ row from the second on is vacuous (≤ +Inf, ≥
+// −Inf), a row the solver skips. It, the drifts below and
+// certificateViolation reach that external test through export_test.go.
 func randomSparseLP(seed int64, shape uint16) *Sparse {
 	rng := rand.New(rand.NewSource(seed))
 	m := 2 + int(shape%11)
@@ -59,7 +62,14 @@ func randomSparseLP(seed int64, shape uint16) *Sparse {
 	}
 	sp := NewSparse(sense)
 	for i := 0; i < m; i++ {
-		sp.AddRow("", []Relation{LE, LE, GE, EQ}[rng.Intn(4)], float64(rng.Intn(16)-5))
+		rel, rhs := []Relation{LE, LE, GE, EQ}[rng.Intn(4)], float64(rng.Intn(16)-5)
+		if shape&0x4000 != 0 && i%4 == 1 && rel != EQ {
+			rhs = math.Inf(1)
+			if rel == GE {
+				rhs = math.Inf(-1)
+			}
+		}
+		sp.AddRow("", rel, rhs)
 	}
 	rows := make([]int, 0, 6)
 	vals := make([]float64, 0, 6)
@@ -72,6 +82,43 @@ func randomSparseLP(seed int64, shape uint16) *Sparse {
 		sp.AddColumn(float64(rng.Intn(11)-5), rows, vals)
 	}
 	return sp
+}
+
+// certificateViolation describes how y fails to be a Farkas certificate
+// of p's infeasibility, the Dual of an Infeasible Solution, or returns
+// "": y must be 0 on the vacuous rows the solver skips, ≥ 0 on ≤ rows
+// and ≤ 0 on ≥ rows, with y·aⱼ ≥ −tol for every column aⱼ and y·b < 0.
+func certificateViolation(p *Sparse, y []float64, tol float64) string {
+	if len(y) != len(p.rows) {
+		return fmt.Sprintf("%d multipliers for %d rows", len(y), len(p.rows))
+	}
+	var yb float64
+	for i, r := range p.rows {
+		switch {
+		case math.IsInf(r.rhs, 0):
+			if y[i] != 0 {
+				return fmt.Sprintf("vacuous row %d has multiplier %v", i, y[i])
+			}
+			continue
+		case r.rel == LE && y[i] < 0, r.rel == GE && y[i] > 0:
+			return fmt.Sprintf("%v row %d has multiplier %v", r.rel, i, y[i])
+		}
+		yb += y[i] * r.rhs
+	}
+	if !(yb < 0) {
+		return fmt.Sprintf("y·b = %v, want < 0", yb)
+	}
+	for j := range p.NumVars() {
+		var ya float64
+		rows, vals := p.column(j)
+		for k, r := range rows {
+			ya += y[r] * vals[k]
+		}
+		if ya < -tol {
+			return fmt.Sprintf("y·a[%d] = %v < −%v", j, ya, tol)
+		}
+	}
+	return ""
 }
 
 // driftSparse returns a copy of sp with each right-hand side scaled by a

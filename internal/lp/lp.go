@@ -210,8 +210,13 @@ type Solution struct {
 	X []float64
 	// Objective is the optimal objective value in the problem's own sense.
 	Objective float64
-	// Dual holds one multiplier per constraint row (valid when Optimal).
-	// Sign convention: for a maximization with ≤ rows the duals are ≥ 0.
+	// Dual holds one multiplier per constraint row, 0 on vacuous rows.
+	// When Optimal these are the duals; for a maximization with ≤ rows
+	// they are ≥ 0. When Infeasible they are a Farkas certificate y, the
+	// Phase I multipliers at its optimum, which do not depend on the
+	// objective: y ≥ 0 on ≤ rows and y ≤ 0 on ≥ rows, y·aⱼ ≥ −tol for
+	// every column aⱼ and y·b < 0, so no x ≥ 0 meets the rows (it would
+	// give 0 ≤ y·Ax ≤ y·b < 0). Nil otherwise.
 	Dual []float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int

@@ -58,17 +58,21 @@ const singularTol = 1e-12
 // warm attempt overruns its pivot budget or its answer fails the primal
 // audit. Append re-optimizes after columns were appended to the problem
 // of the last solve — the step column generation repeats — at the cost
-// of the new columns' nonzeros.
+// of the new columns' nonzeros, from an optimal basis or from an
+// infeasible solve's Phase I optimum, whose multipliers are the Farkas
+// certificate an Infeasible Solution carries in Dual.
 //
 // The zero value is ready to use; a Revised must not be used
 // concurrently from multiple goroutines.
 type Revised struct {
 	opts Options
-	// p and gen identify the loaded problem; hot marks an optimal basis
-	// for it, the state Append continues from.
-	p   *Sparse
-	gen uint64
-	hot bool
+	// p and gen identify the loaded problem; resume is how Append
+	// continues from the basis the last solve of it ended at: Phase II
+	// from an optimal basis (warmFeasible), Phase I from an infeasible
+	// one's (warmRepaired), or not at all (coldStart).
+	p      *Sparse
+	gen    uint64
+	resume start
 
 	m, n                  int // kept rows, structural columns
 	nSlack, nArt, nRepair int
@@ -137,38 +141,47 @@ func (s *Revised) SolveWith(p *Sparse, opts Options) (*Solution, error) {
 	s.load(p, opts)
 	if opts.WarmBasis != nil && opts.WarmBasis.fits(s.m, s.n, s.nSlack, s.nArt, s.rel) {
 		if sol := s.solveWarm(opts.WarmBasis); sol != nil {
-			s.hot = true
+			s.resume = warmFeasible
 			return sol, nil
 		}
 		s.coldBasis()
 	}
 	sol, err := s.run(coldStart)
-	s.hot = err == nil && sol.Status == Optimal
+	if err == nil {
+		s.resume = resumeFrom[sol.Status]
+	}
 	return sol, err
 }
 
+// resumeFrom is how Append continues from a solve that ended in a status.
+var resumeFrom = [...]start{Optimal: warmFeasible, Infeasible: warmRepaired, Unbounded: coldStart}
+
 // Append re-optimizes p after columns were appended to it since this
-// solver's last SolveWith or Append of p returned an optimal answer.
-// The basis stays optimal for the old columns and primal feasible with
-// the new ones at zero, so only Phase II runs, and B⁻¹ is untouched:
-// appending k columns costs their nonzeros. Options are those of the
-// solve that loaded p.
+// solver's last SolveWith or Append of p returned an optimal or an
+// infeasible answer. B⁻¹ is untouched, so appending k columns costs
+// their nonzeros. From an optimal basis, which stays primal feasible
+// with the new columns at zero, only Phase II runs. From an infeasible
+// one, Phase I resumes at its optimum, the run's repaired start: it
+// either certifies the grown problem infeasible too, with a fresh
+// certificate in Dual, or reaches a feasible basis and goes on to
+// Phase II. Options are those of the solve that loaded p.
 //
 // Append returns an error — the caller then solves p in full — when the
-// solver holds no optimal basis for p, p's rows were rebuilt or its
-// columns shrank, the re-solve is not optimal, or its answer fails the
-// primal audit against p's raw columns.
+// solver holds no such basis for p, p's rows were rebuilt or its
+// columns shrank, the re-solve is unbounded, or an optimal answer fails
+// the primal audit against p's raw columns.
 func (s *Revised) Append(p *Sparse) (*Solution, error) {
 	if err := fpAppend.Hit(); err != nil {
 		return nil, err
 	}
-	if !s.hot || p != s.p || p.gen != s.gen {
-		return nil, errors.New("lp: Append without an optimal solve of this problem")
+	from := s.resume
+	if from == coldStart || p != s.p || p.gen != s.gen {
+		return nil, errors.New("lp: Append without an optimal or infeasible solve of this problem")
 	}
 	if p.NumVars() < s.n {
 		return nil, fmt.Errorf("lp: Append shrank the column set (%d -> %d)", s.n, p.NumVars())
 	}
-	s.hot = false
+	s.resume = coldStart
 	if !s.opts.AssumeValid {
 		if err := p.validate(); err != nil {
 			return nil, err
@@ -179,19 +192,17 @@ func (s *Revised) Append(p *Sparse) (*Solution, error) {
 	}
 	s.n = p.NumVars()
 	s.iters, s.degenerate = 0, 0
-	sol, err := s.run(warmFeasible)
+	sol, err := s.run(from)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != Optimal {
-		// Appending columns cannot make a feasible master infeasible; a
-		// non-optimal verdict is left to an authoritative full solve.
+	if sol.Status == Unbounded {
 		return nil, fmt.Errorf("lp: append re-solve unexpectedly %v", sol.Status)
 	}
-	if !s.audit(sol.X) {
+	if sol.Status == Optimal && !s.audit(sol.X) {
 		return nil, errors.New("lp: append re-solve drifted infeasible")
 	}
-	s.hot = true
+	s.resume = resumeFrom[sol.Status]
 	return sol, nil
 }
 
@@ -227,7 +238,7 @@ func (s *Revised) load(p *Sparse, opts Options) {
 	s.orig, s.rel, s.scale, s.flip = s.orig[:m], s.rel[:m], s.scale[:m], s.flip[:m]
 	s.m, s.n, s.nSlack, s.nArt, s.nRepair = m, n, nSlack, nArt, 0
 	s.opts, s.maxIter = opts, 200*(m+n+1)
-	s.p, s.gen, s.hot = p, p.gen, false
+	s.p, s.gen, s.resume = p, p.gen, coldStart
 
 	s.b = grow(s.b, m)
 	nAux := nSlack + nArt
@@ -770,7 +781,9 @@ func (s *Revised) artificialsOut() bool {
 // drifted coefficients), warm with a feasible re-installed basis (Phase
 // I skipped), or warm with a repaired basis (each violated basic
 // variable swapped for a repair column, for a short Phase I from the
-// near-feasible point).
+// near-feasible point). Append resumes from the last solve's basis the
+// same two warm ways: an optimal one as feasible, an infeasible one's
+// Phase I optimum as repaired.
 type start int
 
 const (
@@ -797,7 +810,7 @@ func (s *Revised) run(from start) (*Solution, error) {
 			}
 		}
 		if artSum > simplexTol*(1+norm1(s.b[:s.m])) {
-			return &Solution{Status: Infeasible, Iterations: s.iters}, nil
+			return &Solution{Status: Infeasible, Dual: s.certificate(), Iterations: s.iters}, nil
 		}
 		s.driveOutArtificials()
 	}
@@ -839,6 +852,25 @@ func (s *Revised) run(from start) (*Solution, error) {
 		WarmStarted:   from != coldStart,
 		PhaseISkipped: from == warmFeasible,
 	}, nil
+}
+
+// certificate returns an infeasible Phase I's Farkas certificate: the
+// multipliers optimize left computed at its optimum, folded onto the
+// original rows as yt is. Each is within tolerance of its row's sign,
+// which its slack prices; clamping the roundoff makes the signs exact.
+func (s *Revised) certificate() []float64 {
+	y := make([]float64, len(s.p.rows))
+	for k, i := range s.orig {
+		v := s.y[k]
+		switch s.rel[k] {
+		case LE:
+			v = max(v, 0)
+		case GE:
+			v = min(v, 0)
+		}
+		y[i] = v * s.rmul[i]
+	}
+	return y
 }
 
 // driveOutArtificials pivots each basic artificial (at zero after a
