@@ -180,7 +180,7 @@ func BenchmarkFigure4Solve(b *testing.B) {
 // (paths=15/trans=3, just past the dense threshold) up to 4.75 billion
 // (paths=40/trans=6), which dense enumeration cannot reasonably
 // materialize, and on a 120-path m = 2 space. One fixed random instance
-// per size, solved with a reusable solver.
+// per size, solved one-shot.
 func BenchmarkScalabilitySolve(b *testing.B) {
 	for _, size := range []struct{ paths, trans int }{
 		{15, 3},  // 4096 combos: column generation
@@ -193,12 +193,11 @@ func BenchmarkScalabilitySolve(b *testing.B) {
 		b.Run(fmt.Sprintf("paths=%d/trans=%d", size.paths, size.trans), func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(7, uint64(size.paths*10+size.trans)))
 			n := experiments.RandomNetwork(rng, size.paths, size.trans)
-			solver := core.NewSolver()
 			var work workCounts
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, err := solver.SolveQuality(n)
+				sol, err := core.SolveQuality(n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -305,9 +304,8 @@ func BenchmarkWarmResolve(b *testing.B) {
 			return nil
 		})
 		coldCounts := replayCounts(len(ring), func(w *workCounts) error {
-			solver := dmc.NewSolver()
 			for _, n := range ring {
-				sol, err := solver.SolveQuality(n)
+				sol, err := dmc.SolveQuality(n)
 				if err != nil {
 					return err
 				}
@@ -330,11 +328,10 @@ func BenchmarkWarmResolve(b *testing.B) {
 			warmCounts(b)
 		})
 		b.Run(fmt.Sprintf("paths=%d/trans=%d/cold", size.paths, size.trans), func(b *testing.B) {
-			solver := dmc.NewSolver()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveQuality(ring[i%len(ring)]); err != nil {
+				if _, err := dmc.SolveQuality(ring[i%len(ring)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -433,13 +430,12 @@ func BenchmarkSessionFootprint(b *testing.B) {
 // BenchmarkMinCostCG measures the §VI-A min-cost solve at the ROADMAP's
 // CG-scale target (40 paths × 4 transmissions, 2.8M combinations —
 // beyond the old dense-only cap): column generation with incremental
-// simplex appends, on a reusable solver. Gated critical in
+// simplex appends, one-shot on a pooled workspace. Gated critical in
 // scripts/benchcmp.
 func BenchmarkMinCostCG(b *testing.B) {
 	rng := rand.New(rand.NewPCG(7, 4010))
 	n := experiments.RandomNetwork(rng, 40, 4)
-	solver := core.NewSolver()
-	qsol, err := solver.SolveQuality(n)
+	qsol, err := core.SolveQuality(n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,7 +444,7 @@ func BenchmarkMinCostCG(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := solver.SolveMinCost(n, floor)
+		sol, err := core.SolveMinCost(n, floor)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,12 +467,11 @@ func BenchmarkRandomCG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver := core.NewSolver()
 	var work workCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := solver.SolveQualityRandom(n, to)
+		sol, err := core.SolveQualityRandom(n, to)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -842,9 +837,10 @@ func BenchmarkLPLargeAspect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			solver := lp.NewSolver()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := lp.Solve(prob); err != nil {
+				if _, err := solver.Solve(prob); err != nil {
 					b.Fatal(err)
 				}
 			}

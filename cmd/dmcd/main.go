@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		addr        = fs.String("addr", ":7117", "listen address")
 		shards      = fs.Int("shards", 0, "admission shards, each with GOMAXPROCS execution slots (0 = GOMAXPROCS)")
 		queue       = fs.Int("queue", 0, "bound on admitted tasks waiting for an execution slot per shard (0 = 1024)")
-		estTol      = fs.Float64("est-tol", 0, "estimator re-solve drift tolerance (0 = adaptor default)")
 		maxBudget   = fs.Duration("max-budget", 0, "deadline-budget cap and default (0 = 30s, negative = no default)")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive solver faults tripping a shard breaker (0 = 8, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = 2s)")
@@ -136,7 +135,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg := serve.Config{
 		Shards:           *shards,
 		MaxQueue:         *queue,
-		EstimatorRelTol:  *estTol,
 		MaxBudget:        *maxBudget,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,

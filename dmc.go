@@ -27,11 +27,10 @@
 // SolveQualityRandom + OptimalTimeouts (§VI-B random delays, Eq. 26–34,
 // with NewTimeoutCache memoizing tables across λ/µ/loss drift) run on
 // one solve engine that dispatches by combination count: dense
-// enumeration up to Solver.DenseThreshold (2,048 by default), column
-// generation above it — including spaces dense enumeration could never
-// materialize. A Solver with DenseThreshold = -1 forces column
-// generation at every size. Either way the master is built as a
-// column-sparse LP and solved by one revised simplex.
+// enumeration up to 2,048 combinations, column generation above it —
+// including spaces dense enumeration could never materialize. Either
+// way the master is built as a column-sparse LP and solved by one
+// revised simplex.
 // Solver.Resolve, Solver.ResolveMinCost, and Solver.ResolveQualityRandom
 // re-solve incrementally on the same engine for drifting estimates. A
 // dense re-solve rebuilds its column table in place and solves its
@@ -104,23 +103,20 @@ type (
 	Timeouts = core.Timeouts
 	// TimeoutOptions tunes OptimalTimeouts' search.
 	TimeoutOptions = core.TimeoutOptions
-	// Solver is a reusable solve context: it owns its Resolve warm state
-	// and borrows a pooled workspace for each solve — the master, its
-	// simplex, the pricing oracle, the random objective's pair tables and
-	// the digit buffer — so solves reuse that memory instead of
-	// reallocating it, and an idle Solver holds none of it. Its
-	// DenseThreshold field is the one dispatch option: the combination
-	// count above which every objective solves by column generation
-	// (0 = the 2,048 default, negative = always). Its one-shot methods (SolveQuality,
-	// SolveMinCost, SolveQualityRandom) return Solutions that own their
-	// storage. Its Resolve methods solve incrementally: when only
-	// λ/µ/loss/delay drift between calls (the §VIII-A adaptive regime),
-	// column tables are rebuilt in place; a dense master is then solved
-	// cold, while under column generation the pool is retained and
-	// repriced and the previous LP basis warm-starts the simplex —
-	// typically ≥5× faster than a cold solve at CG scale, with identical
-	// optima. Not safe for concurrent use: a fleet holds one Solver per
-	// session, each re-solved by one goroutine at a time.
+	// Solver is a session's warm state: each of its Resolve methods
+	// borrows a pooled workspace for the solve — the master, its
+	// simplex, the pricing oracle, the random objective's pair tables
+	// and the digit buffer — so an idle Solver holds none of it. The
+	// Resolve methods solve incrementally: when only λ/µ/loss/delay
+	// drift between calls (the §VIII-A adaptive regime), column tables
+	// are rebuilt in place; a dense master is then solved cold, while
+	// under column generation the pool is retained and repriced and the
+	// previous LP basis warm-starts the simplex — typically ≥5× faster
+	// than a cold solve at CG scale, with identical optima. A Resolve
+	// result is valid until the next Resolve on the same Solver; the
+	// package-level solves return Solutions that own their storage. Not
+	// safe for concurrent use: a fleet holds one Solver per session,
+	// each re-solved by one goroutine at a time.
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
 	// inputs alone (delay distributions, lifetime, search options), so
@@ -259,8 +255,8 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 	return core.NewNetwork(rate, lifetime, paths...)
 }
 
-// SolveQuality maximizes the communication quality Q (Eq. 10) with a
-// pooled reusable solver. Dispatch scales automatically with the
+// SolveQuality maximizes the communication quality Q (Eq. 10) on a
+// pooled workspace. Dispatch scales automatically with the
 // combination count (n+1)^m: dense enumeration up to 2,048
 // combinations, column generation beyond — pricing columns from the
 // simplex duals without materializing the space, so 40 paths at 4
@@ -268,13 +264,11 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 // optimum; Solution.Stats reports which core ran.
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 
-// NewSolver returns a reusable Solver for hot loops that solve many
-// same-shaped networks (adaptive re-solves, sweeps): enumeration
-// buffers are kept across calls, and the simplex workspace comes from a
-// process-wide pool for each solve. For repeated solves of
-// ONE network shape under drifting estimates, use the Solver's Resolve
-// method — the incremental path that reuses columns, and under column
-// generation the pool and the LP basis, across solves.
+// NewSolver returns a Solver for repeated solves of ONE network shape
+// under drifting estimates: its Resolve methods are the incremental
+// path that reuses columns, and under column generation the pool and
+// the LP basis, across solves. The simplex workspace comes from a
+// process-wide pool for each solve.
 func NewSolver() *Solver { return core.NewSolver() }
 
 // NewTimeoutCache returns an empty OptimalTimeouts cache keyed by the
@@ -284,7 +278,7 @@ func NewSolver() *Solver { return core.NewSolver() }
 func NewTimeoutCache() *TimeoutCache { return core.NewTimeoutCache() }
 
 // SolveMinCost minimizes cost subject to a quality floor (§VI-A) with
-// the same dispatch as SolveQuality. Past the dense threshold, column
+// the same dispatch as SolveQuality. Past 2,048 combinations, column
 // generation first grows its pool until the floor is provably reachable
 // (or certifies ErrInfeasible at the true quality optimum), then prices
 // by cost-reduced duals to the certified minimum.

@@ -1,6 +1,6 @@
 // Package poolescape checks the Solution-lifetime invariant the warm
 // serving stack rests on: a Solution obtained from a warm source —
-// core.Solver's Resolve*/Solve* methods, core.WarmPool's SolveSession*
+// core.Solver's Resolve* methods, core.WarmPool's SolveSession*
 // methods, or estimate.Adaptor.Solution — aliases solver-owned storage
 // that the NEXT solve on the same solver rebuilds in place (see the
 // WarmPool contract in internal/core/warmpool.go).
@@ -325,7 +325,7 @@ func (t *tainter) warmSource(call *ast.CallExpr) bool {
 	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch {
 	case pkg == "dmc/internal/core" && recvName == "Solver":
-		return strings.HasPrefix(name, "Resolve") || strings.HasPrefix(name, "Solve")
+		return strings.HasPrefix(name, "Resolve")
 	case pkg == "dmc/internal/core" && recvName == "WarmPool":
 		return strings.HasPrefix(name, "Solve")
 	case pkg == "dmc/internal/estimate" && recvName == "Adaptor":

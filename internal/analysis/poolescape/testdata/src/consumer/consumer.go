@@ -46,6 +46,11 @@ func badAdaptor(a *estimate.Adaptor, n *core.Network) {
 	cache = sol // want `stored outside the call frame`
 }
 
+func badResolve(s *core.Solver, n *core.Network, h *holder) {
+	sol, _ := s.Resolve(n)
+	h.sol = sol // want `stored outside the call frame`
+}
+
 func badRebindStillEscapes(p *core.WarmPool, n *core.Network) *core.Solution {
 	sol, _ := p.SolveSession("s", n)
 	alias := sol
@@ -55,6 +60,13 @@ func badRebindStillEscapes(p *core.WarmPool, n *core.Network) *core.Solution {
 // goodScalar extracts a value copy; scalars do not alias pool storage.
 func goodScalar(p *core.WarmPool, n *core.Network) float64 {
 	sol, _ := p.SolveSession("s", n)
+	return sol.Quality
+}
+
+// goodResolveScalar extracts a value copy from a session solver's
+// re-solve.
+func goodResolveScalar(s *core.Solver, n *core.Network) float64 {
+	sol, _ := s.Resolve(n)
 	return sol.Quality
 }
 

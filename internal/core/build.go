@@ -20,12 +20,19 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 }
 
 // SolveQuality solves the deterministic-delay quality maximization
-// (Eq. 10) on a zero Solver; its workspace comes from the shared pool.
-// The problem is always feasible — the blackhole path absorbs any
-// excess traffic — so a non-optimal status indicates an internal error.
+// (Eq. 10) and returns the optimal sending strategy. The problem is
+// always feasible — the blackhole path absorbs any excess traffic — so a
+// non-optimal status indicates an internal error.
+//
+// Dispatch scales with the combination count (n+1)^m: spaces up to
+// 2,048 combinations are enumerated densely, anything larger — including
+// counts that would overflow dense enumeration entirely — solves by
+// column generation. Both reach the same LP optimum; Solution.Stats
+// reports which core ran. This is the cold engine Solver.Resolve primes
+// with, but the returned Solution owns all of its storage: no later
+// solve touches it. The solve's workspace comes from a shared pool.
 func SolveQuality(n *Network) (*Solution, error) {
-	var s Solver
-	return s.SolveQuality(n)
+	return solve(n, resolveReq{obj: objQuality}, nil, false)
 }
 
 func clamp01(v float64) float64 {

@@ -84,7 +84,6 @@ type cgObjective interface {
 // its end were priced after its last extension.
 type colSet struct {
 	cols      columns
-	keys      []uint64
 	lastBasic []int
 	pos       map[uint64]int
 }
@@ -99,7 +98,6 @@ func newColSet(trans int) *colSet {
 func newColSetOf(n, trans int) *colSet {
 	return &colSet{
 		cols:      *newColumns(n, trans),
-		keys:      make([]uint64, n),
 		lastBasic: make([]int, n),
 		pos:       make(map[uint64]int, n),
 	}
@@ -113,21 +111,21 @@ func (cs *colSet) add(m *model, obj cgObjective, combo []int) bool {
 		return false
 	}
 	cs.pos[key] = cs.cols.len()
-	cs.keys = append(cs.keys, key)
 	cs.cols.appendColumn(obj, combo)
 	return true
 }
 
 // set copies column j of src, its digits and its stamp included, into
-// slot l of a pool built by newColSetOf.
-func (cs *colSet) set(l int, src *colSet, j int) {
-	key := src.keys[j]
-	cs.keys[l], cs.pos[key], cs.lastBasic[l] = key, l, src.lastBasic[j]
+// slot l of a pool built by newColSetOf, and indexes it under its key
+// in m.
+func (cs *colSet) set(m *model, l int, src *colSet, j int) {
+	cs.lastBasic[l] = src.lastBasic[j]
 	cs.cols.delivery[l], cs.cols.costs[l] = src.cols.delivery[j], src.cols.costs[j]
 	digits, weights := cs.cols.attempts(l)
 	srcDigits, srcWeights := src.cols.attempts(j)
 	copy(digits, srcDigits)
 	copy(weights, srcWeights)
+	cs.pos[m.packKey(digits)] = l
 }
 
 // qualityObjective is the Eq. 10 deterministic-delay quality
@@ -295,10 +293,10 @@ func (cm *cgMaster) add(m *model, spec masterSpec, cols *columns, from int) floa
 // the refresh rule below proves the floor unattainable over the whole
 // combination space, warm or cold, since the oracle is exact:
 // ErrInfeasible.
-func (s *Solver) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, st *SolveStats) (*lp.Solution, error) {
+func (w *lpWork) runCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, capture bool, st *SolveStats) (*lp.Solution, error) {
 	chain := basis != nil
 	spec := obj.master()
-	cm, rev := &s.work.master, &s.work.rev
+	cm, rev := &w.master, &w.rev
 	scale := max(1, cm.load(m, spec, &cs.cols))
 	sp := &cm.sp
 

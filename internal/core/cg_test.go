@@ -7,20 +7,54 @@ import (
 	"time"
 )
 
-// forceCG returns a Solver that dispatches every solve to column
-// generation regardless of size.
-func forceCG() *Solver {
-	s := NewSolver()
-	s.DenseThreshold = -1
-	return s
+// testSolver runs one-shot solves, and re-solves on its Solver's warm
+// state, under a dispatch the test picks, through the request's force
+// seam: the way tests run both cores on one network. An empty d
+// dispatches by combination count, as the exported entry points do.
+type testSolver struct {
+	Solver
+	d Dispatch
 }
 
-// forceDense returns a Solver that never dispatches to CG below the
-// dense hard limit.
-func forceDense() *Solver {
-	s := NewSolver()
-	s.DenseThreshold = DenseLimit
-	return s
+// forceCG returns a testSolver that dispatches every solve to column
+// generation regardless of size.
+func forceCG() *testSolver { return &testSolver{d: DispatchCG} }
+
+// forceDense returns a testSolver that dispatches every solve to dense
+// enumeration, which materializes up to DenseLimit combinations.
+func forceDense() *testSolver { return &testSolver{d: DispatchDense} }
+
+// autoSolver returns a testSolver that dispatches by combination count.
+func autoSolver() *testSolver { return &testSolver{} }
+
+func (s *testSolver) SolveQuality(n *Network) (*Solution, error) {
+	return solve(n, resolveReq{obj: objQuality, force: s.d}, nil, false)
+}
+
+func (s *testSolver) SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
+	if err := checkFloor(minQuality); err != nil {
+		return nil, err
+	}
+	return solve(n, resolveReq{obj: objMinCost, minQuality: minQuality, force: s.d}, nil, false)
+}
+
+func (s *testSolver) SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
+	return solve(n, resolveReq{obj: objRandom, to: to, force: s.d}, nil, false)
+}
+
+func (s *testSolver) Resolve(n *Network) (*Solution, error) {
+	return s.resolve(n, resolveReq{obj: objQuality, force: s.d})
+}
+
+func (s *testSolver) ResolveMinCost(n *Network, minQuality float64) (*Solution, error) {
+	if err := checkFloor(minQuality); err != nil {
+		return nil, err
+	}
+	return s.resolve(n, resolveReq{obj: objMinCost, minQuality: minQuality, force: s.d})
+}
+
+func (s *testSolver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
+	return s.resolve(n, resolveReq{obj: objRandom, to: to, force: s.d})
 }
 
 // TestCGMatchesDense: column generation must reach the same optimum as
@@ -78,7 +112,7 @@ func TestCGLargeNetwork(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 404))
 	n := diffRandomNetwork(rng, 40, 4)
 	start := time.Now()
-	sol, err := NewSolver().SolveQuality(n)
+	sol, err := SolveQuality(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // minCostSolvers returns one solver per min-cost dispatch: automatic
 // (dense at test sizes) and forced column generation.
-func minCostSolvers() (dense, cg *Solver) {
-	return NewSolver(), forceCG()
+func minCostSolvers() (dense, cg *testSolver) {
+	return autoSolver(), forceCG()
 }
 
 // TestMinCostCGMatchesExact is the §VI-A differential property test: on
@@ -60,7 +60,7 @@ func TestMinCostCGMatchesExact(t *testing.T) {
 			}
 			exactCost, _ := esol.Cost.Float64()
 
-			for name, s := range map[string]*Solver{"dense": dense, "cg": cg} {
+			for name, s := range map[string]*testSolver{"dense": dense, "cg": cg} {
 				sol, err := s.SolveMinCost(net, floor)
 				if err != nil {
 					t.Fatalf("trial %d floor %v: %s min-cost: %v", trial, floor, name, err)
@@ -86,7 +86,7 @@ func TestMinCostCGMatchesExact(t *testing.T) {
 		// optimum must report ErrInfeasible on every path.
 		if qmax < 0.99 {
 			floor := qmax + 0.5*(1-qmax)
-			for name, s := range map[string]*Solver{"dense": dense, "cg": cg} {
+			for name, s := range map[string]*testSolver{"dense": dense, "cg": cg} {
 				if _, err := s.SolveMinCost(net, floor); !errors.Is(err, ErrInfeasible) {
 					t.Errorf("trial %d: %s accepted infeasible floor %v (qmax %v): %v",
 						trial, name, floor, qmax, err)
@@ -112,7 +112,7 @@ func TestMinCostCGStats(t *testing.T) {
 	if sol.Stats.Columns <= 0 || sol.Stats.CGIterations <= 0 {
 		t.Errorf("stats not populated: %+v", sol.Stats)
 	}
-	dsol, err := NewSolver().SolveMinCost(net, 0.4)
+	dsol, err := SolveMinCost(net, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

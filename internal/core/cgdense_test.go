@@ -95,9 +95,9 @@ func checkCGMatchesDense(t *testing.T, n *Network, id int, kind string) {
 func TestSparseSolutionRiskReport(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 37))
 	n := diffRandomNetwork(rng, 7, 4) // 8^4 = 4096 combos: auto-dispatches to CG
-	for name, solver := range map[string]*Solver{
+	for name, solver := range map[string]*testSolver{
 		"cg":   forceCG(),
-		"auto": NewSolver(),
+		"auto": autoSolver(),
 	} {
 		sol, err := solver.SolveQuality(n)
 		if err != nil {

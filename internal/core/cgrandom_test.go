@@ -123,15 +123,13 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 // including undefined-timeout pairs and finite cost budgets.
 func TestRandomCGMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x4a7d, 0x1))
-	cg := NewSolver()
-	cg.DenseThreshold = -1 // force column generation at every size
-	dense := NewSolver()
+	cg := forceCG() // force column generation at every size
 	for trial := 0; trial < 110; trial++ {
 		n := randomDelayNetwork(rng, 2+rng.IntN(3)) // 2–4 paths: 9–25 pairs
 		to := randomTimeouts(rng, n)
 
 		exact := exactRandomQuality(t, n, to)
-		dsol, err := dense.SolveQualityRandom(n, to)
+		dsol, err := SolveQualityRandom(n, to)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -167,12 +165,11 @@ func TestRandomCGDispatchAtScale(t *testing.T) {
 		t.Skip("large random-delay differential is slow under -short")
 	}
 	rng := rand.New(rand.NewPCG(0x4a7d, 0x2))
-	paths := 120 // (121)² = 14641 pairs > DefaultDenseThreshold
+	paths := 120 // (121)² = 14641 pairs > denseThreshold
 	n := randomDelayNetwork(rng, paths)
 	to := randomTimeouts(rng, n)
 
-	auto := NewSolver()
-	sol, err := auto.SolveQualityRandom(n, to)
+	sol, err := SolveQualityRandom(n, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +180,7 @@ func TestRandomCGDispatchAtScale(t *testing.T) {
 		t.Fatalf("stats not populated: %+v", sol.Stats)
 	}
 
-	forced := NewSolver()
-	forced.DenseThreshold = DenseLimit
-	dsol, err := forced.SolveQualityRandom(n, to)
+	dsol, err := forceDense().SolveQualityRandom(n, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +198,7 @@ func TestRandomCGDispatchAtScale(t *testing.T) {
 // TestRandomCGErrors mirrors the dense path's argument validation on
 // the forced-CG solver.
 func TestRandomCGErrors(t *testing.T) {
-	cg := NewSolver()
-	cg.DenseThreshold = -1
+	cg := forceCG()
 	n := tableVNetwork()
 	to, err := DeterministicTimeouts(n, 0)
 	if err != nil {
@@ -237,8 +231,7 @@ func TestRandomCGExperiment2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := NewSolver()
-	cg.DenseThreshold = -1
+	cg := forceCG()
 	s, err := cg.SolveQualityRandom(n, to)
 	if err != nil {
 		t.Fatal(err)

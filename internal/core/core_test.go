@@ -165,7 +165,7 @@ func TestQualityUpperBound(t *testing.T) {
 	rng := randv2.New(randv2.NewPCG(0x0b, 0x34))
 	for trial := 0; trial < 60; trial++ {
 		paths, trans := 1+rng.IntN(12), 1+rng.IntN(5)
-		if _, ok := combinationCount(paths+1, trans, DefaultDenseThreshold); !ok {
+		if _, ok := combinationCount(paths+1, trans, denseThreshold); !ok {
 			continue
 		}
 		n := diffRandomNetwork(rng, paths, trans)

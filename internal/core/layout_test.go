@@ -176,15 +176,14 @@ func TestColumnLayoutMatchesDenseShares(t *testing.T) {
 
 	cov = layoutCoverage{}
 	rng := rand.New(rand.NewPCG(7, 52))
-	for _, th := range []int{0, -1} {
-		sv := NewSolver()
-		sv.DenseThreshold = th
+	for _, force := range []Dispatch{"", DispatchCG} {
+		sv := &testSolver{d: force}
 		n := randomDelayNetwork(rng, 5)
 		for k := range 3 {
 			to := randomTimeouts(rng, n)
 			sol, err := sv.ResolveQualityRandom(n, to)
 			if err != nil {
-				t.Fatalf("random 5×2 (threshold %d) round %d: %v", th, k, err)
+				t.Fatalf("random 5×2 (force %q) round %d: %v", force, k, err)
 			}
 			var ro randomObjective
 			ro.load(sol.m, to)

@@ -10,15 +10,8 @@ import (
 // one retransmission, and the timeout table t_{i,j} is pairwise.
 var ErrRandomNeedsTwoTransmissions = errors.New("core: random-delay model requires Transmissions == 2")
 
-// SolveQualityRandom solves the random-delay model on a zero Solver;
-// see Solver.SolveQualityRandom.
-func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	var s Solver
-	return s.SolveQualityRandom(n, to)
-}
-
-// SolveQualityRandom solves the §VI-B random-delay model: path delays are
-// distributions (Path.RandDelay, falling back to a point mass at
+// SolveQualityRandom solves the §VI-B random-delay model: path delays
+// are distributions (Path.RandDelay, falling back to a point mass at
 // Path.Delay), retransmissions fire at the given timeouts, and the LP
 // coefficients follow Eqs. 27–30:
 //
@@ -32,8 +25,8 @@ func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 //
 // Dispatch and storage ownership follow SolveQuality; both dispatches
 // evaluate the same tabulated Eq. 27–30 pair columns.
-func (s *Solver) SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	return s.solve(n, resolveReq{obj: objRandom, to: to}, nil, false)
+func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
+	return solve(n, resolveReq{obj: objRandom, to: to}, nil, false)
 }
 
 // validateTimeouts checks the timeout table matches the network's path

@@ -61,8 +61,9 @@ const (
 // resolveState is the persistent warm-start state behind the Resolve
 // family: everything reusable across solves of same-shaped networks
 // whose λ/µ/loss/delay coefficients drift. It is invalidated whenever
-// the network shape (path count, transmissions, cost-boundedness), the
-// objective, or the planned dispatch changes.
+// the network shape (path count, transmissions, cost-boundedness) or
+// the objective changes. The path count and transmissions fix the
+// combination count, so they fix the dispatch too.
 type resolveState struct {
 	valid bool
 
@@ -70,7 +71,6 @@ type resolveState struct {
 	nPaths    int
 	trans     int
 	hasCost   bool
-	dispatch  Dispatch
 	objective solveObjective
 
 	// Dense dispatch: the full dense column table, rebuilt in place each
@@ -96,16 +96,19 @@ type resolveReq struct {
 	obj        solveObjective
 	minQuality float64   // objMinCost
 	to         *Timeouts // objRandom
+	// force, when set, overrides the dispatch the combination count
+	// selects. No exported entry point sets it: it is the seam through
+	// which tests run both cores on one network.
+	force Dispatch
 }
 
 // matches reports whether the warm state can serve the network.
-func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool {
+func (rs *resolveState) matches(n *Network, obj solveObjective) bool {
 	return rs.valid &&
 		rs.objective == obj &&
 		rs.nPaths == len(n.Paths) &&
 		rs.trans == n.transmissions() &&
-		rs.hasCost == !math.IsInf(n.CostBound, 1) &&
-		rs.dispatch == s.dispatchFor(n)
+		rs.hasCost == !math.IsInf(n.CostBound, 1)
 }
 
 // Resolve solves the deterministic-delay quality maximization (Eq. 10)
@@ -176,7 +179,7 @@ func (s *Solver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, erro
 }
 
 func (s *Solver) resolve(n *Network, req resolveReq) (*Solution, error) {
-	if s.rs.matches(s, n, req.obj) {
+	if s.rs.matches(n, req.obj) {
 		sol, err := s.resolveWarm(n, req)
 		if err == nil {
 			return sol, nil
@@ -201,13 +204,13 @@ func (s *Solver) resolveWarm(n *Network, req resolveReq) (*Solution, error) {
 	if err := fpResolveWarm.Hit(); err != nil {
 		return nil, err
 	}
-	return s.solve(n, req, &s.rs, true)
+	return solve(n, req, &s.rs, true)
 }
 
 // resolveCold primes the warm state with a cold solve.
 func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 	s.rs.reset()
-	sol, err := s.solve(n, req, &s.rs, false)
+	sol, err := solve(n, req, &s.rs, false)
 	if err != nil {
 		s.rs.reset()
 		return nil, err
@@ -216,19 +219,18 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 	s.rs.nPaths = len(n.Paths)
 	s.rs.trans = n.transmissions()
 	s.rs.hasCost = !math.IsInf(n.CostBound, 1)
-	s.rs.dispatch = sol.Stats.Dispatch
 	s.rs.objective = req.obj
 	return sol, nil
 }
 
 // solve is the one solve engine behind every entry point, for all three
-// objectives: dense enumeration up to the dense threshold, column
-// generation above it. rs is the warm state a Resolve primes (warm
-// false) or re-solves from (warm true): the run reuses its buffers and
-// leaves in it what the next re-solve needs. A one-shot solve passes a
-// nil rs: every buffer its Solution keeps is fresh and owned by it, and
-// no basis is captured. Only column generation keeps a basis: the dense
-// dispatch solves its master cold on every call.
+// objectives: dense enumeration up to denseThreshold combinations,
+// column generation above it. rs is the warm state a Resolve primes
+// (warm false) or re-solves from (warm true): the run reuses its
+// buffers and leaves in it what the next re-solve needs. A one-shot
+// solve passes a nil rs: every buffer its Solution keeps is fresh and
+// owned by it, and no basis is captured. Only column generation keeps a
+// basis: the dense dispatch solves its master cold on every call.
 //
 // The workspace — the master, the revised simplex, the request's
 // objective, the pricing oracle, the pair tables and the digit buffer —
@@ -236,11 +238,10 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 // solve that panics never returns it: the workspace may be mid-pivot,
 // so it is dropped with the panic, the way serving quarantines a
 // panicked session's warm state.
-func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
-	s.work = lpPool.Get().(*lpWork)
-	sol, err := s.solveIn(n, req, rs, warm)
-	lpPool.Put(s.work)
-	s.work = nil
+func solve(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	w := lpPool.Get().(*lpWork)
+	sol, err := w.solveIn(n, req, rs, warm)
+	lpPool.Put(w)
 	return sol, err
 }
 
@@ -250,21 +251,21 @@ func (s *Solver) solve(n *Network, req resolveReq, rs *resolveState, warm bool) 
 // one tail reads the achieved quality off that master's solution and
 // assembles the Solution, before the workspace that holds the objective
 // goes back to its pool.
-func (s *Solver) solveIn(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
-	st := SolveStats{Dispatch: s.dispatchFor(n), Warm: warm}
+func (w *lpWork) solveIn(n *Network, req resolveReq, rs *resolveState, warm bool) (*Solution, error) {
+	st := SolveStats{Dispatch: req.dispatch(n), Warm: warm}
 	m, err := newRequestModel(n, req, st.Dispatch == DispatchDense)
 	if err != nil {
 		return nil, err
 	}
-	obj := s.work.objective(m, req)
+	obj := w.objective(m, req)
 	var cols *columns
 	var colIndex map[uint64]int // nil: the dense enumeration order
 	var lpSol *lp.Solution
 	if st.Dispatch == DispatchDense {
-		cols, lpSol, err = s.solveDense(m, obj, rs, warm, &st)
+		cols, lpSol, err = w.solveDense(m, obj, rs, warm, &st)
 	} else {
 		var cs *colSet
-		if cs, lpSol, err = s.solveCG(m, obj, rs, warm, &st); err == nil {
+		if cs, lpSol, err = w.solveCG(m, obj, rs, warm, &st); err == nil {
 			cols, colIndex = &cs.cols, cs.pos
 		}
 	}
@@ -327,7 +328,7 @@ func (w *lpWork) objective(m *model, req resolveReq) cgObjective {
 // solveDense evaluates the dense column table through the objective —
 // freshly, or in place over the warm state's table — and solves the
 // objective's master over it cold.
-func (s *Solver) solveDense(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*columns, *lp.Solution, error) {
+func (w *lpWork) solveDense(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*columns, *lp.Solution, error) {
 	var cols *columns
 	if warm {
 		cols = rs.dense
@@ -338,7 +339,7 @@ func (s *Solver) solveDense(m *model, obj cgObjective, rs *resolveState, warm bo
 	} else {
 		cols = m.computeColumns(obj)
 	}
-	lpSol, err := s.denseMaster(m, obj.master(), cols)
+	lpSol, err := w.denseMaster(m, obj.master(), cols)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -351,10 +352,10 @@ func (s *Solver) solveDense(m *model, obj cgObjective, rs *resolveState, warm bo
 
 // denseMaster builds the master of the given spec over the dense
 // columns in the LP workspace and solves it cold.
-func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solution, error) {
-	cm := &s.work.master
+func (w *lpWork) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solution, error) {
+	cm := &w.master
 	cm.load(m, spec, cols)
-	lpSol, err := s.work.rev.SolveWith(&cm.sp, lp.Options{AssumeValid: true})
+	lpSol, err := w.rev.SolveWith(&cm.sp, lp.Options{AssumeValid: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: solving LP: %w", err)
 	}
@@ -378,8 +379,7 @@ func (s *Solver) denseMaster(m *model, spec masterSpec, cols *columns) (*lp.Solu
 // sparse master in place. It returns the pool the final master ran
 // over. A solve that keeps state ends by retaining its pool for the
 // next re-solve (retainPool).
-func (s *Solver) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*colSet, *lp.Solution, error) {
-	w := s.work
+func (w *lpWork) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool, st *SolveStats) (*colSet, *lp.Solution, error) {
 	w.pr.bind(m)
 	var cs *colSet
 	var basis *lp.Basis
@@ -401,14 +401,14 @@ func (s *Solver) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool,
 		obj.seed(cs, w.scratch(m.m))
 	}
 
-	lpSol, err := s.runCG(m, cs, obj, basis, certTol, rs != nil, st)
+	lpSol, err := w.runCG(m, cs, obj, basis, certTol, rs != nil, st)
 	if err != nil {
 		return nil, nil, err
 	}
 	st.PriceNodes = w.pr.nodes // 0 for the random objective, whose scan never searches
 	if rs != nil {
 		st.PoolHits, st.PoolAdded = hits, cs.cols.len()-hits
-		s.retainPool(rs, m, obj.master(), cs, lpSol)
+		w.retainPool(rs, m, obj.master(), cs, lpSol)
 	}
 	return cs, lpSol, nil
 }
@@ -425,7 +425,7 @@ func (s *Solver) solveCG(m *model, obj cgObjective, rs *resolveState, warm bool,
 // move into fresh, exactly sized tables — the solve's Solution indexes
 // the old ones, so the new pool never aliases it — and the basis is
 // remapped onto them.
-func (s *Solver) retainPool(rs *resolveState, m *model, spec masterSpec, cs *colSet, final *lp.Solution) {
+func (w *lpWork) retainPool(rs *resolveState, m *model, spec masterSpec, cs *colSet, final *lp.Solution) {
 	rs.solves++
 	n := cs.cols.len()
 	cs.lastBasic = append(cs.lastBasic, make([]int, n-len(cs.lastBasic))...)
@@ -442,7 +442,6 @@ func (s *Solver) retainPool(rs *resolveState, m *model, spec masterSpec, cs *col
 
 	// perm[j] is ≥ 0 for a kept column: first a mark, then its index in
 	// the trimmed pool.
-	w := s.work
 	w.perm, w.rc, w.order = grow(w.perm, n), grow(w.rc, n), grow(w.order, n)
 	perm, rc := w.perm, w.rc
 	for j := range perm {
@@ -508,7 +507,7 @@ func (s *Solver) retainPool(rs *resolveState, m *model, spec masterSpec, cs *col
 			continue
 		}
 		perm[j] = next
-		out.set(next, cs, j)
+		out.set(m, next, cs, j)
 		next++
 	}
 	rs.pool, rs.basis = out, final.Basis.Remap(kept, perm)

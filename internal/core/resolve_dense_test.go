@@ -33,24 +33,22 @@ func TestDenseResolveEqualsColdBitwise(t *testing.T) {
 		}
 		floor := q0.Quality / 2
 
-		type solveFn func(s *Solver, n *Network) (*Solution, error)
 		objectives := []struct {
 			name        string
-			warm, cold  solveFn
+			warm        func(s *Solver, n *Network) (*Solution, error)
+			cold        func(n *Network) (*Solution, error)
 			needsTwoTrx bool
 		}{
-			{"quality",
-				func(s *Solver, n *Network) (*Solution, error) { return s.Resolve(n) },
-				func(s *Solver, n *Network) (*Solution, error) { return s.SolveQuality(n) }, false},
+			{"quality", (*Solver).Resolve, SolveQuality, false},
 			{"mincost",
 				func(s *Solver, n *Network) (*Solution, error) { return s.ResolveMinCost(n, floor) },
-				func(s *Solver, n *Network) (*Solution, error) { return s.SolveMinCost(n, floor) }, false},
+				func(n *Network) (*Solution, error) { return SolveMinCost(n, floor) }, false},
 			{"random",
 				func(s *Solver, n *Network) (*Solution, error) {
 					return s.ResolveQualityRandom(n, randomResolveTimeouts(t, n))
 				},
-				func(s *Solver, n *Network) (*Solution, error) {
-					return s.SolveQualityRandom(n, randomResolveTimeouts(t, n))
+				func(n *Network) (*Solution, error) {
+					return SolveQualityRandom(n, randomResolveTimeouts(t, n))
 				}, true},
 		}
 		for _, obj := range objectives {
@@ -65,7 +63,7 @@ func TestDenseResolveEqualsColdBitwise(t *testing.T) {
 			for k := 0; k < 2*steps; k++ {
 				n := ring[k%steps]
 				wsol, werr := obj.warm(warm, n)
-				csol, cerr := obj.cold(NewSolver(), n)
+				csol, cerr := obj.cold(n)
 				if cerr != nil || werr != nil {
 					if errors.Is(cerr, ErrInfeasible) && errors.Is(werr, ErrInfeasible) {
 						primed = false // an infeasible floor drops the warm state

@@ -13,10 +13,9 @@ import (
 // and checks every step against a cold SolveMinCost of the identical
 // instance: costs and achieved qualities must agree to 1e-6, and every
 // re-solve after the prime must report warm.
-func minCostTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network, floor float64, steps int, wantDispatch Dispatch) (skipped int) {
+func minCostTrajectory(t *testing.T, rng *rand.Rand, warm *testSolver, base *Network, floor float64, steps int, wantDispatch Dispatch) (skipped int) {
 	t.Helper()
-	cold := NewSolver()
-	cold.DenseThreshold = warm.DenseThreshold
+	cold := &testSolver{d: warm.d}
 
 	first, err := warm.ResolveMinCost(base, floor)
 	if err != nil {
@@ -70,7 +69,7 @@ func TestResolveMinCostDifferentialDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 1))
 	skipped := 0
 	for traj := 0; traj < 25; traj++ {
-		warm := NewSolver()
+		warm := autoSolver()
 		base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 		skipped += minCostTrajectory(t, rng, warm, base, 0.25, 6, DispatchDense)
 	}
@@ -86,11 +85,9 @@ func TestResolveMinCostDifferentialCG(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 2))
 	warmed := 0
 	for traj := 0; traj < 20; traj++ {
-		warm := NewSolver()
-		warm.DenseThreshold = -1
+		warm := forceCG()
 		base := diffRandomNetwork(rng, 3+rng.IntN(3), 2+rng.IntN(2))
-		cold := NewSolver()
-		cold.DenseThreshold = -1
+		cold := forceCG()
 
 		if _, err := warm.ResolveMinCost(base, 0.25); err != nil {
 			t.Fatalf("prime: %v", err)
@@ -133,7 +130,7 @@ func TestResolveMinCostDifferentialCG(t *testing.T) {
 func TestResolveMinCostInfeasibleDrift(t *testing.T) {
 	dense, cg := minCostSolvers()
 	for _, c := range []struct {
-		warm     *Solver
+		warm     *testSolver
 		dispatch Dispatch
 	}{{dense, DispatchDense}, {cg, DispatchCG}} {
 		warm := c.warm
@@ -185,11 +182,9 @@ func TestResolveQualityRandomDifferential(t *testing.T) {
 	for _, forceCG := range []bool{false, true} {
 		warmed, skipped := 0, 0
 		for traj := 0; traj < 15; traj++ {
-			warm := NewSolver()
-			cold := NewSolver()
+			warm, cold := autoSolver(), autoSolver()
 			if forceCG {
-				warm.DenseThreshold = -1
-				cold.DenseThreshold = -1
+				warm.d, cold.d = DispatchCG, DispatchCG
 			}
 			base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 			if _, err := warm.ResolveQualityRandom(base, randomResolveTimeouts(t, base)); err != nil {
@@ -282,7 +277,6 @@ func TestResolveObjectiveSwitchGoesCold(t *testing.T) {
 func TestResolveMinCostFloorDrift(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 5))
 	warm := NewSolver()
-	cold := NewSolver()
 	base := diffRandomNetwork(rng, 3, 2)
 	if _, err := warm.ResolveMinCost(base, 0.2); err != nil {
 		t.Fatal(err)
@@ -298,7 +292,7 @@ func TestResolveMinCostFloorDrift(t *testing.T) {
 		if !wsol.Stats.Warm {
 			t.Fatalf("step %d: floor drift lost the warm state", step)
 		}
-		csol, err := cold.SolveMinCost(net, floor)
+		csol, err := SolveMinCost(net, floor)
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}
@@ -317,7 +311,7 @@ func TestResolveMinCostCGScale(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(0x3c05, 6))
 	base := diffRandomNetwork(rng, 40, 4)
-	warm, cold := NewSolver(), NewSolver()
+	warm := NewSolver()
 	if _, err := warm.ResolveMinCost(base, 0.3); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +322,7 @@ func TestResolveMinCostCGScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		csol, err := cold.SolveMinCost(net, 0.3)
+		csol, err := SolveMinCost(net, 0.3)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -341,11 +335,12 @@ func TestResolveMinCostCGScale(t *testing.T) {
 	}
 }
 
-// oneShotBetweenResolves runs resolve(a), a one-shot solve of b (a
-// different shape), then resolve(drift(a)) on one Solver. The one-shot
+// oneShotBetweenResolves runs resolve(a) on one Solver, a one-shot
+// solve of b (a different shape), then resolve(drift(a)). The one-shot
 // must leave the warm state alone — the last re-solve still runs warm —
 // and its own answer must not move when that re-solve rewrites the
-// Solver's buffers: a one-shot Solution owns its storage.
+// Solver's buffers and the workspace the one-shot borrowed: a one-shot
+// Solution owns its storage.
 func oneShotBetweenResolves(t *testing.T, rng *rand.Rand, a, b *Network, want Dispatch,
 	resolve, oneShot func(*Network) (*Solution, error)) {
 	t.Helper()
@@ -410,7 +405,7 @@ func TestOneShotBetweenResolvesQuality(t *testing.T) {
 		s := NewSolver()
 		a := diffRandomNetwork(rng, tc.paths, tc.trans)
 		b := diffRandomNetwork(rng, tc.paths+1, tc.trans)
-		oneShotBetweenResolves(t, rng, a, b, tc.want, s.Resolve, s.SolveQuality)
+		oneShotBetweenResolves(t, rng, a, b, tc.want, s.Resolve, SolveQuality)
 	}
 }
 
@@ -426,7 +421,7 @@ func TestOneShotBetweenResolvesMinCost(t *testing.T) {
 		a := diffRandomNetwork(rng, tc.paths, tc.trans)
 		b := diffRandomNetwork(rng, tc.paths+1, tc.trans)
 		resolve := func(n *Network) (*Solution, error) { return s.ResolveMinCost(n, 0.25) }
-		oneShot := func(n *Network) (*Solution, error) { return s.SolveMinCost(n, 0.25) }
+		oneShot := func(n *Network) (*Solution, error) { return SolveMinCost(n, 0.25) }
 		oneShotBetweenResolves(t, rng, a, b, tc.want, resolve, oneShot)
 	}
 }
@@ -446,7 +441,7 @@ func TestOneShotBetweenResolvesRandom(t *testing.T) {
 			return s.ResolveQualityRandom(n, randomResolveTimeouts(t, n))
 		}
 		oneShot := func(n *Network) (*Solution, error) {
-			return s.SolveQualityRandom(n, randomResolveTimeouts(t, n))
+			return SolveQualityRandom(n, randomResolveTimeouts(t, n))
 		}
 		oneShotBetweenResolves(t, rng, a, b, tc.want, resolve, oneShot)
 	}

@@ -36,10 +36,9 @@ func driftNetwork(rng *rand.Rand, n *Network, maxRel float64) *Network {
 // resolveTrajectory replays one drift trajectory through a warm solver
 // and checks every step against a cold solve. Returns how many steps
 // warm-started the LP (Phase I skipped) and how many fell back.
-func resolveTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network, steps int, maxRel float64, wantDispatch Dispatch) (skipped, fellBack int) {
+func resolveTrajectory(t *testing.T, rng *rand.Rand, warm *testSolver, base *Network, steps int, maxRel float64, wantDispatch Dispatch) (skipped, fellBack int) {
 	t.Helper()
-	cold := NewSolver()
-	cold.DenseThreshold = warm.DenseThreshold
+	cold := &testSolver{d: warm.d}
 
 	first, err := warm.Resolve(base)
 	if err != nil {
@@ -94,7 +93,7 @@ func TestResolveDifferentialDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x0e50, 1))
 	skipped := 0
 	for traj := 0; traj < 40; traj++ {
-		warm := NewSolver()
+		warm := autoSolver()
 		base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 		s, _ := resolveTrajectory(t, rng, warm, base, 6, 0.08, DispatchDense)
 		skipped += s
@@ -110,11 +109,9 @@ func TestResolveDifferentialCG(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x0e50, 3))
 	skipped, hits := 0, 0
 	for traj := 0; traj < 30; traj++ {
-		warm := NewSolver()
-		warm.DenseThreshold = -1 // force CG at any size
+		warm := forceCG() // force CG at any size
 		base := diffRandomNetwork(rng, 3+rng.IntN(4), 2+rng.IntN(2))
-		cold := NewSolver()
-		cold.DenseThreshold = -1
+		cold := forceCG()
 
 		first, err := warm.Resolve(base)
 		if err != nil {
@@ -166,7 +163,7 @@ func TestResolveCGScale(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(0xcafe, 40))
 	base := diffRandomNetwork(rng, 40, 4)
-	warm, cold := NewSolver(), NewSolver()
+	warm := NewSolver()
 	if _, err := warm.Resolve(base); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func TestResolveCGScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		csol, err := cold.SolveQuality(net)
+		csol, err := SolveQuality(net)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -201,8 +198,7 @@ func TestResolveBasisRepairFallback(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xfa11, 7))
 	fellBack := 0
 	for traj := 0; traj < 25 && fellBack == 0; traj++ {
-		warm := NewSolver()
-		warm.DenseThreshold = -1
+		warm := forceCG()
 		base := diffRandomNetwork(rng, 3, 2)
 		if _, err := warm.Resolve(base); err != nil {
 			t.Fatal(err)
@@ -302,9 +298,9 @@ func TestResolveConcurrentSolvers(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, 99))
-			warm := NewSolver()
+			warm := autoSolver()
 			if seed%2 == 0 {
-				warm.DenseThreshold = -1 // half the workers on the CG path
+				warm.d = DispatchCG // half the workers on the CG path
 			}
 			base := diffRandomNetwork(rng, 3, 2)
 			net := base
@@ -353,18 +349,19 @@ func TestResolveTrimsPoolOnDriftRing(t *testing.T) {
 		floor = min(floor, 0.999*sol.Quality)
 	}
 	for _, tc := range []struct {
-		name       string
-		warm, cold func(*Solver, *Network) (*Solution, error)
-		value      func(*Solution) float64
+		name  string
+		warm  func(*Solver, *Network) (*Solution, error)
+		cold  func(*Network) (*Solution, error)
+		value func(*Solution) float64
 	}{
-		{"quality", (*Solver).Resolve, (*Solver).SolveQuality, func(s *Solution) float64 { return s.Quality }},
+		{"quality", (*Solver).Resolve, SolveQuality, func(s *Solution) float64 { return s.Quality }},
 		{"mincost",
 			func(s *Solver, n *Network) (*Solution, error) { return s.ResolveMinCost(n, floor) },
-			func(s *Solver, n *Network) (*Solution, error) { return s.SolveMinCost(n, floor) },
+			func(n *Network) (*Solution, error) { return SolveMinCost(n, floor) },
 			func(s *Solution) float64 { return s.Cost() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			warm, cold := NewSolver(), NewSolver()
+			warm := NewSolver()
 			pool, trims := 0, 0
 			for step := 0; step < 6*len(ring) && trims < 3; step++ {
 				n := ring[step%len(ring)]
@@ -380,7 +377,7 @@ func TestResolveTrimsPoolOnDriftRing(t *testing.T) {
 					trims++
 				}
 				pool = wsol.Stats.Columns
-				csol, err := tc.cold(cold, n)
+				csol, err := tc.cold(n)
 				if err != nil {
 					t.Fatalf("step %d: cold: %v", step, err)
 				}

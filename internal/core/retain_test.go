@@ -56,9 +56,14 @@ func TestColdPrimeTrimsPool(t *testing.T) {
 		if kept := pool.cols.len(); kept > cgTrimKeep {
 			t.Fatalf("seed %d: the prime kept %d of %d columns, want ≤ %d", seed, kept, sol.Stats.Columns, cgTrimKeep)
 		}
-		if len(pool.keys) != pool.cols.len() || len(pool.lastBasic) != pool.cols.len() || len(pool.pos) != pool.cols.len() {
-			t.Fatalf("seed %d: trimmed pool tables disagree: %d keys, %d stamps, %d positions, %d columns",
-				seed, len(pool.keys), len(pool.lastBasic), len(pool.pos), pool.cols.len())
+		if len(pool.lastBasic) != pool.cols.len() || len(pool.pos) != pool.cols.len() {
+			t.Fatalf("seed %d: trimmed pool tables disagree: %d stamps, %d positions, %d columns",
+				seed, len(pool.lastBasic), len(pool.pos), pool.cols.len())
+		}
+		for l := range pool.cols.len() {
+			if j, ok := pool.pos[sol.m.packKey(pool.cols.combo(l))]; !ok || j != l {
+				t.Fatalf("seed %d: trimmed column %d indexed at %d (found %v)", seed, l, j, ok)
+			}
 		}
 		if _, ok := pool.pos[0]; !ok {
 			t.Fatalf("seed %d: the trim dropped the all-blackhole column", seed)

@@ -191,7 +191,7 @@ func TestRiskReportMatchesSolution(t *testing.T) {
 	rng := randv2.New(randv2.NewPCG(0x71, 0x5c))
 	type solveCase struct {
 		name  string
-		solve func(*Solver) (*Solution, error)
+		solve func(*testSolver) (*Solution, error)
 	}
 	var cases []solveCase
 	for k, shape := range [][2]int{{3, 2}, {4, 3}, {6, 2}, {5, 4}} {
@@ -200,8 +200,8 @@ func TestRiskReportMatchesSolution(t *testing.T) {
 			n.CostBound *= 0.2 // a binding budget
 		}
 		cases = append(cases,
-			solveCase{fmt.Sprintf("quality/%dx%d", shape[0], shape[1]), func(s *Solver) (*Solution, error) { return s.SolveQuality(n) }},
-			solveCase{fmt.Sprintf("mincost/%dx%d", shape[0], shape[1]), func(s *Solver) (*Solution, error) {
+			solveCase{fmt.Sprintf("quality/%dx%d", shape[0], shape[1]), func(s *testSolver) (*Solution, error) { return s.SolveQuality(n) }},
+			solveCase{fmt.Sprintf("mincost/%dx%d", shape[0], shape[1]), func(s *testSolver) (*Solution, error) {
 				q, err := s.SolveQuality(n)
 				if err != nil {
 					return nil, err
@@ -222,11 +222,11 @@ func TestRiskReportMatchesSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases = append(cases, solveCase{"random/gamma-2x2", func(s *Solver) (*Solution, error) { return s.SolveQualityRandom(gamma, gammaTO) }})
+	cases = append(cases, solveCase{"random/gamma-2x2", func(s *testSolver) (*Solution, error) { return s.SolveQualityRandom(gamma, gammaTO) }})
 	for k := range 4 {
 		n := randomDelayNetwork(rng, 2+2*k)
 		to := randomTimeouts(rng, n)
-		cases = append(cases, solveCase{fmt.Sprintf("random/%dx2", len(n.Paths)), func(s *Solver) (*Solution, error) { return s.SolveQualityRandom(n, to) }})
+		cases = append(cases, solveCase{fmt.Sprintf("random/%dx2", len(n.Paths)), func(s *testSolver) (*Solution, error) { return s.SolveQualityRandom(n, to) }})
 	}
 
 	near := func(got, want float64) bool {
@@ -235,7 +235,7 @@ func TestRiskReportMatchesSolution(t *testing.T) {
 	for _, c := range cases {
 		for _, d := range []struct {
 			name string
-			s    *Solver
+			s    *testSolver
 		}{{"dense", forceDense()}, {"cg", forceCG()}} {
 			sol, err := c.solve(d.s)
 			if err != nil {

@@ -11,10 +11,8 @@ import (
 // that it reuses a large enough dst.
 func TestSentRatesMatchesSentRate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x5e47, 0x2a7e))
-	cg := NewSolver()
-	cg.DenseThreshold = -1
-	dense := NewSolver()
-	dense.DenseThreshold = DenseLimit
+	cg := forceCG()
+	dense := forceDense()
 	var dst []float64
 	check := func(kind string, trial int, sol *Solution) {
 		t.Helper()
@@ -30,7 +28,7 @@ func TestSentRatesMatchesSentRate(t *testing.T) {
 	}
 	for trial := 0; trial < 40; trial++ {
 		n := pricerTestNetwork(rng, 2+rng.IntN(5), 1+rng.IntN(3))
-		for _, sv := range []*Solver{dense, cg} {
+		for _, sv := range []*testSolver{dense, cg} {
 			sol, err := sv.SolveQuality(n)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)

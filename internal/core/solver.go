@@ -8,17 +8,17 @@ import (
 	"dmc/internal/lp"
 )
 
-// DefaultDenseThreshold is the combination count (n+1)^m up to which
-// every objective solves by dense enumeration. Larger spaces — which
-// dense enumeration could not even materialize past DenseLimit — solve
-// by column generation. Dense still wins cold on the smallest shapes;
-// past 2,048 combinations column generation won every warm measurement
-// and every cold one but wide m = 2 spaces (README, "Scaling").
-const DefaultDenseThreshold = 2048
+// denseThreshold is the combination count (n+1)^m up to which every
+// objective solves by dense enumeration. Larger spaces — which dense
+// enumeration could not even materialize past DenseLimit — solve by
+// column generation. Dense still wins cold on the smallest shapes; past
+// 2,048 combinations column generation won every warm measurement and
+// every cold one but wide m = 2 spaces (README, "Scaling").
+const denseThreshold = 2048
 
-// Solver is a reusable solve context: it owns the Resolve warm state
-// (the dense column table; the CG pool, its basic-column stamps and the
-// LP basis). Only column generation re-installs a basis: a dense
+// Solver is a session's warm state for the Resolve family: the dense
+// column table, or the column-generation pool, its basic-column stamps
+// and the LP basis. Only column generation re-installs a basis: a dense
 // re-solve solves its master cold. Everything else a solve needs is its
 // workspace: the master, the revised simplex (lp.Revised) that solves
 // it, the request's objective with the random objective's pair tables,
@@ -30,40 +30,22 @@ const DefaultDenseThreshold = 2048
 // their estimates drift holds one Solver per session, as serve's
 // sessions do.
 type Solver struct {
-	// work is the workspace borrowed for the solve in progress; nil
-	// between solves.
-	work *lpWork
-
-	// rs is the persistent incremental re-solve state behind Resolve;
-	// SolveQuality and the other one-shot entry points never touch it.
 	rs resolveState
-
-	// DenseThreshold overrides the combination count above which every
-	// objective dispatches to column generation instead of dense
-	// enumeration. Zero selects DefaultDenseThreshold; negative forces
-	// column generation for every size; values above DenseLimit are
-	// capped there (dense tables beyond it are never materialized).
-	DenseThreshold int
 }
 
-// NewSolver returns a reusable Solver.
+// NewSolver returns a Solver with no warm state; its first Resolve
+// solves cold.
 func NewSolver() *Solver { return &Solver{} }
 
-// dispatchFor names the solve core the network's combination count
-// selects under the dense threshold — the same rule for every
-// objective. It only reads sizes, so it is safe on unvalidated input.
-func (s *Solver) dispatchFor(n *Network) Dispatch {
-	th := s.DenseThreshold
-	if th == 0 {
-		th = DefaultDenseThreshold
+// dispatch names the solve core the request runs on n: the one n's
+// combination count selects — the same rule for every objective — or
+// the one the request forces. It only reads sizes, so it is safe on
+// unvalidated input.
+func (req resolveReq) dispatch(n *Network) Dispatch {
+	if req.force != "" {
+		return req.force
 	}
-	if th < 0 {
-		return DispatchCG
-	}
-	if th > DenseLimit {
-		th = DenseLimit
-	}
-	if _, ok := combinationCount(len(n.Paths)+1, n.transmissions(), th); !ok {
+	if _, ok := combinationCount(len(n.Paths)+1, n.transmissions(), denseThreshold); !ok {
 		return DispatchCG
 	}
 	return DispatchDense
@@ -102,44 +84,6 @@ func (w *lpWork) scratch(m int) []int {
 		w.digits = make([]int, m)
 	}
 	return w.digits[:m]
-}
-
-// SolveQuality solves the deterministic-delay quality maximization
-// (Eq. 10) and returns the optimal sending strategy. The problem is
-// always feasible — the blackhole path absorbs any excess traffic — so a
-// non-optimal status indicates an internal error.
-//
-// Dispatch scales with the combination count (n+1)^m: spaces up to the
-// dense threshold are enumerated densely, anything larger — including
-// counts that would overflow dense enumeration entirely — solves by
-// column generation. Both reach the same LP optimum; Solution.Stats
-// reports which core ran. This is the cold engine Resolve primes with,
-// but the returned Solution owns all of its storage: no later solve on
-// the Solver touches it.
-func (s *Solver) SolveQuality(n *Network) (*Solution, error) {
-	return s.solve(n, resolveReq{obj: objQuality}, nil, false)
-}
-
-// SolveMinCost solves the §VI-A variant: minimize the expected total cost
-// per second (objective Eq. 21) subject to the bandwidth rows, the
-// conservation row, and a minimum communication quality (Eq. 22's
-// constraint, implemented as p·x ≥ minQuality; the paper writes the
-// negated form — see DESIGN.md erratum #3).
-//
-// Returns ErrInfeasible wrapped in an error when the requested quality
-// is unattainable on the given network.
-//
-// Dispatch and storage ownership follow SolveQuality. Column generation
-// runs the one loop every objective runs: while the restricted master
-// misses the floor, its Farkas certificate is priced, which grows the
-// pool with the columns that close the gap or certifies ErrInfeasible
-// over the whole combination space; from the first feasible master on,
-// cost-reduced pricing runs to the certified minimum.
-func (s *Solver) SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
-	if err := checkFloor(minQuality); err != nil {
-		return nil, err
-	}
-	return s.solve(n, resolveReq{obj: objMinCost, minQuality: minQuality}, nil, false)
 }
 
 // checkFloor rejects a min-cost quality floor outside [0,1].

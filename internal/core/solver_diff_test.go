@@ -34,14 +34,14 @@ func diffRandomNetwork(rng *rand.Rand, paths, transmissions int) *Network {
 }
 
 // TestPooledSolverMatchesExact is the differential property test for the
-// pooled float solve path: on ~200 randomized networks the reusable
-// Solver must agree with the exact rational simplex (the paper's CGAL
-// stand-in) on the optimal quality to 1e-6, and its solution must be
-// primal-feasible under the exact model's constraints (quality equals
-// the certified optimum, so feasibility + agreement pin the solution).
+// pooled float solve path: on ~200 randomized networks the one-shot
+// solve, on its pooled workspace, must agree with the exact rational
+// simplex (the paper's CGAL stand-in) on the optimal quality to 1e-6,
+// and its solution must be primal-feasible under the exact model's
+// constraints (quality equals the certified optimum, so feasibility +
+// agreement pin the solution).
 func TestPooledSolverMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xd1ff, 0x5eed))
-	s := NewSolver()
 	for trial := 0; trial < 200; trial++ {
 		paths := 2 + rng.IntN(3)         // 2–4 paths
 		transmissions := 2 + rng.IntN(2) // 2–3 transmissions
@@ -52,7 +52,7 @@ func TestPooledSolverMatchesExact(t *testing.T) {
 		}
 		net := diffRandomNetwork(rng, paths, transmissions)
 
-		sol, err := s.SolveQuality(net)
+		sol, err := SolveQuality(net)
 		if err != nil {
 			t.Fatalf("trial %d: pooled solve: %v", trial, err)
 		}
@@ -89,8 +89,7 @@ func TestPooledSolverMatchesExact(t *testing.T) {
 // are tractable.
 func TestScalableSolversMatchExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xabcd, 0xef01))
-	cg := NewSolver()
-	cg.DenseThreshold = -1 // force column generation at every size
+	cg := forceCG() // force column generation at every size
 	for trial := 0; trial < 120; trial++ {
 		paths := 2 + rng.IntN(3)         // 2–4 paths
 		transmissions := 2 + rng.IntN(2) // 2–3 transmissions
@@ -122,19 +121,20 @@ func TestScalableSolversMatchExact(t *testing.T) {
 	}
 }
 
-// TestSolverReuseIsDeterministic: reusing one Solver across differently
-// shaped problems must give byte-identical results to fresh solves —
-// stale workspace contents must never leak into a later solve.
+// TestSolverReuseIsDeterministic: reusing one solve workspace across
+// differently shaped problems must give byte-identical results to a
+// fresh workspace — stale workspace contents must never leak into a
+// later solve.
 func TestSolverReuseIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
-	s := NewSolver()
+	w, req := new(lpWork), resolveReq{obj: objQuality}
 	for trial := 0; trial < 40; trial++ {
 		net := diffRandomNetwork(rng, 2+rng.IntN(5), 1+rng.IntN(3))
-		reused, err := s.SolveQuality(net)
+		reused, err := w.solveIn(net, req, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewSolver().SolveQuality(net)
+		fresh, err := new(lpWork).solveIn(net, req, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

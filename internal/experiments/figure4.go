@@ -64,8 +64,8 @@ func RandomNetwork(rng *rand.Rand, paths, transmissions int) *core.Network {
 
 // Figure4 measures mean solve times for n ∈ {2…MaxPaths} paths and
 // m ∈ {2,3} transmissions (the paper's axes; blackhole excluded from the
-// path count). Each run draws a fresh random instance with a reusable
-// per-point solver. The points run one after another: Figure 4's
+// path count). Each run draws a fresh random instance and solves it
+// one-shot. The points run one after another: Figure 4's
 // artifact is the per-solve wall time, which concurrent neighbors
 // inflate (memory bandwidth, clock-down) on loaded multi-core hosts.
 func Figure4(cfg Figure4Config) ([]Fig4Point, error) {
@@ -75,13 +75,12 @@ func Figure4(cfg Figure4Config) ([]Fig4Point, error) {
 		m := 2 + i/sizes
 		n := 2 + i%sizes
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n*100+m)))
-		solver := core.NewSolver()
 		var total time.Duration
 		vars := 0
 		for run := 0; run < cfg.runs(); run++ {
 			net := RandomNetwork(rng, n, m)
 			start := time.Now()
-			sol, err := solver.SolveQuality(net)
+			sol, err := core.SolveQuality(net)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: figure 4 n=%d m=%d: %w", n, m, err)
 			}
@@ -131,14 +130,13 @@ func SolverAblation(maxPaths, runs int, seed uint64) ([]SolverAblationRow, error
 		runs = 10
 	}
 	var out []SolverAblationRow
-	solver := core.NewSolver()
 	for n := 2; n <= maxPaths; n++ {
 		rng := rand.New(rand.NewPCG(seed, uint64(n)))
 		row := SolverAblationRow{Paths: n}
 		for run := 0; run < runs; run++ {
 			net := RandomNetwork(rng, n, 2)
 			start := time.Now()
-			fsol, err := solver.SolveQuality(net)
+			fsol, err := core.SolveQuality(net)
 			if err != nil {
 				return nil, err
 			}

@@ -100,9 +100,9 @@ func DriftNetwork(rng *rand.Rand, n *core.Network, maxRel float64) *core.Network
 	return &cp
 }
 
-// ResolveSweep replays one drift trajectory through a warm solver and a
-// cold solver side by side, timing both on every step. The warm solver
-// is primed on the base instance (not reported — both solvers start
+// ResolveSweep replays one drift trajectory through a warm solver and
+// one-shot cold solves side by side, timing both on every step. The
+// warm solver is primed on the base instance (not reported — it starts
 // cold there); each subsequent step drifts the coefficients and solves
 // the identical instance twice.
 func ResolveSweep(cfg ResolveConfig) ([]ResolvePoint, error) {
@@ -110,7 +110,6 @@ func ResolveSweep(cfg ResolveConfig) ([]ResolvePoint, error) {
 	base := RandomNetwork(rng, cfg.paths(), cfg.transmissions())
 
 	warm := core.NewSolver()
-	cold := core.NewSolver()
 	if _, err := warm.Resolve(base); err != nil {
 		return nil, fmt.Errorf("experiments: resolve sweep prime: %w", err)
 	}
@@ -128,7 +127,7 @@ func ResolveSweep(cfg ResolveConfig) ([]ResolvePoint, error) {
 		}
 
 		start = time.Now()
-		csol, err := cold.SolveQuality(net)
+		csol, err := core.SolveQuality(net)
 		coldTime := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: resolve sweep step %d (cold): %w", step, err)

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"dmc/internal/conc"
 	"dmc/internal/core"
+	"dmc/internal/lp"
 )
 
 // ScalPoint is one position of the scalability sweep: how the solver
@@ -26,8 +30,10 @@ type ScalPoint struct {
 	CGIterations int
 	MeanSolve    time.Duration
 	Quality      float64
-	// DenseAgrees reports |Q_cg − Q_dense| where a verification dense
-	// solve was tractable; -1 when it was skipped.
+	// DenseAgrees reports the gap to the optimum of the full LP over
+	// every combination where that LP was tractable to solve: quality
+	// gap for the quality sweep, relative cost gap for the min-cost
+	// sweep; -1 when it was skipped.
 	DenseAgrees float64
 }
 
@@ -42,8 +48,9 @@ type ScalabilityConfig struct {
 	// Runs per point; 0 means 10.
 	Runs int
 	Seed uint64
-	// VerifyDense cross-checks the scalable solve against forced dense
-	// enumeration wherever the space fits core.DenseLimit.
+	// VerifyDense cross-checks the scalable solve against the full LP
+	// of core.BuildLP, solved by lp.Solver, wherever the space holds at
+	// most 2^16 combinations.
 	VerifyDense bool
 	// Parallel fans grid points across GOMAXPROCS workers (off by
 	// default: the artifact is the per-solve wall time).
@@ -88,7 +95,7 @@ func (c ScalabilityConfig) runs() int {
 
 // Scalability measures mean solve times across the configured grid with
 // the automatic dense/CG dispatch, optionally verifying the
-// scalable result against dense enumeration where that is tractable.
+// scalable result against the full LP where that is tractable.
 func Scalability(cfg ScalabilityConfig) ([]ScalPoint, error) {
 	paths, trans := cfg.paths(), cfg.transmissions()
 	out := make([]ScalPoint, len(paths)*len(trans))
@@ -107,7 +114,6 @@ func Scalability(cfg ScalabilityConfig) ([]ScalPoint, error) {
 		nPaths := paths[i/len(trans)]
 		m := trans[i%len(trans)]
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(nPaths*100+m)))
-		solver := core.NewSolver()
 		pt := ScalPoint{Paths: nPaths, Transmissions: m, DenseAgrees: -1}
 		var total time.Duration
 		for run := 0; run < cfg.runs(); run++ {
@@ -116,9 +122,9 @@ func Scalability(cfg ScalabilityConfig) ([]ScalPoint, error) {
 			var sol *core.Solution
 			var err error
 			if cfg.MinCost {
-				sol, err = solver.SolveMinCost(net, cfg.minQuality())
+				sol, err = core.SolveMinCost(net, cfg.minQuality())
 			} else {
-				sol, err = solver.SolveQuality(net)
+				sol, err = core.SolveQuality(net)
 			}
 			if err != nil {
 				return fmt.Errorf("experiments: scalability n=%d m=%d: %w", nPaths, m, err)
@@ -163,41 +169,63 @@ func denseSpace(paths, m int) int {
 }
 
 // verifyDenseLimit caps the combination spaces the sweep cross-checks
-// against forced dense enumeration: beyond it a dense verification
-// solve costs orders of magnitude more than the measurement itself (the
-// core differential tests cover agreement exhaustively at small sizes).
+// against the full LP: beyond it a verification solve costs orders of
+// magnitude more than the measurement itself (the core differential
+// tests cover agreement exhaustively at small sizes).
 const verifyDenseLimit = 1 << 16
 
-// verifyAgainstDense re-solves with forced dense enumeration and
-// returns the gap to the scalable solve — quality gap for the quality
-// sweep, relative cost gap for the min-cost sweep; ok = false when the
-// space is too large to check. A dense-solve failure is an error, not a
-// silent skip — the sweep's verification column must never mask a
-// broken solve as "not checked".
+// verifyAgainstDense solves the network's full LP — one column per
+// combination, as core.BuildLP builds it — on lp.Solver and returns the
+// gap to the scalable solve: quality gap for the quality sweep, relative
+// cost gap for the min-cost sweep; ok = false when the space is too
+// large to check. A reference-solve failure is an error, not a silent
+// skip — the sweep's verification column must never mask a broken
+// solve as "not checked".
 func verifyAgainstDense(cfg ScalabilityConfig, net *core.Network, sol *core.Solution) (float64, bool, error) {
 	if space := denseSpace(len(net.Paths), net.Transmissions); space < 0 || space > verifyDenseLimit {
 		return 0, false, nil
 	}
-	dense := core.NewSolver()
-	dense.DenseThreshold = core.DenseLimit
-	var gap float64
+	p, err := core.BuildLP(net)
+	if err != nil {
+		return 0, false, err
+	}
 	if cfg.MinCost {
-		dsol, err := dense.SolveMinCost(net, cfg.minQuality())
-		if err != nil {
+		if p, err = minCostLP(p, cfg.minQuality()); err != nil {
 			return 0, false, err
 		}
-		gap = (sol.Cost() - dsol.Cost()) / (1 + dsol.Cost())
-	} else {
-		dsol, err := dense.SolveQuality(net)
-		if err != nil {
-			return 0, false, err
+	}
+	ref, err := lp.NewSolver().Solve(p)
+	if err != nil {
+		return 0, false, err
+	}
+	if ref.Status != lp.Optimal {
+		return 0, false, fmt.Errorf("full LP %v", ref.Status)
+	}
+	gap := sol.Quality - ref.Objective
+	if cfg.MinCost {
+		gap = (sol.Cost() - ref.Objective) / (1 + ref.Objective)
+	}
+	return math.Abs(gap), true, nil
+}
+
+// minCostLP turns the full quality LP into the §VI-A min-cost LP over
+// the same columns: minimize the cost row's coefficients (λ times each
+// combination's expected cost) under the bandwidth and conservation
+// rows and a quality floor over the quality objective's coefficients.
+// The cost row itself goes, as in core's min-cost master.
+func minCostLP(q *lp.Problem, floor float64) (*lp.Problem, error) {
+	i := slices.IndexFunc(q.Constraints, func(c lp.Constraint) bool { return c.Name == "cost" })
+	if i < 0 {
+		return nil, errors.New("experiments: full LP has no cost row (unbounded cost budget)")
+	}
+	p := lp.NewProblem(lp.Minimize, q.Constraints[i].Coeffs)
+	for k, c := range q.Constraints {
+		if k != i {
+			p.AddNamedConstraint(c.Name, c.Coeffs, c.Rel, c.RHS)
 		}
-		gap = sol.Quality - dsol.Quality
 	}
-	if gap < 0 {
-		gap = -gap
-	}
-	return gap, true, nil
+	p.AddNamedConstraint("quality", q.Objective, lp.GE, floor)
+	return p, nil
 }
 
 // RenderScalability renders the sweep.

@@ -35,7 +35,7 @@ func FuzzSolveSmallLP(f *testing.F) {
 		p.AddConstraint([]float64{1, 0}, LE, 1e6)
 		p.AddConstraint([]float64{0, 1}, LE, 1e6)
 
-		sol, err := Solve(p)
+		sol, err := NewSolver().Solve(p)
 		if err != nil {
 			return // iteration-limit style errors are acceptable
 		}

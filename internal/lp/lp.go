@@ -16,10 +16,10 @@
 // equilibrates rows and the objective, so its tolerances are relative,
 // and it warm-starts: it captures a Basis and re-installs it on a later
 // solve of the same shape, where a basis the drift made infeasible is
-// repaired by a short Phase I. Solver, and the package-level Solve and
-// SolveWith, take a dense Problem, convert it to a Sparse and solve it
-// on Revised. The companion package ratlp solves the same problems
-// exactly over rationals, mirroring CGAL's exact arithmetic.
+// repaired by a short Phase I. Solver takes a dense Problem, converts
+// it to a Sparse and solves it on Revised. The companion package ratlp
+// solves the same problems exactly over rationals, mirroring CGAL's
+// exact arithmetic.
 package lp
 
 import (

@@ -35,11 +35,11 @@ func TestObjectiveScaleInvariance(t *testing.T) {
 			scaled.Objective[j] = math.Ldexp(c, -30)
 		}
 
-		rev, err := lp.Solve(p)
+		rev, err := lp.NewSolver().Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		revScaled, err := lp.Solve(&scaled)
+		revScaled, err := lp.NewSolver().Solve(&scaled)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func mustSolve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := Solve(p)
+	sol, err := NewSolver().Solve(p)
 	if err != nil {
 		t.Fatalf("Solve(%v): %v", p, err)
 	}
@@ -325,7 +325,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Solve(tc.p); err == nil {
+			if _, err := NewSolver().Solve(tc.p); err == nil {
 				t.Errorf("Solve accepted invalid problem %v", tc.p)
 			}
 		})
@@ -391,7 +391,7 @@ func TestRandomFeasibleLPs(t *testing.T) {
 			coeffs[j] = 1
 			p.AddConstraint(coeffs, LE, 100)
 		}
-		sol, err := Solve(p)
+		sol, err := NewSolver().Solve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%v", trial, err, p)
 		}
@@ -431,7 +431,7 @@ func TestQuickTransportLP(t *testing.T) {
 			}
 			p.AddConstraint(row, LE, 0.5+rng.Float64())
 		}
-		sol, err := Solve(p)
+		sol, err := NewSolver().Solve(p)
 		if err != nil {
 			return false
 		}
@@ -483,7 +483,7 @@ func TestQuickDualityGap(t *testing.T) {
 			row[j] = 1
 			p.AddConstraint(row, LE, 50)
 		}
-		sol, err := Solve(p)
+		sol, err := NewSolver().Solve(p)
 		if err != nil || sol.Status != Optimal {
 			return false
 		}

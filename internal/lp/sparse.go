@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Sparse is a linear program over non-negative variables stored by
@@ -132,7 +131,7 @@ func (sp *Sparse) setProblem(p *Problem) *Sparse {
 // column-sparse copy kept for reuse and solves that on the Revised
 // engine, with the same Options and the same Solution. The zero value is
 // ready to use; a Solver must not be used concurrently from multiple
-// goroutines (use one per worker, or the pooled package-level Solve).
+// goroutines: use one per worker.
 type Solver struct {
 	sp  Sparse
 	rev Revised
@@ -153,22 +152,6 @@ func (s *Solver) SolveWith(p *Problem, opts Options) (*Solution, error) {
 		opts.AssumeValid = true
 	}
 	return s.rev.SolveWith(s.sp.setProblem(p), opts)
-}
-
-// solverPool backs the package-level Solve and SolveWith.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// Solve solves the problem with default options, drawing a reusable
-// Solver from an internal pool.
-func Solve(p *Problem) (*Solution, error) { return SolveWith(p, Options{}) }
-
-// SolveWith solves the problem with explicit options, drawing a reusable
-// Solver from an internal pool.
-func SolveWith(p *Problem, opts Options) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveWith(p, opts)
-	solverPool.Put(s)
-	return sol, err
 }
 
 // Dense returns the problem as a freshly allocated dense Problem.

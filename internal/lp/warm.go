@@ -53,10 +53,12 @@ func (b *Basis) StructuralCols() []int {
 // covers the common warm-start cases of an unchanged column set and of
 // columns appended at the end. Auxiliary (slack/artificial) columns shift
 // with the structural count. Remap returns nil when a basic structural
-// column has no image — the caller must then solve cold.
+// column has no image — the caller must then solve cold. The identity
+// onto the same column count returns b itself: a Basis is never
+// mutated after capture, so sharing it is safe.
 func (b *Basis) Remap(newN int, perm []int) *Basis {
-	if b == nil {
-		return nil
+	if b == nil || newN == b.n && perm == nil {
+		return b
 	}
 	shift := newN - b.n
 	cols := make([]int, len(b.cols))

@@ -95,7 +95,7 @@ func TestWarmStartInfeasibleBasisFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Solve(build(rhs))
+		ref, err := NewSolver().Solve(build(rhs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,12 +151,33 @@ func TestBasisRemapAppendedColumns(t *testing.T) {
 	if !warm.WarmStarted {
 		t.Fatal("remapped basis was not reused")
 	}
-	ref, err := Solve(q)
+	ref, err := NewSolver().Solve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(warm.Objective, ref.Objective, tol) {
 		t.Fatalf("warm objective %v != cold %v", warm.Objective, ref.Objective)
+	}
+}
+
+// TestBasisRemapIdentityShares pins the identity remap onto the basis's
+// own column count to the basis itself, with no allocation: every warm
+// column-generation re-solve makes that remap for its first master.
+func TestBasisRemapIdentityShares(t *testing.T) {
+	p := warmProblem(1)
+	cold, err := NewRevised().SolveWith(new(Sparse).setProblem(p), Options{CaptureBasis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, n := cold.Basis, p.NumVars()
+	if got := b.Remap(n, nil); got != b {
+		t.Fatal("identity remap copied the basis")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Remap(n, nil) }); allocs != 0 {
+		t.Fatalf("identity remap made %v allocations, want 0", allocs)
+	}
+	if got := b.Remap(n+1, nil); got == b || got == nil {
+		t.Fatalf("remap onto an appended column returned %p for basis %p, want a new basis", got, b)
 	}
 }
 

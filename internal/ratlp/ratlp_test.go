@@ -199,7 +199,7 @@ func TestAgreesWithFloatSolver(t *testing.T) {
 			fp.AddConstraint(fi, lp.LE, 25)
 			rp.AddConstraint(ri, lp.LE, Int(25))
 		}
-		fsol, err := lp.Solve(fp)
+		fsol, err := lp.NewSolver().Solve(fp)
 		if err != nil {
 			t.Fatal(err)
 		}

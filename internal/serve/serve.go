@@ -52,10 +52,6 @@ type Config struct {
 	// on each shard; a full queue rejects with 429 + Retry-After. Zero
 	// means 1024.
 	MaxQueue int
-	// EstimatorRelTol overrides the estimator feeds' re-solve drift
-	// tolerance (estimate.Adaptor.RelTol). Zero keeps the adaptor
-	// default (10%).
-	EstimatorRelTol float64
 	// MaxBudget caps per-request deadline budgets and is the default
 	// for requests that set none: a task still queued past its deadline
 	// is shed with 504 instead of burning solver capacity. Zero means
@@ -436,9 +432,6 @@ func (s *Server) restoreSession(st *scenario.SessionState) error {
 		ad, err := estimate.NewAdaptor(net)
 		if err != nil {
 			return err
-		}
-		if s.cfg.EstimatorRelTol > 0 {
-			ad.RelTol = s.cfg.EstimatorRelTol
 		}
 		if err := ad.Restore(estimatesFromWire(st.Estimates)); err != nil {
 			return err
@@ -946,9 +939,6 @@ func (s *Server) solveTask(sh *shard, t *task) (res scenario.SolveResult, resolv
 		ad, err := estimate.NewAdaptor(t.net)
 		if err != nil {
 			return scenario.SolveResult{}, false, nil, err
-		}
-		if s.cfg.EstimatorRelTol > 0 {
-			ad.RelTol = s.cfg.EstimatorRelTol
 		}
 		sol, _, err := ad.Solution()
 		if err != nil {
